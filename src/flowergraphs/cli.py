@@ -291,7 +291,10 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.family == "generic":
         if args.base is None or args.x is None or args.y is None:
             parser.error("--base, --x and --y are required for the generic family")
-        base = read_edge_list(args.base)
+        try:
+            base = read_edge_list(args.base)
+        except OSError as exc:
+            parser.error(str(exc))
         n_lo, n_hi = _parse_range(args.n_range)
         for n in range(n_lo, n_hi + 1):
             spec = FlowerSpec(base, args.x, args.y, n)

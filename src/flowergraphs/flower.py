@@ -14,6 +14,7 @@ vertex ``x`` of the lower-indexed petal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -265,46 +266,80 @@ class MaxResistance:
     d: int
 
 
-def _all_locators(spec: FlowerSpec) -> list[FlowerLocator]:
-    outer = spec.outer_vertices()
-    locs = []
-    for petal in range(1, spec.n + 1):
-        locs.append(FlowerLocator(petal, spec.x, True))
-        locs.extend(FlowerLocator(petal, w, False) for w in outer)
-    return locs
+# Sums and maxima over all vertex pairs reduce to base-vertex pairs.  Rotating
+# petals is an automorphism, so every pair has a representative (u, v) with u
+# in petal 1.  Let a and b range over the base locators {x} + outer vertices
+# (a junction reads as its x copy), with u the copy of a in petal 1 and v the
+# copy of b that lies e = d - 1 in 1..n-1 petals down the chain.  With
+# s = r_xy and c = r_ax + r_by - r_ay - r_bx, the cross-petal formula is the
+# concave quadratic
+#     R(e) = (r_ay + r_bx - s - c^2/(4ns)) + (s + c/n) e - (s/n) e^2,
+# and the same-petal formula (a != b) is r_ab - c^2/(4ns).
+
+
+def _marked_resistance(table: tuple[tuple[Fraction, ...], ...], x: int, y: int) -> Fraction:
+    s = table[x][y]
+    if s == 0:
+        raise ValueError("marked-pair resistance r_xy must be positive")
+    return s
 
 
 def max_resistance_search(
     spec: FlowerSpec,
     table: tuple[tuple[Fraction, ...], ...] | None = None,
 ) -> MaxResistance:
-    """Exhaustive maximum resistance over all vertex pairs of the flower.
+    """Maximum resistance over all vertex pairs of the flower.
 
-    Rotating petals is an automorphism, so scanning pairs whose first vertex
-    lies in petal 1 covers every pair orbit; ties break toward the
-    lexicographically smallest locator pair.  The reported ``d`` is the
-    normalized inclusive petal separation (smaller orientation).
+    For each base-locator pair the cross-petal resistance is a concave
+    quadratic in the petal steps ``e``, so only the integers next to its
+    vertex ``e* = (ns + c) / 2s`` can attain its maximum.  Together with the
+    same-petal pairs that is O(m^2) candidates, whatever the petal count.
+    Ties break toward the lexicographically smallest locator pair.  The
+    reported ``d`` is the normalized inclusive petal separation (smaller
+    orientation).
     """
     if table is None:
         table = base_resistance_table(spec.base)
-    first_petal = [loc for loc in _all_locators(spec) if loc.petal == 1]
-    everyone = _all_locators(spec)
-    best: MaxResistance | None = None
-    for u in first_petal:
-        for v in everyone:
-            if u == v:
-                continue
-            value = flower_resistance(spec, u, v, table)
-            pair = (u, v) if u <= v else (v, u)
-            d = normalized_petal_separation(spec, u, v)
-            if (
-                best is None
-                or value > best.value
-                or (value == best.value and pair < (best.u, best.v))
-            ):
-                best = MaxResistance(value, pair[0], pair[1], d)
+    n, x, y = spec.n, spec.x, spec.y
+    _marked_resistance(table, x, y)
+    # Work in integers: scale the base resistances by their common
+    # denominator D, so r, s and c below are D times their values above.
+    # Every candidate resistance times 4nsD is then an integer, and comparing
+    # these keys compares the resistances exactly.
+    reps = (x,) + spec.outer_vertices()
+    cols = reps + (y,)
+    scale = math.lcm(*(table[a][b].denominator for a in reps for b in cols))
+    r = {
+        (a, b): table[a][b].numerator * (scale // table[a][b].denominator)
+        for a in reps
+        for b in cols
+    }
+    s = r[x, y]
+    delta = {a: r[a, x] - r[a, y] for a in reps}
+    best: tuple[int, tuple[FlowerLocator, FlowerLocator]] | None = None
+    for a in reps:
+        u = FlowerLocator(1, a, a == x)
+        for b in reps:
+            c = delta[a] - delta[b]
+            candidates = []
+            if a != b:
+                candidates.append((4 * n * s * r[a, b] - c * c, FlowerLocator(1, b, b == x)))
+            offset = 4 * n * s * (r[a, y] + r[b, x] - s) - c * c
+            top = n * s + c
+            peaks = (top // (2 * s), -(-top // (2 * s)))
+            for e in {min(max(step, 1), n - 1) for step in peaks}:
+                value = offset + 4 * s * e * (top - s * e)
+                # e petals down the chain from petal 1 is petal 1 - e (mod n).
+                candidates.append((value, FlowerLocator((1 - e) % n or n, b, b == x)))
+            for value, v in candidates:
+                pair = (u, v) if u <= v else (v, u)
+                if best is None or value > best[0] or (value == best[0] and pair < best[1]):
+                    best = (value, pair)
     assert best is not None
-    return best
+    value, (u, v) = best
+    return MaxResistance(
+        Fraction(value, 4 * n * s * scale), u, v, normalized_petal_separation(spec, u, v)
+    )
 
 
 def max_diff_sequence(
@@ -314,7 +349,8 @@ def max_diff_sequence(
 
     Entry ``k`` is ``max(F_{n+1}) - max(F_n)`` for ``n = n_from + k``; the
     sequence converges to a quarter of the base resistance between the marked
-    vertices.
+    vertices.  Each maximum comes from the O(m^2) candidate search of
+    ``max_resistance_search``, so the cost does not grow with ``n``.
     """
     if n_from < 3:
         raise ValueError("petal counts start at 3")
@@ -371,44 +407,62 @@ def base_kemeny(g: Graph, table: tuple[tuple[Fraction, ...], ...]) -> Fraction:
     return total / (4 * g.edge_count)
 
 
+def _weighted_pair_total(
+    spec: FlowerSpec,
+    table: tuple[tuple[Fraction, ...], ...],
+    weights: list[int],
+) -> Fraction:
+    """Weighted resistance sum over all pairs whose first vertex is in petal 1.
+
+    Summing ``R(e)`` over ``e = 1..n-1`` and adding the same-petal term gives,
+    per ordered base-locator pair (``c = 0`` when ``a = b``),
+        T(a, b) = (n - 1) ((rho_a + rho_b)/2 + (n - 5) s/6) + r_ab - c^2/(4s)
+    with ``rho_a = r_ax + r_ay``.  Since ``c = delta_a - delta_b`` for
+    ``delta_a = r_ax - r_ay``, the weighted total of ``T`` needs only O(m)
+    aggregates besides the weighted base sum of ``r_ab``.
+    """
+    n, x, y = spec.n, spec.x, spec.y
+    s = _marked_resistance(table, x, y)
+    reps = (x,) + spec.outer_vertices()
+    weight = sum(weights[a] for a in reps)
+    rho = sum(weights[a] * (table[a][x] + table[a][y]) for a in reps)
+    delta = sum(weights[a] * (table[a][x] - table[a][y]) for a in reps)
+    delta_sq = sum(weights[a] * (table[a][x] - table[a][y]) ** 2 for a in reps)
+    base_pairs = sum(weights[a] * weights[b] * table[a][b] for a in reps for b in reps)
+    return (
+        (n - 1) * (weight * rho + weight * weight * (n - 5) * s / 6)
+        + base_pairs
+        - (weight * delta_sq - delta * delta) / (2 * s)
+    )
+
+
 def flower_kirchhoff_exact(
     spec: FlowerSpec, table: tuple[tuple[Fraction, ...], ...] | None = None
 ) -> Fraction:
-    """Exact Kirchhoff index by summing the closed form over all pairs.
+    """Exact Kirchhoff index in O(m^2) time, independent of the petal count.
 
-    Rotation symmetry reduces the sum to pairs anchored in petal 1.
+    Rotation symmetry reduces the sum to pairs anchored in petal 1, and the
+    sum over petal separations has a closed form per base-locator pair.
     """
     if table is None:
         table = base_resistance_table(spec.base)
-    first_petal = [loc for loc in _all_locators(spec) if loc.petal == 1]
-    everyone = _all_locators(spec)
-    anchored = Fraction(0)
-    for u in first_petal:
-        for v in everyone:
-            if u != v:
-                anchored += flower_resistance(spec, u, v, table)
-    return spec.n * anchored / 2
+    ones = [1] * spec.base.vertex_count
+    return spec.n * _weighted_pair_total(spec, table, ones) / 2
 
 
 def flower_kemeny_exact(
     spec: FlowerSpec, table: tuple[tuple[Fraction, ...], ...] | None = None
 ) -> Fraction:
-    """Exact Kemeny constant by degree-weighted summation of the closed form."""
+    """Exact Kemeny constant in O(m^2) time, independent of the petal count.
+
+    Uses the Kemeny-resistance identity: the degree-weighted resistance sum
+    over all vertex pairs divided by four times the edge count.  A junction
+    carries the degrees of both marked vertices.
+    """
     if table is None:
         table = base_resistance_table(spec.base)
     base = spec.base
-    junction_degree = base.degree(spec.x) + base.degree(spec.y)
-
-    def degree(loc: FlowerLocator) -> int:
-        return junction_degree if loc.is_associated else base.degree(loc.base_vertex)
-
-    first_petal = [loc for loc in _all_locators(spec) if loc.petal == 1]
-    everyone = _all_locators(spec)
-    anchored = Fraction(0)
-    for u in first_petal:
-        du = degree(u)
-        for v in everyone:
-            if u != v:
-                anchored += du * degree(v) * flower_resistance(spec, u, v, table)
+    degrees = list(base.degrees)
+    degrees[spec.x] += base.degree(spec.y)
     # The flower has n * q_base edges; the rotation factor n cancels one n.
-    return anchored / (4 * base.edge_count)
+    return _weighted_pair_total(spec, table, degrees) / (4 * base.edge_count)

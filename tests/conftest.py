@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from flowergraphs import Graph, graph_from_edge_list
 
 
-def random_connected_graph(rng: random.Random, max_vertices: int = 12) -> Graph:
+def random_connected_graph(
+    rng: random.Random, max_vertices: int = 12, min_vertices: int = 2
+) -> Graph:
     """Random connected simple graph: a spanning tree plus a few extra edges."""
-    n = rng.randint(2, max_vertices)
+    n = rng.randint(min_vertices, max_vertices)
     edges = set()
     order = list(range(n))
     rng.shuffle(order)

@@ -1,0 +1,88 @@
+"""Reference implementations that walk every pair anchored in petal 1.
+
+These are the direct O(m^2 n) definitions: the Kirchhoff index and Kemeny
+constant as sums of the closed-form pair resistance, and the maximum
+resistance as an exhaustive scan.  The library evaluates the same quantities
+in time independent of the petal count; the tests require exact equality.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from flowergraphs import (
+    FlowerLocator,
+    FlowerSpec,
+    MaxResistance,
+    base_resistance_table,
+    flower_resistance,
+    normalized_petal_separation,
+)
+
+
+def all_locators(spec: FlowerSpec) -> list[FlowerLocator]:
+    outer = spec.outer_vertices()
+    locs = []
+    for petal in range(1, spec.n + 1):
+        locs.append(FlowerLocator(petal, spec.x, True))
+        locs.extend(FlowerLocator(petal, w, False) for w in outer)
+    return locs
+
+
+def _anchored_pairs(spec: FlowerSpec):
+    everyone = all_locators(spec)
+    for u in everyone:
+        if u.petal != 1:
+            continue
+        for v in everyone:
+            if u != v:
+                yield u, v
+
+
+def exhaustive_max_resistance(spec: FlowerSpec, table=None) -> MaxResistance:
+    """Maximum over all pairs; ties break toward the smallest locator pair."""
+    if table is None:
+        table = base_resistance_table(spec.base)
+    best: MaxResistance | None = None
+    for u, v in _anchored_pairs(spec):
+        value = flower_resistance(spec, u, v, table)
+        pair = (u, v) if u <= v else (v, u)
+        d = normalized_petal_separation(spec, u, v)
+        if (
+            best is None
+            or value > best.value
+            or (value == best.value and pair < (best.u, best.v))
+        ):
+            best = MaxResistance(value, pair[0], pair[1], d)
+    assert best is not None
+    return best
+
+
+def summed_kirchhoff(spec: FlowerSpec, table=None) -> Fraction:
+    if table is None:
+        table = base_resistance_table(spec.base)
+    anchored = sum(
+        (flower_resistance(spec, u, v, table) for u, v in _anchored_pairs(spec)),
+        start=Fraction(0),
+    )
+    return spec.n * anchored / 2
+
+
+def summed_kemeny(spec: FlowerSpec, table=None) -> Fraction:
+    if table is None:
+        table = base_resistance_table(spec.base)
+    base = spec.base
+    junction_degree = base.degree(spec.x) + base.degree(spec.y)
+
+    def degree(loc: FlowerLocator) -> int:
+        return junction_degree if loc.is_associated else base.degree(loc.base_vertex)
+
+    anchored = sum(
+        (
+            degree(u) * degree(v) * flower_resistance(spec, u, v, table)
+            for u, v in _anchored_pairs(spec)
+        ),
+        start=Fraction(0),
+    )
+    # The flower has n * q_base edges; the rotation factor n cancels one n.
+    return anchored / (4 * base.edge_count)

@@ -211,6 +211,19 @@ def test_usage_error_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
+def test_verify_generic_missing_base_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.edges"
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [
+                "verify", "--family", "generic", "--base", str(missing),
+                "--x", "0", "--y", "1", "--n-range", "3:3",
+            ]
+        )
+    assert excinfo.value.code == 2
+    assert "absent.edges" in capsys.readouterr().err
+
+
 def test_unknown_family_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["gen", "--family", "hexagon", "-m", "3", "-n", "3"])

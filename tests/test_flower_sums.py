@@ -1,0 +1,104 @@
+"""Petal-count-independent index sums and maximum search.
+
+The library reduces the Kirchhoff index, the Kemeny constant and the maximum
+resistance to base-vertex pairs.  These tests require exact equality with the
+direct O(m^2 n) definitions in ``flower_reference`` and with the complete- and
+cycle-base closed forms the general path specialises to.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from flowergraphs import (
+    CompleteFlowerParams,
+    CycleFlowerParams,
+    FlowerSpec,
+    base_resistance_table,
+    cf_kemeny,
+    cf_kirchhoff,
+    cf_max_resistance,
+    complete_graph,
+    cycle_graph,
+    flower_kemeny_exact,
+    flower_kirchhoff_exact,
+    gs_kemeny,
+    gs_kirchhoff,
+    max_resistance_search,
+    path_graph,
+    petersen_graph,
+)
+
+from conftest import random_connected_graph
+from flower_reference import exhaustive_max_resistance, summed_kemeny, summed_kirchhoff
+
+
+def assert_matches_reference(spec: FlowerSpec) -> None:
+    table = base_resistance_table(spec.base)
+    assert flower_kirchhoff_exact(spec, table) == summed_kirchhoff(spec, table)
+    assert flower_kemeny_exact(spec, table) == summed_kemeny(spec, table)
+    # MaxResistance equality covers the value, the locator pair and d.
+    assert max_resistance_search(spec, table) == exhaustive_max_resistance(spec, table)
+
+
+def spec_id(spec: FlowerSpec) -> str:
+    return f"m{spec.base.vertex_count}-q{spec.base.edge_count}-x{spec.x}-y{spec.y}-n{spec.n}"
+
+
+def random_specs(seed: int, count: int):
+    # m <= 12 keeps the rationalized base tables exact.
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = random_connected_graph(rng, max_vertices=12, min_vertices=3)
+        x, y = rng.sample(range(base.vertex_count), 2)
+        yield FlowerSpec(base, x, y, rng.randint(3, 40))
+
+
+@pytest.mark.parametrize("spec", list(random_specs(20261017, 40)), ids=spec_id)
+def test_random_bases_match_reference(spec):
+    assert_matches_reference(spec)
+
+
+def symmetric_specs():
+    for m in range(3, 8):
+        for n in (3, 4, 7, 10):
+            yield FlowerSpec(complete_graph(m), 0, 1, n)
+    for m in range(3, 10):
+        for p in range(1, m // 2 + 1):
+            for n in (3, 4, 9):
+                yield FlowerSpec(cycle_graph(m), 0, p, n)
+    for y in (1, 2):
+        for n in (3, 4, 8):
+            yield FlowerSpec(petersen_graph(), 0, y, n)
+    # Pendant paths beyond x and y put the quadratic's vertex at its extremes
+    # e* = n/2 +- 1, outside the valid steps 1..n-1 when n = 3.
+    for m, x, y in ((4, 1, 2), (6, 2, 3), (5, 1, 2)):
+        for n in (3, 4, 5):
+            yield FlowerSpec(path_graph(m), x, y, n)
+
+
+@pytest.mark.parametrize("spec", list(symmetric_specs()), ids=spec_id)
+def test_tie_heavy_symmetric_bases_match_reference(spec):
+    assert_matches_reference(spec)
+
+
+def test_general_path_specialises_to_complete_closed_forms():
+    for m in range(3, 11):
+        for n in range(3, 31):
+            spec = FlowerSpec(complete_graph(m), 0, 1, n)
+            params = CompleteFlowerParams(m, n)
+            assert flower_kirchhoff_exact(spec) == cf_kirchhoff(params)
+            assert flower_kemeny_exact(spec) == cf_kemeny(params)
+            assert max_resistance_search(spec).value == cf_max_resistance(params)
+
+
+def test_general_path_specialises_to_cycle_closed_forms():
+    for m in range(3, 11):
+        for p in range(1, m // 2 + 1):
+            for n in range(3, 31):
+                spec = FlowerSpec(cycle_graph(m), 0, p, n)
+                params = CycleFlowerParams(m, n, p)
+                assert flower_kirchhoff_exact(spec) == gs_kirchhoff(params)
+                assert flower_kemeny_exact(spec) == gs_kemeny(params)
