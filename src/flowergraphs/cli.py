@@ -1,5 +1,8 @@
 """Command-line front end: build flowers, evaluate closed forms, verify against
-the numeric oracle, and export sweep results as CSV or JSON."""
+the numeric oracle, and export sweep results as CSV or JSON.
+
+The family options only choose which flowers a command builds; every exact
+value comes from the general-base formulas in ``flower``."""
 
 from __future__ import annotations
 
@@ -12,23 +15,14 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import oracle
-from .complete import (
-    CompleteFlowerParams,
-    cf_kemeny,
-    cf_kirchhoff,
-    cf_pair_resistance,
-    complete_flower_spec,
-)
-from .cycle import (
-    CycleFlowerParams,
-    cycle_flower_spec,
-    gs_kemeny,
-    gs_kirchhoff,
-    gs_pair_resistance,
-)
+from .complete import CompleteFlowerParams, complete_flower_spec
+from .cycle import CycleFlowerParams, cycle_flower_spec
 from .exact import format_rational
 from .flower import (
+    Flower,
     FlowerSpec,
     base_kemeny,
     base_kirchhoff,
@@ -45,6 +39,7 @@ from .flower import (
 from .graphs import format_edge_list, read_edge_list
 
 DEFAULT_TOL = 1e-9
+FAMILIES = ("generic", "complete", "cycle")
 
 
 @dataclass
@@ -59,11 +54,24 @@ class SweepRow:
     abs_error: float
 
 
+@dataclass
+class _Instance:
+    """One flower of a verify or sweep grid, solved by the oracle."""
+
+    p: int | None
+    flower: Flower
+    matrix: np.ndarray
+    table: tuple[tuple[Fraction, ...], ...]
+    # (quantity, closed form, oracle value) for the Kirchhoff index and Kemeny constant
+    indices: tuple[tuple[str, Fraction, float], ...]
+
+
 def _fmt_float(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str) -> range:
+    """The inclusive range written ``lo:hi``, or the single value ``v``."""
     if ":" in text:
         lo, hi = text.split(":", 1)
         lo, hi = int(lo), int(hi)
@@ -71,7 +79,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo = hi = int(text)
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
-    return lo, hi
+    return range(lo, hi + 1)
 
 
 def _parse_locator(text: str) -> tuple[int, int]:
@@ -83,62 +91,79 @@ def _parse_locator(text: str) -> tuple[int, int]:
 
 
 def _add_family_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--family", choices=("generic", "complete", "cycle"), required=True
-    )
+    parser.add_argument("--family", choices=FAMILIES, required=True)
     parser.add_argument("-m", type=int, help="base size for complete/cycle families")
     parser.add_argument("-n", type=int, help="petal count")
     parser.add_argument("-p", type=int, help="marked-pair distance for cycle bases")
     parser.add_argument("--base", help="edge-list file for the generic family")
     parser.add_argument("--x", type=int, help="first marked vertex (generic)")
     parser.add_argument("--y", type=int, help="second marked vertex (generic)")
-    parser.add_argument("--tol", type=float, default=None, help="comparison tolerance")
 
 
 def _tolerance(args: argparse.Namespace) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    return float(os.environ.get("FLOWER_TOL", DEFAULT_TOL))
+    tol = args.tol if args.tol is not None else float(os.environ.get("FLOWER_TOL", DEFAULT_TOL))
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be a nonnegative number, got {tol}")
+    return tol
+
+
+def _flowers(args: argparse.Namespace, ms, ns, ps):
+    """Yield ``(p, spec)`` for every flower a command covers.
+
+    This is the only place the family matters.  Complete flowers take each
+    ``m`` in ``ms`` and ``n`` in ``ns``; cycles also each ``p`` in ``ps(m)``;
+    generic flowers take each ``n`` on the ``--base`` edge list with marked
+    vertices ``--x`` and ``--y``.  ``p`` is None for the families without one.
+    """
+    if args.family == "generic":
+        if args.base is None or args.x is None or args.y is None:
+            raise ValueError("--base, --x and --y are required for the generic family")
+        base = read_edge_list(args.base)
+        for n in ns:
+            yield None, FlowerSpec(base, args.x, args.y, n)
+        return
+    for m in ms:
+        if m is None:
+            raise ValueError(f"-m is required for the {args.family} family")
+        for n in ns:
+            if args.family == "complete":
+                yield None, complete_flower_spec(CompleteFlowerParams(m, n))
+            else:
+                for p in ps(m):
+                    yield p, cycle_flower_spec(CycleFlowerParams(m, n, p))
 
 
 def _resolve_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FlowerSpec:
     if args.n is None:
         parser.error("-n is required")
-    try:
-        if args.family == "complete":
-            if args.m is None:
-                parser.error("-m is required for the complete family")
-            return complete_flower_spec(CompleteFlowerParams(args.m, args.n))
-        if args.family == "cycle":
-            if args.m is None:
-                parser.error("-m is required for the cycle family")
-            p = 1 if args.p is None else args.p
-            return cycle_flower_spec(CycleFlowerParams(args.m, args.n, p))
-        if args.base is None or args.x is None or args.y is None:
-            parser.error("--base, --x and --y are required for the generic family")
-        return FlowerSpec(read_edge_list(args.base), args.x, args.y, args.n)
-    except (ValueError, OSError) as exc:
-        parser.error(str(exc))
-    raise AssertionError("unreachable")
+    p = 1 if args.p is None else args.p
+    _, spec = next(_flowers(args, [args.m], [args.n], lambda m: [p]))
+    return spec
 
 
-def _closed_pair(args: argparse.Namespace, spec: FlowerSpec, u, v) -> Fraction:
-    if args.family == "complete":
-        return cf_pair_resistance(CompleteFlowerParams(args.m, args.n), u, v)
-    if args.family == "cycle":
-        p = 1 if args.p is None else args.p
-        return gs_pair_resistance(CycleFlowerParams(args.m, args.n, p), u, v)
-    return flower_resistance(spec, u, v)
+def _grid(args: argparse.Namespace):
+    """Every flower of the verify/sweep grid with its oracle solve and indices.
 
+    Cycle marked distances beyond ``m // 2`` are dropped per ``m``.
+    """
 
-def _closed_indices(args: argparse.Namespace, spec: FlowerSpec) -> tuple[Fraction, Fraction]:
-    if args.family == "complete":
-        params = CompleteFlowerParams(args.m, args.n)
-        return cf_kirchhoff(params), cf_kemeny(params)
-    if args.family == "cycle":
-        params = CycleFlowerParams(args.m, args.n, 1 if args.p is None else args.p)
-        return gs_kirchhoff(params), gs_kemeny(params)
-    return flower_kirchhoff_exact(spec), flower_kemeny_exact(spec)
+    def ps(m: int) -> range:
+        span = range(1, m // 2 + 1) if args.p_range is None else _parse_range(args.p_range)
+        return range(span.start, min(span.stop, m // 2 + 1))
+
+    for p, spec in _flowers(args, _parse_range(args.m_range), _parse_range(args.n_range), ps):
+        flower = build_flower(spec)
+        matrix = oracle.resistance_matrix(flower.graph)
+        table = base_resistance_table(spec.base)
+        indices = (
+            ("kirchhoff", flower_kirchhoff_exact(spec, table), oracle.kirchhoff_numeric(matrix)),
+            (
+                "kemeny",
+                flower_kemeny_exact(spec, table),
+                oracle.kemeny_numeric(flower.graph, matrix),
+            ),
+        )
+        yield _Instance(p, flower, matrix, table, indices)
 
 
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -163,13 +188,10 @@ def cmd_resist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             print(" ".join(_fmt_float(value) for value in row))
         return 0
     (pu, bu), (pv, bv) = (_parse_locator(text) for text in args.pair)
-    try:
-        u = locator(spec, pu, bu)
-        v = locator(spec, pv, bv)
-    except ValueError as exc:
-        parser.error(str(exc))
+    u = locator(spec, pu, bu)
+    v = locator(spec, pv, bv)
     if show_exact:
-        print(format_rational(_closed_pair(args, spec, u, v)))
+        print(format_rational(flower_resistance(spec, u, v)))
     if show_oracle:
         flower = build_flower(spec)
         value = oracle.resistance(flower.graph, flower.label_of(pu, bu), flower.label_of(pv, bv))
@@ -177,28 +199,20 @@ def cmd_resist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _index_command(args, parser, quantity: str) -> int:
+def _index_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     spec = _resolve_spec(args, parser)
-    show_exact = args.exact or not args.oracle
-    show_oracle = args.oracle or not args.exact
-    if show_exact:
-        kf, kem = _closed_indices(args, spec)
-        print(format_rational(kf if quantity == "kirchhoff" else kem))
-    if show_oracle:
-        matrix = oracle.resistance_matrix(build_flower(spec).graph)
-        if quantity == "kirchhoff":
+    kirchhoff = args.quantity == "kirchhoff"
+    if args.exact or not args.oracle:
+        exact = flower_kirchhoff_exact(spec) if kirchhoff else flower_kemeny_exact(spec)
+        print(format_rational(exact))
+    if args.oracle or not args.exact:
+        graph = build_flower(spec).graph
+        matrix = oracle.resistance_matrix(graph)
+        if kirchhoff:
             print(_fmt_float(oracle.kirchhoff_numeric(matrix)))
         else:
-            print(_fmt_float(oracle.kemeny_numeric(build_flower(spec).graph, matrix)))
+            print(_fmt_float(oracle.kemeny_numeric(graph, matrix)))
     return 0
-
-
-def cmd_kirchhoff(args, parser) -> int:
-    return _index_command(args, parser, "kirchhoff")
-
-
-def cmd_kemeny(args, parser) -> int:
-    return _index_command(args, parser, "kemeny")
 
 
 def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -207,7 +221,7 @@ def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     r_xy = table[spec.x][spec.y]
     kf_lo, kf_hi = kirchhoff_bounds(spec, base_kirchhoff(table), r_xy)
     kem_lo, kem_hi = kemeny_bounds(spec, base_kemeny(spec.base, table), r_xy)
-    kf, kem = _closed_indices(args, spec)
+    kf, kem = flower_kirchhoff_exact(spec, table), flower_kemeny_exact(spec, table)
     print(f"kirchhoff {format_rational(kf_lo)} {format_rational(kf_hi)} {format_rational(kf)}")
     print(f"kemeny {format_rational(kem_lo)} {format_rational(kem_hi)} {format_rational(kem)}")
     return 0
@@ -224,95 +238,39 @@ def cmd_maxres(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _sweep_instances(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if args.family == "generic":
-        parser.error("sweeps cover the complete and cycle families only")
-    m_lo, m_hi = _parse_range(args.m_range)
-    n_lo, n_hi = _parse_range(args.n_range)
-    for m in range(m_lo, m_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            if args.family == "complete":
-                yield CompleteFlowerParams(m, n), None
-            else:
-                if args.p_range is not None:
-                    p_lo, p_hi = _parse_range(args.p_range)
-                else:
-                    p_lo, p_hi = 1, m // 2
-                for p in range(p_lo, min(p_hi, m // 2) + 1):
-                    yield CycleFlowerParams(m, n, p), p
-
-
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     tol = _tolerance(args)
-    failures = 0
-    instances = 0
-    pairs = 0
-
-    def _closed_for(family, m, n, p, spec):
-        if family == "complete":
-            params = CompleteFlowerParams(m, n)
-            return cf_kirchhoff(params), cf_kemeny(params)
-        if family == "cycle":
-            params = CycleFlowerParams(m, n, p)
-            return gs_kirchhoff(params), gs_kemeny(params)
-        return flower_kirchhoff_exact(spec), flower_kemeny_exact(spec)
-
-    def check_instance(family: str, spec: FlowerSpec, closed_pair, m, n, p) -> None:
-        nonlocal failures, instances, pairs
+    failures = instances = pairs = 0
+    for instance in _grid(args):
         instances += 1
-        flower = build_flower(spec)
-        matrix = oracle.resistance_matrix(flower.graph)
-        tag = f"family={family} m={m} n={n} p={'-' if p is None else p}"
-        for i in range(spec.vertex_count):
-            u = flower.locator_of(i)
-            for j in range(i + 1, spec.vertex_count):
-                v = flower.locator_of(j)
-                expected = closed_pair(u, v)
-                observed = float(matrix[i, j])
-                pairs += 1
+        flower = instance.flower
+        spec = flower.spec
+        tag = (
+            f"family={args.family} m={spec.base.vertex_count} n={spec.n} "
+            f"p={'-' if instance.p is None else instance.p}"
+        )
+        locators = [flower.locator_of(i) for i in range(spec.vertex_count)]
+        pairs += len(locators) * (len(locators) - 1) // 2
+        for i, u in enumerate(locators):
+            for j in range(i + 1, len(locators)):
+                v = locators[j]
+                expected = flower_resistance(spec, u, v, instance.table)
+                observed = float(instance.matrix[i, j])
                 if not oracle.values_close(float(expected), observed, abs_tol=tol):
                     failures += 1
                     print(
                         f"FAIL {tag} pair={u.petal}:{u.base_vertex},{v.petal}:{v.base_vertex} "
                         f"expected={format_rational(expected)} observed={_fmt_float(observed)}"
                     )
-        closed_kf, closed_kem = _closed_for(family, m, n, p, spec)
-        for quantity, closed, observed in (
-            ("kirchhoff", closed_kf, oracle.kirchhoff_numeric(matrix)),
-            ("kemeny", closed_kem, oracle.kemeny_numeric(flower.graph, matrix)),
-        ):
+        for quantity, closed, observed in instance.indices:
             if not oracle.values_close(float(closed), observed, abs_tol=tol):
                 failures += 1
                 print(
                     f"FAIL {tag} quantity={quantity} "
                     f"expected={format_rational(closed)} observed={_fmt_float(observed)}"
                 )
-
-    if args.family == "generic":
-        if args.base is None or args.x is None or args.y is None:
-            parser.error("--base, --x and --y are required for the generic family")
-        try:
-            base = read_edge_list(args.base)
-        except OSError as exc:
-            parser.error(str(exc))
-        n_lo, n_hi = _parse_range(args.n_range)
-        for n in range(n_lo, n_hi + 1):
-            spec = FlowerSpec(base, args.x, args.y, n)
-            check_instance(
-                "generic", spec,
-                lambda u, v, _spec=spec: flower_resistance(_spec, u, v),
-                base.vertex_count, n, None,
-            )
-    else:
-        for params, p in _sweep_instances(args, parser):
-            if args.family == "complete":
-                spec = complete_flower_spec(params)
-                closed = lambda u, v, _params=params: cf_pair_resistance(_params, u, v)
-            else:
-                spec = cycle_flower_spec(params)
-                closed = lambda u, v, _params=params: gs_pair_resistance(_params, u, v)
-            check_instance(args.family, spec, closed, params.m, params.n, p)
-
+    if not instances:
+        parser.error("the --m-range, --n-range and --p-range grid holds no flower")
     if failures:
         print(f"verify: {failures} mismatches over {instances} instances, {pairs} pairs")
         return 1
@@ -321,34 +279,20 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    rows: list[SweepRow] = []
-    for params, p in _sweep_instances(args, parser):
-        if args.family == "complete":
-            spec = complete_flower_spec(params)
-            closed_kf, closed_kem = cf_kirchhoff(params), cf_kemeny(params)
-        else:
-            spec = cycle_flower_spec(params)
-            closed_kf, closed_kem = gs_kirchhoff(params), gs_kemeny(params)
-        flower = build_flower(spec)
-        matrix = oracle.resistance_matrix(flower.graph)
-        numeric = {
-            "kirchhoff": oracle.kirchhoff_numeric(matrix),
-            "kemeny": oracle.kemeny_numeric(flower.graph, matrix),
-        }
-        for quantity, closed in (("kirchhoff", closed_kf), ("kemeny", closed_kem)):
-            observed = numeric[quantity]
-            rows.append(
-                SweepRow(
-                    family=args.family,
-                    m=params.m,
-                    n=params.n,
-                    p=p,
-                    quantity=quantity,
-                    closed_form=format_rational(closed),
-                    oracle=observed,
-                    abs_error=abs(float(closed) - observed),
-                )
-            )
+    rows = [
+        SweepRow(
+            family=args.family,
+            m=instance.flower.spec.base.vertex_count,
+            n=instance.flower.spec.n,
+            p=instance.p,
+            quantity=quantity,
+            closed_form=format_rational(closed),
+            oracle=observed,
+            abs_error=abs(float(closed) - observed),
+        )
+        for instance in _grid(args)
+        for quantity, closed, observed in instance.indices
+    ]
     rows.sort(key=lambda row: (row.family, row.m, row.n, row.p or 0, row.quantity))
     if args.json:
         print(json.dumps([asdict(row) for row in rows], indent=2))
@@ -393,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     resist.add_argument("--oracle", action="store_true", help="print the numeric value")
     resist.set_defaults(func=cmd_resist)
 
-    for name, func in (("kirchhoff", cmd_kirchhoff), ("kemeny", cmd_kemeny)):
+    for name in ("kirchhoff", "kemeny"):
         cmd = sub.add_parser(name, help=f"print the {name} quantity")
         _add_family_options(cmd)
         cmd.add_argument("--exact", action="store_true")
         cmd.add_argument("--oracle", action="store_true")
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=_index_command, quantity=name)
 
     bounds = sub.add_parser("bounds", help="print (lo, hi, actual) for both indices")
     _add_family_options(bounds)
@@ -410,15 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func in (("verify", cmd_verify), ("sweep", cmd_sweep)):
         cmd = sub.add_parser(name, help=f"{name} closed forms against the oracle")
-        cmd.add_argument("--family", choices=("generic", "complete", "cycle"), required=True)
+        cmd.add_argument("--family", choices=FAMILIES, required=True)
         cmd.add_argument("--m-range", default="3:5")
         cmd.add_argument("--n-range", default="3:5")
         cmd.add_argument("--p-range", default=None)
-        cmd.add_argument("--base", help="edge-list file (generic verify)")
+        cmd.add_argument("--base", help="edge-list file (generic family)")
         cmd.add_argument("--x", type=int)
         cmd.add_argument("--y", type=int)
-        cmd.add_argument("--tol", type=float, default=None)
-        if name == "sweep":
+        if name == "verify":
+            cmd.add_argument("--tol", type=float, default=None, help="comparison tolerance")
+        else:
             cmd.add_argument("--json", action="store_true")
         cmd.set_defaults(func=func)
 
@@ -430,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
         return 2
 

@@ -162,17 +162,6 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    vertex_count: int
-    edge_count: int
-    degrees: tuple[int, ...]
-
-
-def graph_stats(g: Graph) -> GraphStats:
-    return GraphStats(g.vertex_count, g.edge_count, g.degrees)
-
-
 def path_graph(vertices: int) -> Graph:
     if vertices < 2:
         raise ValueError("a path needs at least two vertices")

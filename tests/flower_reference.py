@@ -16,8 +16,8 @@ from flowergraphs import (
     MaxResistance,
     base_resistance_table,
     flower_resistance,
-    normalized_petal_separation,
 )
+from flowergraphs.flower import normalized_petal_separation
 
 
 def all_locators(spec: FlowerSpec) -> list[FlowerLocator]:

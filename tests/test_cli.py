@@ -211,6 +211,52 @@ def test_usage_error_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
+def test_gen_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "absent" / "flower.edges"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "--family", "complete", "-m", "3", "-n", "3", "-o", str(target)])
+    assert excinfo.value.code == 2
+    assert "absent" in capsys.readouterr().err
+
+
+def test_verify_empty_grid_exits_2(capsys):
+    # Every p in 5:7 exceeds m // 2 = 2, so the grid holds no flower.
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [
+                "verify", "--family", "cycle", "--m-range", "4", "--n-range", "3",
+                "--p-range", "5:7",
+            ]
+        )
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("tol", ["-1e-9", "nan"])
+def test_verify_bad_tolerance_exits_2(capsys, monkeypatch, tol):
+    grid = ["verify", "--family", "complete", "--m-range", "3", "--n-range", "3"]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*grid, "--tol", tol])
+    assert excinfo.value.code == 2
+    monkeypatch.setenv("FLOWER_TOL", tol)
+    with pytest.raises(SystemExit) as excinfo:
+        main(grid)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "command", ["gen", "resist", "kirchhoff", "kemeny", "bounds", "maxres", "sweep"]
+)
+def test_tol_is_a_verify_option_only(capsys, command):
+    family = ["--family", "complete", "-m", "3", "-n", "3"]
+    if command == "sweep":
+        family = ["--family", "complete", "--m-range", "3", "--n-range", "3"]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *family, "--tol", "1e-3"])
+    assert excinfo.value.code == 2
+
+
 def test_verify_generic_missing_base_exits_2(tmp_path, capsys):
     missing = tmp_path / "absent.edges"
     with pytest.raises(SystemExit) as excinfo:
@@ -249,3 +295,78 @@ def test_tolerance_env_override(capsys, monkeypatch):
     )
     assert code == 0
     assert "tol=0.001" in out
+
+
+# Exact outputs captured before the command line evaluated every family
+# through the general-base formulas; they must stay byte-identical.
+HOUSE_EDGES = "0 1\n1 2\n2 3\n3 4\n4 0\n1 4\n"
+HOUSE = "--family generic --base house.edges --x 0 --y 2"
+
+PINNED_OUTPUTS = [
+    ("kirchhoff --family complete -m 5 -n 7 --exact", "2947/10\n"),
+    ("kemeny --family complete -m 5 -n 7 --exact", "244/5\n"),
+    ("kirchhoff --family cycle -m 7 -n 4 -p 3 --exact", "3616/7\n"),
+    ("kemeny --family cycle -m 7 -n 4 -p 3 --exact", "143/3\n"),
+    (f"kirchhoff {HOUSE} -n 6 --exact", "61210/143\n"),
+    (f"kemeny {HOUSE} -n 6 --exact", "88343/1716\n"),
+    ("bounds --family complete -m 4 -n 6", "kirchhoff 15/1 738/1 525/4\nkemeny 3/2 687/4 53/2\n"),
+    (
+        "bounds --family cycle -m 6 -n 5 -p 2",
+        "kirchhoff 135/2 6775/2 3385/6\nkemeny -65/6 7865/6 305/6\n",
+    ),
+    (
+        f"bounds {HOUSE} -n 6",
+        "kirchhoff 410/11 28665/11 61210/143\nkemeny -305/198 57635/66 88343/1716\n",
+    ),
+    ("maxres --family complete -m 4 -n 6", "u=1:2 v=4:2 d=4 r=5/4\n"),
+    ("maxres --family cycle -m 6 -n 5 -p 2", "u=1:4 v=3:4 d=3 r=44/15\n"),
+    (f"maxres {HOUSE} -n 6", "u=1:3 v=4:3 d=4 r=5/2\n"),
+    ("resist --family complete -m 4 -n 6 --pair 1:2 4:3 --exact", "5/4\n"),
+    ("resist --family cycle -m 6 -n 5 -p 2 --pair 1:1 3:4 --exact", "73/30\n"),
+    (f"resist {HOUSE} -n 6 --pair 2:3 5:1 --exact", "317/143\n"),
+]
+
+
+@pytest.mark.parametrize("command,expected", PINNED_OUTPUTS)
+def test_exact_output_is_pinned(tmp_path, monkeypatch, capsys, command, expected):
+    (tmp_path / "house.edges").write_text(HOUSE_EDGES)
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "grid,expected",
+    [
+        (
+            "--family complete --m-range 3:4 --n-range 3:4",
+            "3,3,,kemeny,14/3 3,3,,kirchhoff,65/6 3,4,,kemeny,23/3 3,4,,kirchhoff,70/3 "
+            "4,3,,kemeny,17/2 4,3,,kirchhoff,87/4 4,4,,kemeny,27/2 4,4,,kirchhoff,91/2",
+        ),
+        (
+            "--family cycle --m-range 4:5 --n-range 3:4",
+            "4,3,1,kemeny,29/3 4,3,1,kirchhoff,75/2 4,3,2,kemeny,53/6 4,3,2,kirchhoff,33/1 "
+            "4,4,1,kemeny,91/6 4,4,1,kirchhoff,311/4 4,4,2,kemeny,29/2 4,4,2,kirchhoff,71/1 "
+            "5,3,1,kemeny,49/3 5,3,1,kirchhoff,443/5 5,3,2,kemeny,44/3 5,3,2,kirchhoff,769/10 "
+            "5,4,1,kemeny,25/1 5,4,1,kirchhoff,180/1 5,4,2,kemeny,71/3 5,4,2,kirchhoff,490/3",
+        ),
+        (
+            # The values of `kirchhoff --exact` and `kemeny --exact` for n = 3, 4.
+            f"{HOUSE} --n-range 3:4",
+            "5,3,,kemeny,25631/1716 5,3,,kirchhoff,9077/143 "
+            "5,4,,kemeny,42479/1716 5,4,,kirchhoff,19868/143",
+        ),
+    ],
+    ids=["complete", "cycle", "generic"],
+)
+def test_sweep_closed_form_column_is_pinned(tmp_path, monkeypatch, capsys, grid, expected):
+    (tmp_path / "house.edges").write_text(HOUSE_EDGES)
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "sweep", *grid.split())
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert {row["family"] for row in rows} == {grid.split()[1]}
+    assert [
+        ",".join(row[key] for key in ("m", "n", "p", "quantity", "closed_form")) for row in rows
+    ] == expected.split()

@@ -23,7 +23,6 @@ from flowergraphs import (
     flower_resistance,
     flower_resistance_cross,
     flower_resistance_same,
-    graph_stats,
     kemeny_bounds,
     kemeny_numeric,
     kirchhoff_bounds,
@@ -49,10 +48,9 @@ def k3_spec(n: int) -> FlowerSpec:
 
 def test_build_triangle_flower_counts():
     flower = build_flower(k3_spec(3))
-    stats = graph_stats(flower.graph)
-    assert stats.vertex_count == 6
-    assert stats.edge_count == 9
-    assert sorted(stats.degrees) == [2, 2, 2, 4, 4, 4]
+    assert flower.graph.vertex_count == 6
+    assert flower.graph.edge_count == 9
+    assert sorted(flower.graph.degrees) == [2, 2, 2, 4, 4, 4]
 
 
 def test_flower_of_single_edge_is_a_cycle():

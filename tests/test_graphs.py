@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given
 
 from flowergraphs import (
-    CompleteFlowerParams,
-    build_flower,
-    complete_flower_spec,
     complete_graph,
     cycle_graph,
     format_edge_list,
     graph_from_edge_list,
-    graph_stats,
     laplacian,
     parse_edge_list,
     path_graph,
@@ -84,8 +80,7 @@ def test_laplacian_rows_sum_to_zero(g):
 
 @given(connected_graphs())
 def test_degree_sum_is_twice_edge_count(g):
-    stats = graph_stats(g)
-    assert sum(stats.degrees) == 2 * stats.edge_count
+    assert sum(g.degrees) == 2 * g.edge_count
 
 
 @given(connected_graphs(max_vertices=8))
@@ -93,15 +88,6 @@ def test_laplacian_psd_with_one_zero_eigenvalue(g):
     eigenvalues = np.linalg.eigvalsh(laplacian(g).astype(float))
     assert abs(eigenvalues[0]) < 1e-9
     assert eigenvalues[1] > 1e-9
-
-
-def test_graph_stats_examples():
-    assert graph_stats(complete_graph(3)) == graph_stats(graph_from_edge_list([(0, 1), (1, 2), (0, 2)]))
-    assert graph_stats(path_graph(3)).degrees == (1, 2, 1)
-    sunflower = build_flower(complete_flower_spec(CompleteFlowerParams(3, 3)))
-    stats = graph_stats(sunflower.graph)
-    assert (stats.vertex_count, stats.edge_count) == (6, 9)
-    assert sorted(stats.degrees) == [2, 2, 2, 4, 4, 4]
 
 
 def test_parse_edge_list_skips_comments_and_blanks():
@@ -123,6 +109,8 @@ def test_edge_list_round_trip():
 
 
 def test_named_graphs():
+    assert complete_graph(3) == graph_from_edge_list([(0, 1), (1, 2), (0, 2)])
+    assert path_graph(3).degrees == (1, 2, 1)
     assert cycle_graph(5).degrees == (2,) * 5
     assert complete_graph(4).edge_count == 6
     pet = petersen_graph()
