@@ -1,28 +1,8 @@
-"""Exact rational scalars shared by the closed-form modules."""
+"""Text form of the exact ``Fraction`` values the closed forms return."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-# Every closed form evaluated by this package is rational-valued, so exact
-# arithmetic is possible end to end.  ``fractions.Fraction`` already keeps
-# values in lowest terms with a positive denominator and is backed by
-# arbitrary-precision integers, which the cubic-in-n index formulas need.
-Rational = Fraction
-
-
-def rationalize(value: float, max_denominator: int = 10**6, tol: float = 1e-9) -> Fraction:
-    """Recover the exact rational behind a floating-point value.
-
-    Uses continued-fraction rounding with a denominator cap and refuses the
-    result if it does not reproduce ``value`` to within ``tol``.
-    """
-    approx = Fraction(value).limit_denominator(max_denominator)
-    if abs(float(approx) - value) > tol:
-        raise ValueError(
-            f"no rational with denominator <= {max_denominator} matches {value!r} to {tol}"
-        )
-    return approx
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -84,19 +84,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency_lists[v]
 
-    def distances_from(self, source: int) -> tuple[int, ...]:
-        """Breadth-first graph distances from ``source`` to every vertex."""
-        dist = [-1] * self.vertex_count
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency_lists[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return tuple(dist)
-
 
 def graph_from_edge_list(pairs: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated graph from unordered vertex pairs.

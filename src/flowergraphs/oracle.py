@@ -19,11 +19,16 @@ from .graphs import Graph, laplacian
 
 @lru_cache(maxsize=256)
 def _grounded_green(g: Graph) -> np.ndarray:
-    """Inverse of the Laplacian with vertex 0 grounded (row/column removed)."""
+    """Inverse of the Laplacian with vertex 0 grounded (row/column removed).
+
+    The cache hands the same array to every caller, so it is read-only.
+    """
     reduced = laplacian(g)[1:, 1:].astype(float)
     factor = cho_factor(reduced, lower=False)
     green = cho_solve(factor, np.eye(g.vertex_count - 1))
-    return (green + green.T) / 2.0
+    green = (green + green.T) / 2.0
+    green.setflags(write=False)
+    return green
 
 
 def resistance(g: Graph, i: int, j: int) -> float:

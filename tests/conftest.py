@@ -1,4 +1,4 @@
-"""Shared helpers: random connected graphs for oracle and metric tests."""
+"""Shared helpers: random connected graphs and grids for oracle and metric tests."""
 
 from __future__ import annotations
 
@@ -26,6 +26,13 @@ def random_connected_graph(
         if u != v:
             edges.add(tuple(sorted((u, v))))
     return graph_from_edge_list(sorted(edges))
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    """Rectangular grid; vertex ``r * cols + c`` sits in row ``r``, column ``c``."""
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return graph_from_edge_list(right + down)
 
 
 @st.composite

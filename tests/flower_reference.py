@@ -1,9 +1,12 @@
-"""Reference implementations that walk every pair anchored in petal 1.
+"""Reference implementations the tests compare the library against exactly.
 
-These are the direct O(m^2 n) definitions: the Kirchhoff index and Kemeny
-constant as sums of the closed-form pair resistance, and the maximum
-resistance as an exhaustive scan.  The library evaluates the same quantities
-in time independent of the petal count; the tests require exact equality.
+The base resistance table comes from plain ``Fraction`` Gauss-Jordan
+inversion of the grounded Laplacian, with row swaps, where the library runs
+fraction-free integer elimination.  The flower indices are the direct
+O(m^2 n) definitions: the Kirchhoff index and Kemeny constant as sums of the
+closed-form pair resistance, and the maximum resistance as an exhaustive
+scan.  The library evaluates the same quantities in time independent of the
+petal count.
 """
 
 from __future__ import annotations
@@ -13,11 +16,37 @@ from fractions import Fraction
 from flowergraphs import (
     FlowerLocator,
     FlowerSpec,
+    Graph,
     MaxResistance,
     base_resistance_table,
     flower_resistance,
 )
 from flowergraphs.flower import normalized_petal_separation
+
+
+def exact_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
+    """Base resistances from the inverse of the grounded Laplacian in ``Fraction``."""
+    m, k = g.vertex_count, g.vertex_count - 1
+    lap = [[Fraction(0)] * m for _ in range(m)]
+    for u, v in g.edges:
+        lap[u][u] += 1
+        lap[v][v] += 1
+        lap[u][v] -= 1
+        lap[v][u] -= 1
+    rows = [lap[i][1:] + [Fraction(int(i - 1 == j)) for j in range(k)] for i in range(1, m)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = rows[col][col]
+        rows[col] = [value / scale for value in rows[col]]
+        for r in range(k):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    green = [[Fraction(0)] * m] + [[Fraction(0)] + row[k:] for row in rows]
+    return tuple(
+        tuple(green[i][i] + green[j][j] - 2 * green[i][j] for j in range(m)) for i in range(m)
+    )
 
 
 def all_locators(spec: FlowerSpec) -> list[FlowerLocator]:

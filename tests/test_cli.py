@@ -10,12 +10,17 @@ import pytest
 
 from flowergraphs import (
     CycleFlowerParams,
+    FlowerSpec,
     build_flower,
     cycle_flower_spec,
+    format_edge_list,
     graph_from_edge_list,
     parse_edge_list,
 )
 from flowergraphs.cli import main
+
+from conftest import grid_graph
+from flower_reference import exact_resistance_table, summed_kirchhoff
 
 
 def run(capsys, *argv):
@@ -58,6 +63,18 @@ def test_kirchhoff_exact_cycle(capsys):
     )
     assert code == 0
     assert out.strip() == "33/1"
+
+
+def test_kirchhoff_exact_on_a_base_with_millions_of_spanning_trees(tmp_path, capsys):
+    grid = grid_graph(4, 5)
+    (tmp_path / "grid.edges").write_text(format_edge_list(grid))
+    expected = summed_kirchhoff(FlowerSpec(grid, 0, 19, 3), exact_resistance_table(grid))
+    code, out = run(
+        capsys, "kirchhoff", "--family", "generic", "--base", str(tmp_path / "grid.edges"),
+        "--x", "0", "--y", "19", "-n", "3", "--exact",
+    )
+    assert code == 0
+    assert out == f"{expected.numerator}/{expected.denominator}\n"
 
 
 def test_kemeny_exact_and_oracle(capsys):

@@ -1,47 +1,10 @@
-"""Exact rational scalar contract and float rationalization."""
+"""Text form of exact rational values."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-import pytest
-from hypothesis import given, strategies as st
-
-from flowergraphs import Rational, format_rational, rationalize
-
-
-def test_rational_is_normalized():
-    value = Rational(6, -4)
-    assert value.numerator == -3
-    assert value.denominator == 2
-
-
-@given(
-    st.integers(-10**30, 10**30),
-    st.integers(1, 10**30),
-    st.integers(-10**30, 10**30),
-    st.integers(1, 10**30),
-)
-def test_rational_addition_is_exact(a, b, c, d):
-    total = Rational(a, b) + Rational(c, d)
-    assert total * b * d == a * d + c * b
-
-
-def test_normalized_values_compare_structurally():
-    assert Rational(2, 4) == Rational(1, 2)
-    assert hash(Rational(10, 5)) == hash(Rational(2, 1))
-
-
-def test_rationalize_recovers_small_denominators():
-    assert rationalize(float(Fraction(2, 3))) == Fraction(2, 3)
-    assert rationalize(0.25) == Fraction(1, 4)
-    assert rationalize(float(Fraction(65, 6))) == Fraction(65, 6)
-
-
-def test_rationalize_rejects_unrepresentable_values():
-    with pytest.raises(ValueError, match="no rational"):
-        rationalize(math.pi, max_denominator=10)
+from flowergraphs import format_rational
 
 
 def test_format_rational_always_shows_denominator():

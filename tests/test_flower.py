@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,8 @@ from flowergraphs import (
     resistance_matrix,
 )
 
+from conftest import connected_graphs, grid_graph, random_connected_graph
+from flower_reference import exact_resistance_table
 
 THIRD = Fraction(2, 3)
 
@@ -344,6 +347,35 @@ def test_bounds_bracket_oracle(base, x, y, n):
     kem_lo, kem_hi = kemeny_bounds(spec, base_kemeny(base, table), r_xy)
     kem = kemeny_numeric(flower.graph, matrix)
     assert float(kem_lo) - 1e-9 <= kem <= float(kem_hi) + 1e-9
+
+
+# ------------------------------------------------------- base resistance table
+
+
+def test_base_table_is_exact_beyond_a_million_spanning_trees():
+    # The 4x5 grid has 4,140,081 spanning trees, the common denominator.
+    grid = grid_graph(4, 5)
+    table = base_resistance_table(grid)
+    assert table == exact_resistance_table(grid)
+    assert table[0][1] == Fraction(966079, 1380027)
+
+
+LARGER_BASES = [
+    random_connected_graph(random.Random(seed), max_vertices=24, min_vertices=14)
+    for seed in range(8)
+]
+
+
+@pytest.mark.parametrize(
+    "base", LARGER_BASES, ids=lambda g: f"m{g.vertex_count}-q{g.edge_count}"
+)
+def test_base_table_is_exact_on_larger_random_bases(base):
+    assert base_resistance_table(base) == exact_resistance_table(base)
+
+
+@given(connected_graphs())
+def test_base_table_matches_fraction_reference(g):
+    assert base_resistance_table(g) == exact_resistance_table(g)
 
 
 # -------------------------------------------------------------- exact sums

@@ -47,16 +47,22 @@ def spec_id(spec: FlowerSpec) -> str:
     return f"m{spec.base.vertex_count}-q{spec.base.edge_count}-x{spec.x}-y{spec.y}-n{spec.n}"
 
 
-def random_specs(seed: int, count: int):
-    # m <= 12 keeps the rationalized base tables exact.
+def random_specs(seed: int, count: int, max_vertices: int = 12, min_vertices: int = 3):
     rng = random.Random(seed)
     for _ in range(count):
-        base = random_connected_graph(rng, max_vertices=12, min_vertices=3)
+        base = random_connected_graph(rng, max_vertices, min_vertices)
         x, y = rng.sample(range(base.vertex_count), 2)
         yield FlowerSpec(base, x, y, rng.randint(3, 40))
 
 
-@pytest.mark.parametrize("spec", list(random_specs(20261017, 40)), ids=spec_id)
+# Bases with 13-18 vertices come from a seed of their own, so adding them left
+# the 40 smaller specs unchanged.
+RANDOM_SPECS = list(random_specs(20261017, 40)) + list(
+    random_specs(20261018, 5, max_vertices=18, min_vertices=13)
+)
+
+
+@pytest.mark.parametrize("spec", RANDOM_SPECS, ids=spec_id)
 def test_random_bases_match_reference(spec):
     assert_matches_reference(spec)
 

@@ -26,6 +26,7 @@ from flowergraphs import (
     resistance_matrix,
     values_close,
 )
+from flowergraphs.oracle import _grounded_green
 
 from conftest import connected_graphs, random_connected_graph
 
@@ -110,6 +111,21 @@ def test_solver_residual_contract():
         current[i], current[j] = 1.0, -1.0
         residual = laplacian(g).astype(float) @ potentials - current
         assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(current)
+
+
+def test_cached_green_matrix_is_read_only():
+    g = cycle_graph(5)
+    green = _grounded_green(g)
+    with pytest.raises(ValueError):
+        green[0, 0] = 1.0
+    assert _grounded_green(g) is green
+    # Results built from the cached matrix are fresh arrays the caller may edit.
+    matrix = resistance_matrix(g)
+    matrix[0, 1] = -1.0
+    potentials = grounded_potentials(g, 1, 2)
+    potentials[0] = 5.0
+    assert resistance_matrix(g)[0, 1] == pytest.approx(4 / 5, abs=1e-12)
+    assert grounded_potentials(g, 1, 2)[0] == 0.0
 
 
 def test_edge_removal_never_decreases_resistance():
