@@ -15,8 +15,6 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import oracle
 from .complete import CompleteFlowerParams, complete_flower_spec
 from .cycle import CycleFlowerParams, cycle_flower_spec
@@ -56,11 +54,10 @@ class SweepRow:
 
 @dataclass
 class _Instance:
-    """One flower of a verify or sweep grid, solved by the oracle."""
+    """One flower of a verify or sweep grid with its exact and oracle indices."""
 
     p: int | None
     flower: Flower
-    matrix: np.ndarray
     table: tuple[tuple[Fraction, ...], ...]
     # (quantity, closed form, oracle value) for the Kirchhoff index and Kemeny constant
     indices: tuple[tuple[str, Fraction, float], ...]
@@ -142,7 +139,7 @@ def _resolve_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _grid(args: argparse.Namespace):
-    """Every flower of the verify/sweep grid with its oracle solve and indices.
+    """Every flower of the verify/sweep grid with its exact and oracle indices.
 
     Cycle marked distances beyond ``m // 2`` are dropped per ``m``.
     """
@@ -153,17 +150,13 @@ def _grid(args: argparse.Namespace):
 
     for p, spec in _flowers(args, _parse_range(args.m_range), _parse_range(args.n_range), ps):
         flower = build_flower(spec)
-        matrix = oracle.resistance_matrix(flower.graph)
         table = base_resistance_table(spec.base)
+        kirchhoff, kemeny = oracle.numeric_indices(flower.graph)
         indices = (
-            ("kirchhoff", flower_kirchhoff_exact(spec, table), oracle.kirchhoff_numeric(matrix)),
-            (
-                "kemeny",
-                flower_kemeny_exact(spec, table),
-                oracle.kemeny_numeric(flower.graph, matrix),
-            ),
+            ("kirchhoff", flower_kirchhoff_exact(spec, table), kirchhoff),
+            ("kemeny", flower_kemeny_exact(spec, table), kemeny),
         )
-        yield _Instance(p, flower, matrix, table, indices)
+        yield _Instance(p, flower, table, indices)
 
 
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -206,12 +199,8 @@ def _index_command(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         exact = flower_kirchhoff_exact(spec) if kirchhoff else flower_kemeny_exact(spec)
         print(format_rational(exact))
     if args.oracle or not args.exact:
-        graph = build_flower(spec).graph
-        matrix = oracle.resistance_matrix(graph)
-        if kirchhoff:
-            print(_fmt_float(oracle.kirchhoff_numeric(matrix)))
-        else:
-            print(_fmt_float(oracle.kemeny_numeric(graph, matrix)))
+        kf, kem = oracle.numeric_indices(build_flower(spec).graph)
+        print(_fmt_float(kf if kirchhoff else kem))
     return 0
 
 
@@ -249,13 +238,14 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             f"family={args.family} m={spec.base.vertex_count} n={spec.n} "
             f"p={'-' if instance.p is None else instance.p}"
         )
+        matrix = oracle.resistance_matrix(flower.graph)
         locators = [flower.locator_of(i) for i in range(spec.vertex_count)]
         pairs += len(locators) * (len(locators) - 1) // 2
         for i, u in enumerate(locators):
             for j in range(i + 1, len(locators)):
                 v = locators[j]
                 expected = flower_resistance(spec, u, v, instance.table)
-                observed = float(instance.matrix[i, j])
+                observed = float(matrix[i, j])
                 if not oracle.values_close(float(expected), observed, abs_tol=tol):
                     failures += 1
                     print(

@@ -34,12 +34,11 @@ from flowergraphs import (
     gs_kirchhoff,
     gs_pair_resistance,
     kemeny_bounds,
-    kemeny_numeric,
     kirchhoff_bounds,
-    kirchhoff_numeric,
     max_diff_sequence,
     max_resistance_search,
     metric_violations,
+    numeric_indices,
     path_graph,
     petersen_graph,
     resistance,
@@ -133,20 +132,17 @@ def test_criterion_3_complete_flower_closed_forms():
                     cases_seen.add(case_for_locators(params, u, v)[0])
                     value = cf_pair_resistance(params, u, v)
                     worst = max(worst, abs(float(value) - matrix[i, j]))
-            worst = max(worst, abs(float(cf_kirchhoff(params)) - kirchhoff_numeric(matrix)))
-            worst = max(
-                worst,
-                abs(float(cf_kemeny(params)) - kemeny_numeric(flower.graph, matrix)),
-            )
+            kf, kem = numeric_indices(flower.graph)
+            worst = max(worst, abs(float(cf_kirchhoff(params)) - kf))
+            worst = max(worst, abs(float(cf_kemeny(params)) - kem))
     exact_ok = (
         cf_kirchhoff(CompleteFlowerParams(3, 3)) == Fraction(65, 6)
         and cf_kemeny(CompleteFlowerParams(3, 3)) == Fraction(14, 3)
     )
     sunflower = build_flower(complete_flower_spec(CompleteFlowerParams(3, 3)))
-    matrix = resistance_matrix(sunflower.graph)
+    kf, kem = numeric_indices(sunflower.graph)
     oracle_ok = (
-        abs(kirchhoff_numeric(matrix) - float(Fraction(65, 6))) <= TOL
-        and abs(kemeny_numeric(sunflower.graph, matrix) - float(Fraction(14, 3))) <= TOL
+        abs(kf - float(Fraction(65, 6))) <= TOL and abs(kem - float(Fraction(14, 3))) <= TOL
     )
     ok = worst <= TOL and exact_ok and oracle_ok and cases_seen == set(PairCase)
     _report(3, ok, f"complete-flower forms (all {len(cases_seen)} cases) vs oracle, "
@@ -184,22 +180,19 @@ def test_criterion_5_cycle_flower_closed_forms():
                     for j in range(i + 1, flower.spec.vertex_count):
                         value = gs_pair_resistance(params, u, flower.locator_of(j))
                         worst = max(worst, abs(float(value) - matrix[i, j]))
-                worst = max(worst, abs(float(gs_kirchhoff(params)) - kirchhoff_numeric(matrix)))
-                worst = max(
-                    worst,
-                    abs(float(gs_kemeny(params)) - kemeny_numeric(flower.graph, matrix)),
-                )
+                kf, kem = numeric_indices(flower.graph)
+                worst = max(worst, abs(float(gs_kirchhoff(params)) - kf))
+                worst = max(worst, abs(float(gs_kemeny(params)) - kem))
     identity_ok = all(
         gs_kirchhoff(CycleFlowerParams(3, n, 1)) == cf_kirchhoff(CompleteFlowerParams(3, n))
         for n in range(3, 13)
     )
-    square = build_flower(cycle_flower_spec(CycleFlowerParams(4, 3, 2)))
-    matrix = resistance_matrix(square.graph)
+    kf, kem = numeric_indices(build_flower(cycle_flower_spec(CycleFlowerParams(4, 3, 2))).graph)
     confirmed = (
         gs_kirchhoff(CycleFlowerParams(4, 3, 2)) == 33
         and gs_kemeny(CycleFlowerParams(4, 3, 2)) == Fraction(53, 6)
-        and abs(kirchhoff_numeric(matrix) - 33.0) <= TOL
-        and abs(kemeny_numeric(square.graph, matrix) - float(Fraction(53, 6))) <= TOL
+        and abs(kf - 33.0) <= TOL
+        and abs(kem - float(Fraction(53, 6))) <= TOL
     )
     ok = worst <= TOL and identity_ok and confirmed
     _report(5, ok, f"cycle-flower forms vs oracle, worst error {worst:.2e}; "
@@ -258,12 +251,9 @@ def test_criterion_8_bounds():
     for spec in specs:
         table = base_resistance_table(spec.base)
         r_xy = table[spec.x][spec.y]
-        flower = build_flower(spec)
-        matrix = resistance_matrix(flower.graph)
+        kf, kem = numeric_indices(build_flower(spec).graph)
         kf_lo, kf_hi = kirchhoff_bounds(spec, base_kirchhoff(table), r_xy)
         kem_lo, kem_hi = kemeny_bounds(spec, base_kemeny(spec.base, table), r_xy)
-        kf = kirchhoff_numeric(matrix)
-        kem = kemeny_numeric(flower.graph, matrix)
         if not (float(kf_lo) - TOL <= kf <= float(kf_hi) + TOL):
             ok = False
         if not (float(kem_lo) - TOL <= kem <= float(kem_hi) + TOL):
@@ -271,8 +261,7 @@ def test_criterion_8_bounds():
     # The three-petal single-edge flower is a triangle and attains the bound.
     edge_spec = FlowerSpec(path_graph(2), 0, 1, 3)
     lo, _ = kirchhoff_bounds(edge_spec, Fraction(1), Fraction(1))
-    triangle = resistance_matrix(complete_graph(3))
-    ok = ok and lo == 2 and abs(kirchhoff_numeric(triangle) - 2.0) <= TOL
+    ok = ok and lo == 2 and abs(numeric_indices(complete_graph(3))[0] - 2.0) <= TOL
     # Upper-bound to closed-form ratios at n = 400, m = 4.
     params = CompleteFlowerParams(4, 400)
     spec = complete_flower_spec(params)

@@ -17,6 +17,7 @@ from flowergraphs import (
     graph_from_edge_list,
     parse_edge_list,
 )
+from flowergraphs import oracle
 from flowergraphs.cli import main
 
 from conftest import grid_graph
@@ -220,6 +221,29 @@ def test_sweep_json(capsys):
     )
     kf = next(row for row in rows if row["quantity"] == "kirchhoff" and row["p"] == 2)
     assert kf["closed_form"] == "33/1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--family", "complete", "--m-range", "3:4", "--n-range", "3:5"),
+        ("sweep", "--family", "cycle", "--m-range", "6", "--n-range", "4", "--json"),
+        ("kirchhoff", "--family", "complete", "-m", "4", "-n", "5", "--oracle"),
+        ("kemeny", "--family", "cycle", "-m", "6", "-n", "4", "-p", "2", "--oracle"),
+    ],
+)
+def test_index_commands_build_no_dense_matrix(capsys, monkeypatch, argv):
+    green = oracle._grounded_green
+    green.cache_clear()
+
+    def forbidden(*args):
+        raise AssertionError("dense resistance matrix built")
+
+    monkeypatch.setattr(oracle, "resistance_matrix", forbidden)
+    monkeypatch.setattr(oracle, "_grounded_green", forbidden)
+    code, out = run(capsys, *argv)
+    assert code == 0 and out
+    assert green.cache_info().currsize == 0
 
 
 def test_usage_error_exits_2(capsys):

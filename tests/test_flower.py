@@ -25,12 +25,11 @@ from flowergraphs import (
     flower_resistance_cross,
     flower_resistance_same,
     kemeny_bounds,
-    kemeny_numeric,
     kirchhoff_bounds,
-    kirchhoff_numeric,
     locator,
     max_diff_sequence,
     max_resistance_search,
+    numeric_indices,
     path_graph,
     petersen_graph,
     resistance_matrix,
@@ -339,13 +338,10 @@ def test_bounds_bracket_oracle(base, x, y, n):
     spec = FlowerSpec(base, x, y, n)
     table = base_resistance_table(base)
     r_xy = table[x][y]
-    flower = build_flower(spec)
-    matrix = resistance_matrix(flower.graph)
+    kf, kem = numeric_indices(build_flower(spec).graph)
     kf_lo, kf_hi = kirchhoff_bounds(spec, base_kirchhoff(table), r_xy)
-    kf = kirchhoff_numeric(matrix)
     assert float(kf_lo) - 1e-9 <= kf <= float(kf_hi) + 1e-9
     kem_lo, kem_hi = kemeny_bounds(spec, base_kemeny(base, table), r_xy)
-    kem = kemeny_numeric(flower.graph, matrix)
     assert float(kem_lo) - 1e-9 <= kem <= float(kem_hi) + 1e-9
 
 
@@ -383,10 +379,9 @@ def test_base_table_matches_fraction_reference(g):
 
 def test_exact_index_sums_match_oracle():
     spec = FlowerSpec(path_graph(3), 0, 2, 4)
-    flower = build_flower(spec)
-    matrix = resistance_matrix(flower.graph)
-    assert abs(float(flower_kirchhoff_exact(spec)) - kirchhoff_numeric(matrix)) <= 1e-9
-    assert abs(float(flower_kemeny_exact(spec)) - kemeny_numeric(flower.graph, matrix)) <= 1e-9
+    kf, kem = numeric_indices(build_flower(spec).graph)
+    assert abs(float(flower_kirchhoff_exact(spec)) - kf) <= 1e-9
+    assert abs(float(flower_kemeny_exact(spec)) - kem) <= 1e-9
 
 
 def test_base_index_helpers():

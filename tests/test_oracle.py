@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,21 +12,25 @@ from hypothesis import given, settings
 
 from flowergraphs import (
     CompleteFlowerParams,
+    CycleFlowerParams,
+    FlowerSpec,
     build_flower,
     complete_flower_spec,
     complete_graph,
+    cycle_flower_spec,
     cycle_graph,
     graph_from_edge_list,
     grounded_potentials,
-    kemeny_numeric,
-    kirchhoff_numeric,
     laplacian,
     metric_violations,
+    numeric_indices,
     path_graph,
+    petersen_graph,
     resistance,
     resistance_matrix,
     values_close,
 )
+from flowergraphs import oracle
 from flowergraphs.oracle import _grounded_green
 
 from conftest import connected_graphs, random_connected_graph
@@ -56,6 +61,12 @@ def test_out_of_range_indices():
         resistance(path_graph(2), 0, 2)
 
 
+@pytest.mark.parametrize("i,j", [(-1, 2), (2, -1), (4, 0), (0, 7)])
+def test_grounded_potentials_rejects_out_of_range_vertices(i, j):
+    with pytest.raises(IndexError, match=rf"vertex pair \({i}, {j}\) out of range for 4 vertices"):
+        grounded_potentials(path_graph(4), i, j)
+
+
 def test_resistance_matrix_triangle():
     matrix = resistance_matrix(complete_graph(3))
     for i in range(3):
@@ -72,19 +83,60 @@ def test_resistance_matrix_path():
 
 
 def test_kirchhoff_examples():
-    assert kirchhoff_numeric(resistance_matrix(complete_graph(3))) == pytest.approx(2.0, abs=1e-12)
-    assert kirchhoff_numeric(resistance_matrix(path_graph(2))) == pytest.approx(1.0, abs=1e-12)
+    assert numeric_indices(complete_graph(3))[0] == pytest.approx(2.0, abs=1e-12)
+    assert numeric_indices(path_graph(2))[0] == pytest.approx(1.0, abs=1e-12)
     sunflower = build_flower(complete_flower_spec(CompleteFlowerParams(3, 3))).graph
-    assert kirchhoff_numeric(resistance_matrix(sunflower)) == pytest.approx(float(Fraction(65, 6)), abs=1e-9)
+    assert numeric_indices(sunflower)[0] == pytest.approx(float(Fraction(65, 6)), abs=1e-9)
 
 
 def test_kemeny_examples():
-    triangle = complete_graph(3)
-    assert kemeny_numeric(triangle, resistance_matrix(triangle)) == pytest.approx(4 / 3, abs=1e-12)
-    edge = path_graph(2)
-    assert kemeny_numeric(edge, resistance_matrix(edge)) == pytest.approx(0.5, abs=1e-12)
+    assert numeric_indices(complete_graph(3))[1] == pytest.approx(4 / 3, abs=1e-12)
+    assert numeric_indices(path_graph(2))[1] == pytest.approx(0.5, abs=1e-12)
     sunflower = build_flower(complete_flower_spec(CompleteFlowerParams(3, 3))).graph
-    assert kemeny_numeric(sunflower, resistance_matrix(sunflower)) == pytest.approx(float(Fraction(14, 3)), abs=1e-9)
+    assert numeric_indices(sunflower)[1] == pytest.approx(float(Fraction(14, 3)), abs=1e-9)
+
+
+def _assert_indices_match_definitions(g):
+    """Kf is half the resistance sum, Kemeny d^T R d / 4q."""
+    matrix = resistance_matrix(g)
+    degrees = np.asarray(g.degrees, dtype=float)
+    kirchhoff, kemeny = numeric_indices(g)
+    assert kirchhoff == pytest.approx(matrix.sum() / 2.0, rel=1e-12)
+    assert kemeny == pytest.approx(degrees @ matrix @ degrees / (4.0 * g.edge_count), rel=1e-12)
+
+
+@settings(max_examples=40)
+@given(connected_graphs())
+def test_numeric_indices_equal_the_matrix_sums(g):
+    _assert_indices_match_definitions(g)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        complete_flower_spec(CompleteFlowerParams(3, 3)),
+        complete_flower_spec(CompleteFlowerParams(6, 40)),
+        cycle_flower_spec(CycleFlowerParams(5, 7, 2)),
+        cycle_flower_spec(CycleFlowerParams(8, 30, 4)),
+        FlowerSpec(petersen_graph(), 0, 2, 12),
+        FlowerSpec(path_graph(4), 0, 3, 25),
+    ],
+    ids=lambda spec: f"m{spec.base.vertex_count}-n{spec.n}-x{spec.x}-y{spec.y}",
+)
+def test_numeric_indices_equal_the_matrix_sums_on_flowers(spec):
+    _assert_indices_match_definitions(build_flower(spec).graph)
+
+
+def test_numeric_indices_raise_when_the_triangular_inverse_fails(monkeypatch):
+    monkeypatch.setattr(oracle, "dtrtri", lambda c, **kwargs: (c, 2))
+    with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+        numeric_indices(cycle_graph(5))
+
+
+def test_numeric_indices_raise_when_the_factorization_fails(monkeypatch):
+    monkeypatch.setattr(oracle, "dpotrf", lambda a, **kwargs: (a, 3))
+    with pytest.raises(np.linalg.LinAlgError, match="dpotrf info=3"):
+        numeric_indices(cycle_graph(5))
 
 
 @settings(max_examples=40)
@@ -157,3 +209,16 @@ def test_metric_violations_flags_bad_matrix():
         [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
     )
     assert any("triangle" in msg for msg in metric_violations(far))
+
+
+def test_metric_violations_memory_stays_quadratic():
+    g = random_connected_graph(random.Random(3), max_vertices=200, min_vertices=200)
+    matrix = resistance_matrix(g)
+    tracemalloc.start()
+    try:
+        assert metric_violations(matrix) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A few N x N float temporaries; one N^3 tensor would take 64 MB.
+    assert peak <= 8 * matrix.nbytes
