@@ -175,6 +175,8 @@ def cmd_resist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     show_exact = args.exact or not args.oracle
     show_oracle = args.oracle or not args.exact
     if args.pair is None:
+        if args.exact:
+            parser.error("--exact needs --pair; the full matrix comes only from the oracle")
         flower = build_flower(spec)
         matrix = oracle.resistance_matrix(flower.graph)
         for row in matrix:

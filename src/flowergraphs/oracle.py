@@ -1,37 +1,42 @@
-"""Numeric ground truth: resistances from grounded Laplacian solves.
+"""Numeric ground truth: resistances from one grounded Cholesky factor.
 
-Resistances are computed by deleting the row and column of vertex 0 from the
-Laplacian, solving the remaining symmetric positive-definite system with a
-fixed Cholesky factorization, and reading the quadratic form off the inverse.
-This sidesteps assembling a full pseudoinverse while satisfying the same
-defining quadratic form.  The Kirchhoff index and Kemeny's constant come from
-the same factor and its triangular inverse, without any N x N resistance
-matrix.
+Every entry point deletes the row and column of vertex 0 from the Laplacian,
+factors the rest as ``L0 = R^T R`` (LAPACK ``dpotrf``) and finishes with one
+more LAPACK call on ``R``: ``dpotri`` for the Green matrix ``G = L0^-1``,
+``dpotrs`` for the potentials of one current, ``dtrtri`` for the triangular
+inverse the two indices are read from.  This satisfies the pseudoinverse's
+defining quadratic form without assembling it, and nothing is cached.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtri
 
 from .graphs import Graph, laplacian
 
 
-@lru_cache(maxsize=256)
-def _grounded_green(g: Graph) -> np.ndarray:
-    """Inverse of the Laplacian with vertex 0 grounded (row/column removed).
+def _check(routine, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} failed: info={info}")
 
-    The cache hands the same array to every caller, so it is read-only.
+
+def _factor_then(g: Graph, finish, *args, **kwargs) -> np.ndarray:
+    """``finish(R, *args, **kwargs)`` for the upper Cholesky factor of ``L0 = R^T R``.
+
+    ``dpotrf`` factors in place: ``L0`` is symmetric, so its transpose is the
+    same matrix already in LAPACK's column-major order.  A nonzero ``info``
+    raises ``LinAlgError``.  LAPACK rejects the empty system of a one-vertex
+    graph, so its empty factor or right-hand side is returned as the result.
     """
     reduced = laplacian(g)[1:, 1:].astype(float)
-    factor = cho_factor(reduced, lower=False)
-    green = cho_solve(factor, np.eye(g.vertex_count - 1))
-    green = (green + green.T) / 2.0
-    green.setflags(write=False)
-    return green
+    if not reduced.size:
+        return args[0] if args else reduced
+    factor, info = dpotrf(reduced.T, lower=0, clean=1, overwrite_a=1)
+    _check(dpotrf, info)
+    result, info = finish(factor, *args, **kwargs)
+    _check(finish, info)
+    return result
 
 
 def _check_pair(g: Graph, i: int, j: int) -> None:
@@ -41,22 +46,16 @@ def _check_pair(g: Graph, i: int, j: int) -> None:
 
 
 def resistance(g: Graph, i: int, j: int) -> float:
-    """Effective resistance between vertices ``i`` and ``j``."""
-    _check_pair(g, i, j)
-    if i == j:
-        return 0.0
-    green = _grounded_green(g)
-    gii = green[i - 1, i - 1] if i > 0 else 0.0
-    gjj = green[j - 1, j - 1] if j > 0 else 0.0
-    gij = green[i - 1, j - 1] if i > 0 and j > 0 else 0.0
-    return float(gii + gjj - 2.0 * gij)
+    """Effective resistance between ``i`` and ``j``: a unit current's potential drop."""
+    potentials = grounded_potentials(g, i, j)
+    return float(potentials[i] - potentials[j])
 
 
 def grounded_potentials(g: Graph, i: int, j: int) -> np.ndarray:
     """Vertex potentials for a unit current injected at ``i`` and drawn at ``j``.
 
     Vertex 0 is held at potential zero; the returned vector ``x`` satisfies
-    ``L x = e_i - e_j`` up to solver precision.
+    ``L x = e_i - e_j`` up to solver precision (``dpotrs``, O(N^2) after the factor).
     """
     _check_pair(g, i, j)
     n = g.vertex_count
@@ -64,50 +63,45 @@ def grounded_potentials(g: Graph, i: int, j: int) -> np.ndarray:
     current[i] += 1.0
     current[j] -= 1.0
     potentials = np.zeros(n)
-    potentials[1:] = _grounded_green(g) @ current[1:]
+    potentials[1:] = _factor_then(g, dpotrs, current[1:, None])[:, 0]
     return potentials
 
 
 def resistance_matrix(g: Graph) -> np.ndarray:
-    """Symmetric matrix of pairwise effective resistances with zero diagonal."""
+    """Symmetric matrix of pairwise effective resistances with zero diagonal.
+
+    ``dpotri`` (about N^3 flops with the factor) writes only the upper triangle
+    of ``G``; the lower one stays zero, so off the diagonal ``G + G^T`` is the
+    full ``G``, exactly symmetric.
+    """
     n = g.vertex_count
     padded = np.zeros((n, n))
-    padded[1:, 1:] = _grounded_green(g)
+    padded[1:, 1:] = _factor_then(g, dpotri, overwrite_c=1)
     diag = np.diag(padded)
-    matrix = diag[:, None] + diag[None, :] - 2.0 * padded
-    matrix = (matrix + matrix.T) / 2.0
+    matrix = diag[:, None] + diag[None, :] - 2.0 * (padded + padded.T)
     np.fill_diagonal(matrix, 0.0)
     return matrix
 
 
 def numeric_indices(g: Graph) -> tuple[float, float]:
-    """Kirchhoff index and Kemeny's constant from one grounded Cholesky factor.
+    """Kirchhoff index and Kemeny's constant from the grounded triangular inverse.
 
-    With the vertex-0-grounded Laplacian factored as ``L0 = R^T R`` and
-    ``S = R^-1`` (upper triangular, LAPACK ``dtrtri``), the grounded Green
-    matrix is ``G = S S^T``, so ``G_ii`` is the squared norm of row ``i`` of
-    ``S`` and ``u^T G u = |S^T u|^2``.  Summing ``r_ij = G_ii + G_jj - 2 G_ij``
-    (``G`` is zero on vertex 0) gives, with ``d`` the degrees of vertices
-    ``1..N-1`` and ``q`` the edge count:
+    With ``S = R^-1`` (upper triangular, LAPACK ``dtrtri`` in place on the
+    factor) the grounded Green matrix is ``G = S S^T``, so ``G_ii`` is the
+    squared norm of row ``i`` of ``S`` and ``u^T G u = |S^T u|^2``.  Summing
+    ``r_ij = G_ii + G_jj - 2 G_ij`` (``G`` is zero on vertex 0) gives, with
+    ``d`` the degrees of vertices ``1..N-1`` and ``q`` the edge count:
 
     - Kirchhoff index ``N tr G - |S^T 1|^2``;
     - Kemeny's constant ``(2q sum_i d_i G_ii - |S^T d|^2) / (2q)``.
 
-    About ``2N^3/3`` flops, against ``7N^3/3`` for ``resistance_matrix``.
-    Both LAPACK calls work in place on the one ``(N-1)^2`` array: the grounded
-    Laplacian is symmetric, so its transpose is the same matrix already in the
-    column-major order LAPACK factors without a copy.
+    About ``2N^3/3`` flops and one ``(N-1)^2`` array, against ``N^3`` and an
+    N x N matrix for ``resistance_matrix``.  Both sums are empty on one vertex.
     """
-    reduced = laplacian(g)[1:, 1:].astype(float)
-    factor, info = dpotrf(reduced.T, lower=0, clean=1, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Cholesky factorization failed: dpotrf info={info}")
-    inverse, info = dtrtri(factor, lower=0, overwrite_c=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular inverse failed: dtrtri info={info}")
+    inverse = _factor_then(g, dtrtri, overwrite_c=1)
     green_diag = np.einsum("ij,ij->i", inverse, inverse)
     degrees = np.asarray(g.degrees[1:], dtype=float)
-    two_q = 2.0 * g.edge_count
+    two_q = 2.0 * max(g.edge_count, 1)  # q = 0 only on one vertex, with empty sums
     kirchhoff = g.vertex_count * green_diag.sum() - np.square(inverse.sum(axis=0)).sum()
     kemeny = (two_q * (degrees @ green_diag) - np.square(degrees @ inverse).sum()) / two_q
     return float(kirchhoff), float(kemeny)

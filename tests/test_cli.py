@@ -233,17 +233,22 @@ def test_sweep_json(capsys):
     ],
 )
 def test_index_commands_build_no_dense_matrix(capsys, monkeypatch, argv):
-    green = oracle._grounded_green
-    green.cache_clear()
-
-    def forbidden(*args):
+    def forbidden(*args, **kwargs):
         raise AssertionError("dense resistance matrix built")
 
     monkeypatch.setattr(oracle, "resistance_matrix", forbidden)
-    monkeypatch.setattr(oracle, "_grounded_green", forbidden)
+    monkeypatch.setattr(oracle, "dpotri", forbidden)
     code, out = run(capsys, *argv)
     assert code == 0 and out
-    assert green.cache_info().currsize == 0
+
+
+def test_resist_exact_without_pair_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["resist", "--family", "complete", "-m", "3", "-n", "3", "--exact"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--exact needs --pair" in captured.err
 
 
 def test_usage_error_exits_2(capsys):

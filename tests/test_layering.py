@@ -1,4 +1,5 @@
-"""The closed forms stay independent of the numeric oracle they are checked against."""
+"""The closed forms stay independent of the numeric oracle they are checked against,
+and the oracle is the package's only LAPACK user."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import pytest
 
 import flowergraphs
 
+PACKAGE = Path(flowergraphs.__file__).parent
 CLOSED_FORM_MODULES = ("flower", "complete", "cycle", "separation", "exact")
 NUMERIC_MODULES = {"oracle", "numpy", "scipy"}
+NON_ORACLE_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "oracle")
 
 
 def imported_modules(source: str):
@@ -25,6 +28,13 @@ def imported_modules(source: str):
 
 @pytest.mark.parametrize("module", CLOSED_FORM_MODULES)
 def test_closed_form_module_imports_no_numeric_code(module):
-    source = (Path(flowergraphs.__file__).parent / f"{module}.py").read_text()
+    source = (PACKAGE / f"{module}.py").read_text()
     for name in imported_modules(source):
         assert not NUMERIC_MODULES & set(name.split(".")), f"{module} imports {name}"
+
+
+@pytest.mark.parametrize("module", NON_ORACLE_MODULES)
+def test_only_the_oracle_imports_scipy(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    for name in imported_modules(source):
+        assert name.split(".")[0] != "scipy", f"{module} imports {name}"

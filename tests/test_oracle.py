@@ -9,11 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowergraphs import (
     CompleteFlowerParams,
     CycleFlowerParams,
     FlowerSpec,
+    Graph,
     build_flower,
     complete_flower_spec,
     complete_graph,
@@ -31,7 +33,6 @@ from flowergraphs import (
     values_close,
 )
 from flowergraphs import oracle
-from flowergraphs.oracle import _grounded_green
 
 from conftest import connected_graphs, random_connected_graph
 
@@ -127,16 +128,65 @@ def test_numeric_indices_equal_the_matrix_sums_on_flowers(spec):
     _assert_indices_match_definitions(build_flower(spec).graph)
 
 
-def test_numeric_indices_raise_when_the_triangular_inverse_fails(monkeypatch):
-    monkeypatch.setattr(oracle, "dtrtri", lambda c, **kwargs: (c, 2))
-    with pytest.raises(np.linalg.LinAlgError, match="info=2"):
-        numeric_indices(cycle_graph(5))
+ENTRY_POINTS = {
+    "numeric_indices": numeric_indices,
+    "resistance_matrix": resistance_matrix,
+    "resistance": lambda g: resistance(g, 1, 3),
+    "grounded_potentials": lambda g: grounded_potentials(g, 1, 3),
+}
+FINISHING_CALLS = {
+    "numeric_indices": "dtrtri",
+    "resistance_matrix": "dpotri",
+    "resistance": "dpotrs",
+    "grounded_potentials": "dpotrs",
+}
 
 
-def test_numeric_indices_raise_when_the_factorization_fails(monkeypatch):
-    monkeypatch.setattr(oracle, "dpotrf", lambda a, **kwargs: (a, 3))
-    with pytest.raises(np.linalg.LinAlgError, match="dpotrf info=3"):
-        numeric_indices(cycle_graph(5))
+def _failing_lapack(name, info):
+    """A stand-in for LAPACK routine ``name`` that returns its input and ``info``."""
+
+    def fake(a, *args, **kwargs):
+        return a, info
+
+    fake.__name__ = name
+    return fake
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_oracle_raises_when_the_factorization_fails(monkeypatch, entry):
+    monkeypatch.setattr(oracle, "dpotrf", _failing_lapack("dpotrf", 3))
+    with pytest.raises(np.linalg.LinAlgError, match="dpotrf failed: info=3"):
+        ENTRY_POINTS[entry](cycle_graph(5))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_oracle_raises_when_the_finishing_call_fails(monkeypatch, entry):
+    routine = FINISHING_CALLS[entry]
+    monkeypatch.setattr(oracle, routine, _failing_lapack(routine, 2))
+    with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed: info=2"):
+        ENTRY_POINTS[entry](cycle_graph(5))
+
+
+def test_one_vertex_graph_has_empty_results_and_calls_no_lapack(capfd):
+    g = Graph(1, frozenset())
+    assert numeric_indices(g) == (0.0, 0.0)
+    assert np.array_equal(resistance_matrix(g), np.zeros((1, 1)))
+    assert resistance(g, 0, 0) == 0.0
+    assert np.array_equal(grounded_potentials(g, 0, 0), np.zeros(1))
+    # LAPACK reports an illegal argument on stderr itself, below Python.
+    assert capfd.readouterr().err == ""
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_entry_points_agree_on_every_pair(data):
+    g = data.draw(connected_graphs())
+    vertex = st.integers(0, g.vertex_count - 1)
+    i, j = data.draw(vertex), data.draw(vertex)
+    potentials = grounded_potentials(g, i, j)
+    value = resistance(g, i, j)
+    assert value == pytest.approx(resistance_matrix(g)[i, j], abs=1e-12)
+    assert value == pytest.approx(potentials[i] - potentials[j], abs=1e-12)
 
 
 @settings(max_examples=40)
@@ -165,13 +215,8 @@ def test_solver_residual_contract():
         assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(current)
 
 
-def test_cached_green_matrix_is_read_only():
+def test_oracle_results_are_fresh_arrays():
     g = cycle_graph(5)
-    green = _grounded_green(g)
-    with pytest.raises(ValueError):
-        green[0, 0] = 1.0
-    assert _grounded_green(g) is green
-    # Results built from the cached matrix are fresh arrays the caller may edit.
     matrix = resistance_matrix(g)
     matrix[0, 1] = -1.0
     potentials = grounded_potentials(g, 1, 2)
@@ -180,6 +225,23 @@ def test_cached_green_matrix_is_read_only():
     assert grounded_potentials(g, 1, 2)[0] == 0.0
 
 
+def test_oracle_keeps_no_array_after_return():
+    graphs = [
+        random_connected_graph(random.Random(seed), max_vertices=200, min_vertices=200)
+        for seed in (11, 12, 13)
+    ]
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        for g in graphs:
+            resistance_matrix(g)
+            resistance(g, 5, 150)
+            grounded_potentials(g, 150, 5)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One grounded 199 x 199 float matrix alone is 317 kB.
+    assert current - baseline < 32_000
 def test_edge_removal_never_decreases_resistance():
     # Rayleigh monotonicity, spot-checked on graphs that stay connected.
     cases = [
