@@ -141,13 +141,15 @@ def _resolve_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def _grid(args: argparse.Namespace):
     """Every flower of the verify/sweep grid with its exact and oracle indices.
 
-    Cycle marked distances beyond ``m // 2`` are dropped per ``m``.
+    Cycle marked distances beyond ``m // 2`` are dropped per ``m``; a grid
+    left with no flower raises ``ValueError`` once it is exhausted.
     """
 
     def ps(m: int) -> range:
         span = range(1, m // 2 + 1) if args.p_range is None else _parse_range(args.p_range)
         return range(span.start, min(span.stop, m // 2 + 1))
 
+    empty = True
     for p, spec in _flowers(args, _parse_range(args.m_range), _parse_range(args.n_range), ps):
         flower = build_flower(spec)
         table = base_resistance_table(spec.base)
@@ -157,6 +159,9 @@ def _grid(args: argparse.Namespace):
             ("kemeny", flower_kemeny_exact(spec, table), kemeny),
         )
         yield _Instance(p, flower, table, indices)
+        empty = False
+    if empty:
+        raise ValueError("the --m-range, --n-range and --p-range grid holds no flower")
 
 
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -261,8 +266,6 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                     f"FAIL {tag} quantity={quantity} "
                     f"expected={format_rational(closed)} observed={_fmt_float(observed)}"
                 )
-    if not instances:
-        parser.error("the --m-range, --n-range and --p-range grid holds no flower")
     if failures:
         print(f"verify: {failures} mismatches over {instances} instances, {pairs} pairs")
         return 1
@@ -354,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--x", type=int)
         cmd.add_argument("--y", type=int)
         if name == "verify":
-            cmd.add_argument("--tol", type=float, default=None, help="comparison tolerance")
+            cmd.add_argument("--tol", type=float, help=(
+                "absolute tolerance up to magnitude 1e3 (default 1e-9, or FLOWER_TOL); "
+                "beyond it a fixed 1e-12 relative bound"))
         else:
             cmd.add_argument("--json", action="store_true")
         cmd.set_defaults(func=func)

@@ -135,17 +135,6 @@ def build_flower(spec: FlowerSpec) -> Flower:
     return Flower(spec, graph_from_edge_list(edges))
 
 
-@dataclass(frozen=True)
-class BaseResBundle:
-    """The five base-graph resistances feeding the flower resistance formulas."""
-
-    r_ux: Fraction
-    r_uy: Fraction
-    r_vx: Fraction
-    r_vy: Fraction
-    r_xy: Fraction
-
-
 @lru_cache(maxsize=64)
 def base_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
     """Exact pairwise resistances of a base graph, certified.
@@ -195,38 +184,28 @@ def base_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def flower_resistance_cross(bundle: BaseResBundle, d: int, n: int) -> Fraction:
-    """Resistance between vertices ``d`` petals apart (inclusive), ``2 <= d <= n``.
+# Every pair resistance is one formula.  Let u be a copy of base locator a
+# ({x} + outer vertices; a junction reads as its x copy) and v the copy of b
+# that lies e petals down the chain from u (e = 0 within one petal).  With
+# s = r_xy > 0,
+#     R_ab(e) = series - imbalance^2 / (4ns),
+#     series = r_ab if e = 0, else r_ay + r_bx + (e - 1) s,
+#     imbalance = r_ax - r_ay - r_bx + r_by - 2es.
+# That is separation.compose_two_sep across the two end vertices of the
+# chain of e + 1 petals from u's to v's (r1_uv = series), where the other
+# n - e - 1 petals make r1_ij + r2_ij = ns.  flower_resistance evaluates
+# R_ab(e); rotating the petals is an automorphism, so max_resistance_search
+# maximises it (scaled to integers) and _weighted_pair_total sums it with u
+# in petal 1.  With c = r_ax - r_ay - r_bx + r_by it is, for e >= 1, the
+# concave quadratic
+#     R_ab(e) = (r_ay + r_bx - s - c^2/(4ns)) + (s + c/n) e - (s/n) e^2.
 
-    The bundle is oriented so that ``u``'s petal meets the chain toward ``v``
-    at its ``y`` vertex and ``v``'s petal meets it back at its ``x`` vertex.
-    """
-    if not 2 <= d <= n:
-        raise ValueError(f"petal separation d={d} out of range 2..{n}")
-    if bundle.r_xy == 0:
+
+def _marked_resistance(table: tuple[tuple[Fraction, ...], ...], x: int, y: int) -> Fraction:
+    s = table[x][y]
+    if s == 0:
         raise ValueError("marked-pair resistance r_xy must be positive")
-    s = bundle.r_xy
-    series = bundle.r_uy + bundle.r_vx + (d - 2) * s
-    imbalance = bundle.r_ux + bundle.r_vy - bundle.r_uy - bundle.r_vx - 2 * (d - 1) * s
-    return series - imbalance * imbalance / (4 * n * s)
-
-
-def flower_resistance_same(bundle: BaseResBundle, r_uv: Fraction, n: int) -> Fraction:
-    """Resistance between two vertices in the same petal."""
-    if bundle.r_xy == 0:
-        raise ValueError("marked-pair resistance r_xy must be positive")
-    imbalance = bundle.r_ux + bundle.r_vy - bundle.r_uy - bundle.r_vx
-    return r_uv - imbalance * imbalance / (4 * n * bundle.r_xy)
-
-
-def _bundle(table, x: int, y: int, u_pos: int, v_pos: int) -> BaseResBundle:
-    return BaseResBundle(
-        r_ux=table[u_pos][x],
-        r_uy=table[u_pos][y],
-        r_vx=table[v_pos][x],
-        r_vy=table[v_pos][y],
-        r_xy=table[x][y],
-    )
+    return s
 
 
 def flower_resistance(
@@ -237,8 +216,8 @@ def flower_resistance(
 ) -> Fraction:
     """Exact resistance between two located flower vertices.
 
-    Dispatches to the same-petal or cross-petal closed form after
-    canonicalizing both locators.  ``table`` may carry precomputed base
+    Evaluates ``R_ab(e)`` on the canonical locators, with ``v`` ``e`` petals
+    down the chain from ``u``.  ``table`` may carry precomputed base
     resistances; by default they are derived from the base graph.
     """
     u = canonical_locator(spec, u)
@@ -247,13 +226,13 @@ def flower_resistance(
         return Fraction(0)
     if table is None:
         table = base_resistance_table(spec.base)
-    bundle = _bundle(table, spec.x, spec.y, u.base_vertex, v.base_vertex)
-    if u.petal == v.petal:
-        return flower_resistance_same(bundle, table[u.base_vertex][v.base_vertex], spec.n)
-    # Count petals from u down to v inclusive; in that direction u's petal
-    # exits through its y vertex, matching the cross formula's orientation.
-    d = (u.petal - v.petal) % spec.n + 1
-    return flower_resistance_cross(bundle, d, spec.n)
+    n, x, y = spec.n, spec.x, spec.y
+    s = _marked_resistance(table, x, y)
+    row_a, row_b = table[u.base_vertex], table[v.base_vertex]
+    e = (u.petal - v.petal) % n
+    series = row_a[v.base_vertex] if e == 0 else row_a[y] + row_b[x] + (e - 1) * s
+    imbalance = row_a[x] - row_a[y] - row_b[x] + row_b[y] - 2 * e * s
+    return series - imbalance * imbalance / (4 * n * s)
 
 
 def normalized_petal_separation(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> int:
@@ -274,34 +253,17 @@ class MaxResistance:
     d: int
 
 
-# Sums and maxima over all vertex pairs reduce to base-vertex pairs.  Rotating
-# petals is an automorphism, so every pair has a representative (u, v) with u
-# in petal 1.  Let a and b range over the base locators {x} + outer vertices
-# (a junction reads as its x copy), with u the copy of a in petal 1 and v the
-# copy of b that lies e = d - 1 in 1..n-1 petals down the chain.  With
-# s = r_xy and c = r_ax + r_by - r_ay - r_bx, the cross-petal formula is the
-# concave quadratic
-#     R(e) = (r_ay + r_bx - s - c^2/(4ns)) + (s + c/n) e - (s/n) e^2,
-# and the same-petal formula (a != b) is r_ab - c^2/(4ns).
-
-
-def _marked_resistance(table: tuple[tuple[Fraction, ...], ...], x: int, y: int) -> Fraction:
-    s = table[x][y]
-    if s == 0:
-        raise ValueError("marked-pair resistance r_xy must be positive")
-    return s
-
-
 def max_resistance_search(
     spec: FlowerSpec,
     table: tuple[tuple[Fraction, ...], ...] | None = None,
 ) -> MaxResistance:
     """Maximum resistance over all vertex pairs of the flower.
 
-    For each base-locator pair the cross-petal resistance is a concave
-    quadratic in the petal steps ``e``, so only the integers next to its
-    vertex ``e* = (ns + c) / 2s`` can attain its maximum.  Together with the
-    same-petal pairs that is O(m^2) candidates, whatever the petal count.
+    For each base-locator pair ``R_ab(e)`` is a concave quadratic in
+    ``e = 1..n-1``, so only the integers next to its vertex
+    ``e* = (ns + c) / 2s`` can attain its maximum.  Together with the
+    same-petal values ``R_ab(0)`` that is O(m^2) candidates, whatever the
+    petal count.
     Ties break toward the lexicographically smallest locator pair.  The
     reported ``d`` is the normalized inclusive petal separation (smaller
     orientation).
@@ -422,8 +384,8 @@ def _weighted_pair_total(
 ) -> Fraction:
     """Weighted resistance sum over all pairs whose first vertex is in petal 1.
 
-    Summing ``R(e)`` over ``e = 1..n-1`` and adding the same-petal term gives,
-    per ordered base-locator pair (``c = 0`` when ``a = b``),
+    Summing ``R_ab(e)`` over ``e = 0..n-1`` gives, per ordered base-locator
+    pair (``R_aa(0) = 0``),
         T(a, b) = (n - 1) ((rho_a + rho_b)/2 + (n - 5) s/6) + r_ab - c^2/(4s)
     with ``rho_a = r_ax + r_ay``.  Since ``c = delta_a - delta_b`` for
     ``delta_a = r_ax - r_ay``, the weighted total of ``T`` needs only O(m)

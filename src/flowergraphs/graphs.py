@@ -41,10 +41,12 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) is out of range or not normalized")
             touched.add(u)
             touched.add(v)
-        if self.vertex_count > 1:
-            gaps = sorted(set(range(self.vertex_count)) - touched)
-            if gaps:
-                raise ValueError(f"label gap: no edge touches {gaps}")
+        if self.vertex_count > 1 and len(touched) < self.vertex_count:
+            first = next((i for i, v in enumerate(sorted(touched)) if i != v), len(touched))
+            raise ValueError(
+                f"label gap: no edge touches {self.vertex_count - len(touched)} of the "
+                f"labels 0..{self.vertex_count - 1} (the first is {first})"
+            )
         if not self._is_connected():
             raise ValueError("graph is disconnected")
 

@@ -107,19 +107,18 @@ def numeric_indices(g: Graph) -> tuple[float, float]:
     return float(kirchhoff), float(kemeny)
 
 
-def values_close(
-    a: float,
-    b: float,
-    *,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-12,
-    magnitude_cutoff: float = 1e3,
-) -> bool:
-    """Compare values absolutely up to ``magnitude_cutoff``, relatively beyond it."""
+# The oracle's rounding error grows with the value, so values_close turns relative
+# beyond this magnitude.
+MAGNITUDE_CUTOFF = 1e3
+REL_TOL = 1e-12
+
+
+def values_close(a: float, b: float, *, abs_tol: float = 1e-9) -> bool:
+    """Compare values within ``abs_tol`` up to ``MAGNITUDE_CUTOFF``, relatively beyond it."""
     scale = max(abs(a), abs(b))
-    if scale <= magnitude_cutoff:
+    if scale <= MAGNITUDE_CUTOFF:
         return abs(a - b) <= abs_tol
-    return abs(a - b) <= rel_tol * scale
+    return abs(a - b) <= REL_TOL * scale
 
 
 def metric_violations(matrix: np.ndarray, tol: float = 1e-9) -> list[str]:

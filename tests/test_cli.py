@@ -265,17 +265,20 @@ def test_gen_to_missing_directory_exits_2(tmp_path, capsys):
     assert "absent" in capsys.readouterr().err
 
 
-def test_verify_empty_grid_exits_2(capsys):
+@pytest.mark.parametrize(
+    "command", [["verify"], ["sweep"], ["sweep", "--json"]], ids=["verify", "sweep", "sweep-json"]
+)
+def test_verify_empty_grid_exits_2(capsys, command):
     # Every p in 5:7 exceeds m // 2 = 2, so the grid holds no flower.
     with pytest.raises(SystemExit) as excinfo:
         main(
-            [
-                "verify", "--family", "cycle", "--m-range", "4", "--n-range", "3",
-                "--p-range", "5:7",
-            ]
+            command
+            + ["--family", "cycle", "--m-range", "4", "--n-range", "3", "--p-range", "5:7"]
         )
     assert excinfo.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid holds no flower" in captured.err
 
 
 @pytest.mark.parametrize("tol", ["-1e-9", "nan"])

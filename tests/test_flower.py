@@ -6,24 +6,24 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flowergraphs import (
-    BaseResBundle,
     FlowerLocator,
     FlowerSpec,
+    TwoSepBundle,
     base_kemeny,
     base_kirchhoff,
     base_resistance_table,
     build_flower,
     canonical_locator,
     complete_graph,
+    compose_two_sep,
     cycle_graph,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
     flower_resistance,
-    flower_resistance_cross,
-    flower_resistance_same,
+    graph_from_edge_list,
     kemeny_bounds,
     kirchhoff_bounds,
     locator,
@@ -111,97 +111,168 @@ def test_spec_validation():
         FlowerSpec(complete_graph(3), 1, 1, 3)
 
 
-# ------------------------------------------------------------- cross formula
+# ------------------------------------------------------ the resistance formula
 
 
-def test_cross_formula_triangle_bundle():
-    bundle = BaseResBundle(THIRD, THIRD, THIRD, THIRD, THIRD)
-    assert flower_resistance_cross(bundle, 2, 3) == Fraction(10, 9)
+@st.composite
+def flower_specs(draw, max_vertices: int = 6, max_petals: int = 5) -> FlowerSpec:
+    base = draw(connected_graphs(max_vertices))
+    x = draw(st.integers(0, base.vertex_count - 1))
+    y = draw(st.integers(0, base.vertex_count - 2))
+    return FlowerSpec(base, x, y + (y >= x), draw(st.integers(3, max_petals)))
 
 
-@pytest.mark.parametrize("d,n", [(2, 3), (3, 5), (4, 7), (5, 8)])
-def test_cross_formula_junction_pair_simplifies(d, n):
-    r_xy = Fraction(5, 7)
-    bundle = BaseResBundle(
-        r_ux=Fraction(0), r_uy=r_xy, r_vx=r_xy, r_vy=Fraction(0), r_xy=r_xy
-    )
-    assert flower_resistance_cross(bundle, d, n) == d * (n - d) * r_xy / n
+def petal_chain(spec: FlowerSpec, k: int):
+    """The chain of ``k`` petals as a graph of its own: copy ``c``'s ``y`` is copy
+    ``c + 1``'s ``x``, as petal ``i``'s ``y`` is petal ``i - 1``'s ``x`` in the flower.
+
+    Returns the chain and the label of base vertex ``w`` in copy ``c``.
+    """
+
+    def key(c: int, w: int) -> tuple[int, int]:
+        return (c + 1, spec.x) if w == spec.y and c < k - 1 else (c, w)
+
+    keys = sorted({key(c, w) for c in range(k) for w in range(spec.base.vertex_count)})
+    index = {copy_vertex: i for i, copy_vertex in enumerate(keys)}
+
+    def label(c: int, w: int) -> int:
+        return index[key(c, w)]
+
+    edges = [(label(c, a), label(c, b)) for c in range(k) for a, b in spec.base.edges]
+    return graph_from_edge_list(edges), label
+
+
+@given(flower_specs())
+def test_flower_resistance_is_the_two_separator_rule(spec):
+    """For v e petals down the chain from u, part 1 is the chain of e + 1 petals
+    from u's petal to v's, split at its two end vertices from part 2, the other
+    n - e - 1 petals.  Every resistance is measured exactly on the chains."""
+    n, x, y = spec.n, spec.x, spec.y
+    chains = [petal_chain(spec, k) for k in range(1, n + 1)]
+    tables = [base_resistance_table(chain) for chain, _ in chains]
+
+    def end_to_end(k: int) -> Fraction:
+        if k == 0:
+            return Fraction(0)
+        label = chains[k - 1][1]
+        return tables[k - 1][label(0, x)][label(k - 1, y)]
+
+    flower = build_flower(spec)
+    locators = [flower.locator_of(i) for i in range(spec.vertex_count)]
+    for u in locators:
+        for v in locators:
+            if u == v:
+                continue
+            e = (u.petal - v.petal) % n
+            table, label = tables[e], chains[e][1]
+            a, b = label(0, u.base_vertex), label(e, v.base_vertex)
+            i, j = label(0, x), label(e, y)
+            bundle = TwoSepBundle(
+                r1_uv=table[a][b], r1_ui=table[a][i], r1_vj=table[b][j],
+                r1_uj=table[a][j], r1_vi=table[b][i], r1_ij=table[i][j],
+                r2_ij=end_to_end(n - e - 1),
+            )
+            assert flower_resistance(spec, u, v) == compose_two_sep(bundle)
+
+
+def test_cross_formula_triangle_outer_pair():
+    # outer vertices one petal apart
+    spec = k3_spec(3)
+    assert flower_resistance(spec, locator(spec, 1, 2), locator(spec, 2, 2)) == Fraction(10, 9)
+
+
+@pytest.mark.parametrize("e,n", [(2, 3), (3, 5), (4, 7), (5, 8)])
+def test_cross_formula_junction_pair_simplifies(e, n):
+    # junctions e petals apart: e (n - e) s / n with s = r_xy
+    for base, x, y in [
+        (complete_graph(4), 0, 1),
+        (cycle_graph(6), 0, 3),
+        (path_graph(3), 0, 2),
+        (petersen_graph(), 0, 2),
+    ]:
+        spec = FlowerSpec(base, x, y, n)
+        s = base_resistance_table(base)[x][y]
+        value = flower_resistance(spec, locator(spec, 1 + e, x), locator(spec, 1, x))
+        assert value == e * (n - e) * s / n
 
 
 def test_cross_formula_rejects_bad_inputs():
-    bundle = BaseResBundle(THIRD, THIRD, THIRD, THIRD, THIRD)
+    spec = k3_spec(3)
+    outer = locator(spec, 1, 2)
     with pytest.raises(ValueError, match="out of range"):
-        flower_resistance_cross(bundle, 1, 3)
+        flower_resistance(spec, FlowerLocator(0, 2, False), outer)
     with pytest.raises(ValueError, match="out of range"):
-        flower_resistance_cross(bundle, 4, 3)
-    degenerate = BaseResBundle(THIRD, THIRD, THIRD, THIRD, Fraction(0))
-    with pytest.raises(ValueError, match="positive"):
-        flower_resistance_cross(degenerate, 2, 3)
+        flower_resistance(spec, outer, FlowerLocator(4, 2, False))
+    # a caller-supplied table that shorts the marked pair
+    degenerate = ((0, 0, THIRD), (0, 0, THIRD), (THIRD, THIRD, 0))
+    for v in (locator(spec, 1, 0), locator(spec, 2, 2)):  # same petal, then cross
+        with pytest.raises(ValueError, match="positive"):
+            flower_resistance(spec, outer, v, degenerate)
 
 
-@given(
-    st.fractions(min_value=0, max_value=5),
-    st.fractions(min_value=0, max_value=5),
-    st.fractions(min_value=0, max_value=5),
-    st.fractions(min_value=0, max_value=5),
-    st.fractions(min_value=Fraction(1, 10), max_value=5),
-    st.integers(min_value=2, max_value=12),
-    st.integers(min_value=12, max_value=20),
-)
-def test_cross_orientation_invariance(r_ux, r_uy, r_vx, r_vy, r_xy, d, n):
-    """Reversing the petal-count direction (swapping the endpoint roles and
-    replacing d with n - d + 2) leaves the value unchanged."""
-    bundle = BaseResBundle(r_ux, r_uy, r_vx, r_vy, r_xy)
-    swapped = BaseResBundle(r_ux=r_vx, r_uy=r_vy, r_vx=r_ux, r_vy=r_uy, r_xy=r_xy)
-    assert flower_resistance_cross(bundle, d, n) == flower_resistance_cross(
-        swapped, n - d + 2, n
-    )
-    mirrored = BaseResBundle(r_ux=r_uy, r_uy=r_ux, r_vx=r_vy, r_vy=r_vx, r_xy=r_xy)
-    assert flower_resistance_cross(bundle, d, n) == flower_resistance_cross(
-        mirrored, n - d + 2, n
-    )
+@settings(max_examples=40)
+@given(flower_specs())
+def test_cross_orientation_invariance(spec):
+    """Counting petals the other way round (swapping the endpoints, or swapping
+    x and y, which reverses the petal order) leaves every value unchanged."""
+    n = spec.n
+    mirror = FlowerSpec(spec.base, spec.y, spec.x, n)
+    flower = build_flower(spec)
+    locators = [flower.locator_of(i) for i in range(spec.vertex_count)]
+    for u in locators:
+        mirrored_u = FlowerLocator(n + 1 - u.petal, u.base_vertex, False)
+        for v in locators:
+            value = flower_resistance(spec, u, v)
+            assert flower_resistance(spec, v, u) == value
+            mirrored_v = FlowerLocator(n + 1 - v.petal, v.base_vertex, False)
+            assert flower_resistance(mirror, mirrored_u, mirrored_v) == value
 
 
-def test_cross_correction_is_nonnegative():
-    bundle = BaseResBundle(Fraction(1), Fraction(2), Fraction(3), Fraction(1), Fraction(2))
-    d, n = 3, 6
-    series = bundle.r_uy + bundle.r_vx + (d - 2) * bundle.r_xy
-    assert flower_resistance_cross(bundle, d, n) <= series
+@settings(max_examples=40)
+@given(flower_specs())
+def test_cross_correction_is_nonnegative(spec):
+    # Rayleigh: the other n - e - 1 petals only lower the series value.
+    n, x, y = spec.n, spec.x, spec.y
+    table = base_resistance_table(spec.base)
+    s = table[x][y]
+    reps = (x,) + spec.outer_vertices()
+    for a in reps:
+        for b in reps:
+            for e in range(1, n):
+                series = table[a][y] + table[b][x] + (e - 1) * s
+                value = flower_resistance(spec, locator(spec, 1 + e, a), locator(spec, 1, b))
+                assert value <= series
 
 
-# -------------------------------------------------------- same-petal formula
-
-
-def test_same_petal_symmetric_bundle_returns_base_value():
-    # zero correction: r_ux + r_vy equals r_uy + r_vx
-    bundle = BaseResBundle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1))
-    assert flower_resistance_same(bundle, Fraction(4, 5), 6) == Fraction(4, 5)
+def test_same_petal_balanced_pair_returns_base_value():
+    # In C6 marked at 0 and 3, vertices 1 and 5 mirror each other:
+    # r_1x - r_1y = r_5x - r_5y, so the correction vanishes.
+    for n in (3, 6):
+        spec = FlowerSpec(cycle_graph(6), 0, 3, n)
+        assert flower_resistance(spec, locator(spec, 2, 1), locator(spec, 2, 5)) == Fraction(4, 3)
 
 
 def test_same_petal_outer_pair_of_complete_base_unchanged():
     for m in (4, 5, 6):
-        r = Fraction(2, m)
-        bundle = BaseResBundle(r, r, r, r, r)
-        assert flower_resistance_same(bundle, r, 5) == r
+        spec = FlowerSpec(complete_graph(m), 0, 1, 5)
+        assert flower_resistance(spec, locator(spec, 2, 2), locator(spec, 2, 3)) == Fraction(2, m)
 
 
 def test_same_petal_mixed_pair_triangle():
-    bundle = BaseResBundle(Fraction(0), THIRD, THIRD, THIRD, THIRD)
-    assert flower_resistance_same(bundle, THIRD, 3) == Fraction(11, 18)
+    # the junction and the outer vertex of one petal
+    spec = k3_spec(3)
+    assert flower_resistance(spec, locator(spec, 1, 0), locator(spec, 1, 2)) == Fraction(11, 18)
 
 
-@given(
-    st.fractions(min_value=0, max_value=5),
-    st.fractions(min_value=0, max_value=5),
-    st.fractions(min_value=0, max_value=5),
-    st.fractions(min_value=0, max_value=5),
-    st.fractions(min_value=Fraction(1, 10), max_value=5),
-    st.fractions(min_value=0, max_value=5),
-    st.integers(min_value=3, max_value=20),
-)
-def test_same_petal_never_exceeds_base_resistance(r_ux, r_uy, r_vx, r_vy, r_xy, r_uv, n):
-    bundle = BaseResBundle(r_ux, r_uy, r_vx, r_vy, r_xy)
-    assert flower_resistance_same(bundle, r_uv, n) <= r_uv
+@settings(max_examples=40)
+@given(flower_specs())
+def test_same_petal_never_exceeds_base_resistance(spec):
+    table = base_resistance_table(spec.base)
+    reps = (spec.x,) + spec.outer_vertices()
+    for a in reps:
+        for b in reps:
+            value = flower_resistance(spec, locator(spec, 1, a), locator(spec, 1, b))
+            assert value <= table[a][b]
 
 
 # ------------------------------------------------------------- full dispatch

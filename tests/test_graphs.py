@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -51,6 +53,16 @@ def test_duplicate_edge_rejected():
 def test_label_gap_rejected():
     with pytest.raises(ValueError, match="label gap"):
         graph_from_edge_list([(0, 2), (2, 4), (4, 0)])
+    # The check and its message stay small however large the missing range.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="label gap") as excinfo:
+            graph_from_edge_list([(0, 10**9)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(str(excinfo.value)) < 200
+    assert peak < 1 << 20
 
 
 def test_negative_label_rejected():

@@ -1,9 +1,10 @@
 """The closed forms stay independent of the numeric oracle they are checked against,
-and the oracle is the package's only LAPACK user."""
+the oracle is the package's only LAPACK user, and the package exports what it imports."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,16 @@ def test_only_the_oracle_imports_scipy(module):
     source = (PACKAGE / f"{module}.py").read_text()
     for name in imported_modules(source):
         assert name.split(".")[0] != "scipy", f"{module} imports {name}"
+
+
+def test_all_lists_exactly_the_names_init_imports():
+    imported = {}
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+    assert len(flowergraphs.__all__) == len(set(flowergraphs.__all__))
+    assert set(flowergraphs.__all__) == set(imported)
+    for name, (module, original) in imported.items():
+        submodule = importlib.import_module(f"flowergraphs.{module}")
+        assert getattr(flowergraphs, name) is getattr(submodule, original)
