@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -22,9 +23,6 @@ from .exact import format_rational
 from .flower import (
     Flower,
     FlowerSpec,
-    base_kemeny,
-    base_kirchhoff,
-    base_resistance_table,
     build_flower,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
@@ -58,7 +56,6 @@ class _Instance:
 
     p: int | None
     flower: Flower
-    table: tuple[tuple[Fraction, ...], ...]
     # (quantity, closed form, oracle value) for the Kirchhoff index and Kemeny constant
     indices: tuple[tuple[str, Fraction, float], ...]
 
@@ -99,8 +96,8 @@ def _add_family_options(parser: argparse.ArgumentParser) -> None:
 
 def _tolerance(args: argparse.Namespace) -> float:
     tol = args.tol if args.tol is not None else float(os.environ.get("FLOWER_TOL", DEFAULT_TOL))
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be a nonnegative number, got {tol}")
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
     return tol
 
 
@@ -152,13 +149,12 @@ def _grid(args: argparse.Namespace):
     empty = True
     for p, spec in _flowers(args, _parse_range(args.m_range), _parse_range(args.n_range), ps):
         flower = build_flower(spec)
-        table = base_resistance_table(spec.base)
         kirchhoff, kemeny = oracle.numeric_indices(flower.graph)
         indices = (
-            ("kirchhoff", flower_kirchhoff_exact(spec, table), kirchhoff),
-            ("kemeny", flower_kemeny_exact(spec, table), kemeny),
+            ("kirchhoff", flower_kirchhoff_exact(spec), kirchhoff),
+            ("kemeny", flower_kemeny_exact(spec), kemeny),
         )
-        yield _Instance(p, flower, table, indices)
+        yield _Instance(p, flower, indices)
         empty = False
     if empty:
         raise ValueError("the --m-range, --n-range and --p-range grid holds no flower")
@@ -213,11 +209,8 @@ def _index_command(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     spec = _resolve_spec(args, parser)
-    table = base_resistance_table(spec.base)
-    r_xy = table[spec.x][spec.y]
-    kf_lo, kf_hi = kirchhoff_bounds(spec, base_kirchhoff(table), r_xy)
-    kem_lo, kem_hi = kemeny_bounds(spec, base_kemeny(spec.base, table), r_xy)
-    kf, kem = flower_kirchhoff_exact(spec, table), flower_kemeny_exact(spec, table)
+    (kf_lo, kf_hi), (kem_lo, kem_hi) = kirchhoff_bounds(spec), kemeny_bounds(spec)
+    kf, kem = flower_kirchhoff_exact(spec), flower_kemeny_exact(spec)
     print(f"kirchhoff {format_rational(kf_lo)} {format_rational(kf_hi)} {format_rational(kf)}")
     print(f"kemeny {format_rational(kem_lo)} {format_rational(kem_hi)} {format_rational(kem)}")
     return 0
@@ -251,7 +244,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         for i, u in enumerate(locators):
             for j in range(i + 1, len(locators)):
                 v = locators[j]
-                expected = flower_resistance(spec, u, v, instance.table)
+                expected = flower_resistance(spec, u, v)
                 observed = float(matrix[i, j])
                 if not oracle.values_close(float(expected), observed, abs_tol=tol):
                     failures += 1

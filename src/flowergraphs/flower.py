@@ -14,7 +14,6 @@ vertex ``x`` of the lower-indexed petal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -136,16 +135,16 @@ def build_flower(spec: FlowerSpec) -> Flower:
 
 
 @lru_cache(maxsize=64)
-def base_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact pairwise resistances of a base graph, certified.
+def _laplacian_solve(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Spanning-tree count ``det`` and integer resistances ``k = det * r``, certified.
 
     Fraction-free (Bareiss) Gauss-Jordan elimination of the integer Laplacian
     with vertex 0 grounded, augmented by the identity, ends as ``det I | adj``:
-    ``det`` is the spanning-tree count and ``adj`` the adjugate, so
-    ``r_ij = (adj_ii + adj_jj - 2 adj_ij) / det`` with row and column 0 of
-    ``adj`` zero.  The grounded Laplacian of a connected graph is positive
-    definite, so no pivot is zero and no row swaps are needed.  Before the
-    table is returned, the adjugate is checked exactly against the sparse
+    ``det`` is the spanning-tree count (matrix-tree theorem) and ``adj`` the
+    adjugate, so ``k_ij = adj_ii + adj_jj - 2 adj_ij = det r_ij`` with row and
+    column 0 of ``adj`` zero.  The grounded Laplacian of a connected graph is
+    positive definite, so no pivot is zero and no row swaps are needed.  Before
+    ``k`` is returned, the adjugate is checked exactly against the sparse
     Laplacian, ``deg(i) adj_ij - sum of adj_wj over neighbours w = det [i == j]``;
     a failure raises ``ArithmeticError``.  The solve costs O(m^3) big-integer
     operations and the check O(|E| m), once per base while it stays cached.
@@ -178,10 +177,17 @@ def base_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
         residual[i] -= det
         if det <= 0 or any(residual):
             raise ArithmeticError(f"exact Laplacian solve failed its check at vertex {i}")
-    return tuple(
-        tuple(Fraction(adj[i][i] + adj[j][j] - 2 * adj[i][j], det) for j in range(m))
-        for i in range(m)
+    return det, tuple(
+        tuple(adj[i][i] + adj[j][j] - 2 * adj[i][j] for j in range(m)) for i in range(m)
     )
+
+
+@lru_cache(maxsize=64)
+def base_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact pairwise resistances of a base graph: the certified integers of
+    ``_laplacian_solve`` over the spanning-tree count."""
+    det, k = _laplacian_solve(g)
+    return tuple(tuple(Fraction(value, det) for value in row) for row in k)
 
 
 # Every pair resistance is one formula.  Let u be a copy of base locator a
@@ -193,46 +199,42 @@ def base_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
 #     imbalance = r_ax - r_ay - r_bx + r_by - 2es.
 # That is separation.compose_two_sep across the two end vertices of the
 # chain of e + 1 petals from u's to v's (r1_uv = series), where the other
-# n - e - 1 petals make r1_ij + r2_ij = ns.  flower_resistance evaluates
-# R_ab(e); rotating the petals is an automorphism, so max_resistance_search
-# maximises it (scaled to integers) and _weighted_pair_total sums it with u
-# in petal 1.  With c = r_ax - r_ay - r_bx + r_by it is, for e >= 1, the
-# concave quadratic
-#     R_ab(e) = (r_ay + r_bx - s - c^2/(4ns)) + (s + c/n) e - (s/n) e^2.
+# n - e - 1 petals make r1_ij + r2_ij = ns.  In the integers k = det * r of
+# the base solve (det the spanning-tree count) the same expressions give
+#     4 n k_xy det R_ab(e) = 4 n k_xy series_k - imbalance_k^2,
+# which _scaled_pair_resistance evaluates.  flower_resistance divides it out;
+# rotating the petals is an automorphism, so max_resistance_search compares
+# it across pairs anchored in petal 1 and _weighted_pair_total sums R_ab(e)
+# over e in closed form.  With c = r_ax - r_ay - r_bx + r_by, the imbalance
+# at e = 0, R_ab(e) is for e >= 1 a concave quadratic peaking at
+# e* = (ns + c) / 2s.
 
 
-def _marked_resistance(table: tuple[tuple[Fraction, ...], ...], x: int, y: int) -> Fraction:
-    s = table[x][y]
-    if s == 0:
-        raise ValueError("marked-pair resistance r_xy must be positive")
-    return s
+def _scaled_pair_resistance(
+    spec: FlowerSpec, k: tuple[tuple[int, ...], ...], a: int, b: int, e: int
+) -> int:
+    """``4 n k_xy det R_ab(e)``, from the integer resistances ``k = det * r``."""
+    s = k[spec.x][spec.y]
+    row_a, row_b = k[a], k[b]
+    series = row_a[b] if e == 0 else row_a[spec.y] + row_b[spec.x] + (e - 1) * s
+    imbalance = row_a[spec.x] - row_a[spec.y] - row_b[spec.x] + row_b[spec.y] - 2 * e * s
+    return 4 * spec.n * s * series - imbalance * imbalance
 
 
-def flower_resistance(
-    spec: FlowerSpec,
-    u: FlowerLocator,
-    v: FlowerLocator,
-    table: tuple[tuple[Fraction, ...], ...] | None = None,
-) -> Fraction:
+def flower_resistance(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> Fraction:
     """Exact resistance between two located flower vertices.
 
     Evaluates ``R_ab(e)`` on the canonical locators, with ``v`` ``e`` petals
-    down the chain from ``u``.  ``table`` may carry precomputed base
-    resistances; by default they are derived from the base graph.
+    down the chain from ``u``.
     """
     u = canonical_locator(spec, u)
     v = canonical_locator(spec, v)
     if u == v:
         return Fraction(0)
-    if table is None:
-        table = base_resistance_table(spec.base)
-    n, x, y = spec.n, spec.x, spec.y
-    s = _marked_resistance(table, x, y)
-    row_a, row_b = table[u.base_vertex], table[v.base_vertex]
-    e = (u.petal - v.petal) % n
-    series = row_a[v.base_vertex] if e == 0 else row_a[y] + row_b[x] + (e - 1) * s
-    imbalance = row_a[x] - row_a[y] - row_b[x] + row_b[y] - 2 * e * s
-    return series - imbalance * imbalance / (4 * n * s)
+    det, k = _laplacian_solve(spec.base)
+    e = (u.petal - v.petal) % spec.n
+    key = _scaled_pair_resistance(spec, k, u.base_vertex, v.base_vertex, e)
+    return Fraction(key, 4 * spec.n * k[spec.x][spec.y] * det)
 
 
 def normalized_petal_separation(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> int:
@@ -253,62 +255,42 @@ class MaxResistance:
     d: int
 
 
-def max_resistance_search(
-    spec: FlowerSpec,
-    table: tuple[tuple[Fraction, ...], ...] | None = None,
-) -> MaxResistance:
+def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
     """Maximum resistance over all vertex pairs of the flower.
 
     For each base-locator pair ``R_ab(e)`` is a concave quadratic in
     ``e = 1..n-1``, so only the integers next to its vertex
-    ``e* = (ns + c) / 2s`` can attain its maximum.  Together with the
-    same-petal values ``R_ab(0)`` that is O(m^2) candidates, whatever the
-    petal count.
+    ``e* = (ns + c) / 2s`` can attain its maximum.  Together with the same-petal values ``R_ab(0)`` that is
+    O(m^2) candidates, whatever the petal count; their integer keys share one
+    denominator, so comparing the keys compares the resistances exactly.
     Ties break toward the lexicographically smallest locator pair.  The
     reported ``d`` is the normalized inclusive petal separation (smaller
     orientation).
     """
-    if table is None:
-        table = base_resistance_table(spec.base)
+    det, k = _laplacian_solve(spec.base)
     n, x, y = spec.n, spec.x, spec.y
-    _marked_resistance(table, x, y)
-    # Work in integers: scale the base resistances by their common
-    # denominator D, so r, s and c below are D times their values above.
-    # Every candidate resistance times 4nsD is then an integer, and comparing
-    # these keys compares the resistances exactly.
+    s = k[x][y]
     reps = (x,) + spec.outer_vertices()
-    cols = reps + (y,)
-    scale = math.lcm(*(table[a][b].denominator for a in reps for b in cols))
-    r = {
-        (a, b): table[a][b].numerator * (scale // table[a][b].denominator)
-        for a in reps
-        for b in cols
-    }
-    s = r[x, y]
-    delta = {a: r[a, x] - r[a, y] for a in reps}
     best: tuple[int, tuple[FlowerLocator, FlowerLocator]] | None = None
     for a in reps:
         u = FlowerLocator(1, a, a == x)
         for b in reps:
-            c = delta[a] - delta[b]
-            candidates = []
+            c = k[a][x] - k[a][y] - k[b][x] + k[b][y]
+            below = (n * s + c) // (2 * s)
+            steps = {min(max(e, 1), n - 1) for e in (below, below + 1)}
             if a != b:
-                candidates.append((4 * n * s * r[a, b] - c * c, FlowerLocator(1, b, b == x)))
-            offset = 4 * n * s * (r[a, y] + r[b, x] - s) - c * c
-            top = n * s + c
-            peaks = (top // (2 * s), -(-top // (2 * s)))
-            for e in {min(max(step, 1), n - 1) for step in peaks}:
-                value = offset + 4 * s * e * (top - s * e)
+                steps.add(0)
+            for e in steps:
+                value = _scaled_pair_resistance(spec, k, a, b, e)
                 # e petals down the chain from petal 1 is petal 1 - e (mod n).
-                candidates.append((value, FlowerLocator((1 - e) % n or n, b, b == x)))
-            for value, v in candidates:
+                v = FlowerLocator((1 - e) % n or n, b, b == x)
                 pair = (u, v) if u <= v else (v, u)
                 if best is None or value > best[0] or (value == best[0] and pair < best[1]):
                     best = (value, pair)
     assert best is not None
     value, (u, v) = best
     return MaxResistance(
-        Fraction(value, 4 * n * s * scale), u, v, normalized_petal_separation(spec, u, v)
+        Fraction(value, 4 * n * s * det), u, v, normalized_petal_separation(spec, u, v)
     )
 
 
@@ -326,18 +308,16 @@ def max_diff_sequence(
         raise ValueError("petal counts start at 3")
     if n_to < n_from:
         raise ValueError("empty range")
-    table = base_resistance_table(base)
     maxima = [
-        max_resistance_search(FlowerSpec(base, x, y, n), table).value
-        for n in range(n_from, n_to + 1)
+        max_resistance_search(FlowerSpec(base, x, y, n)).value for n in range(n_from, n_to + 1)
     ]
     return [maxima[i + 1] - maxima[i] for i in range(len(maxima) - 1)]
 
 
-def kirchhoff_bounds(
-    spec: FlowerSpec, kf_base: Fraction, r_xy: Fraction
-) -> tuple[Fraction, Fraction]:
+def kirchhoff_bounds(spec: FlowerSpec) -> tuple[Fraction, Fraction]:
     """Lower and upper bounds on the flower's Kirchhoff index."""
+    table = base_resistance_table(spec.base)
+    kf_base, r_xy = base_kirchhoff(table), table[spec.x][spec.y]
     m = spec.base.vertex_count
     n = spec.n
     lo = n * kf_base - Fraction(m * (m - 1)) * r_xy / 2
@@ -345,10 +325,10 @@ def kirchhoff_bounds(
     return lo, hi
 
 
-def kemeny_bounds(
-    spec: FlowerSpec, kem_base: Fraction, r_xy: Fraction
-) -> tuple[Fraction, Fraction]:
+def kemeny_bounds(spec: FlowerSpec) -> tuple[Fraction, Fraction]:
     """Lower and upper bounds on the flower's Kemeny constant."""
+    table = base_resistance_table(spec.base)
+    kem_base, r_xy = base_kemeny(spec.base, table), table[spec.x][spec.y]
     m = spec.base.vertex_count
     n = spec.n
     q = spec.base.edge_count
@@ -377,11 +357,7 @@ def base_kemeny(g: Graph, table: tuple[tuple[Fraction, ...], ...]) -> Fraction:
     return total / (4 * g.edge_count)
 
 
-def _weighted_pair_total(
-    spec: FlowerSpec,
-    table: tuple[tuple[Fraction, ...], ...],
-    weights: list[int],
-) -> Fraction:
+def _weighted_pair_total(spec: FlowerSpec, weights: list[int]) -> Fraction:
     """Weighted resistance sum over all pairs whose first vertex is in petal 1.
 
     Summing ``R_ab(e)`` over ``e = 0..n-1`` gives, per ordered base-locator
@@ -392,7 +368,8 @@ def _weighted_pair_total(
     aggregates besides the weighted base sum of ``r_ab``.
     """
     n, x, y = spec.n, spec.x, spec.y
-    s = _marked_resistance(table, x, y)
+    table = base_resistance_table(spec.base)
+    s = table[x][y]
     reps = (x,) + spec.outer_vertices()
     weight = sum(weights[a] for a in reps)
     rho = sum(weights[a] * (table[a][x] + table[a][y]) for a in reps)
@@ -406,33 +383,25 @@ def _weighted_pair_total(
     )
 
 
-def flower_kirchhoff_exact(
-    spec: FlowerSpec, table: tuple[tuple[Fraction, ...], ...] | None = None
-) -> Fraction:
+def flower_kirchhoff_exact(spec: FlowerSpec) -> Fraction:
     """Exact Kirchhoff index in O(m^2) time, independent of the petal count.
 
     Rotation symmetry reduces the sum to pairs anchored in petal 1, and the
     sum over petal separations has a closed form per base-locator pair.
     """
-    if table is None:
-        table = base_resistance_table(spec.base)
     ones = [1] * spec.base.vertex_count
-    return spec.n * _weighted_pair_total(spec, table, ones) / 2
+    return spec.n * _weighted_pair_total(spec, ones) / 2
 
 
-def flower_kemeny_exact(
-    spec: FlowerSpec, table: tuple[tuple[Fraction, ...], ...] | None = None
-) -> Fraction:
+def flower_kemeny_exact(spec: FlowerSpec) -> Fraction:
     """Exact Kemeny constant in O(m^2) time, independent of the petal count.
 
     Uses the Kemeny-resistance identity: the degree-weighted resistance sum
     over all vertex pairs divided by four times the edge count.  A junction
     carries the degrees of both marked vertices.
     """
-    if table is None:
-        table = base_resistance_table(spec.base)
     base = spec.base
     degrees = list(base.degrees)
     degrees[spec.x] += base.degree(spec.y)
     # The flower has n * q_base edges; the rotation factor n cancels one n.
-    return _weighted_pair_total(spec, table, degrees) / (4 * base.edge_count)
+    return _weighted_pair_total(spec, degrees) / (4 * base.edge_count)

@@ -18,7 +18,6 @@ from flowergraphs import (
     FlowerSpec,
     Graph,
     MaxResistance,
-    base_resistance_table,
     flower_resistance,
 )
 from flowergraphs.flower import normalized_petal_separation
@@ -68,13 +67,11 @@ def _anchored_pairs(spec: FlowerSpec):
                 yield u, v
 
 
-def exhaustive_max_resistance(spec: FlowerSpec, table=None) -> MaxResistance:
+def exhaustive_max_resistance(spec: FlowerSpec) -> MaxResistance:
     """Maximum over all pairs; ties break toward the smallest locator pair."""
-    if table is None:
-        table = base_resistance_table(spec.base)
     best: MaxResistance | None = None
     for u, v in _anchored_pairs(spec):
-        value = flower_resistance(spec, u, v, table)
+        value = flower_resistance(spec, u, v)
         pair = (u, v) if u <= v else (v, u)
         d = normalized_petal_separation(spec, u, v)
         if (
@@ -87,19 +84,15 @@ def exhaustive_max_resistance(spec: FlowerSpec, table=None) -> MaxResistance:
     return best
 
 
-def summed_kirchhoff(spec: FlowerSpec, table=None) -> Fraction:
-    if table is None:
-        table = base_resistance_table(spec.base)
+def summed_kirchhoff(spec: FlowerSpec) -> Fraction:
     anchored = sum(
-        (flower_resistance(spec, u, v, table) for u, v in _anchored_pairs(spec)),
+        (flower_resistance(spec, u, v) for u, v in _anchored_pairs(spec)),
         start=Fraction(0),
     )
     return spec.n * anchored / 2
 
 
-def summed_kemeny(spec: FlowerSpec, table=None) -> Fraction:
-    if table is None:
-        table = base_resistance_table(spec.base)
+def summed_kemeny(spec: FlowerSpec) -> Fraction:
     base = spec.base
     junction_degree = base.degree(spec.x) + base.degree(spec.y)
 
@@ -108,7 +101,7 @@ def summed_kemeny(spec: FlowerSpec, table=None) -> Fraction:
 
     anchored = sum(
         (
-            degree(u) * degree(v) * flower_resistance(spec, u, v, table)
+            degree(u) * degree(v) * flower_resistance(spec, u, v)
             for u, v in _anchored_pairs(spec)
         ),
         start=Fraction(0),

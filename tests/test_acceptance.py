@@ -15,9 +15,6 @@ from flowergraphs import (
     CycleFlowerParams,
     FlowerSpec,
     PairCase,
-    base_kemeny,
-    base_kirchhoff,
-    base_resistance_table,
     build_flower,
     case_for_locators,
     cf_kemeny,
@@ -105,11 +102,10 @@ def test_criterion_2_generic_flower_theorem():
         instances += 1
         flower = build_flower(spec)
         matrix = resistance_matrix(flower.graph)
-        table = base_resistance_table(spec.base)
         for i in range(spec.vertex_count):
             u = flower.locator_of(i)
             for j in range(i + 1, spec.vertex_count):
-                value = flower_resistance(spec, u, flower.locator_of(j), table)
+                value = flower_resistance(spec, u, flower.locator_of(j))
                 worst = max(worst, abs(float(value) - matrix[i, j]))
     elapsed = time.perf_counter() - start
     ok = worst <= TOL and elapsed < 60.0
@@ -249,25 +245,22 @@ def test_criterion_8_bounds():
             for n in range(3, 7):
                 specs.append(cycle_flower_spec(CycleFlowerParams(m, n, p)))
     for spec in specs:
-        table = base_resistance_table(spec.base)
-        r_xy = table[spec.x][spec.y]
         kf, kem = numeric_indices(build_flower(spec).graph)
-        kf_lo, kf_hi = kirchhoff_bounds(spec, base_kirchhoff(table), r_xy)
-        kem_lo, kem_hi = kemeny_bounds(spec, base_kemeny(spec.base, table), r_xy)
+        kf_lo, kf_hi = kirchhoff_bounds(spec)
+        kem_lo, kem_hi = kemeny_bounds(spec)
         if not (float(kf_lo) - TOL <= kf <= float(kf_hi) + TOL):
             ok = False
         if not (float(kem_lo) - TOL <= kem <= float(kem_hi) + TOL):
             ok = False
     # The three-petal single-edge flower is a triangle and attains the bound.
     edge_spec = FlowerSpec(path_graph(2), 0, 1, 3)
-    lo, _ = kirchhoff_bounds(edge_spec, Fraction(1), Fraction(1))
+    lo, _ = kirchhoff_bounds(edge_spec)
     ok = ok and lo == 2 and abs(numeric_indices(complete_graph(3))[0] - 2.0) <= TOL
     # Upper-bound to closed-form ratios at n = 400, m = 4.
     params = CompleteFlowerParams(4, 400)
     spec = complete_flower_spec(params)
-    table = base_resistance_table(spec.base)
-    _, kf_hi = kirchhoff_bounds(spec, base_kirchhoff(table), table[0][1])
-    _, kem_hi = kemeny_bounds(spec, base_kemeny(spec.base, table), table[0][1])
+    _, kf_hi = kirchhoff_bounds(spec)
+    _, kem_hi = kemeny_bounds(spec)
     kf_target = 3 * 16 / 9
     ok = ok and abs(float(kf_hi / cf_kirchhoff(params)) - kf_target) <= 0.02 * kf_target
     ok = ok and abs(float(kem_hi / cf_kemeny(params)) - 12.0) <= 0.02 * 12.0

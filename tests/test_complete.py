@@ -9,9 +9,6 @@ import pytest
 from flowergraphs import (
     CompleteFlowerParams,
     PairCase,
-    base_kemeny,
-    base_kirchhoff,
-    base_resistance_table,
     build_flower,
     case_for_locators,
     cf_kemeny,
@@ -143,13 +140,12 @@ def test_cf_pair_resistance_matches_oracle_and_generic(m, n):
     params = CompleteFlowerParams(m, n)
     spec = complete_flower_spec(params)
     flower = build_flower(spec)
-    table = base_resistance_table(spec.base)
     matrix = resistance_matrix(flower.graph) if (m, n) in CF_ORACLE_CASES else None
     for i in range(spec.vertex_count):
         for j in range(i + 1, spec.vertex_count):
             u, v = flower.locator_of(i), flower.locator_of(j)
             value = cf_pair_resistance(params, u, v)
-            assert value == flower_resistance(spec, u, v, table)
+            assert value == flower_resistance(spec, u, v)
             if matrix is not None:
                 assert abs(float(value) - matrix[i, j]) <= 1e-9
 
@@ -173,10 +169,8 @@ def test_upper_bound_ratios_at_large_petal_count():
     for m in (3, 4, 6):
         params = CompleteFlowerParams(m, n)
         spec = complete_flower_spec(params)
-        table = base_resistance_table(spec.base)
-        r_xy = table[0][1]
-        _, kf_hi = kirchhoff_bounds(spec, base_kirchhoff(table), r_xy)
-        _, kem_hi = kemeny_bounds(spec, base_kemeny(spec.base, table), r_xy)
+        _, kf_hi = kirchhoff_bounds(spec)
+        _, kem_hi = kemeny_bounds(spec)
         kf_ratio = float(kf_hi / cf_kirchhoff(params))
         kem_ratio = float(kem_hi / cf_kemeny(params))
         assert abs(kf_ratio - 3 * m * m / (m - 1) ** 2) <= 0.02 * 3 * m * m / (m - 1) ** 2

@@ -35,10 +35,10 @@ from flowergraphs import (
     resistance_matrix,
 )
 
+from flowergraphs.flower import _laplacian_solve
+
 from conftest import connected_graphs, grid_graph, random_connected_graph
 from flower_reference import exact_resistance_table
-
-THIRD = Fraction(2, 3)
 
 
 def k3_spec(n: int) -> FlowerSpec:
@@ -203,11 +203,6 @@ def test_cross_formula_rejects_bad_inputs():
         flower_resistance(spec, FlowerLocator(0, 2, False), outer)
     with pytest.raises(ValueError, match="out of range"):
         flower_resistance(spec, outer, FlowerLocator(4, 2, False))
-    # a caller-supplied table that shorts the marked pair
-    degenerate = ((0, 0, THIRD), (0, 0, THIRD), (THIRD, THIRD, 0))
-    for v in (locator(spec, 1, 0), locator(spec, 2, 2)):  # same petal, then cross
-        with pytest.raises(ValueError, match="positive"):
-            flower_resistance(spec, outer, v, degenerate)
 
 
 @settings(max_examples=40)
@@ -350,10 +345,9 @@ def test_max_location_window():
 
 def test_max_resistance_grows_without_bound():
     for base, x, y in [(complete_graph(3), 0, 1), (path_graph(3), 0, 2)]:
-        table = base_resistance_table(base)
         for n in (3, 5, 8):
-            small = max_resistance_search(FlowerSpec(base, x, y, n), table).value
-            large = max_resistance_search(FlowerSpec(base, x, y, n + 8), table).value
+            small = max_resistance_search(FlowerSpec(base, x, y, n)).value
+            large = max_resistance_search(FlowerSpec(base, x, y, n + 8)).value
             assert large > small
 
 
@@ -381,7 +375,7 @@ def test_max_diff_converges():
 
 def test_kirchhoff_bounds_single_edge_base():
     spec = FlowerSpec(path_graph(2), 0, 1, 3)
-    lo, hi = kirchhoff_bounds(spec, Fraction(1), Fraction(1))
+    lo, hi = kirchhoff_bounds(spec)
     assert lo == 2
     assert hi == 33
     # the three-petal single-edge flower is a triangle, which attains the bound
@@ -390,8 +384,7 @@ def test_kirchhoff_bounds_single_edge_base():
 
 def test_kemeny_bound_triangle_base():
     spec = k3_spec(3)
-    table = base_resistance_table(spec.base)
-    lo, hi = kemeny_bounds(spec, base_kemeny(spec.base, table), table[0][1])
+    lo, hi = kemeny_bounds(spec)
     assert lo == Fraction(4, 9)
     assert lo <= flower_kemeny_exact(spec) <= hi
 
@@ -407,12 +400,10 @@ def test_kemeny_bound_triangle_base():
 )
 def test_bounds_bracket_oracle(base, x, y, n):
     spec = FlowerSpec(base, x, y, n)
-    table = base_resistance_table(base)
-    r_xy = table[x][y]
     kf, kem = numeric_indices(build_flower(spec).graph)
-    kf_lo, kf_hi = kirchhoff_bounds(spec, base_kirchhoff(table), r_xy)
+    kf_lo, kf_hi = kirchhoff_bounds(spec)
     assert float(kf_lo) - 1e-9 <= kf <= float(kf_hi) + 1e-9
-    kem_lo, kem_hi = kemeny_bounds(spec, base_kemeny(base, table), r_xy)
+    kem_lo, kem_hi = kemeny_bounds(spec)
     assert float(kem_lo) - 1e-9 <= kem <= float(kem_hi) + 1e-9
 
 
@@ -443,6 +434,29 @@ def test_base_table_is_exact_on_larger_random_bases(base):
 @given(connected_graphs())
 def test_base_table_matches_fraction_reference(g):
     assert base_resistance_table(g) == exact_resistance_table(g)
+
+
+TREE_COUNTS = (
+    [(f"K{m}", complete_graph(m), m ** (m - 2)) for m in range(3, 9)]  # Cayley
+    + [(f"C{m}", cycle_graph(m), m) for m in range(3, 9)]
+    + [("petersen", petersen_graph(), 2000), ("grid4x5", grid_graph(4, 5), 4_140_081)]
+)
+
+
+@pytest.mark.parametrize(
+    "g,trees", [case[1:] for case in TREE_COUNTS], ids=[case[0] for case in TREE_COUNTS]
+)
+def test_solve_determinant_is_the_spanning_tree_count(g, trees):
+    det, _ = _laplacian_solve(g)
+    assert det == trees
+
+
+@given(connected_graphs())
+def test_solve_integers_are_the_table_times_the_tree_count(g):
+    det, k = _laplacian_solve(g)
+    table = base_resistance_table(g)
+    m = g.vertex_count
+    assert all(k[i][j] == det * table[i][j] for i in range(m) for j in range(m))
 
 
 # -------------------------------------------------------------- exact sums

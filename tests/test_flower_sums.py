@@ -16,7 +16,6 @@ from flowergraphs import (
     CompleteFlowerParams,
     CycleFlowerParams,
     FlowerSpec,
-    base_resistance_table,
     cf_kemeny,
     cf_kirchhoff,
     cf_max_resistance,
@@ -36,11 +35,10 @@ from flower_reference import exhaustive_max_resistance, summed_kemeny, summed_ki
 
 
 def assert_matches_reference(spec: FlowerSpec) -> None:
-    table = base_resistance_table(spec.base)
-    assert flower_kirchhoff_exact(spec, table) == summed_kirchhoff(spec, table)
-    assert flower_kemeny_exact(spec, table) == summed_kemeny(spec, table)
+    assert flower_kirchhoff_exact(spec) == summed_kirchhoff(spec)
+    assert flower_kemeny_exact(spec) == summed_kemeny(spec)
     # MaxResistance equality covers the value, the locator pair and d.
-    assert max_resistance_search(spec, table) == exhaustive_max_resistance(spec, table)
+    assert max_resistance_search(spec) == exhaustive_max_resistance(spec)
 
 
 def spec_id(spec: FlowerSpec) -> str:
