@@ -64,13 +64,13 @@ def _fmt_float(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _parse_range(text: str) -> range:
-    """The inclusive range written ``lo:hi``, or the single value ``v``."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+def _parse_range(option: str, text: str) -> range:
+    """The inclusive range ``option`` gives as ``lo:hi``, or the single value ``v``."""
+    lo, colon, hi = text.partition(":")
+    try:
+        lo, hi = int(lo), int(hi if colon else lo)
+    except ValueError as exc:
+        raise ValueError(f"{option} must be lo:hi or an integer, got {text!r}") from exc
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -95,7 +95,11 @@ def _add_family_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _tolerance(args: argparse.Namespace) -> float:
-    tol = args.tol if args.tol is not None else float(os.environ.get("FLOWER_TOL", DEFAULT_TOL))
+    env = os.environ.get("FLOWER_TOL", DEFAULT_TOL)
+    try:
+        tol = args.tol if args.tol is not None else float(env)
+    except ValueError as exc:
+        raise ValueError(f"FLOWER_TOL must be a number, got {env!r}") from exc
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
     return tol
@@ -143,11 +147,12 @@ def _grid(args: argparse.Namespace):
     """
 
     def ps(m: int) -> range:
-        span = range(1, m // 2 + 1) if args.p_range is None else _parse_range(args.p_range)
+        span = range(1, m) if args.p_range is None else _parse_range("--p-range", args.p_range)
         return range(span.start, min(span.stop, m // 2 + 1))
 
     empty = True
-    for p, spec in _flowers(args, _parse_range(args.m_range), _parse_range(args.n_range), ps):
+    ms, ns = _parse_range("--m-range", args.m_range), _parse_range("--n-range", args.n_range)
+    for p, spec in _flowers(args, ms, ns, ps):
         flower = build_flower(spec)
         kirchhoff, kemeny = oracle.numeric_indices(flower.graph)
         indices = (

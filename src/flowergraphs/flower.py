@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .graphs import Graph, graph_from_edge_list
 
@@ -204,10 +205,10 @@ def base_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
 #     4 n k_xy det R_ab(e) = 4 n k_xy series_k - imbalance_k^2,
 # which _scaled_pair_resistance evaluates.  flower_resistance divides it out;
 # rotating the petals is an automorphism, so max_resistance_search compares
-# it across pairs anchored in petal 1 and _weighted_pair_total sums R_ab(e)
-# over e in closed form.  With c = r_ax - r_ay - r_bx + r_by, the imbalance
-# at e = 0, R_ab(e) is for e >= 1 a concave quadratic peaking at
-# e* = (ns + c) / 2s.
+# it across pairs anchored in petal 1.  With c = r_ax - r_ay - r_bx + r_by,
+# the imbalance at e = 0, R_ab(e) is for e >= 1 a concave quadratic peaking
+# at e* = (ns + c) / 2s, so _weighted_pair_total sums it over e = 1..n-1 by
+# Newton's forward differences of the integer quadratic.
 
 
 def _scaled_pair_resistance(
@@ -259,12 +260,12 @@ def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
     """Maximum resistance over all vertex pairs of the flower.
 
     For each base-locator pair ``R_ab(e)`` is a concave quadratic in
-    ``e = 1..n-1``, so only the integers next to its vertex
-    ``e* = (ns + c) / 2s`` can attain its maximum.  Together with the same-petal values ``R_ab(0)`` that is
-    O(m^2) candidates, whatever the petal count; their integer keys share one
-    denominator, so comparing the keys compares the resistances exactly.
-    Ties break toward the lexicographically smallest locator pair.  The
-    reported ``d`` is the normalized inclusive petal separation (smaller
+    ``e = 1..n-1``, so only the integers next to its vertex ``e* = (ns + c) / 2s``
+    can attain its maximum.  Together with the same-petal values ``R_ab(0)``
+    that is O(m^2) candidates, whatever the petal count; their integer keys
+    share one denominator, so comparing the keys compares the resistances
+    exactly.  Ties break toward the lexicographically smallest locator pair.
+    The reported ``d`` is the normalized inclusive petal separation (smaller
     orientation).
     """
     det, k = _laplacian_solve(spec.base)
@@ -316,8 +317,8 @@ def max_diff_sequence(
 
 def kirchhoff_bounds(spec: FlowerSpec) -> tuple[Fraction, Fraction]:
     """Lower and upper bounds on the flower's Kirchhoff index."""
-    table = base_resistance_table(spec.base)
-    kf_base, r_xy = base_kirchhoff(table), table[spec.x][spec.y]
+    det, k = _laplacian_solve(spec.base)
+    kf_base, r_xy = base_kirchhoff(spec.base), Fraction(k[spec.x][spec.y], det)
     m = spec.base.vertex_count
     n = spec.n
     lo = n * kf_base - Fraction(m * (m - 1)) * r_xy / 2
@@ -327,8 +328,8 @@ def kirchhoff_bounds(spec: FlowerSpec) -> tuple[Fraction, Fraction]:
 
 def kemeny_bounds(spec: FlowerSpec) -> tuple[Fraction, Fraction]:
     """Lower and upper bounds on the flower's Kemeny constant."""
-    table = base_resistance_table(spec.base)
-    kem_base, r_xy = base_kemeny(spec.base, table), table[spec.x][spec.y]
+    det, k = _laplacian_solve(spec.base)
+    kem_base, r_xy = base_kemeny(spec.base), Fraction(k[spec.x][spec.y], det)
     m = spec.base.vertex_count
     n = spec.n
     q = spec.base.edge_count
@@ -339,55 +340,48 @@ def kemeny_bounds(spec: FlowerSpec) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def base_kirchhoff(table: tuple[tuple[Fraction, ...], ...]) -> Fraction:
-    """Kirchhoff index of the base graph from its resistance table."""
-    m = len(table)
-    return sum(
-        (table[i][j] for i in range(m) for j in range(i + 1, m)), start=Fraction(0)
-    )
+def _base_pair_total(g: Graph, weights: tuple[int, ...], scale: int) -> Fraction:
+    """``sum of w_i w_j r_ij`` over ordered base vertex pairs, divided by ``scale``."""
+    det, k = _laplacian_solve(g)
+    total = sum(w * v * k[i][j] for i, w in enumerate(weights) for j, v in enumerate(weights))
+    return Fraction(total, scale * det)
 
 
-def base_kemeny(g: Graph, table: tuple[tuple[Fraction, ...], ...]) -> Fraction:
-    """Kemeny's constant of the base graph from its resistance table."""
-    degrees = g.degrees
-    total = Fraction(0)
-    for i in range(g.vertex_count):
-        for j in range(g.vertex_count):
-            total += degrees[i] * degrees[j] * table[i][j]
-    return total / (4 * g.edge_count)
+def base_kirchhoff(g: Graph) -> Fraction:
+    """Kirchhoff index of the base graph: its resistance sum over vertex pairs."""
+    return _base_pair_total(g, (1,) * g.vertex_count, 2)
+
+
+def base_kemeny(g: Graph) -> Fraction:
+    """Kemeny's constant of the base graph: ``sum of d_i d_j r_ij / 4|E|``."""
+    return _base_pair_total(g, g.degrees, 4 * g.edge_count)
 
 
 def _weighted_pair_total(spec: FlowerSpec, weights: list[int]) -> Fraction:
     """Weighted resistance sum over all pairs whose first vertex is in petal 1.
 
-    Summing ``R_ab(e)`` over ``e = 0..n-1`` gives, per ordered base-locator
-    pair (``R_aa(0) = 0``),
-        T(a, b) = (n - 1) ((rho_a + rho_b)/2 + (n - 5) s/6) + r_ab - c^2/(4s)
-    with ``rho_a = r_ax + r_ay``.  Since ``c = delta_a - delta_b`` for
-    ``delta_a = r_ax - r_ay``, the weighted total of ``T`` needs only O(m)
-    aggregates besides the weighted base sum of ``r_ab``.
+    Per ordered base-locator pair ``f(e) = 4 n k_xy det R_ab(e)`` is an integer
+    quadratic in ``e >= 1``, so by Newton's forward differences, with ``N = n - 1``,
+    ``f(1) + ... + f(N) = N f(1) + C(N, 2) (f(2) - f(1)) + C(N, 3) (f(3) - 2 f(2) + f(1))``
+    exactly, for every ``n >= 3``; the weighted sums over all pairs combine the same way.
     """
-    n, x, y = spec.n, spec.x, spec.y
-    table = base_resistance_table(spec.base)
-    s = table[x][y]
-    reps = (x,) + spec.outer_vertices()
-    weight = sum(weights[a] for a in reps)
-    rho = sum(weights[a] * (table[a][x] + table[a][y]) for a in reps)
-    delta = sum(weights[a] * (table[a][x] - table[a][y]) for a in reps)
-    delta_sq = sum(weights[a] * (table[a][x] - table[a][y]) ** 2 for a in reps)
-    base_pairs = sum(weights[a] * weights[b] * table[a][b] for a in reps for b in reps)
-    return (
-        (n - 1) * (weight * rho + weight * weight * (n - 5) * s / 6)
-        + base_pairs
-        - (weight * delta_sq - delta * delta) / (2 * s)
+    det, k = _laplacian_solve(spec.base)
+    reps = (spec.x,) + spec.outer_vertices()
+    pairs = [(a, b) for a in reps for b in reps]
+    f0, f1, f2, f3 = (
+        sum(weights[a] * weights[b] * _scaled_pair_resistance(spec, k, a, b, e) for a, b in pairs)
+        for e in range(4)
     )
+    steps = spec.n - 1
+    total = f0 + steps * f1 + comb(steps, 2) * (f2 - f1) + comb(steps, 3) * (f3 - 2 * f2 + f1)
+    return Fraction(total, 4 * spec.n * k[spec.x][spec.y] * det)
 
 
 def flower_kirchhoff_exact(spec: FlowerSpec) -> Fraction:
     """Exact Kirchhoff index in O(m^2) time, independent of the petal count.
 
     Rotation symmetry reduces the sum to pairs anchored in petal 1, and the
-    sum over petal separations has a closed form per base-locator pair.
+    sum over petal separations takes forward differences per base-locator pair.
     """
     ones = [1] * spec.base.vertex_count
     return spec.n * _weighted_pair_total(spec, ones) / 2

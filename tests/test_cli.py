@@ -294,6 +294,32 @@ def test_verify_bad_tolerance_exits_2(capsys, monkeypatch, tol):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_unparsable_tolerance_names_its_source(capsys, monkeypatch):
+    monkeypatch.setenv("FLOWER_TOL", "abc")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--family", "complete", "--m-range", "3", "--n-range", "3"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "FLOWER_TOL must be a number, got 'abc'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("option", ["--m-range", "--n-range", "--p-range"])
+def test_unparsable_range_names_its_option(capsys, command, option):
+    ranges = {"--m-range": "4", "--n-range": "3", "--p-range": "1"}
+    ranges[option] = "a:b"
+    argv = [command, "--family", "cycle"]
+    for name, text in ranges.items():
+        argv += [name, text]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option} must be lo:hi or an integer, got 'a:b'" in captured.err
+
+
 @pytest.mark.parametrize(
     "command", ["gen", "resist", "kirchhoff", "kemeny", "bounds", "maxres", "sweep"]
 )

@@ -470,6 +470,19 @@ def test_exact_index_sums_match_oracle():
 
 
 def test_base_index_helpers():
-    table = base_resistance_table(complete_graph(3))
-    assert base_kirchhoff(table) == 2
-    assert base_kemeny(complete_graph(3), table) == Fraction(4, 3)
+    assert base_kirchhoff(complete_graph(3)) == 2
+    assert base_kemeny(complete_graph(3)) == Fraction(4, 3)
+
+
+@given(connected_graphs())
+def test_base_indices_match_the_reference_table(g):
+    table = exact_resistance_table(g)
+    m, degrees = g.vertex_count, g.degrees
+    assert base_kirchhoff(g) == sum(
+        (table[i][j] for i in range(m) for j in range(i + 1, m)), start=Fraction(0)
+    )
+    weighted = sum(
+        (degrees[i] * degrees[j] * table[i][j] for i in range(m) for j in range(m)),
+        start=Fraction(0),
+    )
+    assert base_kemeny(g) == weighted / (4 * g.edge_count)

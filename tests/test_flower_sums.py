@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flowergraphs import (
     CompleteFlowerParams,
@@ -30,7 +31,7 @@ from flowergraphs import (
     petersen_graph,
 )
 
-from conftest import random_connected_graph
+from conftest import connected_graphs, random_connected_graph
 from flower_reference import exhaustive_max_resistance, summed_kemeny, summed_kirchhoff
 
 
@@ -86,6 +87,24 @@ def symmetric_specs():
 @pytest.mark.parametrize("spec", list(symmetric_specs()), ids=spec_id)
 def test_tie_heavy_symmetric_bases_match_reference(spec):
     assert_matches_reference(spec)
+
+
+@st.composite
+def small_specs(draw) -> FlowerSpec:
+    base = draw(connected_graphs(max_vertices=7))
+    x, y = draw(st.permutations(range(base.vertex_count)))[:2]
+    return FlowerSpec(base, x, y, draw(st.integers(3, 8)))
+
+
+# A two-vertex base makes the flower an n-cycle whose petal blocks are {x}
+# alone; the random and symmetric specs above all have m >= 3.
+@settings(max_examples=100)
+@given(small_specs())
+@example(FlowerSpec(path_graph(2), 0, 1, 3))
+@example(FlowerSpec(path_graph(2), 1, 0, 8))
+def test_small_bases_match_summed_indices(spec):
+    assert flower_kirchhoff_exact(spec) == summed_kirchhoff(spec)
+    assert flower_kemeny_exact(spec) == summed_kemeny(spec)
 
 
 def test_general_path_specialises_to_complete_closed_forms():

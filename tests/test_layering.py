@@ -1,5 +1,6 @@
 """The closed forms stay independent of the numeric oracle they are checked against,
-the oracle is the package's only LAPACK user, and the package exports what it imports."""
+the oracle is the package's only LAPACK user, the package exports what it imports,
+and no source line is longer than 99 characters."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ PACKAGE = Path(flowergraphs.__file__).parent
 CLOSED_FORM_MODULES = ("flower", "complete", "cycle", "separation", "exact")
 NUMERIC_MODULES = {"oracle", "numpy", "scipy"}
 NON_ORACLE_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "oracle")
+MAX_LINE_LENGTH = 99
 
 
 def imported_modules(source: str):
@@ -52,3 +54,10 @@ def test_all_lists_exactly_the_names_init_imports():
     for name, (module, original) in imported.items():
         submodule = importlib.import_module(f"flowergraphs.{module}")
         assert getattr(flowergraphs, name) is getattr(submodule, original)
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_no_line_is_longer_than_the_limit(module):
+    lines = (PACKAGE / f"{module}.py").read_text().splitlines()
+    long = [number for number, line in enumerate(lines, 1) if len(line) > MAX_LINE_LENGTH]
+    assert not long, f"{module}.py lines {long} exceed {MAX_LINE_LENGTH} characters"
