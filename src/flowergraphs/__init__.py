@@ -8,16 +8,11 @@ arithmetic, and cross-check everything against a dense Laplacian solver.
 from .complete import (
     CompleteFlowerParams,
     PairCase,
-    case_for_locators,
     cf_kemeny,
     cf_kirchhoff,
     cf_max_resistance,
-    cf_pair_resistance,
     cf_resistance,
     complete_flower_spec,
-    sunflower_kemeny,
-    sunflower_kirchhoff,
-    sunflower_resistance,
 )
 from .cycle import (
     CycleFlowerParams,
@@ -26,9 +21,7 @@ from .cycle import (
     cycle_resistance,
     gs_kemeny,
     gs_kirchhoff,
-    gs_pair_resistance,
     gs_resistance,
-    position_for_locators,
 )
 from .exact import format_rational
 from .flower import (
@@ -90,11 +83,9 @@ __all__ = [
     "base_resistance_table",
     "build_flower",
     "canonical_locator",
-    "case_for_locators",
     "cf_kemeny",
     "cf_kirchhoff",
     "cf_max_resistance",
-    "cf_pair_resistance",
     "cf_resistance",
     "complete_flower_spec",
     "complete_graph",
@@ -112,7 +103,6 @@ __all__ = [
     "grounded_potentials",
     "gs_kemeny",
     "gs_kirchhoff",
-    "gs_pair_resistance",
     "gs_resistance",
     "kemeny_bounds",
     "kirchhoff_bounds",
@@ -125,12 +115,8 @@ __all__ = [
     "parse_edge_list",
     "path_graph",
     "petersen_graph",
-    "position_for_locators",
     "read_edge_list",
     "resistance",
     "resistance_matrix",
-    "sunflower_kemeny",
-    "sunflower_kirchhoff",
-    "sunflower_resistance",
     "values_close",
 ]

@@ -36,6 +36,15 @@ from .graphs import format_edge_list, read_edge_list
 
 DEFAULT_TOL = 1e-9
 FAMILIES = ("generic", "complete", "cycle")
+# (attribute, option, families it applies to) for each family option without a default
+_FAMILY_OPTIONS = (
+    ("m", "-m", ("complete", "cycle")),
+    ("p", "-p", ("cycle",)),
+    ("p_range", "--p-range", ("cycle",)),
+    ("base", "--base", ("generic",)),
+    ("x", "--x", ("generic",)),
+    ("y", "--y", ("generic",)),
+)
 
 
 @dataclass
@@ -112,7 +121,11 @@ def _flowers(args: argparse.Namespace, ms, ns, ps):
     ``m`` in ``ms`` and ``n`` in ``ns``; cycles also each ``p`` in ``ps(m)``;
     generic flowers take each ``n`` on the ``--base`` edge list with marked
     vertices ``--x`` and ``--y``.  ``p`` is None for the families without one.
+    An option given to a family it does not apply to raises ``ValueError``.
     """
+    for attribute, option, families in _FAMILY_OPTIONS:
+        if getattr(args, attribute, None) is not None and args.family not in families:
+            raise ValueError(f"{option} does not apply to the {args.family} family")
     if args.family == "generic":
         if args.base is None or args.x is None or args.y is None:
             raise ValueError("--base, --x and --y are required for the generic family")

@@ -1,4 +1,4 @@
-"""Closed forms for flowers built on complete base graphs; sunflower special cases.
+"""Closed forms for flowers built on complete base graphs.
 
 With a complete base every pairwise base resistance is ``2/m``, so the general
 flower formulas collapse to three cases distinguished only by which endpoints
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .flower import FlowerLocator, FlowerSpec, canonical_locator
+from .flower import FlowerSpec
 from .graphs import complete_graph
 
 
@@ -77,69 +77,3 @@ def cf_kirchhoff(params: CompleteFlowerParams) -> Fraction:
 def cf_kemeny(params: CompleteFlowerParams) -> Fraction:
     m, n = params.m, params.n
     return Fraction((m - 1) * (-12 * n + m * (n * n + 6 * n - 1)), 6 * m)
-
-
-def sunflower_resistance(n: int, case: PairCase, d: int) -> Fraction:
-    """Pairwise resistance in a sunflower (triangle petals), matching ``m = 3``."""
-    if n < 3:
-        raise ValueError("petal count must be at least 3")
-    if case is PairCase.BOTH_ASSOCIATED:
-        if not 1 <= d <= n - 1:
-            raise ValueError(f"d={d} invalid for associated pairs (1..{n - 1})")
-        return Fraction(2 * d * (n - d), 3 * n)
-    if not 1 <= d <= n:
-        raise ValueError(f"d={d} invalid for case {case.value} (1..{n})")
-    if case is PairCase.ONE_ASSOCIATED:
-        return Fraction(4 * n * d - 4 * d * d + 4 * d - 1, 6 * n)
-    return Fraction(2 * (n * d - (d - 1) ** 2), 3 * n)
-
-
-def sunflower_kirchhoff(n: int) -> Fraction:
-    if n < 3:
-        raise ValueError("petal count must be at least 3")
-    return Fraction(4 * n**3 + 12 * n * n - 7 * n, 18)
-
-
-def sunflower_kemeny(n: int) -> Fraction:
-    if n < 3:
-        raise ValueError("petal count must be at least 3")
-    return Fraction(n * n + 2 * n - 1, 3)
-
-
-def case_for_locators(
-    params: CompleteFlowerParams, u: FlowerLocator, v: FlowerLocator
-) -> tuple[PairCase, int]:
-    """Classify a distinct locator pair into a formula case and its ``d``.
-
-    Junction separations use the gap count between junctions; mixed pairs
-    count petals from the junction's canonical petal down to the other
-    vertex's petal, which also covers both same-petal configurations
-    (``d = 1`` and ``d = n``).
-    """
-    spec = complete_flower_spec(params)
-    u = canonical_locator(spec, u)
-    v = canonical_locator(spec, v)
-    if u == v:
-        raise ValueError("locators refer to the same vertex")
-    n = params.n
-    if u.is_associated and v.is_associated:
-        gap = (u.petal - v.petal) % n
-        return PairCase.BOTH_ASSOCIATED, min(gap, n - gap)
-    if u.is_associated or v.is_associated:
-        junction, other = (u, v) if u.is_associated else (v, u)
-        return PairCase.ONE_ASSOCIATED, (junction.petal - other.petal) % n + 1
-    if u.petal == v.petal:
-        return PairCase.NEITHER, 1
-    d = (u.petal - v.petal) % n + 1
-    return PairCase.NEITHER, min(d, n - d + 2)
-
-
-def cf_pair_resistance(
-    params: CompleteFlowerParams, u: FlowerLocator, v: FlowerLocator
-) -> Fraction:
-    """Resistance between two located vertices of a complete flower."""
-    spec = complete_flower_spec(params)
-    if canonical_locator(spec, u) == canonical_locator(spec, v):
-        return Fraction(0)
-    case, d = case_for_locators(params, u, v)
-    return cf_resistance(params, case, d)

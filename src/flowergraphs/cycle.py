@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flower import FlowerLocator, FlowerSpec, canonical_locator
+from .flower import FlowerSpec
 from .graphs import cycle_graph
 
 
@@ -123,55 +123,3 @@ def gs_kemeny(params: CycleFlowerParams) -> Fraction:
     return Fraction(
         (n * n - 6 * n + 4) * span + m * m * (2 * n - 1) - 2 * n - 1, 6
     )
-
-
-def _arc_info(params: CycleFlowerParams, base_vertex: int) -> tuple[int, int]:
-    """Complementary arc length and offset from ``x`` for an interior vertex."""
-    m, p = params.m, params.p
-    if 0 < base_vertex < p:
-        return m - p, base_vertex
-    return p, m - base_vertex
-
-
-def position_for_locators(
-    params: CycleFlowerParams, u: FlowerLocator, v: FlowerLocator
-) -> CyclePairPosition:
-    """Resolve a distinct locator pair to a formula-ready pair position.
-
-    A junction endpoint of a same-petal pair is placed on its partner's arc at
-    offset 0; for cross-petal pairs it takes arc length ``p`` and offset 0 as
-    the formulas require.  Same-arc pairs are relabelled so ``k >= l``.
-    """
-    spec = cycle_flower_spec(params)
-    u = canonical_locator(spec, u)
-    v = canonical_locator(spec, v)
-    if u == v:
-        raise ValueError("locators refer to the same vertex")
-    n, p = params.n, params.p
-    if u.petal != v.petal:
-        d = (u.petal - v.petal) % n + 1
-        p_u, l = (p, 0) if u.is_associated else _arc_info(params, u.base_vertex)
-        p_v, k = (p, 0) if v.is_associated else _arc_info(params, v.base_vertex)
-        return CyclePairPosition(d, p_u, p_v, l, k, same_petal=False, same_arc=False)
-    if u.is_associated or v.is_associated:
-        interior = v if u.is_associated else u
-        side, along = _arc_info(params, interior.base_vertex)
-        return CyclePairPosition(1, side, side, 0, along, same_petal=True, same_arc=True)
-    side_u, along_u = _arc_info(params, u.base_vertex)
-    side_v, along_v = _arc_info(params, v.base_vertex)
-    if (u.base_vertex < p) == (v.base_vertex < p):
-        lo, hi = sorted((along_u, along_v))
-        return CyclePairPosition(1, side_u, side_v, lo, hi, same_petal=True, same_arc=True)
-    return CyclePairPosition(
-        1, side_u, side_v, along_u, along_v, same_petal=True, same_arc=False
-    )
-
-
-def gs_pair_resistance(
-    params: CycleFlowerParams, u: FlowerLocator, v: FlowerLocator
-) -> Fraction:
-    """Resistance between two located vertices of a cycle flower."""
-    spec = cycle_flower_spec(params)
-    if canonical_locator(spec, u) == canonical_locator(spec, v):
-        return Fraction(0)
-    return gs_resistance(params, position_for_locators(params, u, v))

@@ -6,7 +6,9 @@ fraction-free integer elimination.  The flower indices are the direct
 O(m^2 n) definitions: the Kirchhoff index and Kemeny constant as sums of the
 closed-form pair resistance, and the maximum resistance as an exhaustive
 scan.  The library evaluates the same quantities in time independent of the
-petal count.
+petal count.  ``located_pairs`` lists the general formula's parameters
+``(a, b, e)``; ``complete_case`` and ``cycle_position`` map them to the
+parameters of the paper's complete- and cycle-base pair forms.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from flowergraphs import (
+    CycleFlowerParams,
+    CyclePairPosition,
     FlowerLocator,
     FlowerSpec,
     Graph,
     MaxResistance,
+    PairCase,
     flower_resistance,
 )
 from flowergraphs.flower import normalized_petal_separation
@@ -55,6 +60,50 @@ def all_locators(spec: FlowerSpec) -> list[FlowerLocator]:
         locs.append(FlowerLocator(petal, spec.x, True))
         locs.extend(FlowerLocator(petal, w, False) for w in outer)
     return locs
+
+
+def located_pairs(spec: FlowerSpec):
+    """Every ``(a, b, e, u, v)`` of ``R_ab(e)``: ``u`` is base locator ``a`` in petal 1
+    and ``v`` is ``b``, ``e`` petals down the chain from it."""
+    n, x = spec.n, spec.x
+    reps = (x,) + spec.outer_vertices()
+    for a in reps:
+        u = FlowerLocator(1, a, a == x)
+        for b in reps:
+            for e in range(a == b, n):
+                yield a, b, e, u, FlowerLocator((1 - e) % n or n, b, b == x)
+
+
+def complete_case(a: int, b: int, e: int, n: int) -> tuple[PairCase, int]:
+    """The complete-flower case and ``d`` of ``R_ab(e)``, with ``x = 0``."""
+    if a == 0 and b == 0:
+        return PairCase.BOTH_ASSOCIATED, e
+    if a == 0:
+        return PairCase.ONE_ASSOCIATED, e + 1
+    if b == 0:
+        return PairCase.ONE_ASSOCIATED, (n - e) % n + 1
+    return PairCase.NEITHER, e + 1
+
+
+def cycle_position(params: CycleFlowerParams, a: int, b: int, e: int) -> CyclePairPosition:
+    """The cycle-flower position of ``R_ab(e)``, with ``x = 0`` and ``y = p``; ``arc(w)``
+    is an interior vertex's complementary arc length and its offset from ``x``."""
+    m, p = params.m, params.p
+
+    def arc(w: int) -> tuple[int, int]:
+        return (m - p, w) if 0 < w < p else (p, m - w)
+
+    if e >= 1:
+        (p_a, l_a), (p_b, l_b) = ((p, 0) if w == 0 else arc(w) for w in (a, b))
+        return CyclePairPosition(e + 1, p_a, p_b, l_a, l_b, same_petal=False, same_arc=False)
+    if a == 0 or b == 0:
+        side, along = arc(a or b)
+        return CyclePairPosition(1, side, side, 0, along, same_petal=True, same_arc=True)
+    (side_a, along_a), (side_b, along_b) = arc(a), arc(b)
+    if (a < p) == (b < p):
+        lo, hi = sorted((along_a, along_b))
+        return CyclePairPosition(1, side_a, side_b, lo, hi, same_petal=True, same_arc=True)
+    return CyclePairPosition(1, side_a, side_b, along_a, along_b, same_petal=True, same_arc=False)
 
 
 def _anchored_pairs(spec: FlowerSpec):

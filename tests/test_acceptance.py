@@ -16,11 +16,9 @@ from flowergraphs import (
     FlowerSpec,
     PairCase,
     build_flower,
-    case_for_locators,
     cf_kemeny,
     cf_kirchhoff,
     cf_max_resistance,
-    cf_pair_resistance,
     cf_resistance,
     complete_flower_spec,
     complete_graph,
@@ -29,7 +27,7 @@ from flowergraphs import (
     flower_resistance,
     gs_kemeny,
     gs_kirchhoff,
-    gs_pair_resistance,
+    gs_resistance,
     kemeny_bounds,
     kirchhoff_bounds,
     max_diff_sequence,
@@ -40,12 +38,10 @@ from flowergraphs import (
     petersen_graph,
     resistance,
     resistance_matrix,
-    sunflower_kemeny,
-    sunflower_kirchhoff,
-    sunflower_resistance,
 )
 
 from conftest import random_connected_graph
+from flower_reference import complete_case, cycle_position, located_pairs
 
 TOL = 1e-9
 
@@ -121,13 +117,12 @@ def test_criterion_3_complete_flower_closed_forms():
             params = CompleteFlowerParams(m, n)
             flower = build_flower(complete_flower_spec(params))
             matrix = resistance_matrix(flower.graph)
-            for i in range(flower.spec.vertex_count):
-                u = flower.locator_of(i)
-                for j in range(i + 1, flower.spec.vertex_count):
-                    v = flower.locator_of(j)
-                    cases_seen.add(case_for_locators(params, u, v)[0])
-                    value = cf_pair_resistance(params, u, v)
-                    worst = max(worst, abs(float(value) - matrix[i, j]))
+            for a, b, e, _, v in located_pairs(flower.spec):
+                case, d = complete_case(a, b, e, n)
+                cases_seen.add(case)
+                value = cf_resistance(params, case, d)
+                observed = matrix[flower.label_of(1, a), flower.label_of(v.petal, b)]
+                worst = max(worst, abs(float(value) - observed))
             kf, kem = numeric_indices(flower.graph)
             worst = max(worst, abs(float(cf_kirchhoff(params)) - kf))
             worst = max(worst, abs(float(cf_kemeny(params)) - kem))
@@ -149,33 +144,34 @@ def test_criterion_4_sunflower_identities():
     ok = True
     for n in range(3, 13):
         params = CompleteFlowerParams(3, n)
-        for d in range(1, n):
-            ok = ok and sunflower_resistance(n, PairCase.BOTH_ASSOCIATED, d) == cf_resistance(
-                params, PairCase.BOTH_ASSOCIATED, d
-            )
-        for case in (PairCase.ONE_ASSOCIATED, PairCase.NEITHER):
-            for d in range(1, n + 1):
-                ok = ok and sunflower_resistance(n, case, d) == cf_resistance(params, case, d)
-        ok = ok and sunflower_kirchhoff(n) == Fraction(4 * n**3 + 12 * n * n - 7 * n, 18)
-        ok = ok and sunflower_kemeny(n) == Fraction(n * n + 2 * n - 1, 3)
-        ok = ok and sunflower_kirchhoff(n) == cf_kirchhoff(params)
-        ok = ok and sunflower_kemeny(n) == cf_kemeny(params)
-    _report(4, ok, "sunflower formulas equal m=3 complete forms exactly for n <= 12")
+        for d in range(1, n + 1):
+            both = Fraction(2 * d * (n - d), 3 * n)
+            one = Fraction(4 * n * d - 4 * d * d + 4 * d - 1, 6 * n)
+            neither = Fraction(2 * (n * d - (d - 1) ** 2), 3 * n)
+            ok = ok and (d == n or cf_resistance(params, PairCase.BOTH_ASSOCIATED, d) == both)
+            ok = ok and cf_resistance(params, PairCase.ONE_ASSOCIATED, d) == one
+            ok = ok and cf_resistance(params, PairCase.NEITHER, d) == neither
+        ok = ok and cf_kirchhoff(params) == Fraction(4 * n**3 + 12 * n * n - 7 * n, 18)
+        ok = ok and cf_kemeny(params) == Fraction(n * n + 2 * n - 1, 3)
+    _report(4, ok, "m=3 complete forms equal the sunflower formulas exactly for n <= 12")
 
 
 def test_criterion_5_cycle_flower_closed_forms():
     worst = 0.0
+    # position kinds: across petals, junction and interior, one arc, two arcs
+    kinds = set()
     for m in range(3, 7):
         for p in range(1, m // 2 + 1):
             for n in range(3, 7):
                 params = CycleFlowerParams(m, n, p)
                 flower = build_flower(cycle_flower_spec(params))
                 matrix = resistance_matrix(flower.graph)
-                for i in range(flower.spec.vertex_count):
-                    u = flower.locator_of(i)
-                    for j in range(i + 1, flower.spec.vertex_count):
-                        value = gs_pair_resistance(params, u, flower.locator_of(j))
-                        worst = max(worst, abs(float(value) - matrix[i, j]))
+                for a, b, e, _, v in located_pairs(flower.spec):
+                    pos = cycle_position(params, a, b, e)
+                    kinds.add((pos.same_petal, pos.same_arc, pos.same_petal and pos.l == 0))
+                    value = gs_resistance(params, pos)
+                    observed = matrix[flower.label_of(1, a), flower.label_of(v.petal, b)]
+                    worst = max(worst, abs(float(value) - observed))
                 kf, kem = numeric_indices(flower.graph)
                 worst = max(worst, abs(float(gs_kirchhoff(params)) - kf))
                 worst = max(worst, abs(float(gs_kemeny(params)) - kem))
@@ -190,9 +186,9 @@ def test_criterion_5_cycle_flower_closed_forms():
         and abs(kf - 33.0) <= TOL
         and abs(kem - float(Fraction(53, 6))) <= TOL
     )
-    ok = worst <= TOL and identity_ok and confirmed
-    _report(5, ok, f"cycle-flower forms vs oracle, worst error {worst:.2e}; "
-                   f"index identities and (4,3,2) values confirmed")
+    ok = worst <= TOL and identity_ok and confirmed and len(kinds) == 4
+    _report(5, ok, f"cycle-flower forms (all {len(kinds)} positions) vs oracle, worst error "
+                   f"{worst:.2e}; index identities and (4,3,2) values confirmed")
 
 
 def test_criterion_6_max_resistance_window():

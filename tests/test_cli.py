@@ -332,6 +332,25 @@ def test_tol_is_a_verify_option_only(capsys, command):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        ("kirchhoff --family complete -m 4 -n 3 -p 2", "-p"),
+        ("sweep --family complete --m-range 3 --n-range 3 --p-range 1", "--p-range"),
+        ("maxres --family cycle -m 4 -n 3 --x 0", "--x"),
+        ("verify --family complete --m-range 3 --n-range 3 --base g.edges", "--base"),
+        ("bounds --family generic -m 4 -n 3 --base g.edges --x 0 --y 1", "-m"),
+    ],
+)
+def test_option_of_another_family_exits_2(capsys, command, option):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command.split())
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option} does not apply to the {command.split()[2]} family" in captured.err
+
+
 def test_verify_generic_missing_base_exits_2(tmp_path, capsys):
     missing = tmp_path / "absent.edges"
     with pytest.raises(SystemExit) as excinfo:

@@ -1,4 +1,5 @@
-"""Complete-flower closed forms and the sunflower specializations."""
+"""Complete-flower closed forms, their m = 3 sunflower identities, and every pair
+form checked at the general formula's parameters."""
 
 from __future__ import annotations
 
@@ -10,11 +11,9 @@ from flowergraphs import (
     CompleteFlowerParams,
     PairCase,
     build_flower,
-    case_for_locators,
     cf_kemeny,
     cf_kirchhoff,
     cf_max_resistance,
-    cf_pair_resistance,
     cf_resistance,
     complete_flower_spec,
     flower_resistance,
@@ -23,10 +22,9 @@ from flowergraphs import (
     max_resistance_search,
     numeric_indices,
     resistance_matrix,
-    sunflower_kemeny,
-    sunflower_kirchhoff,
-    sunflower_resistance,
 )
+
+from flower_reference import complete_case, located_pairs
 
 
 def test_cf_resistance_examples():
@@ -105,26 +103,13 @@ def test_cf_indices_match_oracle(m, n):
 def test_sunflower_formulas_match_complete_at_three():
     for n in range(3, 13):
         params = CompleteFlowerParams(3, n)
-        for d in range(1, n):
-            assert sunflower_resistance(n, PairCase.BOTH_ASSOCIATED, d) == cf_resistance(
-                params, PairCase.BOTH_ASSOCIATED, d
-            )
-        for case in (PairCase.ONE_ASSOCIATED, PairCase.NEITHER):
-            for d in range(1, n + 1):
-                assert sunflower_resistance(n, case, d) == cf_resistance(params, case, d)
-
-
-def test_sunflower_examples():
-    assert sunflower_resistance(3, PairCase.BOTH_ASSOCIATED, 1) == Fraction(4, 9)
-    assert sunflower_resistance(3, PairCase.NEITHER, 2) == Fraction(10, 9)
-    assert sunflower_kirchhoff(3) == Fraction(65, 6)
-    assert sunflower_kemeny(3) == Fraction(14, 3)
-
-
-def test_sunflower_index_identities():
-    for n in range(3, 13):
-        assert sunflower_kirchhoff(n) == cf_kirchhoff(CompleteFlowerParams(3, n))
-        assert sunflower_kemeny(n) == cf_kemeny(CompleteFlowerParams(3, n))
+        for d in range(1, n + 1):
+            both = Fraction(2 * d * (n - d), 3 * n)
+            one = Fraction(4 * n * d - 4 * d * d + 4 * d - 1, 6 * n)
+            neither = Fraction(2 * (n * d - (d - 1) ** 2), 3 * n)
+            assert d == n or cf_resistance(params, PairCase.BOTH_ASSOCIATED, d) == both
+            assert cf_resistance(params, PairCase.ONE_ASSOCIATED, d) == one
+            assert cf_resistance(params, PairCase.NEITHER, d) == neither
 
 
 CF_ORACLE_CASES = [(3, 3), (3, 5), (4, 4), (5, 3)]
@@ -136,32 +121,17 @@ CF_ORACLE_CASES = [(3, 3), (3, 5), (4, 4), (5, 3)]
     + [(m, n) for m in range(3, 7) for n in (3, 4, 7) if (m, n) not in CF_ORACLE_CASES],
 )
 def test_cf_pair_resistance_matches_oracle_and_generic(m, n):
-    """Every pair equals the general-base formula exactly; some also the oracle."""
+    """Every (a, b, e) equals the general-base formula exactly; some also the oracle."""
     params = CompleteFlowerParams(m, n)
     spec = complete_flower_spec(params)
     flower = build_flower(spec)
     matrix = resistance_matrix(flower.graph) if (m, n) in CF_ORACLE_CASES else None
-    for i in range(spec.vertex_count):
-        for j in range(i + 1, spec.vertex_count):
-            u, v = flower.locator_of(i), flower.locator_of(j)
-            value = cf_pair_resistance(params, u, v)
-            assert value == flower_resistance(spec, u, v)
-            if matrix is not None:
-                assert abs(float(value) - matrix[i, j]) <= 1e-9
-
-
-def test_case_adapter_classifies_pairs():
-    params = CompleteFlowerParams(3, 4)
-    spec = complete_flower_spec(params)
-    flower = build_flower(spec)
-    both = case_for_locators(params, flower.locator_of(0), flower.locator_of(2))
-    assert both[0] is PairCase.BOTH_ASSOCIATED
-    mixed = case_for_locators(params, flower.locator_of(0), flower.locator_of(1))
-    assert mixed[0] is PairCase.ONE_ASSOCIATED
-    outer = case_for_locators(params, flower.locator_of(1), flower.locator_of(3))
-    assert outer[0] is PairCase.NEITHER
-    with pytest.raises(ValueError, match="same vertex"):
-        case_for_locators(params, flower.locator_of(0), flower.locator_of(0))
+    for a, b, e, u, v in located_pairs(spec):
+        value = cf_resistance(params, *complete_case(a, b, e, n))
+        assert value == flower_resistance(spec, u, v)
+        if matrix is not None:
+            i, j = flower.label_of(1, a), flower.label_of(v.petal, b)
+            assert abs(float(value) - matrix[i, j]) <= 1e-9
 
 
 def test_upper_bound_ratios_at_large_petal_count():

@@ -18,12 +18,12 @@ from flowergraphs import (
     flower_resistance,
     gs_kemeny,
     gs_kirchhoff,
-    gs_pair_resistance,
     gs_resistance,
     numeric_indices,
-    position_for_locators,
     resistance_matrix,
 )
+
+from flower_reference import cycle_position, located_pairs
 
 
 def test_cycle_resistance_examples():
@@ -72,17 +72,13 @@ def test_gs_resistance_validates_positions():
 
 
 def test_gs_same_petal_different_arcs_against_oracle():
-    params = CycleFlowerParams(6, 4, 3)
-    spec = cycle_flower_spec(params)
-    flower = build_flower(spec)
+    params = CycleFlowerParams(6, 4, 3)  # both arcs have length 3
+    flower = build_flower(cycle_flower_spec(params))
     matrix = resistance_matrix(flower.graph)
-    u = flower.locator_of(flower.label_of(1, 1))   # short-arc interior, offset 1
-    v = flower.locator_of(flower.label_of(1, 5))   # long-arc interior, offset 1
-    pos = position_for_locators(params, u, v)
+    pos = cycle_position(params, 1, 5, 0)   # short-arc and long-arc interiors, offset 1
     assert pos.same_petal and not pos.same_arc
     value = gs_resistance(params, pos)
-    i, j = flower.label_of(1, 1), flower.label_of(1, 5)
-    assert abs(float(value) - matrix[i, j]) <= 1e-9
+    assert abs(float(value) - matrix[flower.label_of(1, 1), flower.label_of(1, 5)]) <= 1e-9
 
 
 def test_gs_swap_symmetry():
@@ -138,18 +134,17 @@ GS_ORACLE_CASES = [(3, 3, 1), (4, 3, 1), (4, 3, 2), (5, 4, 2), (6, 3, 3)]
     ],
 )
 def test_gs_pair_resistance_matches_oracle_and_generic(m, n, p):
-    """Every pair equals the general-base formula exactly; some also the oracle."""
+    """Every (a, b, e) equals the general-base formula exactly; some also the oracle."""
     params = CycleFlowerParams(m, n, p)
     spec = cycle_flower_spec(params)
     flower = build_flower(spec)
     matrix = resistance_matrix(flower.graph) if (m, n, p) in GS_ORACLE_CASES else None
-    for i in range(spec.vertex_count):
-        for j in range(i + 1, spec.vertex_count):
-            u, v = flower.locator_of(i), flower.locator_of(j)
-            value = gs_pair_resistance(params, u, v)
-            assert value == flower_resistance(spec, u, v)
-            if matrix is not None:
-                assert abs(float(value) - matrix[i, j]) <= 1e-9
+    for a, b, e, u, v in located_pairs(spec):
+        value = gs_resistance(params, cycle_position(params, a, b, e))
+        assert value == flower_resistance(spec, u, v)
+        if matrix is not None:
+            i, j = flower.label_of(1, a), flower.label_of(v.petal, b)
+            assert abs(float(value) - matrix[i, j]) <= 1e-9
 
 
 @pytest.mark.parametrize("m,n,p", [(4, 3, 2), (5, 3, 2), (6, 4, 2)])

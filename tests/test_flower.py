@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowergraphs import (
     FlowerLocator,
@@ -271,6 +271,18 @@ def test_same_petal_never_exceeds_base_resistance(spec):
 
 
 # ------------------------------------------------------------- full dispatch
+
+
+@settings(max_examples=150)
+@given(flower_specs(max_vertices=10, max_petals=8))
+@example(FlowerSpec(path_graph(2), 0, 1, 3))
+def test_foster_sum_over_the_petal_one_edges(spec):
+    """Foster: edge resistances sum to N - 1; the edges are n rotations of petal 1's."""
+    total = sum(
+        flower_resistance(spec, locator(spec, 1, u), locator(spec, 1, v))
+        for u, v in spec.base.edges
+    )
+    assert spec.n * total == spec.n * (spec.base.vertex_count - 1) - 1
 
 
 def test_adjacent_junctions_of_triangle_flower():

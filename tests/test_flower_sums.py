@@ -3,7 +3,7 @@
 The library reduces the Kirchhoff index, the Kemeny constant and the maximum
 resistance to base-vertex pairs.  These tests require exact equality with the
 direct O(m^2 n) definitions in ``flower_reference`` and with the complete- and
-cycle-base closed forms the general path specialises to.
+cycle-base closed forms the general path specialises to, per index and per pair.
 """
 
 from __future__ import annotations
@@ -20,19 +20,23 @@ from flowergraphs import (
     cf_kemeny,
     cf_kirchhoff,
     cf_max_resistance,
+    cf_resistance,
     complete_graph,
     cycle_graph,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
+    flower_resistance,
     gs_kemeny,
     gs_kirchhoff,
+    gs_resistance,
     max_resistance_search,
     path_graph,
     petersen_graph,
 )
 
 from conftest import connected_graphs, random_connected_graph
-from flower_reference import exhaustive_max_resistance, summed_kemeny, summed_kirchhoff
+from flower_reference import (complete_case, cycle_position, exhaustive_max_resistance,
+                              located_pairs, summed_kemeny, summed_kirchhoff)
 
 
 def assert_matches_reference(spec: FlowerSpec) -> None:
@@ -125,3 +129,19 @@ def test_general_path_specialises_to_cycle_closed_forms():
                 params = CycleFlowerParams(m, n, p)
                 assert flower_kirchhoff_exact(spec) == gs_kirchhoff(params)
                 assert flower_kemeny_exact(spec) == gs_kemeny(params)
+
+
+def test_general_path_specialises_to_paper_pair_forms():
+    for m in range(3, 11):
+        for n in (3, 4, 5, 8, 13, 30):
+            params = CompleteFlowerParams(m, n)
+            spec = FlowerSpec(complete_graph(m), 0, 1, n)
+            for a, b, e, u, v in located_pairs(spec):
+                expected = cf_resistance(params, *complete_case(a, b, e, n))
+                assert flower_resistance(spec, u, v) == expected
+            for p in range(1, m // 2 + 1):
+                params = CycleFlowerParams(m, n, p)
+                spec = FlowerSpec(cycle_graph(m), 0, p, n)
+                for a, b, e, u, v in located_pairs(spec):
+                    expected = gs_resistance(params, cycle_position(params, a, b, e))
+                    assert flower_resistance(spec, u, v) == expected
