@@ -16,6 +16,8 @@ from flowergraphs import (
     cf_max_resistance,
     cf_resistance,
     complete_flower_spec,
+    flower_kemeny_exact,
+    flower_kirchhoff_exact,
     flower_resistance,
     kemeny_bounds,
     kirchhoff_bounds,
@@ -110,6 +112,23 @@ def test_sunflower_formulas_match_complete_at_three():
             assert d == n or cf_resistance(params, PairCase.BOTH_ASSOCIATED, d) == both
             assert cf_resistance(params, PairCase.ONE_ASSOCIATED, d) == one
             assert cf_resistance(params, PairCase.NEITHER, d) == neither
+
+
+def test_sunflower_examples():
+    params = CompleteFlowerParams(3, 3)
+    spec = complete_flower_spec(params)
+    assert cf_resistance(params, PairCase.BOTH_ASSOCIATED, 1) == Fraction(4, 9)
+    assert cf_resistance(params, PairCase.NEITHER, 2) == Fraction(10, 9)
+    assert cf_kirchhoff(params) == flower_kirchhoff_exact(spec) == Fraction(65, 6)
+    assert cf_kemeny(params) == flower_kemeny_exact(spec) == Fraction(14, 3)
+
+
+def test_sunflower_index_identities():
+    for n in range(3, 13):
+        params = CompleteFlowerParams(3, n)
+        spec = complete_flower_spec(params)
+        assert cf_kirchhoff(params) == flower_kirchhoff_exact(spec)
+        assert cf_kemeny(params) == flower_kemeny_exact(spec)
 
 
 CF_ORACLE_CASES = [(3, 3), (3, 5), (4, 4), (5, 3)]
