@@ -2,7 +2,7 @@
 
 Construct flowers from any connected base graph, evaluate pairwise effective
 resistance, Kirchhoff index and Kemeny's constant in exact rational
-arithmetic, and cross-check everything against a dense Laplacian solver.
+arithmetic, and cross-check everything against a banded Laplacian solver.
 """
 
 from .complete import (
@@ -49,7 +49,6 @@ from .graphs import (
     cycle_graph,
     format_edge_list,
     graph_from_edge_list,
-    laplacian,
     parse_edge_list,
     path_graph,
     petersen_graph,
@@ -106,7 +105,6 @@ __all__ = [
     "gs_resistance",
     "kemeny_bounds",
     "kirchhoff_bounds",
-    "laplacian",
     "locator",
     "max_diff_sequence",
     "max_resistance_search",

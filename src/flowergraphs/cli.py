@@ -14,14 +14,14 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from . import oracle
 from .complete import CompleteFlowerParams, complete_flower_spec
 from .cycle import CycleFlowerParams, cycle_flower_spec
 from .exact import format_rational
 from .flower import (
-    Flower,
     FlowerSpec,
     build_flower,
     flower_kemeny_exact,
@@ -57,16 +57,6 @@ class SweepRow:
     closed_form: str
     oracle: float
     abs_error: float
-
-
-@dataclass
-class _Instance:
-    """One flower of a verify or sweep grid with its exact and oracle indices."""
-
-    p: int | None
-    flower: Flower
-    # (quantity, closed form, oracle value) for the Kirchhoff index and Kemeny constant
-    indices: tuple[tuple[str, Fraction, float], ...]
 
 
 def _fmt_float(value: float) -> str:
@@ -147,13 +137,26 @@ def _flowers(args: argparse.Namespace, ms, ns, ps):
 def _resolve_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FlowerSpec:
     if args.n is None:
         parser.error("-n is required")
-    p = 1 if args.p is None else args.p
-    _, spec = next(_flowers(args, [args.m], [args.n], lambda m: [p]))
+
+    def ps(m: int) -> list[int]:
+        if args.p is None:
+            raise ValueError("-p is required for the cycle family")
+        return [args.p]
+
+    _, spec = next(_flowers(args, [args.m], [args.n], ps))
     return spec
 
 
+def _indices(spec: FlowerSpec, kirchhoff: float, kemeny: float):
+    """(quantity, closed form, oracle value) for the Kirchhoff index and Kemeny constant."""
+    return (
+        ("kirchhoff", flower_kirchhoff_exact(spec), kirchhoff),
+        ("kemeny", flower_kemeny_exact(spec), kemeny),
+    )
+
+
 def _grid(args: argparse.Namespace):
-    """Every flower of the verify/sweep grid with its exact and oracle indices.
+    """``(p, flower)`` for every flower of the verify/sweep grid.
 
     Cycle marked distances beyond ``m // 2`` are dropped per ``m``; a grid
     left with no flower raises ``ValueError`` once it is exhausted.
@@ -166,13 +169,7 @@ def _grid(args: argparse.Namespace):
     empty = True
     ms, ns = _parse_range("--m-range", args.m_range), _parse_range("--n-range", args.n_range)
     for p, spec in _flowers(args, ms, ns, ps):
-        flower = build_flower(spec)
-        kirchhoff, kemeny = oracle.numeric_indices(flower.graph)
-        indices = (
-            ("kirchhoff", flower_kirchhoff_exact(spec), kirchhoff),
-            ("kemeny", flower_kemeny_exact(spec), kemeny),
-        )
-        yield _Instance(p, flower, indices)
+        yield p, build_flower(spec)
         empty = False
     if empty:
         raise ValueError("the --m-range, --n-range and --p-range grid holds no flower")
@@ -248,13 +245,12 @@ def cmd_maxres(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     tol = _tolerance(args)
     failures = instances = pairs = 0
-    for instance in _grid(args):
+    for p, flower in _grid(args):
         instances += 1
-        flower = instance.flower
         spec = flower.spec
         tag = (
             f"family={args.family} m={spec.base.vertex_count} n={spec.n} "
-            f"p={'-' if instance.p is None else instance.p}"
+            f"p={'-' if p is None else p}"
         )
         matrix = oracle.resistance_matrix(flower.graph)
         locators = [flower.locator_of(i) for i in range(spec.vertex_count)]
@@ -270,7 +266,11 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                         f"FAIL {tag} pair={u.petal}:{u.base_vertex},{v.petal}:{v.base_vertex} "
                         f"expected={format_rational(expected)} observed={_fmt_float(observed)}"
                     )
-        for quantity, closed, observed in instance.indices:
+        # Both indices by their definitions, off the same matrix:
+        # Kf = sum_{i<j} R_ij and Kemeny = d^T R d / 4q.
+        degrees = np.asarray(flower.graph.degrees, dtype=float)
+        kemeny = float(degrees @ matrix @ degrees) / (4.0 * flower.graph.edge_count)
+        for quantity, closed, observed in _indices(spec, float(matrix.sum()) / 2.0, kemeny):
             if not oracle.values_close(float(closed), observed, abs_tol=tol):
                 failures += 1
                 print(
@@ -288,16 +288,17 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     rows = [
         SweepRow(
             family=args.family,
-            m=instance.flower.spec.base.vertex_count,
-            n=instance.flower.spec.n,
-            p=instance.p,
+            m=flower.spec.base.vertex_count,
+            n=flower.spec.n,
+            p=p,
             quantity=quantity,
             closed_form=format_rational(closed),
             oracle=observed,
             abs_error=abs(float(closed) - observed),
         )
-        for instance in _grid(args)
-        for quantity, closed, observed in instance.indices
+        for p, flower in _grid(args)
+        for quantity, closed, observed in _indices(
+            flower.spec, *oracle.numeric_indices(flower.graph))
     ]
     rows.sort(key=lambda row: (row.family, row.m, row.n, row.p or 0, row.quantity))
     if args.json:

@@ -8,8 +8,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 Edge = tuple[int, int]
 
 
@@ -138,17 +136,6 @@ def read_edge_list(path: str | Path) -> Graph:
 
 def format_edge_list(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian (degree matrix minus adjacency) as integers."""
-    lap = np.zeros((g.vertex_count, g.vertex_count), dtype=np.int64)
-    for u, v in g.edges:
-        lap[u, u] += 1
-        lap[v, v] += 1
-        lap[u, v] = -1
-        lap[v, u] = -1
-    return lap
 
 
 def path_graph(vertices: int) -> Graph:

@@ -236,8 +236,15 @@ def test_index_commands_build_no_dense_matrix(capsys, monkeypatch, argv):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense resistance matrix built")
 
+    solve = oracle.dpbtrs
+
+    def narrow_solve(factor, rhs, **kwargs):
+        # Against the identity, the solve would build the N x N Green matrix.
+        assert rhs.shape[1] <= 2, "dense resistance matrix built"
+        return solve(factor, rhs, **kwargs)
+
     monkeypatch.setattr(oracle, "resistance_matrix", forbidden)
-    monkeypatch.setattr(oracle, "dpotri", forbidden)
+    monkeypatch.setattr(oracle, "dpbtrs", narrow_solve)
     code, out = run(capsys, *argv)
     assert code == 0 and out
 
@@ -349,6 +356,16 @@ def test_option_of_another_family_exits_2(capsys, command, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{option} does not apply to the {command.split()[2]} family" in captured.err
+
+
+@pytest.mark.parametrize("command", ["gen", "resist", "kirchhoff", "kemeny", "bounds", "maxres"])
+def test_cycle_family_requires_p(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--family", "cycle", "-m", "6", "-n", "3"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-p is required for the cycle family" in captured.err
 
 
 def test_verify_generic_missing_base_exits_2(tmp_path, capsys):

@@ -13,13 +13,13 @@ from flowergraphs import (
     cycle_graph,
     format_edge_list,
     graph_from_edge_list,
-    laplacian,
     parse_edge_list,
     path_graph,
     petersen_graph,
 )
 
 from conftest import connected_graphs
+from dense_oracle import laplacian
 
 
 def test_triangle_from_edge_list():

@@ -1,6 +1,7 @@
 """The closed forms stay independent of the numeric oracle they are checked against,
-the oracle is the package's only LAPACK user, the package exports what it imports,
-and no source line is longer than 99 characters."""
+the oracle is the package's only LAPACK user and factors only through the banded
+``dpbtrf``, the package exports what it imports, and no source line is longer than
+99 characters."""
 
 from __future__ import annotations
 
@@ -17,6 +18,12 @@ CLOSED_FORM_MODULES = ("flower", "complete", "cycle", "separation", "exact")
 NUMERIC_MODULES = {"oracle", "numpy", "scipy"}
 NON_ORACLE_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "oracle")
 MAX_LINE_LENGTH = 99
+# LAPACK and scipy routines that factor a matrix, and those of the dense path.
+FACTORING_ROUTINES = {
+    "dpotrf", "dpbtrf", "dpptrf", "dpstrf", "dgetrf", "dgbtrf", "dsytrf",
+    "cholesky", "cholesky_banded", "cho_factor", "lu_factor", "ldl",
+}
+DENSE_ROUTINES = {"dpotrf", "dpotri", "dtrtri"}
 
 
 def imported_modules(source: str):
@@ -61,3 +68,21 @@ def test_no_line_is_longer_than_the_limit(module):
     lines = (PACKAGE / f"{module}.py").read_text().splitlines()
     long = [number for number, line in enumerate(lines, 1) if len(line) > MAX_LINE_LENGTH]
     assert not long, f"{module}.py lines {long} exceed {MAX_LINE_LENGTH} characters"
+
+
+def _called_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_the_oracle_factors_only_through_one_banded_cholesky():
+    source = (PACKAGE / "oracle.py").read_text()
+    tree = ast.parse(source)
+    factoring = [name for name in _called_names(tree) if name in FACTORING_ROUTINES]
+    assert factoring == ["dpbtrf"]
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {name.split(".")[-1] for name in imported_modules(source)}
+    assert not DENSE_ROUTINES & named

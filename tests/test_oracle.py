@@ -1,4 +1,5 @@
-"""Numeric resistance oracle: examples, metric contract, solver residuals."""
+"""Numeric resistance oracle: examples, the dense reference, metric contract,
+solver residuals, accuracy and memory at large N."""
 
 from __future__ import annotations
 
@@ -21,9 +22,11 @@ from flowergraphs import (
     complete_graph,
     cycle_flower_spec,
     cycle_graph,
+    flower_kemeny_exact,
+    flower_kirchhoff_exact,
+    flower_resistance,
     graph_from_edge_list,
     grounded_potentials,
-    laplacian,
     metric_violations,
     numeric_indices,
     path_graph,
@@ -34,7 +37,9 @@ from flowergraphs import (
 )
 from flowergraphs import oracle
 
+import dense_oracle as dense
 from conftest import connected_graphs, random_connected_graph
+from flower_reference import located_pairs
 
 
 def test_single_edge_resistance():
@@ -135,10 +140,10 @@ ENTRY_POINTS = {
     "grounded_potentials": lambda g: grounded_potentials(g, 1, 3),
 }
 FINISHING_CALLS = {
-    "numeric_indices": "dtrtri",
-    "resistance_matrix": "dpotri",
-    "resistance": "dpotrs",
-    "grounded_potentials": "dpotrs",
+    "numeric_indices": "dpbtrs",
+    "resistance_matrix": "dpbtrs",
+    "resistance": "dpbtrs",
+    "grounded_potentials": "dpbtrs",
 }
 
 
@@ -154,8 +159,8 @@ def _failing_lapack(name, info):
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_oracle_raises_when_the_factorization_fails(monkeypatch, entry):
-    monkeypatch.setattr(oracle, "dpotrf", _failing_lapack("dpotrf", 3))
-    with pytest.raises(np.linalg.LinAlgError, match="dpotrf failed: info=3"):
+    monkeypatch.setattr(oracle, "dpbtrf", _failing_lapack("dpbtrf", 3))
+    with pytest.raises(np.linalg.LinAlgError, match="dpbtrf failed: info=3"):
         ENTRY_POINTS[entry](cycle_graph(5))
 
 
@@ -175,6 +180,83 @@ def test_one_vertex_graph_has_empty_results_and_calls_no_lapack(capfd):
     assert np.array_equal(grounded_potentials(g, 0, 0), np.zeros(1))
     # LAPACK reports an illegal argument on stderr itself, below Python.
     assert capfd.readouterr().err == ""
+
+
+def _assert_banded_equals_dense(g):
+    """All four entry points agree with the dense Cholesky reference to 1e-12."""
+    close = {"rtol": 1e-12, "atol": 1e-12}
+    np.testing.assert_allclose(numeric_indices(g), dense.numeric_indices(g), **close)
+    np.testing.assert_allclose(resistance_matrix(g), dense.resistance_matrix(g), **close)
+    last = g.vertex_count - 1
+    for i, j in ((0, last), (last, last // 2), (last // 2, 0)):
+        np.testing.assert_allclose(
+            grounded_potentials(g, i, j), dense.grounded_potentials(g, i, j), **close)
+        np.testing.assert_allclose(resistance(g, i, j), dense.resistance(g, i, j), **close)
+
+
+@settings(max_examples=60)
+@given(connected_graphs(min_vertices=1))
+def test_banded_oracle_equals_the_dense_reference(g):
+    _assert_banded_equals_dense(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(1, frozenset()),
+        path_graph(2),
+        path_graph(9),
+        # Stars and bowties centred at 0 ground to isolated vertices or components.
+        graph_from_edge_list([(0, v) for v in range(1, 7)]),
+        graph_from_edge_list([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (4, 5)]),
+        build_flower(complete_flower_spec(CompleteFlowerParams(5, 20))).graph,
+        build_flower(cycle_flower_spec(CycleFlowerParams(8, 15, 3))).graph,
+        build_flower(FlowerSpec(petersen_graph(), 0, 2, 12)).graph,
+    ],
+    ids=["one-vertex", "edge", "path", "star", "bowtie", "K5-flower", "C8-flower",
+         "petersen-flower"],
+)
+def test_banded_oracle_equals_the_dense_reference_on_examples(g):
+    _assert_banded_equals_dense(g)
+
+
+@pytest.mark.parametrize("m,p,n", [(8, 4, 160), (8, 3, 200), (6, 3, 220)])
+def test_indices_within_rel_tol_on_large_cycle_flowers(m, p, n):
+    # The dense oracle's relative error passed REL_TOL = 1e-12 first at these sizes.
+    spec = cycle_flower_spec(CycleFlowerParams(m, n, p))
+    observed = numeric_indices(build_flower(spec).graph)
+    for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
+        assert abs(value - float(exact)) <= oracle.REL_TOL * float(exact)
+
+
+def test_resistance_matrix_within_1e_9_of_every_exact_pair_at_n_1960():
+    spec = cycle_flower_spec(CycleFlowerParams(8, 280, 4))
+    flower = build_flower(spec)
+    # R depends on the base vertices a, b and the petal step e only: one value each.
+    table = np.zeros((8, 8, spec.n))
+    for a, b, e, u, v in located_pairs(spec):
+        table[a, b, e] = float(flower_resistance(spec, u, v))
+    locators = [flower.locator_of(i) for i in range(spec.vertex_count)]
+    base = np.array([loc.base_vertex for loc in locators])
+    petal = np.array([loc.petal for loc in locators])
+    assert spec.vertex_count == 1960
+    matrix = resistance_matrix(flower.graph)
+    for rows in np.array_split(np.arange(spec.vertex_count), 8):
+        step = (petal[rows, None] - petal[None, :]) % spec.n
+        expected = table[base[rows, None], base[None, :], step]
+        assert np.abs(matrix[rows] - expected).max() <= 1e-9
+
+
+def test_numeric_indices_memory_is_linear_in_n():
+    g = build_flower(complete_flower_spec(CompleteFlowerParams(10, 200))).graph
+    tracemalloc.start()
+    try:
+        numeric_indices(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One grounded 1799 x 1799 float matrix alone is 25.9 MB.
+    assert peak < 2_000_000
 
 
 @settings(max_examples=40)
@@ -211,7 +293,7 @@ def test_solver_residual_contract():
         potentials = grounded_potentials(g, i, j)
         current = np.zeros(g.vertex_count)
         current[i], current[j] = 1.0, -1.0
-        residual = laplacian(g).astype(float) @ potentials - current
+        residual = dense.laplacian(g).astype(float) @ potentials - current
         assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(current)
 
 
