@@ -25,7 +25,6 @@ from .cycle import (
 )
 from .exact import format_rational
 from .flower import (
-    Flower,
     FlowerLocator,
     FlowerSpec,
     MaxResistance,
@@ -33,14 +32,12 @@ from .flower import (
     base_kirchhoff,
     base_resistance_table,
     build_flower,
-    canonical_locator,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
     flower_resistance,
     kemeny_bounds,
     kirchhoff_bounds,
     locator,
-    max_diff_sequence,
     max_resistance_search,
 )
 from .graphs import (
@@ -56,7 +53,6 @@ from .graphs import (
 )
 from .oracle import (
     grounded_potentials,
-    metric_violations,
     numeric_indices,
     resistance,
     resistance_matrix,
@@ -70,7 +66,6 @@ __all__ = [
     "CompleteFlowerParams",
     "CycleFlowerParams",
     "CyclePairPosition",
-    "Flower",
     "FlowerLocator",
     "FlowerSpec",
     "Graph",
@@ -81,7 +76,6 @@ __all__ = [
     "base_kirchhoff",
     "base_resistance_table",
     "build_flower",
-    "canonical_locator",
     "cf_kemeny",
     "cf_kirchhoff",
     "cf_max_resistance",
@@ -106,9 +100,7 @@ __all__ = [
     "kemeny_bounds",
     "kirchhoff_bounds",
     "locator",
-    "max_diff_sequence",
     "max_resistance_search",
-    "metric_violations",
     "numeric_indices",
     "parse_edge_list",
     "path_graph",

@@ -156,7 +156,7 @@ def _indices(spec: FlowerSpec, kirchhoff: float, kemeny: float):
 
 
 def _grid(args: argparse.Namespace):
-    """``(p, flower)`` for every flower of the verify/sweep grid.
+    """``(p, spec, graph)`` for every flower of the verify/sweep grid.
 
     Cycle marked distances beyond ``m // 2`` are dropped per ``m``; a grid
     left with no flower raises ``ValueError`` once it is exhausted.
@@ -169,7 +169,7 @@ def _grid(args: argparse.Namespace):
     empty = True
     ms, ns = _parse_range("--m-range", args.m_range), _parse_range("--n-range", args.n_range)
     for p, spec in _flowers(args, ms, ns, ps):
-        yield p, build_flower(spec)
+        yield p, spec, build_flower(spec)
         empty = False
     if empty:
         raise ValueError("the --m-range, --n-range and --p-range grid holds no flower")
@@ -177,7 +177,7 @@ def _grid(args: argparse.Namespace):
 
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     spec = _resolve_spec(args, parser)
-    text = format_edge_list(build_flower(spec).graph)
+    text = format_edge_list(build_flower(spec))
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -193,8 +193,7 @@ def cmd_resist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.pair is None:
         if args.exact:
             parser.error("--exact needs --pair; the full matrix comes only from the oracle")
-        flower = build_flower(spec)
-        matrix = oracle.resistance_matrix(flower.graph)
+        matrix = oracle.resistance_matrix(build_flower(spec))
         for row in matrix:
             print(" ".join(_fmt_float(value) for value in row))
         return 0
@@ -204,8 +203,7 @@ def cmd_resist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if show_exact:
         print(format_rational(flower_resistance(spec, u, v)))
     if show_oracle:
-        flower = build_flower(spec)
-        value = oracle.resistance(flower.graph, flower.label_of(pu, bu), flower.label_of(pv, bv))
+        value = oracle.resistance(build_flower(spec), spec.label_of(*u), spec.label_of(*v))
         print(_fmt_float(value))
     return 0
 
@@ -217,7 +215,7 @@ def _index_command(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         exact = flower_kirchhoff_exact(spec) if kirchhoff else flower_kemeny_exact(spec)
         print(format_rational(exact))
     if args.oracle or not args.exact:
-        kf, kem = oracle.numeric_indices(build_flower(spec).graph)
+        kf, kem = oracle.numeric_indices(build_flower(spec))
         print(_fmt_float(kf if kirchhoff else kem))
     return 0
 
@@ -245,15 +243,14 @@ def cmd_maxres(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     tol = _tolerance(args)
     failures = instances = pairs = 0
-    for p, flower in _grid(args):
+    for p, spec, graph in _grid(args):
         instances += 1
-        spec = flower.spec
         tag = (
             f"family={args.family} m={spec.base.vertex_count} n={spec.n} "
             f"p={'-' if p is None else p}"
         )
-        matrix = oracle.resistance_matrix(flower.graph)
-        locators = [flower.locator_of(i) for i in range(spec.vertex_count)]
+        matrix = oracle.resistance_matrix(graph)
+        locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
         pairs += len(locators) * (len(locators) - 1) // 2
         for i, u in enumerate(locators):
             for j in range(i + 1, len(locators)):
@@ -268,8 +265,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                     )
         # Both indices by their definitions, off the same matrix:
         # Kf = sum_{i<j} R_ij and Kemeny = d^T R d / 4q.
-        degrees = np.asarray(flower.graph.degrees, dtype=float)
-        kemeny = float(degrees @ matrix @ degrees) / (4.0 * flower.graph.edge_count)
+        degrees = np.asarray(graph.degrees, dtype=float)
+        kemeny = float(degrees @ matrix @ degrees) / (4.0 * graph.edge_count)
         for quantity, closed, observed in _indices(spec, float(matrix.sum()) / 2.0, kemeny):
             if not oracle.values_close(float(closed), observed, abs_tol=tol):
                 failures += 1
@@ -288,17 +285,16 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     rows = [
         SweepRow(
             family=args.family,
-            m=flower.spec.base.vertex_count,
-            n=flower.spec.n,
+            m=spec.base.vertex_count,
+            n=spec.n,
             p=p,
             quantity=quantity,
             closed_form=format_rational(closed),
             oracle=observed,
             abs_error=abs(float(closed) - observed),
         )
-        for p, flower in _grid(args)
-        for quantity, closed, observed in _indices(
-            flower.spec, *oracle.numeric_indices(flower.graph))
+        for p, spec, graph in _grid(args)
+        for quantity, closed, observed in _indices(spec, *oracle.numeric_indices(graph))
     ]
     rows.sort(key=lambda row: (row.family, row.m, row.n, row.p or 0, row.quantity))
     if args.json:

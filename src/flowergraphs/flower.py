@@ -5,11 +5,6 @@ A flower on base graph ``G`` with marked vertices ``x != y`` and petal count
 the ``x`` vertex of each petal with the ``y`` vertex of the next petal,
 cyclically.  The shared vertices are the "associated" vertices; everything
 else is an "outer" vertex of its petal.
-
-Construction convention used throughout this package: the junction between
-petal ``i`` and petal ``i + 1`` is petal ``i``'s copy of ``x`` and petal
-``i + 1``'s copy of ``y``.  Canonical locators always record a junction as
-vertex ``x`` of the lower-indexed petal.
 """
 
 from __future__ import annotations
@@ -18,13 +13,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .graphs import Graph, graph_from_edge_list
 
 
+class FlowerLocator(NamedTuple):
+    """Position of a flower vertex: petal index and base vertex."""
+
+    petal: int
+    base_vertex: int
+
+
 @dataclass(frozen=True)
 class FlowerSpec:
-    """Base graph, marked vertex pair and petal count defining one flower."""
+    """Base graph, marked vertex pair and petal count defining one flower.
+
+    The junction between petal ``i`` and petal ``i + 1`` is petal ``i``'s copy
+    of ``x`` and petal ``i + 1``'s copy of ``y`` (petal ``n``'s ``x`` is petal
+    1's ``y``), and a canonical locator records it as ``(i, x)``.  Petal ``i``
+    owns the labels ``(i - 1) * (m - 1) .. i * (m - 1) - 1``: its junction
+    first, then its base vertices other than ``x`` and ``y`` in ascending order.
+    """
 
     base: Graph
     x: int
@@ -57,82 +67,49 @@ class FlowerSpec:
             v for v in range(self.base.vertex_count) if v not in (self.x, self.y)
         )
 
+    def label_of(self, petal: int, base_vertex: int) -> int:
+        """The flower label of ``base_vertex`` inside ``petal``."""
+        petal, v = locator(self, petal, base_vertex)
+        offset = 0 if v == self.x else 1 + v - (v > self.x) - (v > self.y)
+        return (petal - 1) * self.block_size + offset
 
-@dataclass(frozen=True, order=True)
-class FlowerLocator:
-    """Position of a flower vertex: petal index, base vertex, junction flag."""
-
-    petal: int
-    base_vertex: int
-    is_associated: bool
-
-
-def canonical_locator(spec: FlowerSpec, loc: FlowerLocator) -> FlowerLocator:
-    """Normalize a locator so junctions read as vertex ``x`` of the lower petal."""
-    if not (1 <= loc.petal <= spec.n):
-        raise ValueError(f"petal {loc.petal} out of range 1..{spec.n}")
-    if not (0 <= loc.base_vertex < spec.base.vertex_count):
-        raise ValueError(f"base vertex {loc.base_vertex} out of range")
-    if loc.base_vertex == spec.y:
-        previous = (loc.petal - 2) % spec.n + 1
-        return FlowerLocator(previous, spec.x, True)
-    if loc.base_vertex == spec.x:
-        return FlowerLocator(loc.petal, spec.x, True)
-    return FlowerLocator(loc.petal, loc.base_vertex, False)
+    def locator_of(self, label: int) -> FlowerLocator:
+        """The canonical locator of flower label ``label``."""
+        if not (0 <= label < self.vertex_count):
+            raise ValueError(f"label {label} out of range")
+        petal, offset = divmod(label, self.block_size)
+        if offset == 0:
+            return FlowerLocator(petal + 1, self.x)
+        v = offset - 1
+        # Invert label_of's offset: step over each marked vertex at or below v.
+        for marked in sorted((self.x, self.y)):
+            v += v >= marked
+        return FlowerLocator(petal + 1, v)
 
 
 def locator(spec: FlowerSpec, petal: int, base_vertex: int) -> FlowerLocator:
-    """Build the canonical locator for ``base_vertex`` inside ``petal``."""
-    return canonical_locator(spec, FlowerLocator(petal, base_vertex, False))
+    """The canonical locator of ``base_vertex`` inside ``petal``: a junction
+    reads as vertex ``x`` of the previous petal, cyclically."""
+    if not (1 <= petal <= spec.n):
+        raise ValueError(f"petal {petal} out of range 1..{spec.n}")
+    if not (0 <= base_vertex < spec.base.vertex_count):
+        raise ValueError(f"base vertex {base_vertex} out of range")
+    if base_vertex == spec.y:
+        return FlowerLocator((petal - 2) % spec.n + 1, spec.x)
+    return FlowerLocator(petal, base_vertex)
 
 
-@dataclass(frozen=True)
-class Flower:
-    """A constructed flower graph together with its labelling."""
-
-    spec: FlowerSpec
-    graph: Graph
-
-    def label_of(self, petal: int, base_vertex: int) -> int:
-        loc = locator(self.spec, petal, base_vertex)
-        block = (loc.petal - 1) * self.spec.block_size
-        if loc.is_associated:
-            return block
-        outer = self.spec.outer_vertices()
-        return block + 1 + outer.index(loc.base_vertex)
-
-    def locator_of(self, label: int) -> FlowerLocator:
-        if not (0 <= label < self.spec.vertex_count):
-            raise ValueError(f"label {label} out of range")
-        petal, offset = divmod(label, self.spec.block_size)
-        petal += 1
-        if offset == 0:
-            return FlowerLocator(petal, self.spec.x, True)
-        return FlowerLocator(petal, self.spec.outer_vertices()[offset - 1], False)
-
-def build_flower(spec: FlowerSpec) -> Flower:
-    """Construct the flower graph with deterministic contiguous petal blocks.
-
-    Petal ``i`` occupies labels ``(i - 1) * (m - 1) .. i * (m - 1) - 1`` with
-    its junction first, then its non-marked base vertices in ascending order.
-    """
-    block = spec.block_size
-    outer = spec.outer_vertices()
-    outer_index = {v: off for off, v in enumerate(outer)}
-
-    def label(petal: int, base_vertex: int) -> int:
-        if base_vertex == spec.x:
-            return (petal - 1) * block
-        if base_vertex == spec.y:
-            return ((petal - 2) % spec.n) * block
-        return (petal - 1) * block + 1 + outer_index[base_vertex]
-
-    edges = [
-        (label(petal, a), label(petal, b))
-        for petal in range(1, spec.n + 1)
-        for a, b in sorted(spec.base.edges)
-    ]
-    return Flower(spec, graph_from_edge_list(edges))
+def build_flower(spec: FlowerSpec) -> Graph:
+    """The flower graph: petal 1 labelled by ``spec.label_of`` and petal ``i`` its
+    copy shifted by ``i - 1`` whole blocks, modulo the vertex count, so that
+    petal ``i``'s ``y`` lands on petal ``i - 1``'s ``x``."""
+    size, count = spec.block_size, spec.vertex_count
+    first = [(spec.label_of(1, a), spec.label_of(1, b)) for a, b in sorted(spec.base.edges)]
+    return graph_from_edge_list(
+        ((a + shift) % count, (b + shift) % count)
+        for shift in range(0, count, size)
+        for a, b in first
+    )
 
 
 @lru_cache(maxsize=64)
@@ -228,8 +205,7 @@ def flower_resistance(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> F
     Evaluates ``R_ab(e)`` on the canonical locators, with ``v`` ``e`` petals
     down the chain from ``u``.
     """
-    u = canonical_locator(spec, u)
-    v = canonical_locator(spec, v)
+    u, v = locator(spec, *u), locator(spec, *v)
     if u == v:
         return Fraction(0)
     det, k = _laplacian_solve(spec.base)
@@ -240,8 +216,7 @@ def flower_resistance(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> F
 
 def normalized_petal_separation(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> int:
     """Inclusive petal count between two locators, smaller orientation."""
-    u = canonical_locator(spec, u)
-    v = canonical_locator(spec, v)
+    u, v = locator(spec, *u), locator(spec, *v)
     if u.petal == v.petal:
         return 1
     d = (u.petal - v.petal) % spec.n + 1
@@ -274,7 +249,7 @@ def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
     reps = (x,) + spec.outer_vertices()
     best: tuple[int, tuple[FlowerLocator, FlowerLocator]] | None = None
     for a in reps:
-        u = FlowerLocator(1, a, a == x)
+        u = FlowerLocator(1, a)
         for b in reps:
             c = k[a][x] - k[a][y] - k[b][x] + k[b][y]
             below = (n * s + c) // (2 * s)
@@ -284,7 +259,7 @@ def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
             for e in steps:
                 value = _scaled_pair_resistance(spec, k, a, b, e)
                 # e petals down the chain from petal 1 is petal 1 - e (mod n).
-                v = FlowerLocator((1 - e) % n or n, b, b == x)
+                v = FlowerLocator((1 - e) % n or n, b)
                 pair = (u, v) if u <= v else (v, u)
                 if best is None or value > best[0] or (value == best[0] and pair < best[1]):
                     best = (value, pair)
@@ -293,26 +268,6 @@ def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
     return MaxResistance(
         Fraction(value, 4 * n * s * det), u, v, normalized_petal_separation(spec, u, v)
     )
-
-
-def max_diff_sequence(
-    base: Graph, x: int, y: int, n_from: int, n_to: int
-) -> list[Fraction]:
-    """Consecutive differences of the maximum resistance as petals are added.
-
-    Entry ``k`` is ``max(F_{n+1}) - max(F_n)`` for ``n = n_from + k``; the
-    sequence converges to a quarter of the base resistance between the marked
-    vertices.  Each maximum comes from the O(m^2) candidate search of
-    ``max_resistance_search``, so the cost does not grow with ``n``.
-    """
-    if n_from < 3:
-        raise ValueError("petal counts start at 3")
-    if n_to < n_from:
-        raise ValueError("empty range")
-    maxima = [
-        max_resistance_search(FlowerSpec(base, x, y, n)).value for n in range(n_from, n_to + 1)
-    ]
-    return [maxima[i + 1] - maxima[i] for i in range(len(maxima) - 1)]
 
 
 def kirchhoff_bounds(spec: FlowerSpec) -> tuple[Fraction, Fraction]:

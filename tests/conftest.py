@@ -1,9 +1,11 @@
-"""Shared helpers: random connected graphs and grids for oracle and metric tests."""
+"""Shared helpers: random connected graphs and grids for oracle and metric tests, and
+the metric contract a resistance matrix must satisfy."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 from flowergraphs import Graph, graph_from_edge_list
@@ -54,3 +56,34 @@ def connected_graphs(draw, max_vertices: int = 10, min_vertices: int = 2) -> Gra
         if u != v:
             edges.add(tuple(sorted((u, v))))
     return graph_from_edge_list(sorted(edges))
+
+
+def metric_violations(matrix: np.ndarray, tol: float = 1e-9) -> list[str]:
+    """Check the metric contract of a resistance matrix; return failure messages.
+
+    Verifies exact symmetry, zero diagonal, strictly positive off-diagonal
+    entries, and the triangle plus reverse triangle inequalities within ``tol``.
+    """
+    problems: list[str] = []
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        return [f"not square: shape {matrix.shape}"]
+    if not np.array_equal(matrix, matrix.T):
+        problems.append("matrix is not exactly symmetric")
+    if np.any(np.diag(matrix) != 0.0):
+        problems.append("diagonal is not identically zero")
+    off_diag = matrix[~np.eye(n, dtype=bool)]
+    if off_diag.size and off_diag.min() <= 0.0:
+        problems.append("nonpositive off-diagonal resistance")
+    # One row x at a time, so memory stays O(N^2):
+    # excess[y, z] = r(x, z) - r(x, y) - r(y, z)
+    # reverse[y, z] = |r(x, y) - r(y, z)| - r(x, z)
+    worst_excess = worst_reverse = -np.inf
+    for row in matrix:
+        worst_excess = max(worst_excess, (row[None, :] - row[:, None] - matrix).max())
+        worst_reverse = max(worst_reverse, (np.abs(row[:, None] - matrix) - row[None, :]).max())
+    if worst_excess > tol:
+        problems.append(f"triangle inequality violated by {worst_excess:.3e}")
+    if worst_reverse > tol:
+        problems.append(f"reverse triangle inequality violated by {worst_reverse:.3e}")
+    return problems

@@ -6,9 +6,12 @@ fraction-free integer elimination.  The flower indices are the direct
 O(m^2 n) definitions: the Kirchhoff index and Kemeny constant as sums of the
 closed-form pair resistance, and the maximum resistance as an exhaustive
 scan.  The library evaluates the same quantities in time independent of the
-petal count.  ``located_pairs`` lists the general formula's parameters
-``(a, b, e)``; ``complete_case`` and ``cycle_position`` map them to the
-parameters of the paper's complete- and cycle-base pair forms.
+petal count.  ``max_diff_sequence`` differences the library's maxima over a
+range of petal counts.  ``reference_flower`` labels every petal's vertices one
+by one, where the library shifts petal 1's labels by whole blocks.
+``located_pairs`` lists the general formula's parameters ``(a, b, e)``;
+``complete_case`` and ``cycle_position`` map them to the parameters of the
+paper's complete- and cycle-base pair forms.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from flowergraphs import (
     MaxResistance,
     PairCase,
     flower_resistance,
+    graph_from_edge_list,
+    max_resistance_search,
 )
 from flowergraphs.flower import normalized_petal_separation
 
@@ -53,12 +58,32 @@ def exact_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
+def reference_flower(spec: FlowerSpec) -> Graph:
+    """The flower built petal by petal: petal ``i``'s ``x`` is label ``(i - 1)(m - 1)``,
+    its ``y`` is petal ``i - 1``'s ``x`` and its outer vertices follow its junction."""
+    block = spec.block_size
+    outer_index = {v: off for off, v in enumerate(spec.outer_vertices())}
+
+    def label(petal: int, base_vertex: int) -> int:
+        if base_vertex == spec.x:
+            return (petal - 1) * block
+        if base_vertex == spec.y:
+            return ((petal - 2) % spec.n) * block
+        return (petal - 1) * block + 1 + outer_index[base_vertex]
+
+    return graph_from_edge_list(
+        (label(petal, a), label(petal, b))
+        for petal in range(1, spec.n + 1)
+        for a, b in sorted(spec.base.edges)
+    )
+
+
 def all_locators(spec: FlowerSpec) -> list[FlowerLocator]:
     outer = spec.outer_vertices()
     locs = []
     for petal in range(1, spec.n + 1):
-        locs.append(FlowerLocator(petal, spec.x, True))
-        locs.extend(FlowerLocator(petal, w, False) for w in outer)
+        locs.append(FlowerLocator(petal, spec.x))
+        locs.extend(FlowerLocator(petal, w) for w in outer)
     return locs
 
 
@@ -68,10 +93,10 @@ def located_pairs(spec: FlowerSpec):
     n, x = spec.n, spec.x
     reps = (x,) + spec.outer_vertices()
     for a in reps:
-        u = FlowerLocator(1, a, a == x)
+        u = FlowerLocator(1, a)
         for b in reps:
             for e in range(a == b, n):
-                yield a, b, e, u, FlowerLocator((1 - e) % n or n, b, b == x)
+                yield a, b, e, u, FlowerLocator((1 - e) % n or n, b)
 
 
 def complete_case(a: int, b: int, e: int, n: int) -> tuple[PairCase, int]:
@@ -146,7 +171,7 @@ def summed_kemeny(spec: FlowerSpec) -> Fraction:
     junction_degree = base.degree(spec.x) + base.degree(spec.y)
 
     def degree(loc: FlowerLocator) -> int:
-        return junction_degree if loc.is_associated else base.degree(loc.base_vertex)
+        return junction_degree if loc.base_vertex == spec.x else base.degree(loc.base_vertex)
 
     anchored = sum(
         (
@@ -157,3 +182,23 @@ def summed_kemeny(spec: FlowerSpec) -> Fraction:
     )
     # The flower has n * q_base edges; the rotation factor n cancels one n.
     return anchored / (4 * base.edge_count)
+
+
+def max_diff_sequence(
+    base: Graph, x: int, y: int, n_from: int, n_to: int
+) -> list[Fraction]:
+    """Consecutive differences of the maximum resistance as petals are added.
+
+    Entry ``k`` is ``max(F_{n+1}) - max(F_n)`` for ``n = n_from + k``; the
+    sequence converges to a quarter of the base resistance between the marked
+    vertices.  Each maximum comes from the O(m^2) candidate search of
+    ``max_resistance_search``, so the cost does not grow with ``n``.
+    """
+    if n_from < 3:
+        raise ValueError("petal counts start at 3")
+    if n_to < n_from:
+        raise ValueError("empty range")
+    maxima = [
+        max_resistance_search(FlowerSpec(base, x, y, n)).value for n in range(n_from, n_to + 1)
+    ]
+    return [maxima[i + 1] - maxima[i] for i in range(len(maxima) - 1)]

@@ -30,9 +30,7 @@ from flowergraphs import (
     gs_resistance,
     kemeny_bounds,
     kirchhoff_bounds,
-    max_diff_sequence,
     max_resistance_search,
-    metric_violations,
     numeric_indices,
     path_graph,
     petersen_graph,
@@ -40,8 +38,8 @@ from flowergraphs import (
     resistance_matrix,
 )
 
-from conftest import random_connected_graph
-from flower_reference import complete_case, cycle_position, located_pairs
+from conftest import metric_violations, random_connected_graph
+from flower_reference import complete_case, cycle_position, located_pairs, max_diff_sequence
 
 TOL = 1e-9
 
@@ -97,11 +95,11 @@ def test_criterion_2_generic_flower_theorem():
     for _, spec in _generic_specs():
         instances += 1
         flower = build_flower(spec)
-        matrix = resistance_matrix(flower.graph)
+        matrix = resistance_matrix(flower)
         for i in range(spec.vertex_count):
-            u = flower.locator_of(i)
+            u = spec.locator_of(i)
             for j in range(i + 1, spec.vertex_count):
-                value = flower_resistance(spec, u, flower.locator_of(j))
+                value = flower_resistance(spec, u, spec.locator_of(j))
                 worst = max(worst, abs(float(value) - matrix[i, j]))
     elapsed = time.perf_counter() - start
     ok = worst <= TOL and elapsed < 60.0
@@ -115,15 +113,16 @@ def test_criterion_3_complete_flower_closed_forms():
     for m in range(3, 7):
         for n in range(3, 9):
             params = CompleteFlowerParams(m, n)
-            flower = build_flower(complete_flower_spec(params))
-            matrix = resistance_matrix(flower.graph)
-            for a, b, e, _, v in located_pairs(flower.spec):
+            spec = complete_flower_spec(params)
+            flower = build_flower(spec)
+            matrix = resistance_matrix(flower)
+            for a, b, e, _, v in located_pairs(spec):
                 case, d = complete_case(a, b, e, n)
                 cases_seen.add(case)
                 value = cf_resistance(params, case, d)
-                observed = matrix[flower.label_of(1, a), flower.label_of(v.petal, b)]
+                observed = matrix[spec.label_of(1, a), spec.label_of(v.petal, b)]
                 worst = max(worst, abs(float(value) - observed))
-            kf, kem = numeric_indices(flower.graph)
+            kf, kem = numeric_indices(flower)
             worst = max(worst, abs(float(cf_kirchhoff(params)) - kf))
             worst = max(worst, abs(float(cf_kemeny(params)) - kem))
     exact_ok = (
@@ -131,7 +130,7 @@ def test_criterion_3_complete_flower_closed_forms():
         and cf_kemeny(CompleteFlowerParams(3, 3)) == Fraction(14, 3)
     )
     sunflower = build_flower(complete_flower_spec(CompleteFlowerParams(3, 3)))
-    kf, kem = numeric_indices(sunflower.graph)
+    kf, kem = numeric_indices(sunflower)
     oracle_ok = (
         abs(kf - float(Fraction(65, 6))) <= TOL and abs(kem - float(Fraction(14, 3))) <= TOL
     )
@@ -164,22 +163,23 @@ def test_criterion_5_cycle_flower_closed_forms():
         for p in range(1, m // 2 + 1):
             for n in range(3, 7):
                 params = CycleFlowerParams(m, n, p)
-                flower = build_flower(cycle_flower_spec(params))
-                matrix = resistance_matrix(flower.graph)
-                for a, b, e, _, v in located_pairs(flower.spec):
+                spec = cycle_flower_spec(params)
+                flower = build_flower(spec)
+                matrix = resistance_matrix(flower)
+                for a, b, e, _, v in located_pairs(spec):
                     pos = cycle_position(params, a, b, e)
                     kinds.add((pos.same_petal, pos.same_arc, pos.same_petal and pos.l == 0))
                     value = gs_resistance(params, pos)
-                    observed = matrix[flower.label_of(1, a), flower.label_of(v.petal, b)]
+                    observed = matrix[spec.label_of(1, a), spec.label_of(v.petal, b)]
                     worst = max(worst, abs(float(value) - observed))
-                kf, kem = numeric_indices(flower.graph)
+                kf, kem = numeric_indices(flower)
                 worst = max(worst, abs(float(gs_kirchhoff(params)) - kf))
                 worst = max(worst, abs(float(gs_kemeny(params)) - kem))
     identity_ok = all(
         gs_kirchhoff(CycleFlowerParams(3, n, 1)) == cf_kirchhoff(CompleteFlowerParams(3, n))
         for n in range(3, 13)
     )
-    kf, kem = numeric_indices(build_flower(cycle_flower_spec(CycleFlowerParams(4, 3, 2))).graph)
+    kf, kem = numeric_indices(build_flower(cycle_flower_spec(CycleFlowerParams(4, 3, 2))))
     confirmed = (
         gs_kirchhoff(CycleFlowerParams(4, 3, 2)) == 33
         and gs_kemeny(CycleFlowerParams(4, 3, 2)) == Fraction(53, 6)
@@ -241,7 +241,7 @@ def test_criterion_8_bounds():
             for n in range(3, 7):
                 specs.append(cycle_flower_spec(CycleFlowerParams(m, n, p)))
     for spec in specs:
-        kf, kem = numeric_indices(build_flower(spec).graph)
+        kf, kem = numeric_indices(build_flower(spec))
         kf_lo, kf_hi = kirchhoff_bounds(spec)
         kem_lo, kem_hi = kemeny_bounds(spec)
         if not (float(kf_lo) - TOL <= kf <= float(kf_hi) + TOL):

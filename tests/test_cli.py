@@ -45,7 +45,7 @@ def test_gen_round_trip(capsys):
     assert g.edge_count == 20
     # round trip reproduces the construction exactly, labels included
     params = CycleFlowerParams(5, 4, 2)
-    assert g == build_flower(cycle_flower_spec(params)).graph
+    assert g == build_flower(cycle_flower_spec(params))
 
 
 def test_gen_to_file(tmp_path, capsys):
@@ -445,6 +445,34 @@ def test_exact_output_is_pinned(tmp_path, monkeypatch, capsys, command, expected
     code, out = run(capsys, *command.split())
     assert code == 0
     assert out == expected
+
+
+# Exact `gen` stdout: every label of every petal must stay where it is, which a
+# round trip through `build_flower` alone cannot show.
+PINNED_GEN = [
+    (
+        "gen --family complete -m 4 -n 3",
+        "0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n1 2\n1 6\n2 6\n3 4\n3 5\n3 6\n3 7\n3 8\n4 5\n"
+        "6 7\n6 8\n7 8\n",
+    ),
+    (
+        "gen --family cycle -m 5 -n 4 -p 2",
+        "0 1\n0 3\n0 5\n0 6\n1 12\n2 3\n2 12\n4 5\n4 7\n4 9\n4 10\n6 7\n8 9\n8 11\n"
+        "8 13\n8 14\n10 11\n12 13\n12 15\n14 15\n",
+    ),
+    (
+        f"gen {HOUSE} -n 3",
+        "0 1\n0 3\n0 5\n0 6\n1 3\n1 8\n2 3\n2 8\n4 5\n4 7\n4 9\n4 10\n5 7\n6 7\n8 9\n"
+        "8 11\n9 11\n10 11\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,expected", PINNED_GEN, ids=["complete", "cycle", "generic"])
+def test_gen_output_is_pinned(tmp_path, monkeypatch, capsys, command, expected):
+    (tmp_path / "house.edges").write_text(HOUSE_EDGES)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *command.split()) == (0, expected)
 
 
 @pytest.mark.parametrize(

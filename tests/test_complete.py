@@ -97,7 +97,7 @@ def test_cf_kemeny_examples():
 @pytest.mark.parametrize("m,n", [(4, 3), (4, 4), (5, 3)])
 def test_cf_indices_match_oracle(m, n):
     params = CompleteFlowerParams(m, n)
-    kf, kem = numeric_indices(build_flower(complete_flower_spec(params)).graph)
+    kf, kem = numeric_indices(build_flower(complete_flower_spec(params)))
     assert abs(float(cf_kirchhoff(params)) - kf) <= 1e-9
     assert abs(float(cf_kemeny(params)) - kem) <= 1e-9
 
@@ -144,12 +144,12 @@ def test_cf_pair_resistance_matches_oracle_and_generic(m, n):
     params = CompleteFlowerParams(m, n)
     spec = complete_flower_spec(params)
     flower = build_flower(spec)
-    matrix = resistance_matrix(flower.graph) if (m, n) in CF_ORACLE_CASES else None
+    matrix = resistance_matrix(flower) if (m, n) in CF_ORACLE_CASES else None
     for a, b, e, u, v in located_pairs(spec):
         value = cf_resistance(params, *complete_case(a, b, e, n))
         assert value == flower_resistance(spec, u, v)
         if matrix is not None:
-            i, j = flower.label_of(1, a), flower.label_of(v.petal, b)
+            i, j = spec.label_of(1, a), spec.label_of(v.petal, b)
             assert abs(float(value) - matrix[i, j]) <= 1e-9
 
 

@@ -73,12 +73,12 @@ def test_gs_resistance_validates_positions():
 
 def test_gs_same_petal_different_arcs_against_oracle():
     params = CycleFlowerParams(6, 4, 3)  # both arcs have length 3
-    flower = build_flower(cycle_flower_spec(params))
-    matrix = resistance_matrix(flower.graph)
+    spec = cycle_flower_spec(params)
+    matrix = resistance_matrix(build_flower(spec))
     pos = cycle_position(params, 1, 5, 0)   # short-arc and long-arc interiors, offset 1
     assert pos.same_petal and not pos.same_arc
     value = gs_resistance(params, pos)
-    assert abs(float(value) - matrix[flower.label_of(1, 1), flower.label_of(1, 5)]) <= 1e-9
+    assert abs(float(value) - matrix[spec.label_of(1, 1), spec.label_of(1, 5)]) <= 1e-9
 
 
 def test_gs_swap_symmetry():
@@ -138,19 +138,19 @@ def test_gs_pair_resistance_matches_oracle_and_generic(m, n, p):
     params = CycleFlowerParams(m, n, p)
     spec = cycle_flower_spec(params)
     flower = build_flower(spec)
-    matrix = resistance_matrix(flower.graph) if (m, n, p) in GS_ORACLE_CASES else None
+    matrix = resistance_matrix(flower) if (m, n, p) in GS_ORACLE_CASES else None
     for a, b, e, u, v in located_pairs(spec):
         value = gs_resistance(params, cycle_position(params, a, b, e))
         assert value == flower_resistance(spec, u, v)
         if matrix is not None:
-            i, j = flower.label_of(1, a), flower.label_of(v.petal, b)
+            i, j = spec.label_of(1, a), spec.label_of(v.petal, b)
             assert abs(float(value) - matrix[i, j]) <= 1e-9
 
 
 @pytest.mark.parametrize("m,n,p", [(4, 3, 2), (5, 3, 2), (6, 4, 2)])
 def test_gs_indices_match_oracle(m, n, p):
     params = CycleFlowerParams(m, n, p)
-    kf, kem = numeric_indices(build_flower(cycle_flower_spec(params)).graph)
+    kf, kem = numeric_indices(build_flower(cycle_flower_spec(params)))
     assert abs(float(gs_kirchhoff(params)) - kf) <= 1e-9
     assert abs(float(gs_kemeny(params)) - kem) <= 1e-9
 

@@ -16,7 +16,6 @@ from flowergraphs import (
     base_kirchhoff,
     base_resistance_table,
     build_flower,
-    canonical_locator,
     complete_graph,
     compose_two_sep,
     cycle_graph,
@@ -27,7 +26,6 @@ from flowergraphs import (
     kemeny_bounds,
     kirchhoff_bounds,
     locator,
-    max_diff_sequence,
     max_resistance_search,
     numeric_indices,
     path_graph,
@@ -38,11 +36,19 @@ from flowergraphs import (
 from flowergraphs.flower import _laplacian_solve
 
 from conftest import connected_graphs, grid_graph, random_connected_graph
-from flower_reference import exact_resistance_table
+from flower_reference import exact_resistance_table, max_diff_sequence, reference_flower
 
 
 def k3_spec(n: int) -> FlowerSpec:
     return FlowerSpec(complete_graph(3), 0, 1, n)
+
+
+@st.composite
+def flower_specs(draw, max_vertices: int = 6, max_petals: int = 5) -> FlowerSpec:
+    base = draw(connected_graphs(max_vertices))
+    x = draw(st.integers(0, base.vertex_count - 1))
+    y = draw(st.integers(0, base.vertex_count - 2))
+    return FlowerSpec(base, x, y + (y >= x), draw(st.integers(3, max_petals)))
 
 
 # ---------------------------------------------------------------- construction
@@ -50,58 +56,70 @@ def k3_spec(n: int) -> FlowerSpec:
 
 def test_build_triangle_flower_counts():
     flower = build_flower(k3_spec(3))
-    assert flower.graph.vertex_count == 6
-    assert flower.graph.edge_count == 9
-    assert sorted(flower.graph.degrees) == [2, 2, 2, 4, 4, 4]
+    assert flower.vertex_count == 6
+    assert flower.edge_count == 9
+    assert sorted(flower.degrees) == [2, 2, 2, 4, 4, 4]
 
 
 def test_flower_of_single_edge_is_a_cycle():
     for n in (3, 5, 8):
         flower = build_flower(FlowerSpec(path_graph(2), 0, 1, n))
-        assert flower.graph == cycle_graph(n)
+        assert flower == cycle_graph(n)
 
 
 def test_build_cycle_flower_counts():
     flower = build_flower(FlowerSpec(cycle_graph(6), 0, 2, 4))
-    assert flower.graph.vertex_count == 20
-    assert flower.graph.edge_count == 24
+    assert flower.vertex_count == 20
+    assert flower.edge_count == 24
 
 
 def test_junction_degree_is_sum_of_marked_degrees():
     base = path_graph(3)
-    flower = build_flower(FlowerSpec(base, 0, 2, 4))
-    junction = flower.label_of(1, 0)
-    assert flower.graph.degree(junction) == base.degree(0) + base.degree(2)
+    spec = FlowerSpec(base, 0, 2, 4)
+    flower = build_flower(spec)
+    junction = spec.label_of(1, 0)
+    assert flower.degree(junction) == base.degree(0) + base.degree(2)
 
 
 def test_labeling_is_a_bijection_with_contiguous_blocks():
     spec = FlowerSpec(complete_graph(4), 0, 1, 5)
-    flower = build_flower(spec)
     seen = set()
     for petal in range(1, 6):
         for v in range(4):
-            seen.add(flower.label_of(petal, v))
+            seen.add(spec.label_of(petal, v))
     assert seen == set(range(spec.vertex_count))
     # petal blocks are contiguous with the junction first
     for petal in range(1, 6):
-        block = [flower.label_of(petal, v) for v in (0, 2, 3)]
+        block = [spec.label_of(petal, v) for v in (0, 2, 3)]
         assert block == [(petal - 1) * 3, (petal - 1) * 3 + 1, (petal - 1) * 3 + 2]
 
 
 def test_locator_round_trip():
     spec = FlowerSpec(cycle_graph(5), 0, 2, 4)
-    flower = build_flower(spec)
     for label in range(spec.vertex_count):
-        loc = flower.locator_of(label)
-        assert flower.label_of(loc.petal, loc.base_vertex) == label
+        loc = spec.locator_of(label)
+        assert spec.label_of(loc.petal, loc.base_vertex) == label
 
 
-def test_shared_vertex_canonicalizes_to_lower_petal():
-    spec = k3_spec(4)
-    as_y = canonical_locator(spec, FlowerLocator(2, 1, False))
-    assert as_y == FlowerLocator(1, 0, True)
-    wraparound = canonical_locator(spec, FlowerLocator(1, 1, False))
-    assert wraparound == FlowerLocator(4, 0, True)
+@example(k3_spec(4))
+@given(flower_specs())
+def test_label_map_matches_the_reference_construction(spec):
+    """``build_flower`` equals the petal-by-petal reference, ``label_of`` and
+    ``locator_of`` are inverse bijections between the labels and the canonical
+    locators, a junction reads as ``x`` of the previous petal, and shifting every
+    label by one block maps the edge set onto itself."""
+    n, size, count = spec.n, spec.block_size, spec.vertex_count
+    graph = build_flower(spec)
+    assert graph == reference_flower(spec)
+    locators = [spec.locator_of(label) for label in range(count)]
+    assert [spec.label_of(*loc) for loc in locators] == list(range(count))
+    assert all(locator(spec, *loc) == loc for loc in locators)
+    for petal in range(1, n + 1):
+        assert locator(spec, petal, spec.y) == ((petal - 2) % n + 1, spec.x)
+        for v in range(spec.base.vertex_count):
+            assert spec.locator_of(spec.label_of(petal, v)) == locator(spec, petal, v)
+    shifted = {tuple(sorted(((a + size) % count, (b + size) % count))) for a, b in graph.edges}
+    assert shifted == graph.edges
 
 
 def test_spec_validation():
@@ -112,14 +130,6 @@ def test_spec_validation():
 
 
 # ------------------------------------------------------ the resistance formula
-
-
-@st.composite
-def flower_specs(draw, max_vertices: int = 6, max_petals: int = 5) -> FlowerSpec:
-    base = draw(connected_graphs(max_vertices))
-    x = draw(st.integers(0, base.vertex_count - 1))
-    y = draw(st.integers(0, base.vertex_count - 2))
-    return FlowerSpec(base, x, y + (y >= x), draw(st.integers(3, max_petals)))
 
 
 def petal_chain(spec: FlowerSpec, k: int):
@@ -157,8 +167,7 @@ def test_flower_resistance_is_the_two_separator_rule(spec):
         label = chains[k - 1][1]
         return tables[k - 1][label(0, x)][label(k - 1, y)]
 
-    flower = build_flower(spec)
-    locators = [flower.locator_of(i) for i in range(spec.vertex_count)]
+    locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
     for u in locators:
         for v in locators:
             if u == v:
@@ -200,9 +209,9 @@ def test_cross_formula_rejects_bad_inputs():
     spec = k3_spec(3)
     outer = locator(spec, 1, 2)
     with pytest.raises(ValueError, match="out of range"):
-        flower_resistance(spec, FlowerLocator(0, 2, False), outer)
+        flower_resistance(spec, FlowerLocator(0, 2), outer)
     with pytest.raises(ValueError, match="out of range"):
-        flower_resistance(spec, outer, FlowerLocator(4, 2, False))
+        flower_resistance(spec, outer, FlowerLocator(4, 2))
 
 
 @settings(max_examples=40)
@@ -212,14 +221,13 @@ def test_cross_orientation_invariance(spec):
     x and y, which reverses the petal order) leaves every value unchanged."""
     n = spec.n
     mirror = FlowerSpec(spec.base, spec.y, spec.x, n)
-    flower = build_flower(spec)
-    locators = [flower.locator_of(i) for i in range(spec.vertex_count)]
+    locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
     for u in locators:
-        mirrored_u = FlowerLocator(n + 1 - u.petal, u.base_vertex, False)
+        mirrored_u = FlowerLocator(n + 1 - u.petal, u.base_vertex)
         for v in locators:
             value = flower_resistance(spec, u, v)
             assert flower_resistance(spec, v, u) == value
-            mirrored_v = FlowerLocator(n + 1 - v.petal, v.base_vertex, False)
+            mirrored_v = FlowerLocator(n + 1 - v.petal, v.base_vertex)
             assert flower_resistance(mirror, mirrored_u, mirrored_v) == value
 
 
@@ -314,10 +322,10 @@ def test_resistance_of_vertex_with_itself_is_zero():
 def test_flower_resistance_matches_oracle(base, x, y, n):
     spec = FlowerSpec(base, x, y, n)
     flower = build_flower(spec)
-    matrix = resistance_matrix(flower.graph)
+    matrix = resistance_matrix(flower)
     for i in range(spec.vertex_count):
         for j in range(i + 1, spec.vertex_count):
-            closed = flower_resistance(spec, flower.locator_of(i), flower.locator_of(j))
+            closed = flower_resistance(spec, spec.locator_of(i), spec.locator_of(j))
             assert abs(float(closed) - matrix[i, j]) <= 1e-9
 
 
@@ -412,7 +420,7 @@ def test_kemeny_bound_triangle_base():
 )
 def test_bounds_bracket_oracle(base, x, y, n):
     spec = FlowerSpec(base, x, y, n)
-    kf, kem = numeric_indices(build_flower(spec).graph)
+    kf, kem = numeric_indices(build_flower(spec))
     kf_lo, kf_hi = kirchhoff_bounds(spec)
     assert float(kf_lo) - 1e-9 <= kf <= float(kf_hi) + 1e-9
     kem_lo, kem_hi = kemeny_bounds(spec)
@@ -476,7 +484,7 @@ def test_solve_integers_are_the_table_times_the_tree_count(g):
 
 def test_exact_index_sums_match_oracle():
     spec = FlowerSpec(path_graph(3), 0, 2, 4)
-    kf, kem = numeric_indices(build_flower(spec).graph)
+    kf, kem = numeric_indices(build_flower(spec))
     assert abs(float(flower_kirchhoff_exact(spec)) - kf) <= 1e-9
     assert abs(float(flower_kemeny_exact(spec)) - kem) <= 1e-9
 

@@ -1,7 +1,7 @@
 """The closed forms stay independent of the numeric oracle they are checked against,
 the oracle is the package's only LAPACK user and factors only through the banded
-``dpbtrf``, the package exports what it imports, and no source line is longer than
-99 characters."""
+``dpbtrf``, only ``FlowerSpec`` and ``build_flower`` know the petal block size, the
+package exports what it imports, and no source line is longer than 99 characters."""
 
 from __future__ import annotations
 
@@ -86,3 +86,15 @@ def test_the_oracle_factors_only_through_one_banded_cholesky():
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     named |= {name.split(".")[-1] for name in imported_modules(source)}
     assert not DENSE_ROUTINES & named
+
+
+def test_only_the_spec_and_the_builder_read_the_block_size():
+    """The petal <-> label map lives in ``FlowerSpec``; ``build_flower`` only shifts
+    petal 1's labels by whole blocks."""
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "block_size":
+                    readers.add((path.stem, getattr(top, "name", None)))
+    assert readers <= {("flower", "FlowerSpec"), ("flower", "build_flower")}

@@ -27,7 +27,6 @@ from flowergraphs import (
     flower_resistance,
     graph_from_edge_list,
     grounded_potentials,
-    metric_violations,
     numeric_indices,
     path_graph,
     petersen_graph,
@@ -38,7 +37,7 @@ from flowergraphs import (
 from flowergraphs import oracle
 
 import dense_oracle as dense
-from conftest import connected_graphs, random_connected_graph
+from conftest import connected_graphs, metric_violations, random_connected_graph
 from flower_reference import located_pairs
 
 
@@ -91,14 +90,14 @@ def test_resistance_matrix_path():
 def test_kirchhoff_examples():
     assert numeric_indices(complete_graph(3))[0] == pytest.approx(2.0, abs=1e-12)
     assert numeric_indices(path_graph(2))[0] == pytest.approx(1.0, abs=1e-12)
-    sunflower = build_flower(complete_flower_spec(CompleteFlowerParams(3, 3))).graph
+    sunflower = build_flower(complete_flower_spec(CompleteFlowerParams(3, 3)))
     assert numeric_indices(sunflower)[0] == pytest.approx(float(Fraction(65, 6)), abs=1e-9)
 
 
 def test_kemeny_examples():
     assert numeric_indices(complete_graph(3))[1] == pytest.approx(4 / 3, abs=1e-12)
     assert numeric_indices(path_graph(2))[1] == pytest.approx(0.5, abs=1e-12)
-    sunflower = build_flower(complete_flower_spec(CompleteFlowerParams(3, 3))).graph
+    sunflower = build_flower(complete_flower_spec(CompleteFlowerParams(3, 3)))
     assert numeric_indices(sunflower)[1] == pytest.approx(float(Fraction(14, 3)), abs=1e-9)
 
 
@@ -130,7 +129,7 @@ def test_numeric_indices_equal_the_matrix_sums(g):
     ids=lambda spec: f"m{spec.base.vertex_count}-n{spec.n}-x{spec.x}-y{spec.y}",
 )
 def test_numeric_indices_equal_the_matrix_sums_on_flowers(spec):
-    _assert_indices_match_definitions(build_flower(spec).graph)
+    _assert_indices_match_definitions(build_flower(spec))
 
 
 ENTRY_POINTS = {
@@ -209,9 +208,9 @@ def test_banded_oracle_equals_the_dense_reference(g):
         # Stars and bowties centred at 0 ground to isolated vertices or components.
         graph_from_edge_list([(0, v) for v in range(1, 7)]),
         graph_from_edge_list([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (4, 5)]),
-        build_flower(complete_flower_spec(CompleteFlowerParams(5, 20))).graph,
-        build_flower(cycle_flower_spec(CycleFlowerParams(8, 15, 3))).graph,
-        build_flower(FlowerSpec(petersen_graph(), 0, 2, 12)).graph,
+        build_flower(complete_flower_spec(CompleteFlowerParams(5, 20))),
+        build_flower(cycle_flower_spec(CycleFlowerParams(8, 15, 3))),
+        build_flower(FlowerSpec(petersen_graph(), 0, 2, 12)),
     ],
     ids=["one-vertex", "edge", "path", "star", "bowtie", "K5-flower", "C8-flower",
          "petersen-flower"],
@@ -224,7 +223,7 @@ def test_banded_oracle_equals_the_dense_reference_on_examples(g):
 def test_indices_within_rel_tol_on_large_cycle_flowers(m, p, n):
     # The dense oracle's relative error passed REL_TOL = 1e-12 first at these sizes.
     spec = cycle_flower_spec(CycleFlowerParams(m, n, p))
-    observed = numeric_indices(build_flower(spec).graph)
+    observed = numeric_indices(build_flower(spec))
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
         assert abs(value - float(exact)) <= oracle.REL_TOL * float(exact)
 
@@ -236,11 +235,11 @@ def test_resistance_matrix_within_1e_9_of_every_exact_pair_at_n_1960():
     table = np.zeros((8, 8, spec.n))
     for a, b, e, u, v in located_pairs(spec):
         table[a, b, e] = float(flower_resistance(spec, u, v))
-    locators = [flower.locator_of(i) for i in range(spec.vertex_count)]
+    locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
     base = np.array([loc.base_vertex for loc in locators])
     petal = np.array([loc.petal for loc in locators])
     assert spec.vertex_count == 1960
-    matrix = resistance_matrix(flower.graph)
+    matrix = resistance_matrix(flower)
     for rows in np.array_split(np.arange(spec.vertex_count), 8):
         step = (petal[rows, None] - petal[None, :]) % spec.n
         expected = table[base[rows, None], base[None, :], step]
@@ -248,7 +247,7 @@ def test_resistance_matrix_within_1e_9_of_every_exact_pair_at_n_1960():
 
 
 def test_numeric_indices_memory_is_linear_in_n():
-    g = build_flower(complete_flower_spec(CompleteFlowerParams(10, 200))).graph
+    g = build_flower(complete_flower_spec(CompleteFlowerParams(10, 200)))
     tracemalloc.start()
     try:
         numeric_indices(g)

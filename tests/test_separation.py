@@ -112,16 +112,16 @@ def test_two_sep_reproduces_whole_graph_oracle():
 
 def test_two_sep_matches_flower_petal_split():
     # Peeling one petal off a three-petal triangle flower along its junctions.
-    flower = build_flower(complete_flower_spec(CompleteFlowerParams(3, 3)))
-    g = flower.graph
-    i, j = flower.label_of(1, 0), flower.label_of(1, 1)
+    spec = complete_flower_spec(CompleteFlowerParams(3, 3))
+    g = build_flower(spec)
+    i, j = spec.label_of(1, 0), spec.label_of(1, 1)
     petal = graph_from_edge_list([(0, 1), (1, 2), (0, 2)])
-    rest_edges = sorted(e for e in g.edges if not (set(e) <= {i, j, flower.label_of(1, 2)}))
+    rest_edges = sorted(e for e in g.edges if not (set(e) <= {i, j, spec.label_of(1, 2)}))
     # Relabel the remaining two petals to dense labels.
     labels = sorted({w for e in rest_edges for w in e})
     relabel = {old: new for new, old in enumerate(labels)}
     rest = graph_from_edge_list([(relabel[a], relabel[b]) for a, b in rest_edges])
-    outer = flower.label_of(1, 2)
+    outer = spec.label_of(1, 2)
     bundle = TwoSepBundle(
         r1_uv=resistance(petal, 2, 0),
         r1_ui=resistance(petal, 2, 0),
