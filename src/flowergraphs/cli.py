@@ -1,19 +1,19 @@
 """Command-line front end: build flowers, evaluate closed forms, verify against
 the numeric oracle, and export sweep results as CSV or JSON.
 
-The family options only choose which flowers a command builds; every exact
-value comes from the general-base formulas in ``flower``."""
+Single-flower commands share one option set and ``verify``/``sweep`` share the
+range set, each registered once as an argparse parent.  ``_flowers`` alone turns
+either set into flower specs; every exact value comes from the general-base
+formulas in ``flower``."""
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,29 +34,17 @@ from .flower import (
 )
 from .graphs import format_edge_list, read_edge_list
 
-DEFAULT_TOL = 1e-9
 FAMILIES = ("generic", "complete", "cycle")
 # (attribute, option, families it applies to) for each family option without a default
 _FAMILY_OPTIONS = (
     ("m", "-m", ("complete", "cycle")),
+    ("m_range", "--m-range", ("complete", "cycle")),
     ("p", "-p", ("cycle",)),
     ("p_range", "--p-range", ("cycle",)),
     ("base", "--base", ("generic",)),
     ("x", "--x", ("generic",)),
     ("y", "--y", ("generic",)),
 )
-
-
-@dataclass
-class SweepRow:
-    family: str
-    m: int
-    n: int
-    p: int | None
-    quantity: str
-    closed_form: str
-    oracle: float
-    abs_error: float
 
 
 def _fmt_float(value: float) -> str:
@@ -83,18 +71,8 @@ def _parse_locator(text: str) -> tuple[int, int]:
         raise ValueError(f"locator must look like petal:basevertex, got {text!r}") from exc
 
 
-def _add_family_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=FAMILIES, required=True)
-    parser.add_argument("-m", type=int, help="base size for complete/cycle families")
-    parser.add_argument("-n", type=int, help="petal count")
-    parser.add_argument("-p", type=int, help="marked-pair distance for cycle bases")
-    parser.add_argument("--base", help="edge-list file for the generic family")
-    parser.add_argument("--x", type=int, help="first marked vertex (generic)")
-    parser.add_argument("--y", type=int, help="second marked vertex (generic)")
-
-
 def _tolerance(args: argparse.Namespace) -> float:
-    env = os.environ.get("FLOWER_TOL", DEFAULT_TOL)
+    env = os.environ.get("FLOWER_TOL", oracle.DEFAULT_TOL)
     try:
         tol = args.tol if args.tol is not None else float(env)
     except ValueError as exc:
@@ -104,15 +82,26 @@ def _tolerance(args: argparse.Namespace) -> float:
     return tol
 
 
-def _flowers(args: argparse.Namespace, ms, ns, ps):
+def _flowers(args: argparse.Namespace):
     """Yield ``(p, spec)`` for every flower a command covers.
 
-    This is the only place the family matters.  Complete flowers take each
-    ``m`` in ``ms`` and ``n`` in ``ns``; cycles also each ``p`` in ``ps(m)``;
-    generic flowers take each ``n`` on the ``--base`` edge list with marked
-    vertices ``--x`` and ``--y``.  ``p`` is None for the families without one.
-    An option given to a family it does not apply to raises ``ValueError``.
+    This is the only reader of the family options.  A single-flower command
+    gives one flower from ``-m``, ``-n`` and, for cycles, ``-p``.  ``verify`` and
+    ``sweep`` give every ``m`` in ``--m-range`` (default 3:5) and ``n`` in
+    ``--n-range``; cycles also every ``p`` in ``--p-range`` (default 1 to m - 1)
+    up to ``m // 2``.  Generic flowers take each ``n`` on the ``--base`` edge list
+    with marked vertices ``--x`` and ``--y``.  ``p`` is None for the families
+    without one.  A missing option, a bad range or an option given to a family
+    it does not apply to raises ``ValueError``.
     """
+    grid = hasattr(args, "n_range")
+    if grid:
+        ms = _parse_range("--m-range", "3:5" if args.m_range is None else args.m_range)
+        ns = _parse_range("--n-range", args.n_range)
+    elif args.n is None:
+        raise ValueError("-n is required")
+    else:
+        ms, ns = [args.m], [args.n]
     for attribute, option, families in _FAMILY_OPTIONS:
         if getattr(args, attribute, None) is not None and args.family not in families:
             raise ValueError(f"{option} does not apply to the {args.family} family")
@@ -123,6 +112,15 @@ def _flowers(args: argparse.Namespace, ms, ns, ps):
         for n in ns:
             yield None, FlowerSpec(base, args.x, args.y, n)
         return
+
+    def distances(m: int):
+        if not grid:
+            if args.p is None:
+                raise ValueError("-p is required for the cycle family")
+            return [args.p]
+        span = range(1, m) if args.p_range is None else _parse_range("--p-range", args.p_range)
+        return range(span.start, min(span.stop, m // 2 + 1))
+
     for m in ms:
         if m is None:
             raise ValueError(f"-m is required for the {args.family} family")
@@ -130,21 +128,8 @@ def _flowers(args: argparse.Namespace, ms, ns, ps):
             if args.family == "complete":
                 yield None, complete_flower_spec(CompleteFlowerParams(m, n))
             else:
-                for p in ps(m):
+                for p in distances(m):
                     yield p, cycle_flower_spec(CycleFlowerParams(m, n, p))
-
-
-def _resolve_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FlowerSpec:
-    if args.n is None:
-        parser.error("-n is required")
-
-    def ps(m: int) -> list[int]:
-        if args.p is None:
-            raise ValueError("-p is required for the cycle family")
-        return [args.p]
-
-    _, spec = next(_flowers(args, [args.m], [args.n], ps))
-    return spec
 
 
 def _indices(spec: FlowerSpec, kirchhoff: float, kemeny: float):
@@ -156,19 +141,10 @@ def _indices(spec: FlowerSpec, kirchhoff: float, kemeny: float):
 
 
 def _grid(args: argparse.Namespace):
-    """``(p, spec, graph)`` for every flower of the verify/sweep grid.
-
-    Cycle marked distances beyond ``m // 2`` are dropped per ``m``; a grid
-    left with no flower raises ``ValueError`` once it is exhausted.
-    """
-
-    def ps(m: int) -> range:
-        span = range(1, m) if args.p_range is None else _parse_range("--p-range", args.p_range)
-        return range(span.start, min(span.stop, m // 2 + 1))
-
+    """``(p, spec, graph)`` for every flower of the verify/sweep grid; a grid left
+    with no flower raises ``ValueError`` once it is exhausted."""
     empty = True
-    ms, ns = _parse_range("--m-range", args.m_range), _parse_range("--n-range", args.n_range)
-    for p, spec in _flowers(args, ms, ns, ps):
+    for p, spec in _flowers(args):
         yield p, spec, build_flower(spec)
         empty = False
     if empty:
@@ -176,7 +152,7 @@ def _grid(args: argparse.Namespace):
 
 
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    spec = _resolve_spec(args, parser)
+    _, spec = next(_flowers(args))
     text = format_edge_list(build_flower(spec))
     if args.output:
         with open(args.output, "w") as handle:
@@ -187,7 +163,7 @@ def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_resist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    spec = _resolve_spec(args, parser)
+    _, spec = next(_flowers(args))
     show_exact = args.exact or not args.oracle
     show_oracle = args.oracle or not args.exact
     if args.pair is None:
@@ -209,7 +185,7 @@ def cmd_resist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _index_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    spec = _resolve_spec(args, parser)
+    _, spec = next(_flowers(args))
     kirchhoff = args.quantity == "kirchhoff"
     if args.exact or not args.oracle:
         exact = flower_kirchhoff_exact(spec) if kirchhoff else flower_kemeny_exact(spec)
@@ -221,7 +197,7 @@ def _index_command(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    spec = _resolve_spec(args, parser)
+    _, spec = next(_flowers(args))
     (kf_lo, kf_hi), (kem_lo, kem_hi) = kirchhoff_bounds(spec), kemeny_bounds(spec)
     kf, kem = flower_kirchhoff_exact(spec), flower_kemeny_exact(spec)
     print(f"kirchhoff {format_rational(kf_lo)} {format_rational(kf_hi)} {format_rational(kf)}")
@@ -230,7 +206,7 @@ def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_maxres(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    spec = _resolve_spec(args, parser)
+    _, spec = next(_flowers(args))
     result = max_resistance_search(spec)
     print(
         f"u={result.u.petal}:{result.u.base_vertex} "
@@ -283,40 +259,21 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     rows = [
-        SweepRow(
-            family=args.family,
-            m=spec.base.vertex_count,
-            n=spec.n,
-            p=p,
-            quantity=quantity,
-            closed_form=format_rational(closed),
-            oracle=observed,
-            abs_error=abs(float(closed) - observed),
-        )
+        dict(family=args.family, m=spec.base.vertex_count, n=spec.n, p=p, quantity=quantity,
+             closed_form=format_rational(closed), oracle=observed,
+             abs_error=abs(float(closed) - observed))
         for p, spec, graph in _grid(args)
         for quantity, closed, observed in _indices(spec, *oracle.numeric_indices(graph))
     ]
-    rows.sort(key=lambda row: (row.family, row.m, row.n, row.p or 0, row.quantity))
+    rows.sort(key=lambda row: (row["m"], row["n"], row["p"] or 0, row["quantity"]))
     if args.json:
-        print(json.dumps([asdict(row) for row in rows], indent=2))
+        print(json.dumps(rows, indent=2))
         return 0
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["family", "m", "n", "p", "quantity", "closed_form", "oracle", "abs_error"])
+    writer = csv.writer(sys.stdout)  # None (complete and generic p) is written as ""
+    writer.writerow(rows[0].keys())
     for row in rows:
-        writer.writerow(
-            [
-                row.family,
-                row.m,
-                row.n,
-                "" if row.p is None else row.p,
-                row.quantity,
-                row.closed_form,
-                _fmt_float(row.oracle),
-                _fmt_float(row.abs_error),
-            ]
-        )
-    sys.stdout.write(buffer.getvalue())
+        row.update(oracle=_fmt_float(row["oracle"]), abs_error=_fmt_float(row["abs_error"]))
+        writer.writerow(row.values())
     return 0
 
 
@@ -326,14 +283,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build flower graphs and evaluate their resistance closed forms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The parents share their Action objects: no set_defaults on a dest they define.
+    single = argparse.ArgumentParser(add_help=False)
+    single.add_argument("--family", choices=FAMILIES, required=True)
+    single.add_argument("-m", type=int, help="base size for complete/cycle families")
+    single.add_argument("-n", type=int, help="petal count")
+    single.add_argument("-p", type=int, help="marked-pair distance for cycle bases")
+    single.add_argument("--base", help="edge-list file for the generic family")
+    single.add_argument("--x", type=int, help="first marked vertex (generic)")
+    single.add_argument("--y", type=int, help="second marked vertex (generic)")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--family", choices=FAMILIES, required=True)
+    grid.add_argument("--m-range")
+    grid.add_argument("--n-range", default="3:5")
+    grid.add_argument("--p-range")
+    grid.add_argument("--base", help="edge-list file (generic family)")
+    grid.add_argument("--x", type=int)
+    grid.add_argument("--y", type=int)
 
-    gen = sub.add_parser("gen", help="write the flower's edge list")
-    _add_family_options(gen)
+    gen = sub.add_parser("gen", parents=[single], help="write the flower's edge list")
     gen.add_argument("-o", "--output", help="write to a file instead of stdout")
     gen.set_defaults(func=cmd_gen)
 
-    resist = sub.add_parser("resist", help="print one pair resistance or the full matrix")
-    _add_family_options(resist)
+    resist = sub.add_parser(
+        "resist", parents=[single], help="print one pair resistance or the full matrix"
+    )
     resist.add_argument("--pair", nargs=2, metavar=("U", "V"),
                         help="locators petal:basevertex")
     resist.add_argument("--exact", action="store_true", help="print the closed form")
@@ -341,37 +315,29 @@ def build_parser() -> argparse.ArgumentParser:
     resist.set_defaults(func=cmd_resist)
 
     for name in ("kirchhoff", "kemeny"):
-        cmd = sub.add_parser(name, help=f"print the {name} quantity")
-        _add_family_options(cmd)
+        cmd = sub.add_parser(name, parents=[single], help=f"print the {name} quantity")
         cmd.add_argument("--exact", action="store_true")
         cmd.add_argument("--oracle", action="store_true")
         cmd.set_defaults(func=_index_command, quantity=name)
 
-    bounds = sub.add_parser("bounds", help="print (lo, hi, actual) for both indices")
-    _add_family_options(bounds)
-    bounds.set_defaults(func=cmd_bounds)
+    sub.add_parser(
+        "bounds", parents=[single], help="print (lo, hi, actual) for both indices"
+    ).set_defaults(func=cmd_bounds)
+    sub.add_parser(
+        "maxres", parents=[single], help="print the maximizing pair, d and value"
+    ).set_defaults(func=cmd_maxres)
 
-    maxres = sub.add_parser("maxres", help="print the maximizing pair, d and value")
-    _add_family_options(maxres)
-    maxres.set_defaults(func=cmd_maxres)
+    verify = sub.add_parser(
+        "verify", parents=[grid], help="verify closed forms against the oracle"
+    )
+    verify.add_argument("--tol", type=float, help=(
+        "absolute tolerance up to magnitude 1e3 (default 1e-9, or FLOWER_TOL); "
+        "beyond it a fixed 1e-12 relative bound"))
+    verify.set_defaults(func=cmd_verify)
 
-    for name, func in (("verify", cmd_verify), ("sweep", cmd_sweep)):
-        cmd = sub.add_parser(name, help=f"{name} closed forms against the oracle")
-        cmd.add_argument("--family", choices=FAMILIES, required=True)
-        cmd.add_argument("--m-range", default="3:5")
-        cmd.add_argument("--n-range", default="3:5")
-        cmd.add_argument("--p-range", default=None)
-        cmd.add_argument("--base", help="edge-list file (generic family)")
-        cmd.add_argument("--x", type=int)
-        cmd.add_argument("--y", type=int)
-        if name == "verify":
-            cmd.add_argument("--tol", type=float, help=(
-                "absolute tolerance up to magnitude 1e3 (default 1e-9, or FLOWER_TOL); "
-                "beyond it a fixed 1e-12 relative bound"))
-        else:
-            cmd.add_argument("--json", action="store_true")
-        cmd.set_defaults(func=func)
-
+    sweep = sub.add_parser("sweep", parents=[grid], help="sweep closed forms against the oracle")
+    sweep.add_argument("--json", action="store_true")
+    sweep.set_defaults(func=cmd_sweep)
     return parser
 
 

@@ -186,10 +186,11 @@ def numeric_indices(g: Graph) -> tuple[float, float]:
 # The oracle's rounding error grows with the value, so values_close turns relative
 # beyond this magnitude.
 MAGNITUDE_CUTOFF = 1e3
+DEFAULT_TOL = 1e-9
 REL_TOL = 1e-12
 
 
-def values_close(a: float, b: float, *, abs_tol: float = 1e-9) -> bool:
+def values_close(a: float, b: float, *, abs_tol: float = DEFAULT_TOL) -> bool:
     """Compare values within ``abs_tol`` up to ``MAGNITUDE_CUTOFF``, relatively beyond it."""
     scale = max(abs(a), abs(b))
     if scale <= MAGNITUDE_CUTOFF:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -347,6 +348,7 @@ def test_tol_is_a_verify_option_only(capsys, command):
         ("maxres --family cycle -m 4 -n 3 --x 0", "--x"),
         ("verify --family complete --m-range 3 --n-range 3 --base g.edges", "--base"),
         ("bounds --family generic -m 4 -n 3 --base g.edges --x 0 --y 1", "-m"),
+        ("verify --family generic --base g.edges --x 0 --y 3 --n-range 3 --m-range 9", "--m-range"),
     ],
 )
 def test_option_of_another_family_exits_2(capsys, command, option):
@@ -356,6 +358,24 @@ def test_option_of_another_family_exits_2(capsys, command, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{option} does not apply to the {command.split()[2]} family" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        # A missing -n is reported before the misplaced -p.
+        ("kirchhoff --family complete -m 4 -p 2", "-n is required"),
+        # A bad range is reported before the misplaced --p-range.
+        ("verify --family complete --m-range a:b --p-range 1", "--m-range must be lo:hi"),
+    ],
+)
+def test_the_earlier_error_is_reported(capsys, command, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command.split())
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
 
 
 @pytest.mark.parametrize("command", ["gen", "resist", "kirchhoff", "kemeny", "bounds", "maxres"])
@@ -398,6 +418,15 @@ def test_bad_locator_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
+def test_tol_help_states_the_oracle_tolerances(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--help"])
+    assert excinfo.value.code == 0
+    tol_help = capsys.readouterr().out.rsplit("--tol TOL", 1)[1]
+    numbers = [float(text) for text in re.findall(r"\d+e-?\d+", tol_help)]
+    assert numbers == [oracle.MAGNITUDE_CUTOFF, oracle.DEFAULT_TOL, oracle.REL_TOL]
+
+
 def test_tolerance_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FLOWER_TOL", "1e-3")
     code, out = run(
@@ -436,6 +465,33 @@ PINNED_OUTPUTS = [
     ("resist --family cycle -m 6 -n 5 -p 2 --pair 1:1 3:4 --exact", "73/30\n"),
     (f"resist {HOUSE} -n 6 --pair 2:3 5:1 --exact", "317/143\n"),
 ]
+
+
+SWEEP_COLUMNS = ["family", "m", "n", "p", "quantity", "closed_form", "oracle", "abs_error"]
+
+
+@pytest.mark.parametrize(
+    "grid,prefixes",
+    [
+        ("--family complete --m-range 3 --n-range 3", ["complete,3,3,,"] * 2),
+        ("--family cycle --m-range 4 --n-range 3", ["cycle,4,3,1,"] * 2 + ["cycle,4,3,2,"] * 2),
+    ],
+    ids=["complete", "cycle"],
+)
+def test_sweep_output_framing_is_pinned(capsys, grid, prefixes):
+    code, out = run(capsys, "sweep", *grid.split())
+    assert code == 0
+    lines = out.split("\r\n")
+    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    assert lines[-1] == "" and "\n" not in "".join(lines)
+    assert [line[: len(prefix)] for line, prefix in zip(lines[1:-1], prefixes)] == prefixes
+    assert len(lines) == len(prefixes) + 2
+    code, out = run(capsys, "sweep", *grid.split(), "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [list(row) for row in rows] == [SWEEP_COLUMNS] * len(prefixes)
+    if "complete" in grid:
+        assert out.count('"p": null,') == len(prefixes)
 
 
 @pytest.mark.parametrize("command,expected", PINNED_OUTPUTS)

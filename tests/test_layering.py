@@ -1,7 +1,8 @@
 """The closed forms stay independent of the numeric oracle they are checked against,
 the oracle is the package's only LAPACK user and factors only through the banded
-``dpbtrf``, only ``FlowerSpec`` and ``build_flower`` know the petal block size, the
-package exports what it imports, and no source line is longer than 99 characters."""
+``dpbtrf``, only ``FlowerSpec`` and ``build_flower`` know the petal block size, only
+``cli._flowers`` reads the family options, the package exports what it imports, and no
+source line is longer than 99 characters."""
 
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ FACTORING_ROUTINES = {
     "cholesky", "cholesky_banded", "cho_factor", "lu_factor", "ldl",
 }
 DENSE_ROUTINES = {"dpotrf", "dpotri", "dtrtri"}
+# The parsed single-flower and range options that choose a command's flowers.
+FAMILY_OPTIONS = {"m", "n", "p", "m_range", "n_range", "p_range", "base", "x", "y"}
 
 
 def imported_modules(source: str):
@@ -98,3 +101,18 @@ def test_only_the_spec_and_the_builder_read_the_block_size():
                 if isinstance(node, ast.Attribute) and node.attr == "block_size":
                     readers.add((path.stem, getattr(top, "name", None)))
     assert readers <= {("flower", "FlowerSpec"), ("flower", "build_flower")}
+
+
+def test_only_flowers_reads_the_family_options():
+    """``cli._flowers`` is the one place parsed options become flowers."""
+    readers = set()
+    for top in ast.parse((PACKAGE / "cli.py").read_text()).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in FAMILY_OPTIONS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"
+            ):
+                readers.add(getattr(top, "name", None))
+    assert readers == {"_flowers"}
