@@ -59,7 +59,7 @@ def _parse_range(option: str, text: str) -> range:
     except ValueError as exc:
         raise ValueError(f"{option} must be lo:hi or an integer, got {text!r}") from exc
     if hi < lo:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"{option} is an empty range {text!r}")
     return range(lo, hi + 1)
 
 
@@ -119,6 +119,8 @@ def _flowers(args: argparse.Namespace):
                 raise ValueError("-p is required for the cycle family")
             return [args.p]
         span = range(1, m) if args.p_range is None else _parse_range("--p-range", args.p_range)
+        if m < 3:  # no p fits, but it is the base that is wrong: let CycleFlowerParams say so
+            return [span.start]
         return range(span.start, min(span.stop, m // 2 + 1))
 
     for m in ms:
@@ -338,16 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", parents=[grid], help="sweep closed forms against the oracle")
     sweep.add_argument("--json", action="store_true")
     sweep.set_defaults(func=cmd_sweep)
+    for command in sub.choices.values():  # a command's errors print its own usage
+        command.set_defaults(parser=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except (ValueError, OSError) as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
         return 2
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .graphs import Graph, graph_from_edge_list
+from .graphs import Graph, block_shift_graph
 
 
 class FlowerLocator(NamedTuple):
@@ -103,13 +103,9 @@ def build_flower(spec: FlowerSpec) -> Graph:
     """The flower graph: petal 1 labelled by ``spec.label_of`` and petal ``i`` its
     copy shifted by ``i - 1`` whole blocks, modulo the vertex count, so that
     petal ``i``'s ``y`` lands on petal ``i - 1``'s ``x``."""
-    size, count = spec.block_size, spec.vertex_count
-    first = [(spec.label_of(1, a), spec.label_of(1, b)) for a, b in sorted(spec.base.edges)]
-    return graph_from_edge_list(
-        ((a + shift) % count, (b + shift) % count)
-        for shift in range(0, count, size)
-        for a, b in first
-    )
+    label = [spec.label_of(1, v) for v in range(spec.base.vertex_count)]
+    first = [(label[a], label[b]) for a, b in spec.base.edges.tolist()]
+    return block_shift_graph(spec.vertex_count, first, spec.block_size)
 
 
 @lru_cache(maxsize=64)
@@ -203,15 +199,19 @@ def flower_resistance(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> F
     """Exact resistance between two located flower vertices.
 
     Evaluates ``R_ab(e)`` on the canonical locators, with ``v`` ``e`` petals
-    down the chain from ``u``.
+    down the chain from ``u``.  Locators that are canonical already, such as
+    ``spec.locator_of``'s, are used as they are; any other goes through ``locator``.
     """
-    u, v = locator(spec, *u), locator(spec, *v)
-    if u == v:
+    (pu, a), (pv, b) = u, v
+    n, y = spec.n, spec.y
+    m = spec.base.vertex_count
+    if not (0 < pu <= n and 0 < pv <= n and 0 <= a < m and 0 <= b < m and a != y != b):
+        (pu, a), (pv, b) = locator(spec, pu, a), locator(spec, pv, b)
+    if pu == pv and a == b:
         return Fraction(0)
     det, k = _laplacian_solve(spec.base)
-    e = (u.petal - v.petal) % spec.n
-    key = _scaled_pair_resistance(spec, k, u.base_vertex, v.base_vertex, e)
-    return Fraction(key, 4 * spec.n * k[spec.x][spec.y] * det)
+    key = _scaled_pair_resistance(spec, k, a, b, (pu - pv) % n)
+    return Fraction(key, 4 * n * k[spec.x][y] * det)
 
 
 def normalized_petal_separation(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> int:

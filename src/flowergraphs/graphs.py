@@ -2,77 +2,113 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 Edge = tuple[int, int]
 
 
-def _normalize(u: int, v: int) -> Edge:
-    """Order an edge's endpoints, rejecting self-loops."""
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
+def _edge_array(pairs) -> np.ndarray:
+    """``pairs`` as an ``(|E|, 2)`` integer array."""
+    try:
+        edges = np.asarray(pairs, dtype=np.intp)
+    except OverflowError as exc:
+        raise ValueError(f"a vertex label is outside 0..{np.iinfo(np.intp).max}") from exc
+    if not edges.size:
+        return edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError("every edge must be a pair of vertex labels")
+    return edges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple connected graph on vertex labels ``0 .. vertex_count - 1``.
 
-    Edges are stored as normalized ``(u, v)`` pairs with ``u < v``.  Dense
-    labelling and connectivity are enforced at construction, so every instance
-    can be fed to the resistance machinery without further checks.
+    ``edges`` is an ``(|E|, 2)`` integer array of ``(u, v)`` rows with ``u < v``
+    in any order; it is stored sorted, so two graphs are equal, and hash equal,
+    exactly when their vertex counts and edge arrays' bytes are.  ``indptr``
+    and ``indices`` are the graph in CSR form, every row's neighbours ascending.
+    Duplicate edges, label gaps and disconnected graphs are rejected at
+    construction, so every instance can be fed to the resistance machinery
+    without further checks.  ``degree``, ``degrees`` and ``neighbors`` give
+    Python ints, which the exact solves need.
     """
 
     vertex_count: int
-    edges: frozenset[Edge]
+    edges: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+        count = self.vertex_count
+        if count < 1:
             raise ValueError("graph must have at least one vertex")
-        touched: set[int] = set()
-        for u, v in self.edges:
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) is out of range or not normalized")
-            touched.add(u)
-            touched.add(v)
-        if self.vertex_count > 1 and len(touched) < self.vertex_count:
-            first = next((i for i, v in enumerate(sorted(touched)) if i != v), len(touched))
+        edges = _edge_array(self.edges)
+        u, v = edges.T
+        bad = ~((0 <= u) & (u < v) & (v < count))
+        if bad.any():
+            u, v = edges[bad.argmax()].tolist()
+            raise ValueError(f"edge ({u}, {v}) is out of range or not normalized")
+        # Both orientations of every edge sorted by (row, column) are the CSR
+        # arcs: a repeated arc is a duplicate edge, and the arcs with row < column
+        # are the edges in sorted order.
+        rows, columns = np.concatenate((u, v)), np.concatenate((v, u))
+        order = np.lexsort((columns, rows))
+        rows, columns = rows[order], columns[order]
+        same_row = rows[1:] == rows[:-1]
+        repeated = same_row & (columns[1:] == columns[:-1])
+        if repeated.any():
+            at = repeated.argmax()
+            raise ValueError(f"duplicate edge {tuple(sorted((int(rows[at]), int(columns[at]))))}")
+        # Each label some edge touches starts one run of the sorted rows.  Nothing
+        # of length vertex_count is allocated before the labels are known to be dense.
+        if count > 1 and rows.size - np.count_nonzero(same_row) < count:
+            touched = np.unique(rows)
+            misplaced = np.flatnonzero(touched != np.arange(touched.size))
+            first = int(misplaced[0]) if misplaced.size else touched.size
             raise ValueError(
-                f"label gap: no edge touches {self.vertex_count - len(touched)} of the "
-                f"labels 0..{self.vertex_count - 1} (the first is {first})"
+                f"label gap: no edge touches {count - touched.size} of the "
+                f"labels 0..{count - 1} (the first is {first})"
             )
+        forward = rows < columns
+        key = np.stack((rows[forward], columns[forward]), 1).tobytes()
+        arrays = {
+            # A read-only view of the bytes that equality and the hash compare.
+            "edges": np.frombuffer(key, np.intp).reshape(-1, 2),
+            "indptr": np.searchsorted(rows, np.arange(count + 1)),
+            "indices": columns,
+        }
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if not self._is_connected():
             raise ValueError("graph is disconnected")
+        object.__setattr__(self, "_key", (count, key))
 
     def _is_connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        adjacency = self.adjacency_lists
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.vertex_count
+        # A memoryview makes each neighbour an int only while it is looked at.
+        indptr, indices = self.indptr.tolist(), memoryview(self.indices)
+        seen = [True] + [False] * (self.vertex_count - 1)
+        reached = [0]
+        for u in reached:  # breadth first: the loop runs over what it appends
+            for w in indices[indptr[u]:indptr[u + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    reached.append(w)
+        return len(reached) == self.vertex_count
 
-    @cached_property
-    def adjacency_lists(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        return tuple(tuple(sorted(neighbors)) for neighbors in lists)
+    def __eq__(self, other: object) -> bool:
+        return self._key == other._key if isinstance(other, Graph) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(neighbors) for neighbors in self.adjacency_lists)
+        return tuple(np.diff(self.indptr).tolist())
 
     @property
     def edge_count(self) -> int:
@@ -82,7 +118,7 @@ class Graph:
         return self.degrees[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency_lists[v]
+        return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
 
 
 def graph_from_edge_list(pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -92,20 +128,30 @@ def graph_from_edge_list(pairs: Iterable[tuple[int, int]]) -> Graph:
     duplicate edges (in either orientation), label gaps and disconnected
     results are rejected.
     """
-    pairs = list(pairs)
-    if not pairs:
+    edges = _edge_array(list(pairs))
+    if not edges.size:
         raise ValueError("edge list is empty")
-    edges: set[Edge] = set()
-    for u, v in pairs:
-        u, v = int(u), int(v)
+    bad = (edges < 0).any(1) | (edges[:, 0] == edges[:, 1])
+    if bad.any():
+        u, v = edges[bad.argmax()].tolist()
         if u < 0 or v < 0:
             raise ValueError(f"negative vertex label in edge ({u}, {v})")
-        edge = _normalize(u, v)
-        if edge in edges:
-            raise ValueError(f"duplicate edge {edge}")
-        edges.add(edge)
-    vertex_count = 1 + max(max(edge) for edge in edges)
-    return Graph(vertex_count, frozenset(edges))
+        raise ValueError(f"self-loop at vertex {u}")
+    edges.sort(axis=1)
+    return Graph(1 + int(edges.max()), edges)
+
+
+def block_shift_graph(count: int, first_edges: Iterable[Edge], shift: int) -> Graph:
+    """The graph on ``count`` labels whose edges are ``first_edges`` moved by every
+    multiple of ``shift`` below ``count``, modulo ``count``: one broadcast.
+
+    ``shift`` divides ``count``; a shifted edge that repeats another is rejected
+    as a duplicate.
+    """
+    first = _edge_array(list(first_edges))
+    shifted = (first + np.arange(0, count, shift)[:, None, None]) % count
+    u, v = shifted[..., 0].ravel(), shifted[..., 1].ravel()
+    return Graph(count, np.stack((np.minimum(u, v), np.maximum(u, v)), 1))
 
 
 def parse_edge_list(text: str) -> list[Edge]:
@@ -135,7 +181,7 @@ def read_edge_list(path: str | Path) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+    return "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
 
 
 def path_graph(vertices: int) -> Graph:

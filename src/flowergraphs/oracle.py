@@ -4,7 +4,7 @@ Every entry point deletes the row and column of vertex 0 from the Laplacian
 and orders the other vertices by reverse Cuthill-McKee (Cuthill & McKee 1969;
 George & Liu 1981), so the grounded Laplacian ``L0`` has a small bandwidth
 ``b``: about one petal block on a flower.  ``L0`` goes straight from the
-adjacency lists and the degrees into LAPACK band storage, ``dpbtrf`` factors
+graph's CSR arrays and its degrees into LAPACK band storage, ``dpbtrf`` factors
 it as ``L0 = U^T U`` and every entry point finishes with ``dpbtrs`` solves on
 ``U``; no N x N Laplacian is built.
 ``numeric_indices`` also reads the diagonal of ``G = L0^-1`` off ``U`` by
@@ -13,8 +13,6 @@ form without assembling it, and nothing is cached.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -42,10 +40,9 @@ def _banded_factor(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     size = g.vertex_count - 1
     if not size:
         return np.zeros((1, 0)), np.zeros(0, np.intp)
-    # The sorted adjacency lists of vertices 1..N-1 without vertex 0 are the
-    # grounded graph in canonical CSR form, so the order depends on the graph only.
-    neighbors = np.fromiter(
-        chain.from_iterable(g.adjacency_lists[1:]), np.intp, 2 * g.edge_count - g.degrees[0])
+    # Rows 1..N-1 of the graph's CSR without column 0 are the grounded graph in
+    # canonical CSR form (columns ascending), so the order depends on the graph only.
+    neighbors = g.indices[g.indptr[1]:]
     rows = np.repeat(np.arange(size), g.degrees[1:])
     grounded = neighbors > 0
     rows, columns = rows[grounded], neighbors[grounded] - 1

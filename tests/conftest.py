@@ -41,7 +41,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
 def connected_graphs(draw, max_vertices: int = 10, min_vertices: int = 2) -> Graph:
     n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
     if n == 1:
-        return Graph(1, frozenset())
+        return Graph(1, ())
     edges = set()
     for v in range(1, n):
         parent = draw(st.integers(min_value=0, max_value=v - 1))

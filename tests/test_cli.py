@@ -328,6 +328,61 @@ def test_unparsable_range_names_its_option(capsys, command, option):
     assert f"{option} must be lo:hi or an integer, got 'a:b'" in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("option", ["--m-range", "--n-range", "--p-range"])
+def test_reversed_range_names_its_option(capsys, command, option):
+    ranges = {"--m-range": "4", "--n-range": "3", "--p-range": "1"}
+    ranges[option] = "5:3"
+    argv = [command, "--family", "cycle"]
+    for name, text in ranges.items():
+        argv += [name, text]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {option} is an empty range '5:3'" in captured.err
+
+
+def _usage(err: str) -> str:
+    """The usage lines of an argparse error, without the error line."""
+    return err[: err.index("\nflowergraphs")]
+
+
+@pytest.mark.parametrize(
+    "argparse_error,command_error",
+    [
+        ("kirchhoff --family hexagon", "kirchhoff --family complete -m 4"),
+        ("verify --family complete --tol x", "verify --family complete --n-range 5:3"),
+        ("sweep --family hexagon", "sweep --family cycle --m-range 1"),
+        ("resist --family complete --pair 1:0", "resist --family complete -m 3 -n 3 --exact"),
+    ],
+)
+def test_a_command_error_prints_the_command_usage(capsys, argparse_error, command_error):
+    """Errors raised inside a command print the same usage as argparse's own errors."""
+    usages = []
+    for argv in (argparse_error, command_error):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 2
+        usages.append(_usage(capsys.readouterr().err))
+    command = argparse_error.split()[0]
+    assert usages[0].startswith(f"usage: flowergraphs {command} [-h]")
+    assert usages[1] == usages[0]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("m_range", ["1", "2", "0:3", "1:2"])
+@pytest.mark.parametrize("p_range", [[], ["--p-range", "1"], ["--p-range", "5:7"]])
+def test_a_cycle_grid_below_three_vertices_names_the_base(capsys, command, m_range, p_range):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--family", "cycle", "--m-range", m_range, "--n-range", "3", *p_range])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cycle base needs at least three vertices" in captured.err
+
+
 @pytest.mark.parametrize(
     "command", ["gen", "resist", "kirchhoff", "kemeny", "bounds", "maxres", "sweep"]
 )

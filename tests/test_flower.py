@@ -118,8 +118,8 @@ def test_label_map_matches_the_reference_construction(spec):
         assert locator(spec, petal, spec.y) == ((petal - 2) % n + 1, spec.x)
         for v in range(spec.base.vertex_count):
             assert spec.locator_of(spec.label_of(petal, v)) == locator(spec, petal, v)
-    shifted = {tuple(sorted(((a + size) % count, (b + size) % count))) for a, b in graph.edges}
-    assert shifted == graph.edges
+    shifted = {tuple(sorted(((a + size) % count, (b + size) % count))) for a, b in graph.edges.tolist()}
+    assert shifted == set(map(tuple, graph.edges.tolist()))
 
 
 def test_spec_validation():

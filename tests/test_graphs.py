@@ -9,6 +9,10 @@ import pytest
 from hypothesis import given
 
 from flowergraphs import (
+    CompleteFlowerParams,
+    Graph,
+    build_flower,
+    complete_flower_spec,
     complete_graph,
     cycle_graph,
     format_edge_list,
@@ -17,6 +21,9 @@ from flowergraphs import (
     path_graph,
     petersen_graph,
 )
+
+from flowergraphs.flower import _laplacian_solve
+from flowergraphs.graphs import block_shift_graph
 
 from conftest import connected_graphs
 from dense_oracle import laplacian
@@ -128,3 +135,82 @@ def test_named_graphs():
     pet = petersen_graph()
     assert pet.vertex_count == 10
     assert pet.degrees == (3,) * 10
+
+
+def test_edge_order_and_orientation_do_not_matter():
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)]
+    g = graph_from_edge_list(edges)
+    again = graph_from_edge_list([(v, u) if i % 2 else (u, v) for i, (u, v) in
+                                  enumerate(reversed(edges))])
+    assert again is not g
+    assert again == g and hash(again) == hash(g)
+    assert again != graph_from_edge_list(edges[:-1] + [(2, 4)])
+    assert g.edges.tolist() == sorted(sorted(edge) for edge in edges)
+    _laplacian_solve.cache_clear()
+    _laplacian_solve(g)
+    _laplacian_solve(again)
+    info = _laplacian_solve.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_graph_arrays_are_read_only():
+    g = petersen_graph()
+    for array in (g.edges, g.indptr, g.indices):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+@given(connected_graphs())
+def test_csr_lists_each_row_ascending(g):
+    for v in range(g.vertex_count):
+        row = g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
+        assert row == sorted(row) == sorted(
+            w for edge in g.edges.tolist() if v in edge for w in edge if w != v)
+
+
+def test_degree_degrees_and_neighbors_give_python_ints():
+    g = build_flower(complete_flower_spec(CompleteFlowerParams(4, 3)))
+    assert type(g.degrees) is tuple and type(g.neighbors(0)) is tuple
+    values = [*g.degrees, *g.neighbors(0), g.degree(0), g.edge_count, g.vertex_count]
+    assert {type(value) for value in values} == {int}
+
+
+def test_graph_constructor_rejects_bad_edges():
+    with pytest.raises(ValueError, match="not normalized"):
+        Graph(3, [(1, 0), (1, 2)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(3, [(0, 1), (1, 3)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+        Graph(3, [(0, 1), (1, 2), (0, 1)])
+    with pytest.raises(ValueError, match="pair"):
+        Graph(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Graph(0, ())
+    assert Graph(1, ()).degrees == (0,)
+
+
+def test_block_shift_graph_rejects_a_shift_that_repeats_an_edge():
+    assert block_shift_graph(6, [(0, 1), (1, 2)], 2) == cycle_graph(6)
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 2\)"):
+        block_shift_graph(4, [(0, 2), (0, 1)], 2)
+
+
+def test_build_flower_allocates_no_per_edge_objects():
+    """K10 with n = 200 has 9,000 edges.  Edge tuples, adjacency lists and a Python
+    list of every neighbour peak near 3 MiB here; the edge and CSR arrays stay
+    under 1 MiB."""
+    spec = complete_flower_spec(CompleteFlowerParams(10, 200))
+    build_flower(spec)
+    tracemalloc.start()
+    try:
+        g = build_flower(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 9000
+    assert peak < 1.5 * 2**20
+
+
+def test_label_beyond_the_index_range_rejected():
+    with pytest.raises(ValueError, match="vertex label is outside"):
+        graph_from_edge_list([(0, 1), (1, 10**30)])

@@ -1,8 +1,9 @@
 """The closed forms stay independent of the numeric oracle they are checked against,
-the oracle is the package's only LAPACK user and factors only through the banded
-``dpbtrf``, only ``FlowerSpec`` and ``build_flower`` know the petal block size, only
-``cli._flowers`` reads the family options, the package exports what it imports, and no
-source line is longer than 99 characters."""
+the oracle is the package's only LAPACK user, factors only through the banded
+``dpbtrf`` and reads a graph only as CSR arrays, only ``FlowerSpec`` and
+``build_flower`` know the petal block size, only ``cli._flowers`` reads the family
+options, the package exports what it imports, and no source line is longer than 99
+characters."""
 
 from __future__ import annotations
 
@@ -89,6 +90,15 @@ def test_the_oracle_factors_only_through_one_banded_cholesky():
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     named |= {name.split(".")[-1] for name in imported_modules(source)}
     assert not DENSE_ROUTINES & named
+
+
+def test_the_oracle_reads_the_graph_as_csr_arrays():
+    """``_banded_factor`` takes ``indptr`` and ``indices`` as they are; no per-vertex
+    Python lists or edge tuples stand between the graph and the band."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert {"indptr", "indices"} <= read
+    assert not {"adjacency_lists", "neighbors", "edges"} & read
 
 
 def test_only_the_spec_and_the_builder_read_the_block_size():

@@ -172,7 +172,7 @@ def test_oracle_raises_when_the_finishing_call_fails(monkeypatch, entry):
 
 
 def test_one_vertex_graph_has_empty_results_and_calls_no_lapack(capfd):
-    g = Graph(1, frozenset())
+    g = Graph(1, ())
     assert numeric_indices(g) == (0.0, 0.0)
     assert np.array_equal(resistance_matrix(g), np.zeros((1, 1)))
     assert resistance(g, 0, 0) == 0.0
@@ -202,7 +202,7 @@ def test_banded_oracle_equals_the_dense_reference(g):
 @pytest.mark.parametrize(
     "g",
     [
-        Graph(1, frozenset()),
+        Graph(1, ()),
         path_graph(2),
         path_graph(9),
         # Stars and bowties centred at 0 ground to isolated vertices or components.
@@ -332,7 +332,7 @@ def test_edge_removal_never_decreases_resistance():
     ]
     for g, removed in cases:
         before = resistance_matrix(g)
-        smaller = graph_from_edge_list(sorted(g.edges - {removed}))
+        smaller = graph_from_edge_list(sorted(set(map(tuple, g.edges.tolist())) - {removed}))
         after = resistance_matrix(smaller)
         assert np.all(after >= before - 1e-9)
 
