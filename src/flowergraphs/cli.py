@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -69,17 +68,6 @@ def _parse_locator(text: str) -> tuple[int, int]:
         return int(petal), int(base_vertex)
     except ValueError as exc:
         raise ValueError(f"locator must look like petal:basevertex, got {text!r}") from exc
-
-
-def _tolerance(args: argparse.Namespace) -> float:
-    env = os.environ.get("FLOWER_TOL", oracle.DEFAULT_TOL)
-    try:
-        tol = args.tol if args.tol is not None else float(env)
-    except ValueError as exc:
-        raise ValueError(f"FLOWER_TOL must be a number, got {env!r}") from exc
-    if not (tol >= 0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
-    return tol
 
 
 def _flowers(args: argparse.Namespace):
@@ -153,7 +141,7 @@ def _grid(args: argparse.Namespace):
         raise ValueError("the --m-range, --n-range and --p-range grid holds no flower")
 
 
-def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     _, spec = next(_flowers(args))
     text = format_edge_list(build_flower(spec))
     if args.output:
@@ -164,13 +152,13 @@ def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def cmd_resist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_resist(args: argparse.Namespace) -> int:
     _, spec = next(_flowers(args))
     show_exact = args.exact or not args.oracle
     show_oracle = args.oracle or not args.exact
     if args.pair is None:
         if args.exact:
-            parser.error("--exact needs --pair; the full matrix comes only from the oracle")
+            raise ValueError("--exact needs --pair; the full matrix comes only from the oracle")
         matrix = oracle.resistance_matrix(build_flower(spec))
         for row in matrix:
             print(" ".join(_fmt_float(value) for value in row))
@@ -186,7 +174,7 @@ def cmd_resist(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _index_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _index_command(args: argparse.Namespace) -> int:
     _, spec = next(_flowers(args))
     kirchhoff = args.quantity == "kirchhoff"
     if args.exact or not args.oracle:
@@ -198,7 +186,7 @@ def _index_command(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_bounds(args: argparse.Namespace) -> int:
     _, spec = next(_flowers(args))
     (kf_lo, kf_hi), (kem_lo, kem_hi) = kirchhoff_bounds(spec), kemeny_bounds(spec)
     kf, kem = flower_kirchhoff_exact(spec), flower_kemeny_exact(spec)
@@ -207,7 +195,7 @@ def cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def cmd_maxres(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_maxres(args: argparse.Namespace) -> int:
     _, spec = next(_flowers(args))
     result = max_resistance_search(spec)
     print(
@@ -218,8 +206,10 @@ def cmd_maxres(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    tol = _tolerance(args)
+def cmd_verify(args: argparse.Namespace) -> int:
+    tol = args.tol
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
     failures = instances = pairs = 0
     for p, spec, graph in _grid(args):
         instances += 1
@@ -259,7 +249,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     rows = [
         dict(family=args.family, m=spec.base.vertex_count, n=spec.n, p=p, quantity=quantity,
              closed_form=format_rational(closed), oracle=observed,
@@ -332,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", parents=[grid], help="verify closed forms against the oracle"
     )
-    verify.add_argument("--tol", type=float, help=(
-        "absolute tolerance up to magnitude 1e3 (default 1e-9, or FLOWER_TOL); "
+    verify.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL, help=(
+        "absolute tolerance up to magnitude 1e3 (default 1e-9); "
         "beyond it a fixed 1e-12 relative bound"))
     verify.set_defaults(func=cmd_verify)
 
@@ -348,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, args.parser)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
         return 2

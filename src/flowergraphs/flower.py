@@ -32,8 +32,9 @@ class FlowerSpec:
     The junction between petal ``i`` and petal ``i + 1`` is petal ``i``'s copy
     of ``x`` and petal ``i + 1``'s copy of ``y`` (petal ``n``'s ``x`` is petal
     1's ``y``), and a canonical locator records it as ``(i, x)``.  Petal ``i``
-    owns the labels ``(i - 1) * (m - 1) .. i * (m - 1) - 1``: its junction
-    first, then its base vertices other than ``x`` and ``y`` in ascending order.
+    owns the labels ``(i - 1) * (m - 1) .. i * (m - 1) - 1`` in ``block_order``:
+    its junction ``x`` first, then its base vertices other than ``x`` and ``y``
+    in ascending order.
     """
 
     base: Graph
@@ -43,14 +44,14 @@ class FlowerSpec:
 
     def __post_init__(self) -> None:
         m = self.base.vertex_count
-        if m < 2:
-            raise ValueError("base graph needs at least two vertices")
         if not (0 <= self.x < m and 0 <= self.y < m):
             raise ValueError(f"marked vertices ({self.x}, {self.y}) out of range")
         if self.x == self.y:
             raise ValueError("marked vertices must be distinct")
         if self.n < 3:
             raise ValueError("petal count must be at least 3")
+        others = (v for v in range(m) if v not in (self.x, self.y))
+        object.__setattr__(self, "block_order", (self.x, *others))
 
     @property
     def block_size(self) -> int:
@@ -61,30 +62,17 @@ class FlowerSpec:
     def vertex_count(self) -> int:
         return self.n * self.block_size
 
-    def outer_vertices(self) -> tuple[int, ...]:
-        """Base vertices other than the marked pair, in ascending label order."""
-        return tuple(
-            v for v in range(self.base.vertex_count) if v not in (self.x, self.y)
-        )
-
     def label_of(self, petal: int, base_vertex: int) -> int:
         """The flower label of ``base_vertex`` inside ``petal``."""
         petal, v = locator(self, petal, base_vertex)
-        offset = 0 if v == self.x else 1 + v - (v > self.x) - (v > self.y)
-        return (petal - 1) * self.block_size + offset
+        return (petal - 1) * self.block_size + self.block_order.index(v)
 
     def locator_of(self, label: int) -> FlowerLocator:
         """The canonical locator of flower label ``label``."""
         if not (0 <= label < self.vertex_count):
             raise ValueError(f"label {label} out of range")
         petal, offset = divmod(label, self.block_size)
-        if offset == 0:
-            return FlowerLocator(petal + 1, self.x)
-        v = offset - 1
-        # Invert label_of's offset: step over each marked vertex at or below v.
-        for marked in sorted((self.x, self.y)):
-            v += v >= marked
-        return FlowerLocator(petal + 1, v)
+        return FlowerLocator(petal + 1, self.block_order[offset])
 
 
 def locator(spec: FlowerSpec, petal: int, base_vertex: int) -> FlowerLocator:
@@ -128,7 +116,7 @@ def _laplacian_solve(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     rows = []
     for i in range(1, m):
         row = [0] * (2 * k)
-        row[i - 1], row[k + i - 1] = g.degree(i), 1
+        row[i - 1], row[k + i - 1] = g.degrees[i], 1
         for w in g.neighbors(i):
             if w:
                 row[w - 1] = -1
@@ -145,7 +133,7 @@ def _laplacian_solve(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
         det = pivot
     adj = [[0] * m] + [[0] + row[k:] for row in rows]
     for i in range(1, m):
-        residual = [g.degree(i) * a for a in adj[i]]
+        residual = [g.degrees[i] * a for a in adj[i]]
         for w in g.neighbors(i):
             residual = [r - a for r, a in zip(residual, adj[w])]
         residual[i] -= det
@@ -165,7 +153,7 @@ def base_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
 
 
 # Every pair resistance is one formula.  Let u be a copy of base locator a
-# ({x} + outer vertices; a junction reads as its x copy) and v the copy of b
+# (one of spec.block_order; a junction reads as its x copy) and v the copy of b
 # that lies e petals down the chain from u (e = 0 within one petal).  With
 # s = r_xy > 0,
 #     R_ab(e) = series - imbalance^2 / (4ns),
@@ -246,11 +234,10 @@ def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
     det, k = _laplacian_solve(spec.base)
     n, x, y = spec.n, spec.x, spec.y
     s = k[x][y]
-    reps = (x,) + spec.outer_vertices()
     best: tuple[int, tuple[FlowerLocator, FlowerLocator]] | None = None
-    for a in reps:
+    for a in spec.block_order:
         u = FlowerLocator(1, a)
-        for b in reps:
+        for b in spec.block_order:
             c = k[a][x] - k[a][y] - k[b][x] + k[b][y]
             below = (n * s + c) // (2 * s)
             steps = {min(max(e, 1), n - 1) for e in (below, below + 1)}
@@ -321,8 +308,7 @@ def _weighted_pair_total(spec: FlowerSpec, weights: list[int]) -> Fraction:
     exactly, for every ``n >= 3``; the weighted sums over all pairs combine the same way.
     """
     det, k = _laplacian_solve(spec.base)
-    reps = (spec.x,) + spec.outer_vertices()
-    pairs = [(a, b) for a in reps for b in reps]
+    pairs = [(a, b) for a in spec.block_order for b in spec.block_order]
     f0, f1, f2, f3 = (
         sum(weights[a] * weights[b] * _scaled_pair_resistance(spec, k, a, b, e) for a, b in pairs)
         for e in range(4)
@@ -351,6 +337,6 @@ def flower_kemeny_exact(spec: FlowerSpec) -> Fraction:
     """
     base = spec.base
     degrees = list(base.degrees)
-    degrees[spec.x] += base.degree(spec.y)
+    degrees[spec.x] += base.degrees[spec.y]
     # The flower has n * q_base edges; the rotation factor n cancels one n.
     return _weighted_pair_total(spec, degrees) / (4 * base.edge_count)

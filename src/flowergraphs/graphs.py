@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -13,13 +12,13 @@ Edge = tuple[int, int]
 
 
 def _edge_array(pairs) -> np.ndarray:
-    """``pairs`` as an ``(|E|, 2)`` integer array."""
+    """``pairs`` as a nonempty ``(|E|, 2)`` integer array."""
     try:
         edges = np.asarray(pairs, dtype=np.intp)
     except OverflowError as exc:
         raise ValueError(f"a vertex label is outside 0..{np.iinfo(np.intp).max}") from exc
     if not edges.size:
-        return edges.reshape(0, 2)
+        raise ValueError("edge list is empty")
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError("every edge must be a pair of vertex labels")
     return edges
@@ -29,14 +28,15 @@ def _edge_array(pairs) -> np.ndarray:
 class Graph:
     """Immutable simple connected graph on vertex labels ``0 .. vertex_count - 1``.
 
-    ``edges`` is an ``(|E|, 2)`` integer array of ``(u, v)`` rows with ``u < v``
-    in any order; it is stored sorted, so two graphs are equal, and hash equal,
-    exactly when their vertex counts and edge arrays' bytes are.  ``indptr``
-    and ``indices`` are the graph in CSR form, every row's neighbours ascending.
-    Duplicate edges, label gaps and disconnected graphs are rejected at
-    construction, so every instance can be fed to the resistance machinery
-    without further checks.  ``degree``, ``degrees`` and ``neighbors`` give
-    Python ints, which the exact solves need.
+    ``edges`` is a nonempty ``(|E|, 2)`` integer array of ``(u, v)`` rows in any
+    order and either orientation; it is stored sorted with ``u < v``, so two
+    graphs are equal, and hash equal, exactly when their vertex counts and
+    edge arrays' bytes are.  ``indptr`` and ``indices`` are the graph in CSR
+    form, every row's neighbours ascending.  Negative or out-of-range labels,
+    self-loops, duplicate edges, label gaps and disconnected graphs are
+    rejected here, the one place edges are checked, so every instance can be
+    fed to the resistance machinery without further checks.  ``degrees`` and
+    ``neighbors`` give Python ints, which the exact solves need.
     """
 
     vertex_count: int
@@ -44,14 +44,16 @@ class Graph:
 
     def __post_init__(self) -> None:
         count = self.vertex_count
-        if count < 1:
-            raise ValueError("graph must have at least one vertex")
         edges = _edge_array(self.edges)
         u, v = edges.T
-        bad = ~((0 <= u) & (u < v) & (v < count))
+        bad = (u < 0) | (v < 0) | (u == v) | (u >= count) | (v >= count)
         if bad.any():
             u, v = edges[bad.argmax()].tolist()
-            raise ValueError(f"edge ({u}, {v}) is out of range or not normalized")
+            if u < 0 or v < 0:
+                raise ValueError(f"negative vertex label in edge ({u}, {v})")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            raise ValueError(f"edge ({u}, {v}) is out of range for {count} vertices")
         # Both orientations of every edge sorted by (row, column) are the CSR
         # arcs: a repeated arc is a duplicate edge, and the arcs with row < column
         # are the edges in sorted order.
@@ -65,7 +67,7 @@ class Graph:
             raise ValueError(f"duplicate edge {tuple(sorted((int(rows[at]), int(columns[at]))))}")
         # Each label some edge touches starts one run of the sorted rows.  Nothing
         # of length vertex_count is allocated before the labels are known to be dense.
-        if count > 1 and rows.size - np.count_nonzero(same_row) < count:
+        if rows.size - np.count_nonzero(same_row) < count:
             touched = np.unique(rows)
             misplaced = np.flatnonzero(touched != np.arange(touched.size))
             first = int(misplaced[0]) if misplaced.size else touched.size
@@ -75,15 +77,17 @@ class Graph:
             )
         forward = rows < columns
         key = np.stack((rows[forward], columns[forward]), 1).tobytes()
+        indptr = np.searchsorted(rows, np.arange(count + 1))
         arrays = {
             # A read-only view of the bytes that equality and the hash compare.
             "edges": np.frombuffer(key, np.intp).reshape(-1, 2),
-            "indptr": np.searchsorted(rows, np.arange(count + 1)),
+            "indptr": indptr,
             "indices": columns,
         }
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        object.__setattr__(self, "degrees", tuple(np.diff(indptr).tolist()))
         if not self._is_connected():
             raise ValueError("graph is disconnected")
         object.__setattr__(self, "_key", (count, key))
@@ -106,38 +110,18 @@ class Graph:
     def __hash__(self) -> int:
         return hash(self._key)
 
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(np.diff(self.indptr).tolist())
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
 
 
 def graph_from_edge_list(pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a validated graph from unordered vertex pairs.
-
-    Labels must be nonnegative and densely cover ``0 .. max``.  Self-loops,
-    duplicate edges (in either orientation), label gaps and disconnected
-    results are rejected.
-    """
+    """The graph on labels ``0 .. max`` whose edges are ``pairs``, unordered vertex
+    pairs; ``Graph`` rejects what is not a simple connected graph."""
     edges = _edge_array(list(pairs))
-    if not edges.size:
-        raise ValueError("edge list is empty")
-    bad = (edges < 0).any(1) | (edges[:, 0] == edges[:, 1])
-    if bad.any():
-        u, v = edges[bad.argmax()].tolist()
-        if u < 0 or v < 0:
-            raise ValueError(f"negative vertex label in edge ({u}, {v})")
-        raise ValueError(f"self-loop at vertex {u}")
-    edges.sort(axis=1)
     return Graph(1 + int(edges.max()), edges)
 
 
@@ -150,15 +134,15 @@ def block_shift_graph(count: int, first_edges: Iterable[Edge], shift: int) -> Gr
     """
     first = _edge_array(list(first_edges))
     shifted = (first + np.arange(0, count, shift)[:, None, None]) % count
-    u, v = shifted[..., 0].ravel(), shifted[..., 1].ravel()
-    return Graph(count, np.stack((np.minimum(u, v), np.maximum(u, v)), 1))
+    return Graph(count, shifted.reshape(-1, 2))
 
 
 def parse_edge_list(text: str) -> list[Edge]:
     """Parse the one-edge-per-line text format.
 
     Lines starting with ``#`` and blank lines are ignored; every other line
-    must hold exactly two whitespace-separated nonnegative integers.
+    must hold exactly two whitespace-separated integers.  Labels are checked
+    when the pairs become a ``Graph``.
     """
     pairs: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

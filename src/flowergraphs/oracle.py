@@ -34,12 +34,9 @@ def _banded_factor(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     order of vertices ``1..N-1``.  ``U`` is in LAPACK's upper band storage,
     ``U[i, j]`` at ``[b + i - j, j]``; ``b`` is the largest distance in that
     order between the ends of an edge that misses vertex 0.  A nonzero
-    ``info`` raises ``LinAlgError``.  LAPACK rejects the empty system of a
-    one-vertex graph, so its empty band is returned unfactored.
+    ``info`` raises ``LinAlgError``.
     """
     size = g.vertex_count - 1
-    if not size:
-        return np.zeros((1, 0)), np.zeros(0, np.intp)
     # Rows 1..N-1 of the graph's CSR without column 0 are the grounded graph in
     # canonical CSR form (columns ascending), so the order depends on the graph only.
     neighbors = g.indices[g.indptr[1]:]
@@ -64,8 +61,6 @@ def _banded_factor(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``L0^-1 rhs`` for the columns of ``rhs``, in the factor's vertex order (``dpbtrs``)."""
-    if not rhs.size:
-        return rhs
     solution, info = dpbtrs(factor, rhs, lower=0, overwrite_b=1)
     _check(dpbtrs, info)
     return solution
@@ -167,14 +162,13 @@ def numeric_indices(g: Graph) -> tuple[float, float]:
     - Kemeny's constant ``(2q sum_i d_i G_ii - d^T G d) / (2q)``.
 
     ``diag G`` comes from selected inversion of the band factor, ``G 1`` and
-    ``G d`` from one ``dpbtrs``: O(N b^2) time and O(N b) memory.  Both sums
-    are empty on one vertex.
+    ``G d`` from one ``dpbtrs``: O(N b^2) time and O(N b) memory.
     """
     factor, order = _banded_factor(g)
     green_diag = _green_diagonal(factor)
     degrees = np.asarray(g.degrees, dtype=float)[order]
     solved = _solve(factor, np.asfortranarray(np.stack((np.ones_like(degrees), degrees), 1)))
-    two_q = 2.0 * max(g.edge_count, 1)  # q = 0 only on one vertex, with empty sums
+    two_q = 2.0 * g.edge_count
     kirchhoff = g.vertex_count * green_diag.sum() - solved[:, 0].sum()
     kemeny = (two_q * (degrees @ green_diag) - degrees @ solved[:, 1]) / two_q
     return float(kirchhoff), float(kemeny)

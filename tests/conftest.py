@@ -38,10 +38,8 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 @st.composite
-def connected_graphs(draw, max_vertices: int = 10, min_vertices: int = 2) -> Graph:
-    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
-    if n == 1:
-        return Graph(1, ())
+def connected_graphs(draw, max_vertices: int = 10) -> Graph:
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
     edges = set()
     for v in range(1, n):
         parent = draw(st.integers(min_value=0, max_value=v - 1))

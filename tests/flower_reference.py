@@ -58,11 +58,17 @@ def exact_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
+def outer_vertices(spec: FlowerSpec) -> list[int]:
+    """Base vertices other than the marked pair, ascending: a petal's labels after
+    its junction."""
+    return [v for v in range(spec.base.vertex_count) if v not in (spec.x, spec.y)]
+
+
 def reference_flower(spec: FlowerSpec) -> Graph:
     """The flower built petal by petal: petal ``i``'s ``x`` is label ``(i - 1)(m - 1)``,
     its ``y`` is petal ``i - 1``'s ``x`` and its outer vertices follow its junction."""
     block = spec.block_size
-    outer_index = {v: off for off, v in enumerate(spec.outer_vertices())}
+    outer_index = {v: off for off, v in enumerate(outer_vertices(spec))}
 
     def label(petal: int, base_vertex: int) -> int:
         if base_vertex == spec.x:
@@ -79,7 +85,7 @@ def reference_flower(spec: FlowerSpec) -> Graph:
 
 
 def all_locators(spec: FlowerSpec) -> list[FlowerLocator]:
-    outer = spec.outer_vertices()
+    outer = outer_vertices(spec)
     locs = []
     for petal in range(1, spec.n + 1):
         locs.append(FlowerLocator(petal, spec.x))
@@ -91,7 +97,7 @@ def located_pairs(spec: FlowerSpec):
     """Every ``(a, b, e, u, v)`` of ``R_ab(e)``: ``u`` is base locator ``a`` in petal 1
     and ``v`` is ``b``, ``e`` petals down the chain from it."""
     n, x = spec.n, spec.x
-    reps = (x,) + spec.outer_vertices()
+    reps = (x, *outer_vertices(spec))
     for a in reps:
         u = FlowerLocator(1, a)
         for b in reps:
@@ -168,10 +174,10 @@ def summed_kirchhoff(spec: FlowerSpec) -> Fraction:
 
 def summed_kemeny(spec: FlowerSpec) -> Fraction:
     base = spec.base
-    junction_degree = base.degree(spec.x) + base.degree(spec.y)
+    junction_degree = base.degrees[spec.x] + base.degrees[spec.y]
 
     def degree(loc: FlowerLocator) -> int:
-        return junction_degree if loc.base_vertex == spec.x else base.degree(loc.base_vertex)
+        return junction_degree if loc.base_vertex == spec.x else base.degrees[loc.base_vertex]
 
     anchored = sum(
         (

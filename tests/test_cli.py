@@ -290,26 +290,24 @@ def test_verify_empty_grid_exits_2(capsys, command):
 
 
 @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
-def test_verify_bad_tolerance_exits_2(capsys, monkeypatch, tol):
+def test_verify_bad_tolerance_exits_2(capsys, tol):
     grid = ["verify", "--family", "complete", "--m-range", "3", "--n-range", "3"]
     with pytest.raises(SystemExit) as excinfo:
-        main([*grid, "--tol", tol])
-    assert excinfo.value.code == 2
-    monkeypatch.setenv("FLOWER_TOL", tol)
-    with pytest.raises(SystemExit) as excinfo:
-        main(grid)
-    assert excinfo.value.code == 2
-    assert capsys.readouterr().out == ""
-
-
-def test_verify_unparsable_tolerance_names_its_source(capsys, monkeypatch):
-    monkeypatch.setenv("FLOWER_TOL", "abc")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--family", "complete", "--m-range", "3", "--n-range", "3"])
+        main([*grid, f"--tol={tol}"])  # "--tol -1e-9" would read -1e-9 as an option
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "FLOWER_TOL must be a number, got 'abc'" in captured.err
+    assert "tolerance must be a finite nonnegative number" in captured.err
+
+
+def test_verify_unparsable_tolerance_names_its_source(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--family", "complete", "--m-range", "3", "--n-range", "3",
+              "--tol", "abc"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --tol: invalid float value: 'abc'" in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
@@ -482,14 +480,13 @@ def test_tol_help_states_the_oracle_tolerances(capsys):
     assert numbers == [oracle.MAGNITUDE_CUTOFF, oracle.DEFAULT_TOL, oracle.REL_TOL]
 
 
-def test_tolerance_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("FLOWER_TOL", "1e-3")
+def test_verify_defaults_to_the_oracle_tolerance(capsys):
     code, out = run(
         capsys,
         "verify", "--family", "complete", "--m-range", "3:3", "--n-range", "3:3",
     )
     assert code == 0
-    assert "tol=0.001" in out
+    assert f"tol={oracle.DEFAULT_TOL:g})" in out
 
 
 # Exact outputs captured before the command line evaluated every family

@@ -36,7 +36,12 @@ from flowergraphs import (
 from flowergraphs.flower import _laplacian_solve
 
 from conftest import connected_graphs, grid_graph, random_connected_graph
-from flower_reference import exact_resistance_table, max_diff_sequence, reference_flower
+from flower_reference import (
+    exact_resistance_table,
+    max_diff_sequence,
+    outer_vertices,
+    reference_flower,
+)
 
 
 def k3_spec(n: int) -> FlowerSpec:
@@ -78,7 +83,7 @@ def test_junction_degree_is_sum_of_marked_degrees():
     spec = FlowerSpec(base, 0, 2, 4)
     flower = build_flower(spec)
     junction = spec.label_of(1, 0)
-    assert flower.degree(junction) == base.degree(0) + base.degree(2)
+    assert flower.degrees[junction] == base.degrees[0] + base.degrees[2]
 
 
 def test_labeling_is_a_bijection_with_contiguous_blocks():
@@ -104,11 +109,13 @@ def test_locator_round_trip():
 @example(k3_spec(4))
 @given(flower_specs())
 def test_label_map_matches_the_reference_construction(spec):
-    """``build_flower`` equals the petal-by-petal reference, ``label_of`` and
-    ``locator_of`` are inverse bijections between the labels and the canonical
-    locators, a junction reads as ``x`` of the previous petal, and shifting every
-    label by one block maps the edge set onto itself."""
+    """``build_flower`` equals the petal-by-petal reference, a block holds ``x`` and
+    then the outer vertices, ``label_of`` and ``locator_of`` are inverse bijections
+    between the labels and the canonical locators, a junction reads as ``x`` of the
+    previous petal, and shifting every label by one block maps the edge set onto
+    itself."""
     n, size, count = spec.n, spec.block_size, spec.vertex_count
+    assert spec.block_order == (spec.x, *outer_vertices(spec))
     graph = build_flower(spec)
     assert graph == reference_flower(spec)
     locators = [spec.locator_of(label) for label in range(count)]
@@ -238,9 +245,8 @@ def test_cross_correction_is_nonnegative(spec):
     n, x, y = spec.n, spec.x, spec.y
     table = base_resistance_table(spec.base)
     s = table[x][y]
-    reps = (x,) + spec.outer_vertices()
-    for a in reps:
-        for b in reps:
+    for a in spec.block_order:
+        for b in spec.block_order:
             for e in range(1, n):
                 series = table[a][y] + table[b][x] + (e - 1) * s
                 value = flower_resistance(spec, locator(spec, 1 + e, a), locator(spec, 1, b))
@@ -271,9 +277,8 @@ def test_same_petal_mixed_pair_triangle():
 @given(flower_specs())
 def test_same_petal_never_exceeds_base_resistance(spec):
     table = base_resistance_table(spec.base)
-    reps = (spec.x,) + spec.outer_vertices()
-    for a in reps:
-        for b in reps:
+    for a in spec.block_order:
+        for b in spec.block_order:
             value = flower_resistance(spec, locator(spec, 1, a), locator(spec, 1, b))
             assert value <= table[a][b]
 

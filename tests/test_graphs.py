@@ -171,22 +171,46 @@ def test_csr_lists_each_row_ascending(g):
 def test_degree_degrees_and_neighbors_give_python_ints():
     g = build_flower(complete_flower_spec(CompleteFlowerParams(4, 3)))
     assert type(g.degrees) is tuple and type(g.neighbors(0)) is tuple
-    values = [*g.degrees, *g.neighbors(0), g.degree(0), g.edge_count, g.vertex_count]
+    values = [*g.degrees, *g.neighbors(0), g.edge_count, g.vertex_count]
     assert {type(value) for value in values} == {int}
 
 
 def test_graph_constructor_rejects_bad_edges():
-    with pytest.raises(ValueError, match="not normalized"):
-        Graph(3, [(1, 0), (1, 2)])
-    with pytest.raises(ValueError, match="out of range"):
+    assert Graph(3, [(1, 0), (1, 2)]) == path_graph(3)
+    with pytest.raises(ValueError, match=r"edge \(1, 3\) is out of range for 3 vertices"):
         Graph(3, [(0, 1), (1, 3)])
     with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
         Graph(3, [(0, 1), (1, 2), (0, 1)])
     with pytest.raises(ValueError, match="pair"):
         Graph(3, [(0, 1, 2)])
-    with pytest.raises(ValueError, match="at least one vertex"):
-        Graph(0, ())
-    assert Graph(1, ()).degrees == (0,)
+    with pytest.raises(ValueError, match="edge list is empty"):
+        Graph(1, ())
+
+
+@given(connected_graphs())
+def test_either_orientation_gives_the_same_graph(g):
+    flipped = Graph(g.vertex_count, g.edges[:, ::-1])
+    assert flipped == g and hash(flipped) == hash(g)
+    for name in ("edges", "indptr", "indices"):
+        assert np.array_equal(getattr(flipped, name), getattr(g, name))
+    assert flipped.degrees == g.degrees
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(0, 1), (2, -1)], r"negative vertex label in edge \(2, -1\)"),
+        ([(0, 1), (1, 1)], "self-loop at vertex 1"),
+        ([(0, 1), (1, 10**30)], rf"a vertex label is outside 0\.\.{np.iinfo(np.intp).max}"),
+        ([(0, 1), (1, 2), (2, 0), (1, 0)], r"duplicate edge \(0, 1\)"),
+        ([], "edge list is empty"),
+    ],
+    ids=["negative", "self-loop", "out-of-range", "duplicate", "empty"],
+)
+def test_the_constructor_and_the_edge_list_builder_give_the_same_message(edges, message):
+    for build in (lambda: Graph(3, edges), lambda: graph_from_edge_list(edges)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 def test_block_shift_graph_rejects_a_shift_that_repeats_an_edge():

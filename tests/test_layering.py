@@ -2,8 +2,8 @@
 the oracle is the package's only LAPACK user, factors only through the banded
 ``dpbtrf`` and reads a graph only as CSR arrays, only ``FlowerSpec`` and
 ``build_flower`` know the petal block size, only ``cli._flowers`` reads the family
-options, the package exports what it imports, and no source line is longer than 99
-characters."""
+options, the package exports what it imports, graphs and flower specs compute their
+derived attributes at construction, and no source line is longer than 99 characters."""
 
 from __future__ import annotations
 
@@ -99,6 +99,18 @@ def test_the_oracle_reads_the_graph_as_csr_arrays():
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert {"indptr", "indices"} <= read
     assert not {"adjacency_lists", "neighbors", "edges"} & read
+
+
+@pytest.mark.parametrize("module", ["graphs", "flower"])
+def test_graphs_and_specs_use_no_cached_property(module):
+    """``Graph`` and ``FlowerSpec`` set what they derive in ``__post_init__``: a
+    ``cached_property`` writes the instance dict after construction, which slows
+    every later attribute read of that instance on CPython 3.11."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {name.split(".")[-1] for name in imported_modules(ast.unparse(tree))}
+    assert "cached_property" not in named
 
 
 def test_only_the_spec_and_the_builder_read_the_block_size():

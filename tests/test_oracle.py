@@ -16,7 +16,6 @@ from flowergraphs import (
     CompleteFlowerParams,
     CycleFlowerParams,
     FlowerSpec,
-    Graph,
     build_flower,
     complete_flower_spec,
     complete_graph,
@@ -171,16 +170,6 @@ def test_oracle_raises_when_the_finishing_call_fails(monkeypatch, entry):
         ENTRY_POINTS[entry](cycle_graph(5))
 
 
-def test_one_vertex_graph_has_empty_results_and_calls_no_lapack(capfd):
-    g = Graph(1, ())
-    assert numeric_indices(g) == (0.0, 0.0)
-    assert np.array_equal(resistance_matrix(g), np.zeros((1, 1)))
-    assert resistance(g, 0, 0) == 0.0
-    assert np.array_equal(grounded_potentials(g, 0, 0), np.zeros(1))
-    # LAPACK reports an illegal argument on stderr itself, below Python.
-    assert capfd.readouterr().err == ""
-
-
 def _assert_banded_equals_dense(g):
     """All four entry points agree with the dense Cholesky reference to 1e-12."""
     close = {"rtol": 1e-12, "atol": 1e-12}
@@ -194,7 +183,7 @@ def _assert_banded_equals_dense(g):
 
 
 @settings(max_examples=60)
-@given(connected_graphs(min_vertices=1))
+@given(connected_graphs())
 def test_banded_oracle_equals_the_dense_reference(g):
     _assert_banded_equals_dense(g)
 
@@ -202,7 +191,6 @@ def test_banded_oracle_equals_the_dense_reference(g):
 @pytest.mark.parametrize(
     "g",
     [
-        Graph(1, ()),
         path_graph(2),
         path_graph(9),
         # Stars and bowties centred at 0 ground to isolated vertices or components.
@@ -212,7 +200,7 @@ def test_banded_oracle_equals_the_dense_reference(g):
         build_flower(cycle_flower_spec(CycleFlowerParams(8, 15, 3))),
         build_flower(FlowerSpec(petersen_graph(), 0, 2, 12)),
     ],
-    ids=["one-vertex", "edge", "path", "star", "bowtie", "K5-flower", "C8-flower",
+    ids=["edge", "path", "star", "bowtie", "K5-flower", "C8-flower",
          "petersen-flower"],
 )
 def test_banded_oracle_equals_the_dense_reference_on_examples(g):
