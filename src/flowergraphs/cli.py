@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -269,7 +271,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on the first call and shared by every later one,
+    so a process that calls ``main`` repeatedly pays for it once."""
     parser = argparse.ArgumentParser(
         prog="flowergraphs",
         description="Build flower graphs and evaluate their resistance closed forms.",
@@ -326,6 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
         "absolute tolerance up to magnitude 1e3 (default 1e-9); "
         "beyond it a fixed 1e-12 relative bound"))
     verify.set_defaults(func=cmd_verify)
+    # argparse takes only -N and -N.N for numbers, so "--tol -1e-9" would read its
+    # value as an option; exponent forms reach cmd_verify's check too.
+    verify._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
 
     sweep = sub.add_parser("sweep", parents=[grid], help="sweep closed forms against the oracle")
     sweep.add_argument("--json", action="store_true")

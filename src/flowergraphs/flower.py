@@ -234,7 +234,9 @@ def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
     det, k = _laplacian_solve(spec.base)
     n, x, y = spec.n, spec.x, spec.y
     s = k[x][y]
-    best: tuple[int, tuple[FlowerLocator, FlowerLocator]] | None = None
+    # Keys are nonnegative, so the first candidate always wins against -1.  A key
+    # below the best cannot win, so its locators are never built.
+    best_value, best_pair = -1, None
     for a in spec.block_order:
         u = FlowerLocator(1, a)
         for b in spec.block_order:
@@ -245,15 +247,16 @@ def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
                 steps.add(0)
             for e in steps:
                 value = _scaled_pair_resistance(spec, k, a, b, e)
+                if value < best_value:
+                    continue
                 # e petals down the chain from petal 1 is petal 1 - e (mod n).
                 v = FlowerLocator((1 - e) % n or n, b)
                 pair = (u, v) if u <= v else (v, u)
-                if best is None or value > best[0] or (value == best[0] and pair < best[1]):
-                    best = (value, pair)
-    assert best is not None
-    value, (u, v) = best
+                if value > best_value or pair < best_pair:
+                    best_value, best_pair = value, pair
+    u, v = best_pair
     return MaxResistance(
-        Fraction(value, 4 * n * s * det), u, v, normalized_petal_separation(spec, u, v)
+        Fraction(best_value, 4 * n * s * det), u, v, normalized_petal_separation(spec, u, v)
     )
 
 
@@ -302,20 +305,43 @@ def base_kemeny(g: Graph) -> Fraction:
 def _weighted_pair_total(spec: FlowerSpec, weights: list[int]) -> Fraction:
     """Weighted resistance sum over all pairs whose first vertex is in petal 1.
 
-    Per ordered base-locator pair ``f(e) = 4 n k_xy det R_ab(e)`` is an integer
-    quadratic in ``e >= 1``, so by Newton's forward differences, with ``N = n - 1``,
+    With ``f(e)`` the sum of ``w_a w_b 4 n k_xy det R_ab(e)`` over ordered pairs
+    ``a, b`` of ``spec.block_order``, ``f(0)`` is the one pass over the pairs.  For
+    ``e >= 1``, ``f(e)`` reduces to weighted moments.  With ``s = k_xy``,
+    ``alpha_a = k_ax - k_ay``, ``W = sum w_a``, ``A = sum w_a alpha_a``,
+    ``B = sum w_a alpha_a^2``, ``X = sum w_a k_ax`` and ``Y = sum w_a k_ay``, the
+    series ``k_ay + k_bx + (e - 1) s`` sums to ``W Y + W X + (e - 1) s W^2``.  The
+    imbalance is ``alpha_a - alpha_b - 2es``; its square sums to
+    ``sum w_a w_b (alpha_a - alpha_b)^2 = 2 W B - 2 A^2``, plus the cross term
+    ``-4es sum w_a w_b (alpha_a - alpha_b)``, which is zero because its summand is
+    antisymmetric in ``a, b``, plus ``4 e^2 s^2 W^2``.  So
+    ``f(e) = 4ns (W Y + W X + (e - 1) s W^2) - (2 W B - 2 A^2) - 4 e^2 s^2 W^2``,
+    an integer quadratic in ``e``, and by Newton's forward differences, with
+    ``N = n - 1``,
     ``f(1) + ... + f(N) = N f(1) + C(N, 2) (f(2) - f(1)) + C(N, 3) (f(3) - 2 f(2) + f(1))``
-    exactly, for every ``n >= 3``; the weighted sums over all pairs combine the same way.
+    exactly, for every ``n >= 3``.  The whole sum is one O(m^2) pass plus O(m) moments.
     """
     det, k = _laplacian_solve(spec.base)
-    pairs = [(a, b) for a in spec.block_order for b in spec.block_order]
-    f0, f1, f2, f3 = (
-        sum(weights[a] * weights[b] * _scaled_pair_resistance(spec, k, a, b, e) for a, b in pairs)
-        for e in range(4)
+    n, x, y = spec.n, spec.x, spec.y
+    s = k[x][y]
+    order = spec.block_order
+    f0 = sum(
+        weights[a] * weights[b] * _scaled_pair_resistance(spec, k, a, b, 0)
+        for a in order for b in order
     )
-    steps = spec.n - 1
+    W = sum(weights[a] for a in order)
+    A = sum(weights[a] * (k[a][x] - k[a][y]) for a in order)
+    B = sum(weights[a] * (k[a][x] - k[a][y]) ** 2 for a in order)
+    X = sum(weights[a] * k[a][x] for a in order)
+    Y = sum(weights[a] * k[a][y] for a in order)
+    spread = 2 * W * B - 2 * A * A
+    f1, f2, f3 = (
+        4 * n * s * (W * Y + W * X + (e - 1) * s * W * W) - spread - 4 * e * e * s * s * W * W
+        for e in (1, 2, 3)
+    )
+    steps = n - 1
     total = f0 + steps * f1 + comb(steps, 2) * (f2 - f1) + comb(steps, 3) * (f3 - 2 * f2 + f1)
-    return Fraction(total, 4 * spec.n * k[spec.x][spec.y] * det)
+    return Fraction(total, 4 * n * s * det)
 
 
 def flower_kirchhoff_exact(spec: FlowerSpec) -> Fraction:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -19,7 +20,7 @@ from flowergraphs import (
     parse_edge_list,
 )
 from flowergraphs import oracle
-from flowergraphs.cli import main
+from flowergraphs.cli import build_parser, main
 
 from conftest import grid_graph
 from flower_reference import summed_kirchhoff
@@ -289,15 +290,19 @@ def test_verify_empty_grid_exits_2(capsys, command):
     assert "grid holds no flower" in captured.err
 
 
-@pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
+# argparse reads only -N and -N.N as numbers by itself; verify's parser also takes
+# the exponent forms, so "--tol -1e-9" reaches the check as "--tol=-1e-9" does.
+@pytest.mark.parametrize("tol", ["-1e-9", "-2.5E+3", "-.5e1", "-0.25", "nan", "inf"])
 def test_verify_bad_tolerance_exits_2(capsys, tol):
     grid = ["verify", "--family", "complete", "--m-range", "3", "--n-range", "3"]
-    with pytest.raises(SystemExit) as excinfo:
-        main([*grid, f"--tol={tol}"])  # "--tol -1e-9" would read -1e-9 as an option
-    assert excinfo.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "tolerance must be a finite nonnegative number" in captured.err
+    for argv in ([*grid, f"--tol={tol}"], [*grid, "--tol", tol]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"error: tolerance must be a finite nonnegative number, got {float(tol)}\n"
+        assert message in captured.err
 
 
 def test_verify_unparsable_tolerance_names_its_source(capsys):
@@ -617,3 +622,54 @@ def test_sweep_closed_form_column_is_pinned(tmp_path, monkeypatch, capsys, grid,
     assert [
         ",".join(row[key] for key in ("m", "n", "p", "quantity", "closed_form")) for row in rows
     ] == expected.split()
+
+
+SUBCOMMANDS = ("gen", "resist", "kirchhoff", "kemeny", "bounds", "maxres", "verify", "sweep")
+
+
+def test_a_second_call_builds_no_parser(capsys, monkeypatch):
+    argv = ["kirchhoff", "--family", "complete", "-m", "4", "-n", "3", "--exact"]
+    first = run(capsys, *argv)
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, *argv) == first
+    assert run(capsys, "maxres", "--family", "cycle", "-m", "6", "-n", "4", "-p", "3")[0] == 0
+    assert built == []
+    assert build_parser.cache_info().misses == 1
+
+
+def test_nothing_carries_over_between_calls(capsys):
+    grid = ["verify", "--family", "complete", "--m-range", "3", "--n-range", "3"]
+    assert "tol=0.001)" in run(capsys, *grid, "--tol", "1e-3")[1]
+    assert f"tol={oracle.DEFAULT_TOL:g})" in run(capsys, *grid)[1]
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["kirchhoff", "--family", "complete", "-n", "3"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    good = ["kirchhoff", "--family", "complete", "-m", "3", "-n", "3", "--exact"]
+    assert run(capsys, *good) == (0, "65/6\n")
+
+    sweep = ["sweep", "--family", "complete", "--m-range", "3", "--n-range", "3"]
+    assert json.loads(run(capsys, *sweep, "--json")[1])
+    out = run(capsys, *sweep)[1]
+    assert out.startswith("family,m,n,p,quantity,")
+
+
+@pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+def test_the_shared_parser_prints_the_help_of_a_fresh_one(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    outputs = []
+    for parser in (build_parser(), build_parser.__wrapped__()):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv)
+        assert excinfo.value.code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("usage: flowergraphs")

@@ -9,6 +9,7 @@ cycle-base closed forms the general path specialises to, per index and per pair.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,6 +34,8 @@ from flowergraphs import (
     path_graph,
     petersen_graph,
 )
+
+from flowergraphs.flower import _laplacian_solve, _scaled_pair_resistance, _weighted_pair_total
 
 from conftest import connected_graphs, random_connected_graph
 from flower_reference import (complete_case, cycle_position, exhaustive_max_resistance,
@@ -109,6 +112,43 @@ def small_specs(draw) -> FlowerSpec:
 def test_small_bases_match_summed_indices(spec):
     assert flower_kirchhoff_exact(spec) == summed_kirchhoff(spec)
     assert flower_kemeny_exact(spec) == summed_kemeny(spec)
+
+
+def summed_pair_total(spec: FlowerSpec, weights: list[int]) -> Fraction:
+    """``_weighted_pair_total`` by its definition: one pass over the base-locator
+    pairs per petal separation ``e = 0..n-1``."""
+    det, k = _laplacian_solve(spec.base)
+    total = sum(
+        weights[a] * weights[b] * _scaled_pair_resistance(spec, k, a, b, e)
+        for e in range(spec.n)
+        for a in spec.block_order
+        for b in spec.block_order
+    )
+    return Fraction(total, 4 * spec.n * k[spec.x][spec.y] * det)
+
+
+@st.composite
+def weighted_bases(draw):
+    base = draw(connected_graphs(max_vertices=6))
+    weights = draw(st.lists(st.integers(-40, 40), min_size=base.vertex_count,
+                            max_size=base.vertex_count))
+    return base, weights
+
+
+# The moment form of the sum holds for any integer weights, not only the
+# positive ones of the two indices.  The two-vertex base has block_order (x,).
+@settings(max_examples=60, deadline=None)
+@given(weighted_bases())
+@example((path_graph(2), [3, -2]))
+@example((path_graph(2), [0, 5]))
+def test_weighted_pair_total_matches_the_summed_definition(case):
+    base, weights = case
+    for x in range(base.vertex_count):
+        for y in range(base.vertex_count):
+            if x != y:
+                for n in range(3, 10):
+                    spec = FlowerSpec(base, x, y, n)
+                    assert _weighted_pair_total(spec, weights) == summed_pair_total(spec, weights)
 
 
 def test_general_path_specialises_to_complete_closed_forms():

@@ -2,7 +2,8 @@
 the oracle is the package's only LAPACK user, factors only through the banded
 ``dpbtrf`` and reads a graph only as CSR arrays, only ``FlowerSpec`` and
 ``build_flower`` know the petal block size, only ``cli._flowers`` reads the family
-options, the package exports what it imports, graphs and flower specs compute their
+options, ``cli.build_parser`` alone builds argparse parsers and builds them once per
+process, the package exports what it imports, graphs and flower specs compute their
 derived attributes at construction, and no source line is longer than 99 characters."""
 
 from __future__ import annotations
@@ -138,3 +139,17 @@ def test_only_flowers_reads_the_family_options():
             ):
                 readers.add(getattr(top, "name", None))
     assert readers == {"_flowers"}
+
+
+def test_only_the_cached_build_parser_makes_argparse_parsers():
+    """``main`` reuses one parser tree; a parser made per call would cost about 1 ms
+    of every command run in a long-lived process."""
+    body = ast.parse((PACKAGE / "cli.py").read_text()).body
+    builders = {
+        getattr(top, "name", None)
+        for top in body
+        if {"ArgumentParser", "add_parser"} & set(_called_names(top))
+    }
+    assert builders == {"build_parser"}
+    build_parser = next(top for top in body if getattr(top, "name", None) == "build_parser")
+    assert [ast.unparse(node) for node in build_parser.decorator_list] == ["functools.cache"]
