@@ -2,7 +2,8 @@
 
 Construct flowers from any connected base graph, evaluate pairwise effective
 resistance, Kirchhoff index and Kemeny's constant in exact rational
-arithmetic, and cross-check everything against a banded Laplacian solver.
+arithmetic, and cross-check everything against a numeric Laplacian oracle that
+works on the Fourier blocks of the petal rotation.
 """
 
 from .complete import (

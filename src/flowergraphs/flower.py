@@ -62,6 +62,12 @@ class FlowerSpec:
     def vertex_count(self) -> int:
         return self.n * self.block_size
 
+    @property
+    def shift(self) -> int:
+        """The label shift that moves every petal onto the next, one block: moving
+        every label by it modulo the vertex count maps the flower onto itself."""
+        return self.block_size
+
     def label_of(self, petal: int, base_vertex: int) -> int:
         """The flower label of ``base_vertex`` inside ``petal``."""
         petal, v = locator(self, petal, base_vertex)
@@ -93,7 +99,7 @@ def build_flower(spec: FlowerSpec) -> Graph:
     petal ``i``'s ``y`` lands on petal ``i - 1``'s ``x``."""
     label = [spec.label_of(1, v) for v in range(spec.base.vertex_count)]
     first = [(label[a], label[b]) for a, b in spec.base.edges.tolist()]
-    return block_shift_graph(spec.vertex_count, first, spec.block_size)
+    return block_shift_graph(spec.vertex_count, first, spec.shift)
 
 
 @lru_cache(maxsize=64)

@@ -137,6 +137,28 @@ def block_shift_graph(count: int, first_edges: Iterable[Edge], shift: int) -> Gr
     return Graph(count, shifted.reshape(-1, 2))
 
 
+def check_shift(g: Graph, shift: int) -> None:
+    """Certify that moving every label by ``shift`` modulo the vertex count maps
+    ``g``'s edges onto themselves, exactly.
+
+    The moved edges' keys ``u * N + v`` (``u < v``) are sorted and compared with
+    the stored edges' keys, which are sorted already.  A ``shift`` that does not
+    divide ``N`` (``N`` itself is the identity) or does not map the edges onto
+    themselves raises ``ValueError`` naming it.
+    """
+    count = g.vertex_count
+    if not 0 < shift <= count or count % shift:
+        raise ValueError(f"shift {shift} does not divide the vertex count {count}")
+    moved = g.edges + shift
+    np.subtract(moved, count, out=moved, where=moved >= count)
+    u, v = moved.T
+    keys = np.minimum(u, v) * count + np.maximum(u, v)
+    # The moved edges form a few sorted runs, which a stable sort merges in O(|E|).
+    keys.sort(kind="stable")
+    if keys.tobytes() != (g.edges[:, 0] * count + g.edges[:, 1]).tobytes():
+        raise ValueError(f"shift {shift} does not map the edges of the graph onto themselves")
+
+
 def parse_edge_list(text: str) -> list[Edge]:
     """Parse the one-edge-per-line text format.
 

@@ -1,176 +1,175 @@
-"""Numeric ground truth: resistances from one banded Cholesky factor.
+"""Numeric ground truth: resistances from the Fourier blocks of a block-circulant Laplacian.
 
-Every entry point deletes the row and column of vertex 0 from the Laplacian
-and orders the other vertices by reverse Cuthill-McKee (Cuthill & McKee 1969;
-George & Liu 1981), so the grounded Laplacian ``L0`` has a small bandwidth
-``b``: about one petal block on a flower.  ``L0`` goes straight from the
-graph's CSR arrays and its degrees into LAPACK band storage, ``dpbtrf`` factors
-it as ``L0 = U^T U`` and every entry point finishes with ``dpbtrs`` solves on
-``U``; no N x N Laplacian is built.
-``numeric_indices`` also reads the diagonal of ``G = L0^-1`` off ``U`` by
-selected inversion.  This satisfies the pseudoinverse's defining quadratic
-form without assembling it, and nothing is cached.
+Every entry point takes a graph and a label shift ``k`` that ``graphs.check_shift``
+certifies first.  With ``n = N / k`` blocks, ``v = p k + r``, the Laplacian is then
+block circulant, ``L[(p, r), (p', r')] = C_{p'-p}[r, r']``, and a DFT over the blocks
+splits it into ``n`` Hermitian ``k x k`` symbols ``L(w) = sum_d w^d C_d``,
+``w = exp(2 pi i j / n)`` (Davis, *Circulant Matrices*, 1979, ch. 5), read off
+the arcs that leave block 0.  The blocks of ``L^+`` are their inverse DFT, and
+``L(conj w) = conj L(w)`` leaves ``j = 0 .. n // 2``.  The default shift ``N`` is
+one block: one dense deflated solve of ``L`` itself.
+
+Only ``L(1)`` is singular, but ``1^T L(w) 1`` is of order ``sigma^2``,
+``sigma = |1 - w| = 2 sin(pi j / n)``.  In the orthonormal basis ``P = [u, Q]``
+(``u = 1 / sqrt(k)``, ``Q`` from a Householder reflector) ``P^T L(w) P`` is
+``[[sigma^2 alpha, sigma beta^H], [sigma beta, M]]``.  ``alpha`` and ``beta`` come
+from ``rho_d = (1 - w^d) / sigma``, evaluated as ``-i e^{i phi} sin(phi) /
+sin(pi j / n)``, ``phi = pi j d / n``: the factors of ``sigma`` are pulled out
+analytically.  What is left, ``T = [[alpha, beta^H], [beta, M]]``, is well
+conditioned, as its Schur complement ``alpha - beta^H M^-1 beta`` is of order one.
+So ``L(w)^-1 = P S T^-1 S P^T`` with ``S = diag(1 / sigma, 1, ..)``, and
+``L(1)^+ = Q M^-1 Q^T``; no entry comes from cancelling terms of size
+``1 / sigma^2``.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .graphs import Graph
+from .graphs import Graph, check_shift
 
 
-def _check(routine, info: int) -> None:
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{routine.__name__} failed: info={info}")
+def _reflector(v: np.ndarray) -> np.ndarray:
+    """An orthogonal matrix whose column 0 is the unit vector ``v``, ``v[0] > 0``: the
+    Householder reflector that takes ``e_0`` to ``-v``, with column 0 negated."""
+    w = v.copy()
+    w[0] += 1.0
+    basis = np.eye(v.size) - np.outer(w, w) / w[0]
+    basis[:, 0] = v
+    return basis
 
 
-def _banded_factor(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``(U, order)``: the grounded Laplacian's upper band factor and its vertex order.
+class _Symbols(NamedTuple):
+    """``L(w_j)^+ = basis inverse_j basis^T`` for ``j = 0 .. n // 2``."""
 
-    ``order[k]`` is the vertex at row ``k`` of ``L0``, a reverse Cuthill-McKee
-    order of vertices ``1..N-1``.  ``U`` is in LAPACK's upper band storage,
-    ``U[i, j]`` at ``[b + i - j, j]``; ``b`` is the largest distance in that
-    order between the ends of an edge that misses vertex 0.  A nonzero
-    ``info`` raises ``LinAlgError``.
-    """
-    size = g.vertex_count - 1
-    # Rows 1..N-1 of the graph's CSR without column 0 are the grounded graph in
-    # canonical CSR form (columns ascending), so the order depends on the graph only.
-    neighbors = g.indices[g.indptr[1]:]
-    rows = np.repeat(np.arange(size), g.degrees[1:])
-    grounded = neighbors > 0
-    rows, columns = rows[grounded], neighbors[grounded] - 1
-    starts = np.searchsorted(rows, np.arange(size + 1))
-    adjacency = csr_matrix((np.ones(columns.size), columns, starts), (size, size))
-    order = reverse_cuthill_mckee(adjacency, symmetric_mode=True)
-    position = np.empty(size, np.intp)
-    position[order] = np.arange(size)
-    i = np.minimum(position[rows], position[columns])
-    j = np.maximum(position[rows], position[columns])
-    b = int((j - i).max(initial=0))
-    band = np.zeros((b + 1, size), order="F")
-    band[b] = np.asarray(g.degrees, dtype=float)[order + 1]
-    band[b + i - j, j] = -1.0  # each edge twice, as (u, v) and (v, u)
-    factor, info = dpbtrf(band, lower=0, overwrite_ab=1)
-    _check(dpbtrf, info)
-    return factor, order + 1
+    blocks: int
+    arcs: np.ndarray  # arcs[e, r, r']: arcs from r in block 0 to offset r' at step e
+    basis: np.ndarray
+    inverse: np.ndarray
 
 
-def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``L0^-1 rhs`` for the columns of ``rhs``, in the factor's vertex order (``dpbtrs``)."""
-    solution, info = dpbtrs(factor, rhs, lower=0, overwrite_b=1)
-    _check(dpbtrs, info)
-    return solution
+def _symbols(g: Graph, shift: int | None) -> _Symbols:
+    """The deflated symbols ``L(w_j)`` of ``g`` under ``shift``, inverted in one batch."""
+    count = g.vertex_count
+    k = count if shift is None else shift
+    check_shift(g, k)
+    n = count // k
+    # Arc r -> c leaving block 0 stands for its orbit: step d = c // k (centred
+    # in (-n/2, n/2]) to the head's block, head offset c % k.
+    tails = np.repeat(np.arange(k), np.diff(g.indptr[:k + 1]))
+    step, head = np.divmod(g.indices[:g.indptr[k]], k)
+    step -= n * (2 * step > n)
+    steps = np.unique(step)
+    which = np.searchsorted(steps, step)
+    arcs = np.bincount((which * k + tails) * k + head, minlength=steps.size * k * k)
+    arcs = arcs.reshape(-1, k, k).astype(float)
+    leaving = arcs.sum(2)
+    degrees = leaving.sum(0)
+    freq = np.arange(n // 2 + 1)
+    # e^{i phi} for phi = pi j d / n reduced exactly into [-pi, pi): w^d is its square
+    # and sin(phi), accurate near w = 1, its imaginary part.
+    half_turn = np.exp(1j * np.pi / n * ((np.outer(freq, steps) + n) % (2 * n) - n))
+    basis = _reflector(np.full(k, k ** -0.5))
+    # L(w) = diag(degrees) - sum_d w^d arcs[d], in the basis [u, Q] term by term.
+    folded = (basis.T @ arcs @ basis).reshape(len(steps), k * k)
+    symbols = ((basis.T * degrees) @ basis).ravel() - np.square(half_turn) @ folded
+    symbols = symbols.reshape(-1, k, k)
+    # T: row and column u over sigma.  With rho_d = (1 - w^d) / sigma, (L(w) 1)_r
+    # sums sigma rho_d over the arcs leaving r.  The arcs of steps d and -d pair up,
+    # so 1^T L(w) 1 sums sigma Re rho_d = sigma^2 |rho_d|^2 / 2: no cancellation.
+    # At w = 1 row and column u vanish, and a unit pivot stands in.
+    half_sigma = np.sin(np.pi / n * freq[1:])[:, None]
+    rho = -1j * half_turn[1:] * half_turn[1:].imag / half_sigma
+    column = (rho @ leaving) @ basis * k ** -0.5
+    column[:, 0] = column[:, 0].real / (2 * half_sigma[:, 0])
+    symbols[1:, :, 0] = column
+    symbols[1:, 0] = column.conj()
+    symbols[0, 0], symbols[0, :, 0], symbols[0, 0, 0] = 0.0, 0.0, 1.0
+    inverse = np.linalg.inv(symbols)
+    # S T^-1 S: row and column u of the inverse over sigma, and zero at w = 1.
+    scale = np.vstack(([[0.0]], 0.5 / half_sigma))
+    inverse[:, 0] *= scale
+    inverse[:, :, 0] *= scale
+    return _Symbols(n, arcs, basis, inverse)
 
 
-def _green_diagonal(factor: np.ndarray) -> np.ndarray:
-    """The diagonal of ``G = L0^-1`` from its upper band factor ``U``, in O(N b^2).
-
-    ``U G = U^-T`` is lower triangular (Takahashi, Fagan & Chen 1973).  For a
-    block of ``s = max(b, 1)`` rows ``I`` and the ``b`` rows ``J`` after it,
-    the only ones row ``I`` of ``U`` reaches, that gives
-
-        G_IJ = -W G_JJ,    G_II = V V^T + W G_JJ W^T,
-
-    with ``V = U_II^-1`` and ``W = V U_IJ``.  ``G_JJ`` is the leading corner of
-    the next block's ``G_II``, so the blocks run from the last one up, and the
-    loop runs about N/b times.  ``U`` is padded with identity rows to whole
-    blocks plus ``b``; every ``V`` and ``W`` comes from one stacked solve.
-    Memory stays O(N b).
-    """
-    b, size = factor.shape[0] - 1, factor.shape[1]
-    s = max(b, 1)
-    blocks = -(-size // s)
-    padded = np.zeros((b + 1, blocks * s + b))
-    padded[:, :size] = factor
-    padded[b, size:] = 1.0
-    # Block k holds U[ks + r, ks + c] for r < s and c < s + b, zero off the band.
-    band_row = b + np.arange(s)[:, None] - np.arange(s + b)
-    in_band = (band_row >= 0) & (band_row <= b)
-    columns = s * np.arange(blocks)[:, None, None] + np.arange(s + b)
-    u = np.where(in_band, padded[np.where(in_band, band_row, 0), columns], 0.0)
-    identity = np.broadcast_to(np.eye(s), (blocks, s, s))
-    vw = np.linalg.solve(u[:, :, :s], np.concatenate((identity, u[:, :, s:]), axis=2))
-    v, w = vw[:, :, :s], vw[:, :, s:]
-    vvt = v @ v.transpose(0, 2, 1)
-    diagonal = np.empty((blocks, s))
-    corner = np.eye(b)  # G on the identity padding after the last block
-    for k in reversed(range(blocks)):
-        block = vvt[k] + w[k] @ corner @ w[k].T
-        diagonal[k] = block.diagonal()
-        corner = block[:b, :b]
-    return diagonal.ravel()[:size]
+def _green_blocks(g: Graph, shift: int | None) -> np.ndarray:
+    """``B[d] = L^+[(d, r), (0, r')]``, the ``n`` blocks of ``L^+`` by ``irfft``."""
+    s = _symbols(g, shift)
+    return np.fft.irfft(s.basis @ s.inverse @ s.basis.T, s.blocks, axis=0)
 
 
-def _check_pair(g: Graph, i: int, j: int) -> None:
-    n = g.vertex_count
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"vertex pair ({i}, {j}) out of range for {n} vertices")
-
-
-def resistance(g: Graph, i: int, j: int) -> float:
+def resistance(g: Graph, i: int, j: int, shift: int | None = None) -> float:
     """Effective resistance between ``i`` and ``j``: a unit current's potential drop."""
-    potentials = grounded_potentials(g, i, j)
+    potentials = grounded_potentials(g, i, j, shift)
     return float(potentials[i] - potentials[j])
 
 
-def grounded_potentials(g: Graph, i: int, j: int) -> np.ndarray:
+def grounded_potentials(g: Graph, i: int, j: int, shift: int | None = None) -> np.ndarray:
     """Vertex potentials for a unit current injected at ``i`` and drawn at ``j``.
 
     Vertex 0 is held at potential zero; the returned vector ``x`` satisfies
-    ``L x = e_i - e_j`` up to solver precision (one ``dpbtrs``, O(N b) after
-    the O(N b^2) factor).
+    ``L x = e_i - e_j`` up to rounding.  It is ``L^+ (e_i - e_j)`` less its value
+    at vertex 0, and column ``p k + r`` of ``L^+`` is column ``r`` of the blocks
+    moved down by ``p`` blocks.
     """
-    _check_pair(g, i, j)
-    n = g.vertex_count
-    current = np.zeros(n)
-    current[i] += 1.0
-    current[j] -= 1.0
-    factor, order = _banded_factor(g)
-    potentials = np.zeros(n)
-    potentials[order] = _solve(factor, current[order, None])[:, 0]
-    return potentials
+    count = g.vertex_count
+    if not (0 <= i < count and 0 <= j < count):
+        raise IndexError(f"vertex pair ({i}, {j}) out of range for {count} vertices")
+    blocks = _green_blocks(g, shift)
+    k = blocks.shape[1]
+    (pi, ri), (pj, rj) = divmod(i, k), divmod(j, k)
+    potentials = np.roll(blocks[:, :, ri], pi, axis=0) - np.roll(blocks[:, :, rj], pj, axis=0)
+    potentials = potentials.ravel()
+    return potentials - potentials[0]
 
 
-def resistance_matrix(g: Graph) -> np.ndarray:
+def resistance_matrix(g: Graph, shift: int | None = None) -> np.ndarray:
     """Symmetric matrix of pairwise effective resistances with zero diagonal.
 
-    One ``dpbtrs`` against the identity gives ``G``, O(N^2 b).  Its columns
-    are separate solves, so ``G`` is symmetric only up to rounding; the
-    resistances use ``G + G^T``, which makes the matrix exactly symmetric.
+    ``L^+`` is gathered from its blocks, ``L^+[(p, r), (p', r')] = B[p - p' mod n]``,
+    O(N^2) time and two N x N arrays of memory.  It is symmetric only up to
+    rounding; the resistances use ``L^+ + L^+^T``, which makes the matrix exactly
+    symmetric.
     """
-    n = g.vertex_count
-    factor, order = _banded_factor(g)
-    padded = np.zeros((n, n))
-    padded[np.ix_(order, order)] = _solve(factor, np.eye(n - 1, order="F"))
-    diag = np.diag(padded)
-    matrix = diag[:, None] + diag[None, :] - (padded + padded.T)
+    blocks = _green_blocks(g, shift)
+    n, k = blocks.shape[:2]
+    petals = np.arange(n)
+    green = blocks[(petals[:, None] - petals) % n].transpose(0, 2, 1, 3).reshape(n * k, n * k)
+    diag = green.diagonal().copy()
+    pair_sums = green + green.T
+    matrix = np.add.outer(diag, diag, out=green)
+    matrix -= pair_sums
     np.fill_diagonal(matrix, 0.0)
     return matrix
 
 
-def numeric_indices(g: Graph) -> tuple[float, float]:
-    """Kirchhoff index and Kemeny's constant from the diagonal of ``G`` and two solves.
+def numeric_indices(g: Graph, shift: int | None = None) -> tuple[float, float]:
+    """Kirchhoff index and Kemeny's constant from the traces of the inverse symbols.
 
-    Summing ``r_ij = G_ii + G_jj - 2 G_ij`` (``G`` is zero on vertex 0) gives,
-    with ``d`` the degrees of vertices ``1..N-1`` and ``q`` the edge count:
+    - Kirchhoff index ``N tr L^+ = N sum_j tr L(w_j)^+`` (Kf = N sum 1/mu over
+      the nonzero Laplacian eigenvalues, Gutman and Mohar 1996);
+    - Kemeny's constant ``sum 1/nu`` over the nonzero eigenvalues of the normalized
+      Laplacian ``D^-1/2 L D^-1/2`` (Kemeny and Snell 1960; Levene and Loizou
+      2002).  Its symbols are ``D^-1/2 L(w) D^-1/2``, so for ``w != 1`` the trace
+      of their inverse is ``sum_r d_r L(w)^-1_rr``; ``w = 1`` is deflated by its
+      null vector ``D^1/2 1`` the same way ``L(1)`` is by ``1``.
 
-    - Kirchhoff index ``N tr G - 1^T G 1``;
-    - Kemeny's constant ``(2q sum_i d_i G_ii - d^T G d) / (2q)``.
-
-    ``diag G`` comes from selected inversion of the band factor, ``G 1`` and
-    ``G d`` from one ``dpbtrs``: O(N b^2) time and O(N b) memory.
+    ``w_j`` and its conjugate count once each: O(N k^2) time, O(N k) memory.
     """
-    factor, order = _banded_factor(g)
-    green_diag = _green_diagonal(factor)
-    degrees = np.asarray(g.degrees, dtype=float)[order]
-    solved = _solve(factor, np.asfortranarray(np.stack((np.ones_like(degrees), degrees), 1)))
-    two_q = 2.0 * g.edge_count
-    kirchhoff = g.vertex_count * green_diag.sum() - solved[:, 0].sum()
-    kemeny = (two_q * (degrees @ green_diag) - degrees @ solved[:, 1]) / two_q
+    s = _symbols(g, shift)
+    degrees = s.arcs.sum((0, 2))
+    twice = 2.0 - (2 * np.arange(len(s.inverse)) % s.blocks == 0)
+    traces = np.trace(s.inverse, axis1=1, axis2=2).real
+    weighted = np.einsum("jab,ba->j", s.inverse, (s.basis.T * degrees) @ s.basis).real
+    root = np.sqrt(degrees)
+    null = _reflector(root / np.linalg.norm(root))[:, 1:]
+    quotient = np.diag(degrees) - s.arcs.sum(0)  # L(1)
+    normalized = null.T @ (quotient / np.outer(root, root)) @ null
+    kirchhoff = g.vertex_count * (twice @ traces)
+    kemeny = np.trace(np.linalg.inv(normalized)) + twice[1:] @ weighted[1:]
     return float(kirchhoff), float(kemeny)
 
 

@@ -1,5 +1,5 @@
-"""Shared helpers: random connected graphs and grids for oracle and metric tests, and
-the metric contract a resistance matrix must satisfy."""
+"""Shared helpers: random connected graphs, grids and flower specs for oracle and
+metric tests, and the metric contract a resistance matrix must satisfy."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from flowergraphs import Graph, graph_from_edge_list
+from flowergraphs import FlowerSpec, Graph, graph_from_edge_list
 
 
 def random_connected_graph(
@@ -54,6 +54,14 @@ def connected_graphs(draw, max_vertices: int = 10) -> Graph:
         if u != v:
             edges.add(tuple(sorted((u, v))))
     return graph_from_edge_list(sorted(edges))
+
+
+@st.composite
+def flower_specs(draw, max_vertices: int = 6, max_petals: int = 5) -> FlowerSpec:
+    base = draw(connected_graphs(max_vertices))
+    x = draw(st.integers(0, base.vertex_count - 1))
+    y = draw(st.integers(0, base.vertex_count - 2))
+    return FlowerSpec(base, x, y + (y >= x), draw(st.integers(3, max_petals)))
 
 
 def metric_violations(matrix: np.ndarray, tol: float = 1e-9) -> list[str]:

@@ -238,15 +238,10 @@ def test_index_commands_build_no_dense_matrix(capsys, monkeypatch, argv):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense resistance matrix built")
 
-    solve = oracle.dpbtrs
-
-    def narrow_solve(factor, rhs, **kwargs):
-        # Against the identity, the solve would build the N x N Green matrix.
-        assert rhs.shape[1] <= 2, "dense resistance matrix built"
-        return solve(factor, rhs, **kwargs)
-
+    # The index path takes traces of the inverse symbols; gathering the blocks of
+    # L^+ is the first step to the N x N matrix.
     monkeypatch.setattr(oracle, "resistance_matrix", forbidden)
-    monkeypatch.setattr(oracle, "dpbtrs", narrow_solve)
+    monkeypatch.setattr(oracle, "_green_blocks", forbidden)
     code, out = run(capsys, *argv)
     assert code == 0 and out
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from flowergraphs import (
     FlowerLocator,
@@ -35,7 +35,7 @@ from flowergraphs import (
 
 from flowergraphs.flower import _laplacian_solve
 
-from conftest import connected_graphs, grid_graph, random_connected_graph
+from conftest import connected_graphs, flower_specs, grid_graph, random_connected_graph
 from flower_reference import (
     exact_resistance_table,
     max_diff_sequence,
@@ -46,14 +46,6 @@ from flower_reference import (
 
 def k3_spec(n: int) -> FlowerSpec:
     return FlowerSpec(complete_graph(3), 0, 1, n)
-
-
-@st.composite
-def flower_specs(draw, max_vertices: int = 6, max_petals: int = 5) -> FlowerSpec:
-    base = draw(connected_graphs(max_vertices))
-    x = draw(st.integers(0, base.vertex_count - 1))
-    y = draw(st.integers(0, base.vertex_count - 2))
-    return FlowerSpec(base, x, y + (y >= x), draw(st.integers(3, max_petals)))
 
 
 # ---------------------------------------------------------------- construction
@@ -114,7 +106,7 @@ def test_label_map_matches_the_reference_construction(spec):
     between the labels and the canonical locators, a junction reads as ``x`` of the
     previous petal, and shifting every label by one block maps the edge set onto
     itself."""
-    n, size, count = spec.n, spec.block_size, spec.vertex_count
+    n, size, count = spec.n, spec.shift, spec.vertex_count
     assert spec.block_order == (spec.x, *outer_vertices(spec))
     graph = build_flower(spec)
     assert graph == reference_flower(spec)

@@ -23,7 +23,7 @@ from flowergraphs import (
 )
 
 from flowergraphs.flower import _laplacian_solve
-from flowergraphs.graphs import block_shift_graph
+from flowergraphs.graphs import block_shift_graph, check_shift
 
 from conftest import connected_graphs
 from dense_oracle import laplacian
@@ -217,6 +217,19 @@ def test_block_shift_graph_rejects_a_shift_that_repeats_an_edge():
     assert block_shift_graph(6, [(0, 1), (1, 2)], 2) == cycle_graph(6)
     with pytest.raises(ValueError, match=r"duplicate edge \(0, 2\)"):
         block_shift_graph(4, [(0, 2), (0, 1)], 2)
+
+
+def test_check_shift_certifies_exactly_the_automorphic_shifts():
+    for shift in (1, 2, 3, 6):
+        check_shift(cycle_graph(6), shift)
+    check_shift(path_graph(5), 5)  # the whole vertex count is the identity
+    check_shift(block_shift_graph(8, [(0, 1), (0, 2), (1, 3)], 2), 4)
+    for g, shift in ((path_graph(4), 1), (path_graph(4), 2), (petersen_graph(), 5)):
+        with pytest.raises(ValueError, match=f"^shift {shift} does not map the edges"):
+            check_shift(g, shift)
+    for shift in (0, -2, 4, 12):
+        with pytest.raises(ValueError, match=f"^shift {shift} does not divide the vertex count 6"):
+            check_shift(cycle_graph(6), shift)
 
 
 def test_build_flower_allocates_no_per_edge_objects():

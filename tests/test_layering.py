@@ -1,7 +1,7 @@
 """The closed forms stay independent of the numeric oracle they are checked against,
-the oracle is the package's only LAPACK user, factors only through the banded
-``dpbtrf`` and reads a graph only as CSR arrays, only ``FlowerSpec`` and
-``build_flower`` know the petal block size, only ``cli._flowers`` reads the family
+no library module imports scipy, the oracle imports only numpy and ``.graphs`` and
+reads a graph only as CSR arrays, only ``FlowerSpec`` knows the petal block size and
+``build_flower`` reads its label shift, only ``cli._flowers`` reads the family
 options, ``cli.build_parser`` alone builds argparse parsers and builds them once per
 process, the package exports what it imports, graphs and flower specs compute their
 derived attributes at construction, and no source line is longer than 99 characters."""
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,12 +23,6 @@ CLOSED_FORM_MODULES = ("flower", "complete", "cycle", "separation", "exact")
 NUMERIC_MODULES = {"oracle", "numpy", "scipy"}
 NON_ORACLE_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "oracle")
 MAX_LINE_LENGTH = 99
-# LAPACK and scipy routines that factor a matrix, and those of the dense path.
-FACTORING_ROUTINES = {
-    "dpotrf", "dpbtrf", "dpptrf", "dpstrf", "dgetrf", "dgbtrf", "dsytrf",
-    "cholesky", "cholesky_banded", "cho_factor", "lu_factor", "ldl",
-}
-DENSE_ROUTINES = {"dpotrf", "dpotri", "dtrtri"}
 # The parsed single-flower and range options that choose a command's flowers.
 FAMILY_OPTIONS = {"m", "n", "p", "m_range", "n_range", "p_range", "base", "x", "y"}
 
@@ -82,20 +78,29 @@ def _called_names(tree: ast.AST):
             yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
-def test_the_oracle_factors_only_through_one_banded_cholesky():
-    source = (PACKAGE / "oracle.py").read_text()
-    tree = ast.parse(source)
-    factoring = [name for name in _called_names(tree) if name in FACTORING_ROUTINES]
-    assert factoring == ["dpbtrf"]
-    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    named |= {name.split(".")[-1] for name in imported_modules(source)}
-    assert not DENSE_ROUTINES & named
+def test_the_oracle_imports_only_numpy_and_graphs():
+    """Besides the standard library the oracle imports numpy and ``.graphs``, and
+    neither it nor any other library module imports scipy, even when it runs."""
+    modules = set()
+    for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + node.module)
+    assert modules - sys.stdlib_module_names == {"numpy", ".graphs"}
+    probe = (
+        "import sys, flowergraphs.cli\n"
+        "flowergraphs.cli.main(['kemeny', '--family', 'complete', '-m', '4', '-n', '3'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_the_oracle_reads_the_graph_as_csr_arrays():
-    """``_banded_factor`` takes ``indptr`` and ``indices`` as they are; no per-vertex
-    Python lists or edge tuples stand between the graph and the band."""
+    """``_symbols`` takes ``indptr`` and ``indices`` as they are; no per-vertex
+    Python lists or edge tuples stand between the graph and the symbols."""
     tree = ast.parse((PACKAGE / "oracle.py").read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert {"indptr", "indices"} <= read
@@ -115,15 +120,16 @@ def test_graphs_and_specs_use_no_cached_property(module):
 
 
 def test_only_the_spec_and_the_builder_read_the_block_size():
-    """The petal <-> label map lives in ``FlowerSpec``; ``build_flower`` only shifts
-    petal 1's labels by whole blocks."""
-    readers = set()
+    """The petal <-> label map lives in ``FlowerSpec``; ``build_flower`` shifts petal
+    1's labels by ``spec.shift``, the rotation contract the oracle certifies."""
+    readers = {"block_size": set(), "shift": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr == "block_size":
-                    readers.add((path.stem, getattr(top, "name", None)))
-    assert readers <= {("flower", "FlowerSpec"), ("flower", "build_flower")}
+                if isinstance(node, ast.Attribute) and node.attr in readers:
+                    readers[node.attr].add((path.stem, getattr(top, "name", None)))
+    assert readers["block_size"] == {("flower", "FlowerSpec")}
+    assert ("flower", "build_flower") in readers["shift"]
 
 
 def test_only_flowers_reads_the_family_options():

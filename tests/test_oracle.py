@@ -1,5 +1,6 @@
-"""Numeric resistance oracle: examples, the dense reference, metric contract,
-solver residuals, accuracy and memory at large N."""
+"""Numeric resistance oracle: examples, the dense reference with and without the
+rotation, the shift certificate, metric contract, solver residuals, accuracy and
+memory at large N."""
 
 from __future__ import annotations
 
@@ -9,13 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowergraphs import (
     CompleteFlowerParams,
     CycleFlowerParams,
     FlowerSpec,
+    Graph,
     build_flower,
     complete_flower_spec,
     complete_graph,
@@ -36,7 +38,7 @@ from flowergraphs import (
 from flowergraphs import oracle
 
 import dense_oracle as dense
-from conftest import connected_graphs, metric_violations, random_connected_graph
+from conftest import connected_graphs, flower_specs, metric_violations, random_connected_graph
 from flower_reference import located_pairs
 
 
@@ -100,11 +102,11 @@ def test_kemeny_examples():
     assert numeric_indices(sunflower)[1] == pytest.approx(float(Fraction(14, 3)), abs=1e-9)
 
 
-def _assert_indices_match_definitions(g):
+def _assert_indices_match_definitions(g, shift=None):
     """Kf is half the resistance sum, Kemeny d^T R d / 4q."""
-    matrix = resistance_matrix(g)
+    matrix = resistance_matrix(g, shift)
     degrees = np.asarray(g.degrees, dtype=float)
-    kirchhoff, kemeny = numeric_indices(g)
+    kirchhoff, kemeny = numeric_indices(g, shift)
     assert kirchhoff == pytest.approx(matrix.sum() / 2.0, rel=1e-12)
     assert kemeny == pytest.approx(degrees @ matrix @ degrees / (4.0 * g.edge_count), rel=1e-12)
 
@@ -128,64 +130,83 @@ def test_numeric_indices_equal_the_matrix_sums(g):
     ids=lambda spec: f"m{spec.base.vertex_count}-n{spec.n}-x{spec.x}-y{spec.y}",
 )
 def test_numeric_indices_equal_the_matrix_sums_on_flowers(spec):
-    _assert_indices_match_definitions(build_flower(spec))
+    # Kemeny's constant by its definition, sum 1/nu, against the resistance identity.
+    _assert_indices_match_definitions(build_flower(spec), spec.shift)
 
 
 ENTRY_POINTS = {
     "numeric_indices": numeric_indices,
     "resistance_matrix": resistance_matrix,
-    "resistance": lambda g: resistance(g, 1, 3),
-    "grounded_potentials": lambda g: grounded_potentials(g, 1, 3),
+    "resistance": lambda g, shift: resistance(g, 1, g.vertex_count - 1, shift),
+    "grounded_potentials": lambda g, shift: grounded_potentials(g, 1, g.vertex_count - 1, shift),
 }
-FINISHING_CALLS = {
-    "numeric_indices": "dpbtrs",
-    "resistance_matrix": "dpbtrs",
-    "resistance": "dpbtrs",
-    "grounded_potentials": "dpbtrs",
-}
-
-
-def _failing_lapack(name, info):
-    """A stand-in for LAPACK routine ``name`` that returns its input and ``info``."""
-
-    def fake(a, *args, **kwargs):
-        return a, info
-
-    fake.__name__ = name
-    return fake
+# N = 24 in blocks of 4.
+SHIFTED = cycle_flower_spec(CycleFlowerParams(5, 6, 2))
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_oracle_raises_when_the_factorization_fails(monkeypatch, entry):
-    monkeypatch.setattr(oracle, "dpbtrf", _failing_lapack("dpbtrf", 3))
-    with pytest.raises(np.linalg.LinAlgError, match="dpbtrf failed: info=3"):
-        ENTRY_POINTS[entry](cycle_graph(5))
+def test_oracle_raises_when_the_shift_does_not_divide_n(entry):
+    flower = build_flower(SHIFTED)
+    for shift in (0, -4, 5, 25):
+        with pytest.raises(ValueError, match=f"shift {shift} does not divide the vertex count 24"):
+            ENTRY_POINTS[entry](flower, shift)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_oracle_raises_when_the_finishing_call_fails(monkeypatch, entry):
-    routine = FINISHING_CALLS[entry]
-    monkeypatch.setattr(oracle, routine, _failing_lapack(routine, 2))
-    with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed: info=2"):
-        ENTRY_POINTS[entry](cycle_graph(5))
+@settings(max_examples=20)
+@given(spec=flower_specs(max_vertices=6, max_petals=9), data=st.data())
+def test_oracle_raises_when_an_edge_breaks_the_rotation(entry, spec, data):
+    flower = build_flower(spec)
+    edges = flower.edges.tolist()
+    at = data.draw(st.integers(0, len(edges) - 1))
+    to = data.draw(st.integers(0, flower.vertex_count - 1).filter(lambda v: v != edges[at][1]))
+    edges[at][1] = to
+    try:
+        moved = Graph(flower.vertex_count, edges)
+    except ValueError:  # a self-loop, a duplicate edge, a label gap or a disconnected graph
+        return
+    # Every orbit has n >= 3 edges, so moving one leaves a part of its orbit behind.
+    with pytest.raises(ValueError, match=f"shift {spec.shift} does not map the edges"):
+        ENTRY_POINTS[entry](moved, spec.shift)
 
 
-def _assert_banded_equals_dense(g):
+def _assert_equals_dense(g, shift=None):
     """All four entry points agree with the dense Cholesky reference to 1e-12."""
     close = {"rtol": 1e-12, "atol": 1e-12}
-    np.testing.assert_allclose(numeric_indices(g), dense.numeric_indices(g), **close)
-    np.testing.assert_allclose(resistance_matrix(g), dense.resistance_matrix(g), **close)
+    np.testing.assert_allclose(numeric_indices(g, shift), dense.numeric_indices(g), **close)
+    np.testing.assert_allclose(
+        resistance_matrix(g, shift), dense.resistance_matrix(g), **close)
     last = g.vertex_count - 1
-    for i, j in ((0, last), (last, last // 2), (last // 2, 0)):
+    for i, j in ((0, last), (last, last // 2), (last // 2, 0), (1, last)):
         np.testing.assert_allclose(
-            grounded_potentials(g, i, j), dense.grounded_potentials(g, i, j), **close)
-        np.testing.assert_allclose(resistance(g, i, j), dense.resistance(g, i, j), **close)
+            grounded_potentials(g, i, j, shift), dense.grounded_potentials(g, i, j), **close)
+        np.testing.assert_allclose(
+            resistance(g, i, j, shift), dense.resistance(g, i, j), **close)
 
 
 @settings(max_examples=60)
 @given(connected_graphs())
 def test_banded_oracle_equals_the_dense_reference(g):
-    _assert_banded_equals_dense(g)
+    _assert_equals_dense(g)
+
+
+@settings(max_examples=60)
+@example(FlowerSpec(path_graph(2), 0, 1, 7))  # one label a block: the flower is C_7
+@example(FlowerSpec(path_graph(2), 1, 0, 4))
+@given(flower_specs(max_vertices=7, max_petals=9))
+def test_oracle_on_the_rotation_equals_the_dense_reference(spec):
+    """The Fourier blocks under ``spec.shift``, k = m - 1 labels each, give what the
+    dense reference gives; m = 2 makes one label a block and the flower a cycle."""
+    _assert_equals_dense(build_flower(spec), spec.shift)
+
+
+def test_every_multiple_of_the_shift_gives_the_same_values():
+    flower = build_flower(SHIFTED)
+    close = {"rtol": 1e-12, "atol": 1e-12}
+    expected = numeric_indices(flower, 4), resistance_matrix(flower, 4)
+    for shift in (8, 12, 24, None):
+        np.testing.assert_allclose(numeric_indices(flower, shift), expected[0], **close)
+        np.testing.assert_allclose(resistance_matrix(flower, shift), expected[1], **close)
 
 
 @pytest.mark.parametrize(
@@ -204,14 +225,14 @@ def test_banded_oracle_equals_the_dense_reference(g):
          "petersen-flower"],
 )
 def test_banded_oracle_equals_the_dense_reference_on_examples(g):
-    _assert_banded_equals_dense(g)
+    _assert_equals_dense(g)
 
 
 @pytest.mark.parametrize("m,p,n", [(8, 4, 160), (8, 3, 200), (6, 3, 220)])
 def test_indices_within_rel_tol_on_large_cycle_flowers(m, p, n):
     # The dense oracle's relative error passed REL_TOL = 1e-12 first at these sizes.
     spec = cycle_flower_spec(CycleFlowerParams(m, n, p))
-    observed = numeric_indices(build_flower(spec))
+    observed = numeric_indices(build_flower(spec), spec.shift)
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
         assert abs(value - float(exact)) <= oracle.REL_TOL * float(exact)
 
@@ -227,18 +248,37 @@ def test_resistance_matrix_within_1e_9_of_every_exact_pair_at_n_1960():
     base = np.array([loc.base_vertex for loc in locators])
     petal = np.array([loc.petal for loc in locators])
     assert spec.vertex_count == 1960
-    matrix = resistance_matrix(flower)
+    matrix = resistance_matrix(flower, spec.shift)
     for rows in np.array_split(np.arange(spec.vertex_count), 8):
         step = (petal[rows, None] - petal[None, :]) % spec.n
         expected = table[base[rows, None], base[None, :], step]
         assert np.abs(matrix[rows] - expected).max() <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        complete_flower_spec(CompleteFlowerParams(10, 2000)),
+        cycle_flower_spec(CycleFlowerParams(8, 2572, 4)),
+        FlowerSpec(petersen_graph(), 0, 2, 2000),
+    ],
+    ids=["K10", "C8-p4", "petersen"],
+)
+def test_indices_within_1e_12_relative_at_n_18000(spec):
+    """A grounded banded Cholesky solve errs by 3.6e-12 (K10) to 1.4e-11 (Petersen)
+    at this size; the deflated Fourier blocks keep both indices near 1e-15."""
+    assert abs(spec.vertex_count - 18_000) <= 10
+    observed = numeric_indices(build_flower(spec), spec.shift)
+    for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
+        assert abs(value - float(exact)) <= 1e-12 * float(exact)
+
+
 def test_numeric_indices_memory_is_linear_in_n():
-    g = build_flower(complete_flower_spec(CompleteFlowerParams(10, 200)))
+    spec = complete_flower_spec(CompleteFlowerParams(10, 200))
+    g = build_flower(spec)
     tracemalloc.start()
     try:
-        numeric_indices(g)
+        numeric_indices(g, spec.shift)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
