@@ -161,7 +161,7 @@ def cmd_resist(args: argparse.Namespace) -> int:
     if args.pair is None:
         if args.exact:
             raise ValueError("--exact needs --pair; the full matrix comes only from the oracle")
-        matrix = oracle.resistance_matrix(build_flower(spec), spec.shift)
+        matrix = oracle.resistance_matrix(build_flower(spec))
         for row in matrix:
             print(" ".join(_fmt_float(value) for value in row))
         return 0
@@ -171,9 +171,7 @@ def cmd_resist(args: argparse.Namespace) -> int:
     if show_exact:
         print(format_rational(flower_resistance(spec, u, v)))
     if show_oracle:
-        value = oracle.resistance(
-            build_flower(spec), spec.label_of(*u), spec.label_of(*v), spec.shift
-        )
+        value = oracle.resistance(build_flower(spec), spec.label_of(*u), spec.label_of(*v))
         print(_fmt_float(value))
     return 0
 
@@ -185,7 +183,7 @@ def _index_command(args: argparse.Namespace) -> int:
         exact = flower_kirchhoff_exact(spec) if kirchhoff else flower_kemeny_exact(spec)
         print(format_rational(exact))
     if args.oracle or not args.exact:
-        kf, kem = oracle.numeric_indices(build_flower(spec), spec.shift)
+        kf, kem = oracle.numeric_indices(build_flower(spec))
         print(_fmt_float(kf if kirchhoff else kem))
     return 0
 
@@ -221,7 +219,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"family={args.family} m={spec.base.vertex_count} n={spec.n} "
             f"p={'-' if p is None else p}"
         )
-        matrix = oracle.resistance_matrix(graph, spec.shift)
+        matrix = oracle.resistance_matrix(graph)
         locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
         pairs += len(locators) * (len(locators) - 1) // 2
         for i, u in enumerate(locators):
@@ -259,9 +257,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
              closed_form=format_rational(closed), oracle=observed,
              abs_error=abs(float(closed) - observed))
         for p, spec, graph in _grid(args)
-        for quantity, closed, observed in _indices(
-            spec, *oracle.numeric_indices(graph, spec.shift)
-        )
+        for quantity, closed, observed in _indices(spec, *oracle.numeric_indices(graph))
     ]
     rows.sort(key=lambda row: (row["m"], row["n"], row["p"] or 0, row["quantity"]))
     if args.json:

@@ -96,7 +96,8 @@ def locator(spec: FlowerSpec, petal: int, base_vertex: int) -> FlowerLocator:
 def build_flower(spec: FlowerSpec) -> Graph:
     """The flower graph: petal 1 labelled by ``spec.label_of`` and petal ``i`` its
     copy shifted by ``i - 1`` whole blocks, modulo the vertex count, so that
-    petal ``i``'s ``y`` lands on petal ``i - 1``'s ``x``."""
+    petal ``i``'s ``y`` lands on petal ``i - 1``'s ``x``.  The graph's ``shift`` is
+    ``spec.shift``."""
     label = [spec.label_of(1, v) for v in range(spec.base.vertex_count)]
     first = [(label[a], label[b]) for a, b in spec.base.edges.tolist()]
     return block_shift_graph(spec.vertex_count, first, spec.shift)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from pathlib import Path
 from typing import Iterable
 
@@ -24,6 +25,21 @@ def _edge_array(pairs) -> np.ndarray:
     return edges
 
 
+def _duplicate(u: int, v: int) -> ValueError:
+    return ValueError(f"duplicate edge {(u, v)}")
+
+
+def _label_gap(count: int, touched: np.ndarray) -> ValueError:
+    """The error for labels ``0 .. count - 1`` of which only ``touched`` (ascending)
+    are touched by an edge."""
+    misplaced = np.flatnonzero(touched != np.arange(touched.size))
+    first = int(misplaced[0]) if misplaced.size else touched.size
+    return ValueError(
+        f"label gap: no edge touches {count - touched.size} of the "
+        f"labels 0..{count - 1} (the first is {first})"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple connected graph on vertex labels ``0 .. vertex_count - 1``.
@@ -37,47 +53,52 @@ class Graph:
     rejected here, the one place edges are checked, so every instance can be
     fed to the resistance machinery without further checks.  ``degrees`` and
     ``neighbors`` give Python ints, which the exact solves need.
+
+    ``shift`` is a label rotation the graph is built with: moving every label by
+    it modulo the vertex count maps the edges onto themselves.  It defaults to
+    the vertex count, the identity; ``check_shift`` certifies it here, and it
+    takes no part in equality or the hash.
     """
 
     vertex_count: int
     edges: np.ndarray
+    shift: int | None = None
 
     def __post_init__(self) -> None:
         count = self.vertex_count
         edges = _edge_array(self.edges)
         u, v = edges.T
-        bad = (u < 0) | (v < 0) | (u == v) | (u >= count) | (v >= count)
-        if bad.any():
+        if edges.min() < 0 or edges.max() >= count or (u == v).any():
+            bad = (u < 0) | (v < 0) | (u == v) | (u >= count) | (v >= count)
             u, v = edges[bad.argmax()].tolist()
             if u < 0 or v < 0:
                 raise ValueError(f"negative vertex label in edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             raise ValueError(f"edge ({u}, {v}) is out of range for {count} vertices")
-        # Both orientations of every edge sorted by (row, column) are the CSR
-        # arcs: a repeated arc is a duplicate edge, and the arcs with row < column
-        # are the edges in sorted order.
-        rows, columns = np.concatenate((u, v)), np.concatenate((v, u))
-        order = np.lexsort((columns, rows))
-        rows, columns = rows[order], columns[order]
-        same_row = rows[1:] == rows[:-1]
-        repeated = same_row & (columns[1:] == columns[:-1])
+        # |E| edges touch at most 2|E| labels.  Past that nothing of length
+        # vertex_count is allocated; below it the keys u * N + v stay under 4|E|^2.
+        if count > 2 * len(edges):
+            pairs, repeats = np.unique(np.sort(edges, 1), axis=0, return_counts=True)
+            if (repeats > 1).any():
+                raise _duplicate(*pairs[(repeats > 1).argmax()].tolist())
+            raise _label_gap(count, np.unique(edges))
+        # Both orientations of every edge sorted by the key row * N + column are the
+        # CSR arcs: a repeated key is a duplicate edge, and the arcs with
+        # row < column are the edges in sorted order.
+        keys = np.concatenate((u * count + v, v * count + u))
+        keys.sort()
+        repeated = keys[1:] == keys[:-1]
         if repeated.any():
-            at = repeated.argmax()
-            raise ValueError(f"duplicate edge {tuple(sorted((int(rows[at]), int(columns[at]))))}")
-        # Each label some edge touches starts one run of the sorted rows.  Nothing
-        # of length vertex_count is allocated before the labels are known to be dense.
-        if rows.size - np.count_nonzero(same_row) < count:
-            touched = np.unique(rows)
-            misplaced = np.flatnonzero(touched != np.arange(touched.size))
-            first = int(misplaced[0]) if misplaced.size else touched.size
-            raise ValueError(
-                f"label gap: no edge touches {count - touched.size} of the "
-                f"labels 0..{count - 1} (the first is {first})"
-            )
+            raise _duplicate(*sorted(divmod(int(keys[repeated.argmax()]), count)))
+        rows = keys // count  # numpy divides by a scalar far faster than it takes remainders
+        columns = keys - rows * count
+        degrees = np.bincount(rows, minlength=count)
+        if not degrees.all():
+            raise _label_gap(count, np.flatnonzero(degrees))
+        indptr = np.concatenate(((0,), degrees.cumsum()))
         forward = rows < columns
         key = np.stack((rows[forward], columns[forward]), 1).tobytes()
-        indptr = np.searchsorted(rows, np.arange(count + 1))
         arrays = {
             # A read-only view of the bytes that equality and the hash compare.
             "edges": np.frombuffer(key, np.intp).reshape(-1, 2),
@@ -87,22 +108,53 @@ class Graph:
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "degrees", tuple(np.diff(indptr).tolist()))
+        object.__setattr__(self, "degrees", tuple(degrees.tolist()))
+        object.__setattr__(self, "shift", count if self.shift is None else self.shift)
+        check_shift(self, self.shift)
         if not self._is_connected():
             raise ValueError("graph is disconnected")
         object.__setattr__(self, "_key", (count, key))
 
     def _is_connected(self) -> bool:
-        # A memoryview makes each neighbour an int only while it is looked at.
-        indptr, indices = self.indptr.tolist(), memoryview(self.indices)
-        seen = [True] + [False] * (self.vertex_count - 1)
-        reached = [0]
-        for u in reached:  # breadth first: the loop runs over what it appends
-            for w in indices[indptr[u]:indptr[u + 1]]:
-                if not seen[w]:
-                    seen[w] = True
+        """Whether the graph is connected, by a breadth-first pass over its quotient
+        by ``shift``: ``k = shift`` vertices, one per label offset.
+
+        With ``n = N / k`` and labels ``p k + r``, the rotation makes the graph the
+        Z_n lift of its quotient: the arc from ``r`` in block 0 to ``p k + r'``
+        stands for the arcs ``(q, r) -> (q + p, r')`` of every block ``q``, so it
+        is a quotient arc ``r -> r'`` with voltage ``p``.  The pass reaches each
+        offset along a spanning tree, at a potential ``phi`` (``phi(0) = 0``,
+        ``phi(r') = phi(r) + p`` on a tree arc), so every arc's cycle voltage
+        ``c = phi(r) + p - phi(r')`` is zero on the tree.  The lift is connected
+        iff the quotient is and ``gcd(n, every c) = 1`` (Gross and Tucker,
+        *Topological Graph Theory*, 1987, ch. 2).  Proof, with ``g`` that gcd: a
+        path in the lift projects to a walk in the quotient, and no arc changes
+        ``q - phi(r) mod g``, so each of its ``g`` values, all of which occur, is
+        a union of components.  Conversely, in a connected quotient the tree
+        joins ``(q, 0)`` to ``(q + phi(r), r)``; out along the tree, over an arc
+        and back moves ``(q, 0)`` to ``(q + c, 0)``, and those moves generate
+        ``g Z_n``, so at ``g = 1`` every vertex is reached.
+
+        The pass keeps the label ``phi(r) k + r`` of each offset's tree vertex, on
+        which ``k c`` is a difference of labels, and ``gcd(N, every k c) = k g``.
+        It stops taking gcds once that is ``k``.  At ``shift = N``, ``n = 1`` and
+        this is a plain breadth-first pass.
+        """
+        k = self.shift
+        indptr = self.indptr[:k + 1].tolist()
+        columns = self.indices[:indptr[-1]].tolist()
+        label = [0] + [None] * (k - 1)
+        reached, divisor = [0], self.vertex_count
+        for r in reached:  # breadth first: the loop runs over what it appends
+            tail = label[r] - r
+            for c in columns[indptr[r]:indptr[r + 1]]:
+                w = c % k
+                if label[w] is None:
+                    label[w] = tail + c
                     reached.append(w)
-        return len(reached) == self.vertex_count
+                elif divisor > k:
+                    divisor = gcd(divisor, tail + c - label[w])
+        return len(reached) == k and divisor == k
 
     def __eq__(self, other: object) -> bool:
         return self._key == other._key if isinstance(other, Graph) else NotImplemented
@@ -129,12 +181,13 @@ def block_shift_graph(count: int, first_edges: Iterable[Edge], shift: int) -> Gr
     """The graph on ``count`` labels whose edges are ``first_edges`` moved by every
     multiple of ``shift`` below ``count``, modulo ``count``: one broadcast.
 
-    ``shift`` divides ``count``; a shifted edge that repeats another is rejected
-    as a duplicate.
+    ``shift`` divides ``count`` and is the graph's ``shift``; a shifted edge that
+    repeats another is rejected as a duplicate.
     """
-    first = _edge_array(list(first_edges))
-    shifted = (first + np.arange(0, count, shift)[:, None, None]) % count
-    return Graph(count, shifted.reshape(-1, 2))
+    first = _edge_array(list(first_edges)) % count
+    shifted = first + np.arange(0, count, shift)[:, None, None]
+    np.subtract(shifted, count, out=shifted, where=shifted >= count)
+    return Graph(count, shifted.reshape(-1, 2), shift)
 
 
 def check_shift(g: Graph, shift: int) -> None:
@@ -149,6 +202,8 @@ def check_shift(g: Graph, shift: int) -> None:
     count = g.vertex_count
     if not 0 < shift <= count or count % shift:
         raise ValueError(f"shift {shift} does not divide the vertex count {count}")
+    if shift == count:
+        return
     moved = g.edges + shift
     np.subtract(moved, count, out=moved, where=moved >= count)
     u, v = moved.T

@@ -1,13 +1,14 @@
 """Numeric ground truth: resistances from the Fourier blocks of a block-circulant Laplacian.
 
-Every entry point takes a graph and a label shift ``k`` that ``graphs.check_shift``
+Every entry point takes a graph and a label shift ``k``: by default ``g.shift``, which
+``Graph`` certified when it was built, and otherwise one that ``graphs.check_shift``
 certifies first.  With ``n = N / k`` blocks, ``v = p k + r``, the Laplacian is then
 block circulant, ``L[(p, r), (p', r')] = C_{p'-p}[r, r']``, and a DFT over the blocks
 splits it into ``n`` Hermitian ``k x k`` symbols ``L(w) = sum_d w^d C_d``,
 ``w = exp(2 pi i j / n)`` (Davis, *Circulant Matrices*, 1979, ch. 5), read off
 the arcs that leave block 0.  The blocks of ``L^+`` are their inverse DFT, and
-``L(conj w) = conj L(w)`` leaves ``j = 0 .. n // 2``.  The default shift ``N`` is
-one block: one dense deflated solve of ``L`` itself.
+``L(conj w) = conj L(w)`` leaves ``j = 0 .. n // 2``.  A graph built without a
+rotation has ``g.shift = N``, one block: one dense deflated solve of ``L`` itself.
 
 Only ``L(1)`` is singular, but ``1^T L(w) 1`` is of order ``sigma^2``,
 ``sigma = |1 - w| = 2 sin(pi j / n)``.  In the orthonormal basis ``P = [u, Q]``
@@ -53,8 +54,9 @@ class _Symbols(NamedTuple):
 def _symbols(g: Graph, shift: int | None) -> _Symbols:
     """The deflated symbols ``L(w_j)`` of ``g`` under ``shift``, inverted in one batch."""
     count = g.vertex_count
-    k = count if shift is None else shift
-    check_shift(g, k)
+    k = g.shift if shift is None else shift
+    if k != g.shift:
+        check_shift(g, k)
     n = count // k
     # Arc r -> c leaving block 0 stands for its orbit: step d = c // k (centred
     # in (-n/2, n/2]) to the head's block, head offset c % k.

@@ -6,7 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowergraphs import (
     CompleteFlowerParams,
@@ -217,6 +218,81 @@ def test_block_shift_graph_rejects_a_shift_that_repeats_an_edge():
     assert block_shift_graph(6, [(0, 1), (1, 2)], 2) == cycle_graph(6)
     with pytest.raises(ValueError, match=r"duplicate edge \(0, 2\)"):
         block_shift_graph(4, [(0, 2), (0, 1)], 2)
+
+
+def _bfs_connected(count, edges):
+    neighbours = {v: [] for v in range(count)}
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in neighbours[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == count
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_block_shift_graph_accepts_exactly_the_connected_lifts(data):
+    """The quotient pass with its cycle voltages agrees with a plain breadth-first
+    pass over the whole graph on every simple block-shift graph."""
+    k, n = data.draw(st.integers(1, 5), "k"), data.draw(st.integers(1, 8), "n")
+    count = k * n
+    # Edge i leaves offset i mod k of block 0, and the first heads take the offsets
+    # no tail does, so that no label is left untouched.
+    size = data.draw(st.integers(max(1, (k + 1) // 2), 4), "edges")
+    first = [
+        (i % k, k * data.draw(st.integers(0, n - 1)) + (
+            size + i if size + i < k else data.draw(st.integers(0, k - 1))))
+        for i in range(size)
+    ]
+    edges = {
+        tuple(sorted(((a + s) % count, (b + s) % count)))
+        for a, b in first for s in range(0, count, k)
+    }
+    simple = (
+        all(a != b for a, b in edges)
+        and len(edges) == n * len(first)
+        and {v for edge in edges for v in edge} == set(range(count))
+    )
+    if not simple:
+        with pytest.raises(ValueError, match="^(self-loop|duplicate edge|label gap)"):
+            block_shift_graph(count, first, k)
+    elif _bfs_connected(count, edges):
+        g = block_shift_graph(count, first, k)
+        assert g.edges.tolist() == sorted(map(list, edges)) and g.shift == k
+    else:
+        with pytest.raises(ValueError, match="^graph is disconnected$"):
+            block_shift_graph(count, first, k)
+
+
+def test_block_shift_graph_rejects_a_disconnected_lift():
+    # N = 6: the quotient by 2 has no edge between its offsets 0 and 1 (two triangles).
+    # N = 12: the quotient is connected, but its one cycle, a loop at offset 0, has
+    # voltage 2 and gcd(6, 2) = 2.
+    for count, first in ((6, [(0, 2), (1, 3)]), (12, [(0, 1), (0, 4)])):
+        edges = [((a + s) % count, (b + s) % count) for a, b in first for s in range(0, count, 2)]
+        for build in (lambda: block_shift_graph(count, first, 2), lambda: Graph(count, edges)):
+            with pytest.raises(ValueError, match="^graph is disconnected$"):
+                build()
+    # An edge from offset 1 to offset 0 one block on closes a cycle of voltage 1.
+    assert block_shift_graph(12, [(0, 1), (0, 4), (1, 2)], 2).vertex_count == 12
+
+
+def test_graph_certifies_its_shift_and_leaves_it_out_of_equality():
+    ring = cycle_graph(6)
+    assert ring.shift == 6
+    rotated = Graph(6, ring.edges, shift=2)
+    assert rotated.shift == 2 and rotated == ring and hash(rotated) == hash(ring)
+    for shift in (0, -2, 4, 12):
+        message = f"^shift {shift} does not divide the vertex count 6$"
+        with pytest.raises(ValueError, match=message):
+            Graph(6, ring.edges, shift=shift)
+    with pytest.raises(ValueError, match="^shift 2 does not map the edges of the graph onto"):
+        Graph(4, path_graph(4).edges, shift=2)
 
 
 def test_check_shift_certifies_exactly_the_automorphic_shifts():

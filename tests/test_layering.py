@@ -1,15 +1,18 @@
 """The closed forms stay independent of the numeric oracle they are checked against,
 no library module imports scipy, the oracle imports only numpy and ``.graphs`` and
 reads a graph only as CSR arrays, only ``FlowerSpec`` knows the petal block size and
-``build_flower`` reads its label shift, only ``cli._flowers`` reads the family
-options, ``cli.build_parser`` alone builds argparse parsers and builds them once per
-process, the package exports what it imports, graphs and flower specs compute their
-derived attributes at construction, and no source line is longer than 99 characters."""
+``build_flower`` reads its label shift, ``Graph`` certifies a graph's shift and the
+oracle only a different one it is given, the CLI passes the oracle no shift, only
+``cli._flowers`` reads the family options, ``cli.build_parser`` alone builds argparse
+parsers and builds them once per process, the package exports what it imports,
+graphs and flower specs compute their derived attributes at construction, and no
+source line is longer than 99 characters."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -17,11 +20,12 @@ from pathlib import Path
 import pytest
 
 import flowergraphs
+from flowergraphs import oracle
 
 PACKAGE = Path(flowergraphs.__file__).parent
 CLOSED_FORM_MODULES = ("flower", "complete", "cycle", "separation", "exact")
 NUMERIC_MODULES = {"oracle", "numpy", "scipy"}
-NON_ORACLE_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "oracle")
+LIBRARY_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 MAX_LINE_LENGTH = 99
 # The parsed single-flower and range options that choose a command's flowers.
 FAMILY_OPTIONS = {"m", "n", "p", "m_range", "n_range", "p_range", "base", "x", "y"}
@@ -44,8 +48,8 @@ def test_closed_form_module_imports_no_numeric_code(module):
         assert not NUMERIC_MODULES & set(name.split(".")), f"{module} imports {name}"
 
 
-@pytest.mark.parametrize("module", NON_ORACLE_MODULES)
-def test_only_the_oracle_imports_scipy(module):
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
+def test_no_library_module_imports_scipy(module):
     source = (PACKAGE / f"{module}.py").read_text()
     for name in imported_modules(source):
         assert name.split(".")[0] != "scipy", f"{module} imports {name}"
@@ -64,7 +68,7 @@ def test_all_lists_exactly_the_names_init_imports():
         assert getattr(flowergraphs, name) is getattr(submodule, original)
 
 
-@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
 def test_no_line_is_longer_than_the_limit(module):
     lines = (PACKAGE / f"{module}.py").read_text().splitlines()
     long = [number for number, line in enumerate(lines, 1) if len(line) > MAX_LINE_LENGTH]
@@ -121,7 +125,8 @@ def test_graphs_and_specs_use_no_cached_property(module):
 
 def test_only_the_spec_and_the_builder_read_the_block_size():
     """The petal <-> label map lives in ``FlowerSpec``; ``build_flower`` shifts petal
-    1's labels by ``spec.shift``, the rotation contract the oracle certifies."""
+    1's labels by ``spec.shift`` and hands that rotation to the ``Graph`` it builds;
+    ``Graph``, not the oracle, certifies it."""
     readers = {"block_size": set(), "shift": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -130,6 +135,47 @@ def test_only_the_spec_and_the_builder_read_the_block_size():
                     readers[node.attr].add((path.stem, getattr(top, "name", None)))
     assert readers["block_size"] == {("flower", "FlowerSpec")}
     assert ("flower", "build_flower") in readers["shift"]
+
+
+def _functions(tree: ast.Module):
+    """``(name, node)`` for each top-level function and each method, ``Class.method``."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{top.name}.{node.name}", node
+
+
+def test_only_the_constructor_and_an_explicit_oracle_shift_call_check_shift():
+    """``Graph.__post_init__`` certifies every graph's own shift; the oracle certifies
+    only a shift it is given that differs from the graph's."""
+    callers, branches = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, function in _functions(ast.parse(path.read_text())):
+            if "check_shift" in _called_names(function):
+                callers.add((path.stem, name))
+                branches += [
+                    ast.unparse(node.test) for node in ast.walk(function)
+                    if isinstance(node, ast.If) and "check_shift" in _called_names(node)
+                ]
+    assert callers == {("graphs", "Graph.__post_init__"), ("oracle", "_symbols")}
+    assert branches == ["k != g.shift"]
+
+
+def test_no_cli_call_into_the_oracle_passes_a_shift():
+    """A flower graph carries the rotation it was built with, so the CLI passes none."""
+    called = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "oracle":
+            parameters = list(inspect.signature(getattr(oracle, func.attr)).parameters)
+            if "shift" in parameters:
+                called.add(func.attr)
+                assert len(node.args) <= parameters.index("shift"), ast.unparse(node)
+                assert "shift" not in {keyword.arg for keyword in node.keywords}
+    assert called == {"numeric_indices", "resistance", "resistance_matrix"}
 
 
 def test_only_flowers_reads_the_family_options():

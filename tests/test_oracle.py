@@ -186,7 +186,7 @@ def _assert_equals_dense(g, shift=None):
 
 @settings(max_examples=60)
 @given(connected_graphs())
-def test_banded_oracle_equals_the_dense_reference(g):
+def test_fourier_oracle_equals_the_dense_reference(g):
     _assert_equals_dense(g)
 
 
@@ -224,7 +224,7 @@ def test_every_multiple_of_the_shift_gives_the_same_values():
     ids=["edge", "path", "star", "bowtie", "K5-flower", "C8-flower",
          "petersen-flower"],
 )
-def test_banded_oracle_equals_the_dense_reference_on_examples(g):
+def test_fourier_oracle_equals_the_dense_reference_on_examples(g):
     _assert_equals_dense(g)
 
 
@@ -235,6 +235,18 @@ def test_indices_within_rel_tol_on_large_cycle_flowers(m, p, n):
     observed = numeric_indices(build_flower(spec), spec.shift)
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
         assert abs(value - float(exact)) <= oracle.REL_TOL * float(exact)
+
+
+def test_the_default_shift_is_the_rotation_the_flower_was_built_with():
+    """``build_flower`` gives its graph the petal rotation, so the oracle uses it
+    without being passed a shift.  One dense block of this flower, the default
+    before ``Graph`` carried its shift, was off by 1.3e-10 relative."""
+    spec = cycle_flower_spec(CycleFlowerParams(8, 160, 4))
+    flower = build_flower(spec)
+    assert flower.vertex_count == 1120 and flower.shift == spec.shift
+    observed = numeric_indices(flower)
+    for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
+        assert abs(value - float(exact)) <= 1e-14 * float(exact)
 
 
 def test_resistance_matrix_within_1e_9_of_every_exact_pair_at_n_1960():
