@@ -55,8 +55,9 @@ class Graph:
     ``neighbors`` give Python ints, which the exact solves need.
 
     ``shift`` is a label rotation the graph is built with: moving every label by
-    it modulo the vertex count maps the edges onto themselves.  It defaults to
-    the vertex count, the identity; ``check_shift`` certifies it here, and it
+    it modulo the vertex count maps the edges onto themselves.  ``None``, the
+    constructor's default, stands for the vertex count, the identity, so every
+    built graph's ``shift`` is an int; ``check_shift`` certifies it here, and it
     takes no part in equality or the hash.
     """
 

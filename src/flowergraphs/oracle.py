@@ -1,8 +1,8 @@
 """Numeric ground truth: resistances from the Fourier blocks of a block-circulant Laplacian.
 
-Every entry point takes a graph and a label shift ``k``: by default ``g.shift``, which
-``Graph`` certified when it was built, and otherwise one that ``graphs.check_shift``
-certifies first.  With ``n = N / k`` blocks, ``v = p k + r``, the Laplacian is then
+Every entry point works under the graph's label shift ``k = g.shift``, which ``Graph``
+certified when it was built; ``Graph(N, g.edges, shift=s)`` gives the same graph under
+another rotation ``s``.  With ``n = N / k`` blocks, ``v = p k + r``, the Laplacian is
 block circulant, ``L[(p, r), (p', r')] = C_{p'-p}[r, r']``, and a DFT over the blocks
 splits it into ``n`` Hermitian ``k x k`` symbols ``L(w) = sum_d w^d C_d``,
 ``w = exp(2 pi i j / n)`` (Davis, *Circulant Matrices*, 1979, ch. 5), read off
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, check_shift
+from .graphs import Graph
 
 
 def _reflector(v: np.ndarray) -> np.ndarray:
@@ -51,13 +51,10 @@ class _Symbols(NamedTuple):
     inverse: np.ndarray
 
 
-def _symbols(g: Graph, shift: int | None) -> _Symbols:
-    """The deflated symbols ``L(w_j)`` of ``g`` under ``shift``, inverted in one batch."""
-    count = g.vertex_count
-    k = g.shift if shift is None else shift
-    if k != g.shift:
-        check_shift(g, k)
-    n = count // k
+def _symbols(g: Graph) -> _Symbols:
+    """The deflated symbols ``L(w_j)`` of ``g`` under ``g.shift``, inverted in one batch."""
+    k = g.shift
+    n = g.vertex_count // k
     # Arc r -> c leaving block 0 stands for its orbit: step d = c // k (centred
     # in (-n/2, n/2]) to the head's block, head offset c % k.
     tails = np.repeat(np.arange(k), np.diff(g.indptr[:k + 1]))
@@ -97,19 +94,19 @@ def _symbols(g: Graph, shift: int | None) -> _Symbols:
     return _Symbols(n, arcs, basis, inverse)
 
 
-def _green_blocks(g: Graph, shift: int | None) -> np.ndarray:
+def _green_blocks(g: Graph) -> np.ndarray:
     """``B[d] = L^+[(d, r), (0, r')]``, the ``n`` blocks of ``L^+`` by ``irfft``."""
-    s = _symbols(g, shift)
+    s = _symbols(g)
     return np.fft.irfft(s.basis @ s.inverse @ s.basis.T, s.blocks, axis=0)
 
 
-def resistance(g: Graph, i: int, j: int, shift: int | None = None) -> float:
+def resistance(g: Graph, i: int, j: int) -> float:
     """Effective resistance between ``i`` and ``j``: a unit current's potential drop."""
-    potentials = grounded_potentials(g, i, j, shift)
+    potentials = grounded_potentials(g, i, j)
     return float(potentials[i] - potentials[j])
 
 
-def grounded_potentials(g: Graph, i: int, j: int, shift: int | None = None) -> np.ndarray:
+def grounded_potentials(g: Graph, i: int, j: int) -> np.ndarray:
     """Vertex potentials for a unit current injected at ``i`` and drawn at ``j``.
 
     Vertex 0 is held at potential zero; the returned vector ``x`` satisfies
@@ -120,7 +117,7 @@ def grounded_potentials(g: Graph, i: int, j: int, shift: int | None = None) -> n
     count = g.vertex_count
     if not (0 <= i < count and 0 <= j < count):
         raise IndexError(f"vertex pair ({i}, {j}) out of range for {count} vertices")
-    blocks = _green_blocks(g, shift)
+    blocks = _green_blocks(g)
     k = blocks.shape[1]
     (pi, ri), (pj, rj) = divmod(i, k), divmod(j, k)
     potentials = np.roll(blocks[:, :, ri], pi, axis=0) - np.roll(blocks[:, :, rj], pj, axis=0)
@@ -128,7 +125,7 @@ def grounded_potentials(g: Graph, i: int, j: int, shift: int | None = None) -> n
     return potentials - potentials[0]
 
 
-def resistance_matrix(g: Graph, shift: int | None = None) -> np.ndarray:
+def resistance_matrix(g: Graph) -> np.ndarray:
     """Symmetric matrix of pairwise effective resistances with zero diagonal.
 
     ``L^+`` is gathered from its blocks, ``L^+[(p, r), (p', r')] = B[p - p' mod n]``,
@@ -136,7 +133,7 @@ def resistance_matrix(g: Graph, shift: int | None = None) -> np.ndarray:
     rounding; the resistances use ``L^+ + L^+^T``, which makes the matrix exactly
     symmetric.
     """
-    blocks = _green_blocks(g, shift)
+    blocks = _green_blocks(g)
     n, k = blocks.shape[:2]
     petals = np.arange(n)
     green = blocks[(petals[:, None] - petals) % n].transpose(0, 2, 1, 3).reshape(n * k, n * k)
@@ -148,7 +145,7 @@ def resistance_matrix(g: Graph, shift: int | None = None) -> np.ndarray:
     return matrix
 
 
-def numeric_indices(g: Graph, shift: int | None = None) -> tuple[float, float]:
+def numeric_indices(g: Graph) -> tuple[float, float]:
     """Kirchhoff index and Kemeny's constant from the traces of the inverse symbols.
 
     - Kirchhoff index ``N tr L^+ = N sum_j tr L(w_j)^+`` (Kf = N sum 1/mu over
@@ -161,7 +158,7 @@ def numeric_indices(g: Graph, shift: int | None = None) -> tuple[float, float]:
 
     ``w_j`` and its conjugate count once each: O(N k^2) time, O(N k) memory.
     """
-    s = _symbols(g, shift)
+    s = _symbols(g)
     degrees = s.arcs.sum((0, 2))
     twice = 2.0 - (2 * np.arange(len(s.inverse)) % s.blocks == 0)
     traces = np.trace(s.inverse, axis1=1, axis2=2).real

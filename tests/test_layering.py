@@ -1,18 +1,16 @@
 """The closed forms stay independent of the numeric oracle they are checked against,
 no library module imports scipy, the oracle imports only numpy and ``.graphs`` and
 reads a graph only as CSR arrays, only ``FlowerSpec`` knows the petal block size and
-``build_flower`` reads its label shift, ``Graph`` certifies a graph's shift and the
-oracle only a different one it is given, the CLI passes the oracle no shift, only
-``cli._flowers`` reads the family options, ``cli.build_parser`` alone builds argparse
-parsers and builds them once per process, the package exports what it imports,
-graphs and flower specs compute their derived attributes at construction, and no
-source line is longer than 99 characters."""
+``build_flower`` reads its label shift, ``Graph``'s constructor alone certifies a
+graph's shift, only ``cli._flowers`` reads the family options, ``cli.build_parser``
+alone builds argparse parsers and builds them once per process, the package exports
+what it imports, graphs and flower specs compute their derived attributes at
+construction, and no source line is longer than 99 characters."""
 
 from __future__ import annotations
 
 import ast
 import importlib
-import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +18,6 @@ from pathlib import Path
 import pytest
 
 import flowergraphs
-from flowergraphs import oracle
 
 PACKAGE = Path(flowergraphs.__file__).parent
 CLOSED_FORM_MODULES = ("flower", "complete", "cycle", "separation", "exact")
@@ -148,34 +145,15 @@ def _functions(tree: ast.Module):
                     yield f"{top.name}.{node.name}", node
 
 
-def test_only_the_constructor_and_an_explicit_oracle_shift_call_check_shift():
-    """``Graph.__post_init__`` certifies every graph's own shift; the oracle certifies
-    only a shift it is given that differs from the graph's."""
-    callers, branches = set(), []
+def test_only_the_graph_constructor_calls_check_shift():
+    """``Graph.__post_init__`` certifies every graph's shift; everything else, the
+    oracle included, reads the certified ``g.shift``."""
+    callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for name, function in _functions(ast.parse(path.read_text())):
             if "check_shift" in _called_names(function):
                 callers.add((path.stem, name))
-                branches += [
-                    ast.unparse(node.test) for node in ast.walk(function)
-                    if isinstance(node, ast.If) and "check_shift" in _called_names(node)
-                ]
-    assert callers == {("graphs", "Graph.__post_init__"), ("oracle", "_symbols")}
-    assert branches == ["k != g.shift"]
-
-
-def test_no_cli_call_into_the_oracle_passes_a_shift():
-    """A flower graph carries the rotation it was built with, so the CLI passes none."""
-    called = set()
-    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
-        func = getattr(node, "func", None)
-        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "oracle":
-            parameters = list(inspect.signature(getattr(oracle, func.attr)).parameters)
-            if "shift" in parameters:
-                called.add(func.attr)
-                assert len(node.args) <= parameters.index("shift"), ast.unparse(node)
-                assert "shift" not in {keyword.arg for keyword in node.keywords}
-    assert called == {"numeric_indices", "resistance", "resistance_matrix"}
+    assert callers == {("graphs", "Graph.__post_init__")}
 
 
 def test_only_flowers_reads_the_family_options():

@@ -102,11 +102,11 @@ def test_kemeny_examples():
     assert numeric_indices(sunflower)[1] == pytest.approx(float(Fraction(14, 3)), abs=1e-9)
 
 
-def _assert_indices_match_definitions(g, shift=None):
+def _assert_indices_match_definitions(g):
     """Kf is half the resistance sum, Kemeny d^T R d / 4q."""
-    matrix = resistance_matrix(g, shift)
+    matrix = resistance_matrix(g)
     degrees = np.asarray(g.degrees, dtype=float)
-    kirchhoff, kemeny = numeric_indices(g, shift)
+    kirchhoff, kemeny = numeric_indices(g)
     assert kirchhoff == pytest.approx(matrix.sum() / 2.0, rel=1e-12)
     assert kemeny == pytest.approx(degrees @ matrix @ degrees / (4.0 * g.edge_count), rel=1e-12)
 
@@ -131,14 +131,14 @@ def test_numeric_indices_equal_the_matrix_sums(g):
 )
 def test_numeric_indices_equal_the_matrix_sums_on_flowers(spec):
     # Kemeny's constant by its definition, sum 1/nu, against the resistance identity.
-    _assert_indices_match_definitions(build_flower(spec), spec.shift)
+    _assert_indices_match_definitions(build_flower(spec))
 
 
 ENTRY_POINTS = {
     "numeric_indices": numeric_indices,
     "resistance_matrix": resistance_matrix,
-    "resistance": lambda g, shift: resistance(g, 1, g.vertex_count - 1, shift),
-    "grounded_potentials": lambda g, shift: grounded_potentials(g, 1, g.vertex_count - 1, shift),
+    "resistance": lambda g: resistance(g, 1, g.vertex_count - 1),
+    "grounded_potentials": lambda g: grounded_potentials(g, 1, g.vertex_count - 1),
 }
 # N = 24 in blocks of 4.
 SHIFTED = cycle_flower_spec(CycleFlowerParams(5, 6, 2))
@@ -146,10 +146,11 @@ SHIFTED = cycle_flower_spec(CycleFlowerParams(5, 6, 2))
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_oracle_raises_when_the_shift_does_not_divide_n(entry):
+    """No entry point runs under a shift its graph did not certify."""
     flower = build_flower(SHIFTED)
     for shift in (0, -4, 5, 25):
         with pytest.raises(ValueError, match=f"shift {shift} does not divide the vertex count 24"):
-            ENTRY_POINTS[entry](flower, shift)
+            ENTRY_POINTS[entry](Graph(flower.vertex_count, flower.edges, shift))
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -162,26 +163,24 @@ def test_oracle_raises_when_an_edge_breaks_the_rotation(entry, spec, data):
     to = data.draw(st.integers(0, flower.vertex_count - 1).filter(lambda v: v != edges[at][1]))
     edges[at][1] = to
     try:
-        moved = Graph(flower.vertex_count, edges)
+        Graph(flower.vertex_count, edges)
     except ValueError:  # a self-loop, a duplicate edge, a label gap or a disconnected graph
         return
     # Every orbit has n >= 3 edges, so moving one leaves a part of its orbit behind.
     with pytest.raises(ValueError, match=f"shift {spec.shift} does not map the edges"):
-        ENTRY_POINTS[entry](moved, spec.shift)
+        ENTRY_POINTS[entry](Graph(flower.vertex_count, edges, spec.shift))
 
 
-def _assert_equals_dense(g, shift=None):
+def _assert_equals_dense(g):
     """All four entry points agree with the dense Cholesky reference to 1e-12."""
     close = {"rtol": 1e-12, "atol": 1e-12}
-    np.testing.assert_allclose(numeric_indices(g, shift), dense.numeric_indices(g), **close)
-    np.testing.assert_allclose(
-        resistance_matrix(g, shift), dense.resistance_matrix(g), **close)
+    np.testing.assert_allclose(numeric_indices(g), dense.numeric_indices(g), **close)
+    np.testing.assert_allclose(resistance_matrix(g), dense.resistance_matrix(g), **close)
     last = g.vertex_count - 1
     for i, j in ((0, last), (last, last // 2), (last // 2, 0), (1, last)):
         np.testing.assert_allclose(
-            grounded_potentials(g, i, j, shift), dense.grounded_potentials(g, i, j), **close)
-        np.testing.assert_allclose(
-            resistance(g, i, j, shift), dense.resistance(g, i, j), **close)
+            grounded_potentials(g, i, j), dense.grounded_potentials(g, i, j), **close)
+        np.testing.assert_allclose(resistance(g, i, j), dense.resistance(g, i, j), **close)
 
 
 @settings(max_examples=60)
@@ -195,18 +194,23 @@ def test_fourier_oracle_equals_the_dense_reference(g):
 @example(FlowerSpec(path_graph(2), 1, 0, 4))
 @given(flower_specs(max_vertices=7, max_petals=9))
 def test_oracle_on_the_rotation_equals_the_dense_reference(spec):
-    """The Fourier blocks under ``spec.shift``, k = m - 1 labels each, give what the
-    dense reference gives; m = 2 makes one label a block and the flower a cycle."""
-    _assert_equals_dense(build_flower(spec), spec.shift)
+    """The Fourier blocks under ``spec.shift``, k = m - 1 labels each, and the one
+    block of the same flower built without its rotation give what the dense
+    reference gives; m = 2 makes one label a block and the flower a cycle."""
+    flower = build_flower(spec)
+    _assert_equals_dense(flower)
+    _assert_equals_dense(Graph(flower.vertex_count, flower.edges))
 
 
 def test_every_multiple_of_the_shift_gives_the_same_values():
     flower = build_flower(SHIFTED)
+    assert flower.shift == 4
     close = {"rtol": 1e-12, "atol": 1e-12}
-    expected = numeric_indices(flower, 4), resistance_matrix(flower, 4)
-    for shift in (8, 12, 24, None):
-        np.testing.assert_allclose(numeric_indices(flower, shift), expected[0], **close)
-        np.testing.assert_allclose(resistance_matrix(flower, shift), expected[1], **close)
+    expected = numeric_indices(flower), resistance_matrix(flower)
+    for shift in (8, 12, 24):
+        rotated = Graph(flower.vertex_count, flower.edges, shift)
+        np.testing.assert_allclose(numeric_indices(rotated), expected[0], **close)
+        np.testing.assert_allclose(resistance_matrix(rotated), expected[1], **close)
 
 
 @pytest.mark.parametrize(
@@ -232,14 +236,14 @@ def test_fourier_oracle_equals_the_dense_reference_on_examples(g):
 def test_indices_within_rel_tol_on_large_cycle_flowers(m, p, n):
     # The dense oracle's relative error passed REL_TOL = 1e-12 first at these sizes.
     spec = cycle_flower_spec(CycleFlowerParams(m, n, p))
-    observed = numeric_indices(build_flower(spec), spec.shift)
+    observed = numeric_indices(build_flower(spec))
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
         assert abs(value - float(exact)) <= oracle.REL_TOL * float(exact)
 
 
 def test_the_default_shift_is_the_rotation_the_flower_was_built_with():
-    """``build_flower`` gives its graph the petal rotation, so the oracle uses it
-    without being passed a shift.  One dense block of this flower, the default
+    """``build_flower`` gives its graph the petal rotation, and the oracle works
+    under the graph's own shift.  One dense block of this flower, the default
     before ``Graph`` carried its shift, was off by 1.3e-10 relative."""
     spec = cycle_flower_spec(CycleFlowerParams(8, 160, 4))
     flower = build_flower(spec)
@@ -260,7 +264,7 @@ def test_resistance_matrix_within_1e_9_of_every_exact_pair_at_n_1960():
     base = np.array([loc.base_vertex for loc in locators])
     petal = np.array([loc.petal for loc in locators])
     assert spec.vertex_count == 1960
-    matrix = resistance_matrix(flower, spec.shift)
+    matrix = resistance_matrix(flower)
     for rows in np.array_split(np.arange(spec.vertex_count), 8):
         step = (petal[rows, None] - petal[None, :]) % spec.n
         expected = table[base[rows, None], base[None, :], step]
@@ -280,7 +284,7 @@ def test_indices_within_1e_12_relative_at_n_18000(spec):
     """A grounded banded Cholesky solve errs by 3.6e-12 (K10) to 1.4e-11 (Petersen)
     at this size; the deflated Fourier blocks keep both indices near 1e-15."""
     assert abs(spec.vertex_count - 18_000) <= 10
-    observed = numeric_indices(build_flower(spec), spec.shift)
+    observed = numeric_indices(build_flower(spec))
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
         assert abs(value - float(exact)) <= 1e-12 * float(exact)
 
@@ -290,7 +294,7 @@ def test_numeric_indices_memory_is_linear_in_n():
     g = build_flower(spec)
     tracemalloc.start()
     try:
-        numeric_indices(g, spec.shift)
+        numeric_indices(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
