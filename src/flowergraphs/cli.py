@@ -48,6 +48,12 @@ _FAMILY_OPTIONS = (
 )
 
 
+# verify checks the pairs in runs of whole rows, at most this many pairs (or one row)
+# each, with one values_close call per run: the compare adds O(VERIFY_CHUNK_PAIRS)
+# memory to the N x N matrix.
+VERIFY_CHUNK_PAIRS = 1 << 15
+
+
 def _fmt_float(value: float) -> str:
     return f"{value:.12g}"
 
@@ -220,19 +226,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"p={'-' if p is None else p}"
         )
         matrix = oracle.resistance_matrix(graph)
-        locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
-        pairs += len(locators) * (len(locators) - 1) // 2
-        for i, u in enumerate(locators):
-            for j in range(i + 1, len(locators)):
-                v = locators[j]
-                expected = flower_resistance(spec, u, v)
-                observed = float(matrix[i, j])
-                if not oracle.values_close(float(expected), observed, abs_tol=tol):
-                    failures += 1
-                    print(
-                        f"FAIL {tag} pair={u.petal}:{u.base_vertex},{v.petal}:{v.base_vertex} "
-                        f"expected={format_rational(expected)} observed={_fmt_float(observed)}"
-                    )
+        count = spec.vertex_count
+        locators = [spec.locator_of(i) for i in range(count)]
+        pairs += count * (count - 1) // 2
+        step = VERIFY_CHUNK_PAIRS // count or 1
+        for start in range(0, count - 1, step):
+            stop = min(start + step, count)
+            expected = [
+                flower_resistance(spec, locators[i], v)
+                for i in range(start, stop)
+                for v in locators[i + 1:]
+            ]
+            # Correctly rounded, so equal to float(value).
+            exact = np.array([value.numerator / value.denominator for value in expected])
+            above = np.arange(count) > np.arange(start, stop)[:, None]
+            observed = matrix[start:stop][above]  # row-major, as expected is
+            close = oracle.values_close(exact, observed, abs_tol=tol)
+            if close.all():
+                continue
+            rows, columns = np.nonzero(above)
+            for t in np.flatnonzero(~close):
+                failures += 1
+                u, v = locators[start + rows[t]], locators[columns[t]]
+                print(
+                    f"FAIL {tag} pair={u.petal}:{u.base_vertex},{v.petal}:{v.base_vertex} "
+                    f"expected={format_rational(expected[t])} "
+                    f"observed={_fmt_float(observed[t])}"
+                )
         # Both indices by their definitions, off the same matrix:
         # Kf = sum_{i<j} R_ij and Kemeny = d^T R d / 4q.
         degrees = np.asarray(graph.degrees, dtype=float)

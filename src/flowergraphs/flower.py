@@ -52,6 +52,9 @@ class FlowerSpec:
             raise ValueError("petal count must be at least 3")
         others = (v for v in range(m) if v not in (self.x, self.y))
         object.__setattr__(self, "block_order", (self.x, *others))
+        # flower_resistance's memo, keyed by (a, b, e); not a field, so it stays out
+        # of equality, the hash and the repr.
+        object.__setattr__(self, "_resistances", {})
 
     @property
     def block_size(self) -> int:
@@ -196,6 +199,9 @@ def flower_resistance(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> F
     Evaluates ``R_ab(e)`` on the canonical locators, with ``v`` ``e`` petals
     down the chain from ``u``.  Locators that are canonical already, such as
     ``spec.locator_of``'s, are used as they are; any other goes through ``locator``.
+    Rotating the petals is an automorphism (see above ``_scaled_pair_resistance``),
+    so the value depends on ``(a, b, e)`` alone and is kept on the spec under that
+    key: at most ``(m - 1)^2 n`` values, each computed once.
     """
     (pu, a), (pv, b) = u, v
     n, y = spec.n, spec.y
@@ -204,9 +210,13 @@ def flower_resistance(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> F
         (pu, a), (pv, b) = locator(spec, pu, a), locator(spec, pv, b)
     if pu == pv and a == b:
         return Fraction(0)
-    det, k = _laplacian_solve(spec.base)
-    key = _scaled_pair_resistance(spec, k, a, b, (pu - pv) % n)
-    return Fraction(key, 4 * n * k[spec.x][y] * det)
+    key = (a, b, (pu - pv) % n)
+    value = spec._resistances.get(key)
+    if value is None:
+        det, k = _laplacian_solve(spec.base)
+        value = Fraction(_scaled_pair_resistance(spec, k, *key), 4 * n * k[spec.x][y] * det)
+        spec._resistances[key] = value
+    return value
 
 
 def normalized_petal_separation(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> int:

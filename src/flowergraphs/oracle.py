@@ -179,9 +179,9 @@ DEFAULT_TOL = 1e-9
 REL_TOL = 1e-12
 
 
-def values_close(a: float, b: float, *, abs_tol: float = DEFAULT_TOL) -> bool:
-    """Compare values within ``abs_tol`` up to ``MAGNITUDE_CUTOFF``, relatively beyond it."""
-    scale = max(abs(a), abs(b))
-    if scale <= MAGNITUDE_CUTOFF:
-        return abs(a - b) <= abs_tol
-    return abs(a - b) <= REL_TOL * scale
+def values_close(a, b, *, abs_tol: float = DEFAULT_TOL) -> np.bool_ | np.ndarray:
+    """Compare floats, or arrays of them elementwise, within ``abs_tol`` up to
+    ``MAGNITUDE_CUTOFF`` and relatively beyond it; a NaN is never close."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, quietly, as on floats
+        diff, scale = np.abs(np.subtract(a, b)), np.maximum(np.abs(a), np.abs(b))
+    return np.where(scale <= MAGNITUDE_CUTOFF, diff <= abs_tol, diff <= REL_TOL * scale)[()]

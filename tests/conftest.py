@@ -93,3 +93,12 @@ def metric_violations(matrix: np.ndarray, tol: float = 1e-9) -> list[str]:
     if worst_reverse > tol:
         problems.append(f"reverse triangle inequality violated by {worst_reverse:.3e}")
     return problems
+
+
+def scalar_values_close(a: float, b: float, abs_tol: float) -> bool:
+    """``oracle.values_close``'s rule on two Python floats, as the scalar function
+    had it before the comparison became elementwise numpy."""
+    scale = max(abs(a), abs(b))
+    if scale <= 1e3:
+        return abs(a - b) <= abs_tol
+    return abs(a - b) <= 1e-12 * scale

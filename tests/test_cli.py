@@ -7,22 +7,30 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from flowergraphs import (
+    CompleteFlowerParams,
     CycleFlowerParams,
     FlowerSpec,
     build_flower,
+    complete_flower_spec,
     cycle_flower_spec,
+    flower_kemeny_exact,
+    flower_kirchhoff_exact,
+    flower_resistance,
     format_edge_list,
+    format_rational,
     graph_from_edge_list,
     parse_edge_list,
 )
 from flowergraphs import oracle
-from flowergraphs.cli import build_parser, main
+from flowergraphs.cli import VERIFY_CHUNK_PAIRS, build_parser, main
 
-from conftest import grid_graph
+from conftest import grid_graph, scalar_values_close
 from flower_reference import summed_kirchhoff
 
 
@@ -195,6 +203,75 @@ def test_verify_failure_reports_and_exits_1(capsys):
     assert "family=complete" in first
     assert "m=6" in first and "n=8" in first
     assert "expected=" in first and "observed=" in first
+
+
+def _reference_verify_lines(spec: FlowerSpec, tol: float) -> list[str]:
+    """``verify``'s FAIL lines for one complete flower as the pair-at-a-time loop
+    made them: ``float`` of each closed form against the matrix entry by the scalar
+    rule, in row-major ``i < j`` order, then the two indices."""
+    graph = build_flower(spec)
+    matrix = oracle.resistance_matrix(graph)
+    tag = f"family=complete m={spec.base.vertex_count} n={spec.n} p=-"
+    locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
+    lines = []
+    for i, u in enumerate(locators):
+        for j in range(i + 1, len(locators)):
+            v = locators[j]
+            expected, observed = flower_resistance(spec, u, v), float(matrix[i, j])
+            if not scalar_values_close(float(expected), observed, tol):
+                lines.append(
+                    f"FAIL {tag} pair={u.petal}:{u.base_vertex},{v.petal}:{v.base_vertex} "
+                    f"expected={format_rational(expected)} observed={observed:.12g}"
+                )
+    degrees = np.asarray(graph.degrees, dtype=float)
+    indices = (
+        ("kirchhoff", flower_kirchhoff_exact(spec), float(matrix.sum()) / 2.0),
+        ("kemeny", flower_kemeny_exact(spec),
+         float(degrees @ matrix @ degrees) / (4.0 * graph.edge_count)),
+    )
+    for quantity, closed, observed in indices:
+        if not scalar_values_close(float(closed), observed, tol):
+            lines.append(
+                f"FAIL {tag} quantity={quantity} "
+                f"expected={format_rational(closed)} observed={observed:.12g}"
+            )
+    return lines
+
+
+def test_verify_across_chunks_prints_what_the_pair_loop_prints(capsys):
+    """K6 with n = 52: N = 260 and 33,670 pairs, in three runs of rows for the
+    vectorized compare, with float noise above the tolerance in each."""
+    spec = complete_flower_spec(CompleteFlowerParams(6, 52))
+    assert VERIFY_CHUNK_PAIRS // spec.vertex_count < spec.vertex_count - 1
+    code, out = run(
+        capsys,
+        "verify", "--family", "complete", "--m-range", "6", "--n-range", "52",
+        "--tol", "1e-16",
+    )
+    lines = _reference_verify_lines(spec, 1e-16)
+    assert len(lines) > 1000
+    lines.append(f"verify: {len(lines)} mismatches over 1 instances, 33670 pairs")
+    assert code == 1
+    assert out.endswith("\n")
+    assert out.splitlines() == lines
+
+
+def test_verify_c8_stays_within_the_resistance_matrix_memory(capsys):
+    """C8 (p = 4, n = 160), N = 1,120: the peak is ``resistance_matrix``'s two
+    N x N arrays; the compare may not add a third."""
+    tracemalloc.start()
+    try:
+        code, out = run(
+            capsys,
+            "verify", "--family", "cycle", "--m-range", "8", "--n-range", "160",
+            "--p-range", "4",
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out == "verify: ok (1 instances, 626640 pairs, tol=1e-09)\n"
+    assert peak < 2.2 * 8 * 1120**2
 
 
 def test_sweep_csv(capsys):

@@ -333,6 +333,37 @@ def test_flower_resistance_symmetric_in_arguments():
     assert flower_resistance(spec, u, v) == flower_resistance(spec, v, u)
 
 
+@pytest.mark.parametrize(
+    "base,x,y,n",
+    [
+        (complete_graph(4), 0, 1, 5),
+        (cycle_graph(6), 0, 2, 4),
+        (random_connected_graph(random.Random(29), max_vertices=7, min_vertices=7), 1, 4, 4),
+    ],
+    ids=["K4", "C6-p2", "random"],
+)
+def test_memoised_resistance_equals_a_fresh_evaluation(base, x, y, n):
+    """One spec reused for every ordered pair, its memo filling as it goes, gives
+    what a fresh spec with an empty memo gives; the ``y`` locators are not
+    canonical and go through ``locator``."""
+    spec = FlowerSpec(base, x, y, n)
+    every = [FlowerLocator(p, v) for p in range(1, n + 1) for v in range(base.vertex_count)]
+    for u in every:
+        for v in every:
+            fresh = flower_resistance(FlowerSpec(base, x, y, n), u, v)
+            assert flower_resistance(spec, u, v) == fresh, (u, v)
+
+
+def test_the_memo_is_outside_equality_the_hash_and_the_repr():
+    base = complete_graph(4)
+    used, unused = FlowerSpec(base, 0, 1, 5), FlowerSpec(base, 0, 1, 5)
+    flower_resistance(used, FlowerLocator(1, 2), FlowerLocator(3, 3))
+    assert used._resistances and not unused._resistances
+    assert used == unused
+    assert hash(used) == hash(unused)
+    assert repr(used) == repr(unused)
+
+
 # ------------------------------------------------------------------- search
 
 

@@ -38,7 +38,13 @@ from flowergraphs import (
 from flowergraphs import oracle
 
 import dense_oracle as dense
-from conftest import connected_graphs, flower_specs, metric_violations, random_connected_graph
+from conftest import (
+    connected_graphs,
+    flower_specs,
+    metric_violations,
+    random_connected_graph,
+    scalar_values_close,
+)
 from flower_reference import located_pairs
 
 
@@ -387,6 +393,29 @@ def test_values_close_policy():
     # beyond the magnitude cutoff the comparison turns relative
     assert values_close(2e6, 2e6 * (1 + 5e-13))
     assert not values_close(2e6, 2e6 * (1 + 5e-12))
+
+
+@pytest.mark.parametrize("abs_tol", [1e-9, 0.0])
+def test_values_close_on_arrays_matches_the_scalar_rule(abs_tol):
+    """Each element of one array call decides as a call on its two floats does and
+    as the scalar rule did: at and just above the cutoff, with a zero tolerance,
+    on negative values, infinities and NaNs, which are never close."""
+    above = float(np.nextafter(1e3, np.inf))
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        (1e3, 1e3), (1e3, 1e3 + 1e-9), (1e3, 1e3 + 5e-10), (-1e3, -1e3 - 5e-10),
+        (above, above + 5e-10), (above, above * (1 + 5e-13)), (1e3, above),
+        (1.0, 1.0), (1.0, 1.0 + 5e-10), (0.0, -0.0), (-2.5, -2.5 - 2e-9), (-1.0, 1.0),
+        (-2e6, -2e6 * (1 + 5e-13)), (-2e6, -2e6 * (1 + 5e-12)), (-2e6, 2e6),
+        (inf, inf), (-inf, -inf), (inf, -inf), (inf, 1.0),
+        (nan, nan), (nan, 1.0), (1.0, nan), (nan, 2e6), (2e6, nan), (nan, inf),
+    ]
+    a, b = (np.array(side) for side in zip(*cases))
+    close = values_close(a, b, abs_tol=abs_tol)
+    single = [values_close(x, y, abs_tol=abs_tol) for x, y in cases]
+    expected = [scalar_values_close(x, y, abs_tol) for x, y in cases]
+    assert close.tolist() == expected == single
+    assert not close[np.isnan(a) | np.isnan(b)].any()
 
 
 def test_metric_violations_flags_bad_matrix():
