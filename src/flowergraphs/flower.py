@@ -9,6 +9,7 @@ else is an "outer" vertex of its petal.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,6 +44,11 @@ class FlowerSpec:
     n: int
 
     def __post_init__(self) -> None:
+        for name, value in (("x", self.x), ("y", self.y), ("n", self.n)):
+            try:  # numpy integers become ints, which the exact sums need
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         m = self.base.vertex_count
         if not (0 <= self.x < m and 0 <= self.y < m):
             raise ValueError(f"marked vertices ({self.x}, {self.y}) out of range")
@@ -174,12 +180,12 @@ def base_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
 # n - e - 1 petals make r1_ij + r2_ij = ns.  In the integers k = det * r of
 # the base solve (det the spanning-tree count) the same expressions give
 #     4 n k_xy det R_ab(e) = 4 n k_xy series_k - imbalance_k^2,
-# which _scaled_pair_resistance evaluates.  flower_resistance divides it out;
-# rotating the petals is an automorphism, so max_resistance_search compares
-# it across pairs anchored in petal 1.  With c = r_ax - r_ay - r_bx + r_by,
-# the imbalance at e = 0, R_ab(e) is for e >= 1 a concave quadratic peaking
-# at e* = (ns + c) / 2s, so _weighted_pair_total sums it over e = 1..n-1 by
-# Newton's forward differences of the integer quadratic.
+# which _scaled_pair_resistance evaluates for one pair.  flower_resistance
+# divides it out; rotating the petals is an automorphism, so
+# max_resistance_search compares it across pairs anchored in petal 1.  With
+# c = r_ax - r_ay - r_bx + r_by, the imbalance at e = 0, R_ab(e) is for e >= 1
+# a concave quadratic peaking at e* = (ns + c) / 2s.  The index sums evaluate
+# no pair: _weighted_pair_total sums it over all pairs and steps in closed form.
 
 
 def _scaled_pair_resistance(
@@ -219,15 +225,6 @@ def flower_resistance(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> F
     return value
 
 
-def normalized_petal_separation(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> int:
-    """Inclusive petal count between two locators, smaller orientation."""
-    u, v = locator(spec, *u), locator(spec, *v)
-    if u.petal == v.petal:
-        return 1
-    d = (u.petal - v.petal) % spec.n + 1
-    return min(d, spec.n - d + 2)
-
-
 @dataclass(frozen=True)
 class MaxResistance:
     value: Fraction
@@ -245,15 +242,15 @@ def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
     that is O(m^2) candidates, whatever the petal count; their integer keys
     share one denominator, so comparing the keys compares the resistances
     exactly.  Ties break toward the lexicographically smallest locator pair.
-    The reported ``d`` is the normalized inclusive petal separation (smaller
-    orientation).
+    The reported ``d`` is the inclusive petal count between the pair, the
+    smaller way round the chain: ``min(e, n - e) + 1`` for the best pair's step.
     """
     det, k = _laplacian_solve(spec.base)
     n, x, y = spec.n, spec.x, spec.y
     s = k[x][y]
     # Keys are nonnegative, so the first candidate always wins against -1.  A key
     # below the best cannot win, so its locators are never built.
-    best_value, best_pair = -1, None
+    best_value, best_pair, best_step = -1, None, 0
     for a in spec.block_order:
         u = FlowerLocator(1, a)
         for b in spec.block_order:
@@ -270,11 +267,9 @@ def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
                 v = FlowerLocator((1 - e) % n or n, b)
                 pair = (u, v) if u <= v else (v, u)
                 if value > best_value or pair < best_pair:
-                    best_value, best_pair = value, pair
-    u, v = best_pair
-    return MaxResistance(
-        Fraction(best_value, 4 * n * s * det), u, v, normalized_petal_separation(spec, u, v)
-    )
+                    best_value, best_pair, best_step = value, pair, e
+    d = min(best_step, n - best_step) + 1
+    return MaxResistance(Fraction(best_value, 4 * n * s * det), *best_pair, d)
 
 
 def kirchhoff_bounds(spec: FlowerSpec) -> tuple[Fraction, Fraction]:
@@ -302,73 +297,69 @@ def kemeny_bounds(spec: FlowerSpec) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _base_pair_total(g: Graph, weights: tuple[int, ...], scale: int) -> Fraction:
-    """``sum of w_i w_j r_ij`` over ordered base vertex pairs, divided by ``scale``."""
-    det, k = _laplacian_solve(g)
-    total = sum(w * v * k[i][j] for i, w in enumerate(weights) for j, v in enumerate(weights))
-    return Fraction(total, scale * det)
+def _pair_moment(k: tuple[tuple[int, ...], ...], weights) -> int:
+    """``sum of w_i w_j k_ij`` over ordered base vertex pairs."""
+    return sum(w * v * k[i][j] for i, w in enumerate(weights) for j, v in enumerate(weights))
 
 
 def base_kirchhoff(g: Graph) -> Fraction:
     """Kirchhoff index of the base graph: its resistance sum over vertex pairs."""
-    return _base_pair_total(g, (1,) * g.vertex_count, 2)
+    det, k = _laplacian_solve(g)
+    return Fraction(_pair_moment(k, (1,) * g.vertex_count), 2 * det)
 
 
 def base_kemeny(g: Graph) -> Fraction:
     """Kemeny's constant of the base graph: ``sum of d_i d_j r_ij / 4|E|``."""
-    return _base_pair_total(g, g.degrees, 4 * g.edge_count)
+    det, k = _laplacian_solve(g)
+    return Fraction(_pair_moment(k, g.degrees), 4 * g.edge_count * det)
 
 
 def _weighted_pair_total(spec: FlowerSpec, weights: list[int]) -> Fraction:
     """Weighted resistance sum over all pairs whose first vertex is in petal 1.
 
     With ``f(e)`` the sum of ``w_a w_b 4 n k_xy det R_ab(e)`` over ordered pairs
-    ``a, b`` of ``spec.block_order``, ``f(0)`` is the one pass over the pairs.  For
-    ``e >= 1``, ``f(e)`` reduces to weighted moments.  With ``s = k_xy``,
-    ``alpha_a = k_ax - k_ay``, ``W = sum w_a``, ``A = sum w_a alpha_a``,
-    ``B = sum w_a alpha_a^2``, ``X = sum w_a k_ax`` and ``Y = sum w_a k_ay``, the
-    series ``k_ay + k_bx + (e - 1) s`` sums to ``W Y + W X + (e - 1) s W^2``.  The
-    imbalance is ``alpha_a - alpha_b - 2es``; its square sums to
-    ``sum w_a w_b (alpha_a - alpha_b)^2 = 2 W B - 2 A^2``, plus the cross term
-    ``-4es sum w_a w_b (alpha_a - alpha_b)``, which is zero because its summand is
-    antisymmetric in ``a, b``, plus ``4 e^2 s^2 W^2``.  So
-    ``f(e) = 4ns (W Y + W X + (e - 1) s W^2) - (2 W B - 2 A^2) - 4 e^2 s^2 W^2``,
-    an integer quadratic in ``e``, and by Newton's forward differences, with
-    ``N = n - 1``,
-    ``f(1) + ... + f(N) = N f(1) + C(N, 2) (f(2) - f(1)) + C(N, 3) (f(3) - 2 f(2) + f(1))``
-    exactly, for every ``n >= 3``.  The whole sum is one O(m^2) pass plus O(m) moments.
+    ``a, b`` of ``spec.block_order``, every base vertex but ``y``, the total is
+    ``f(0) + ... + f(n - 1)`` over ``4 n k_xy det``.  Under ``w'``, ``w`` with
+    ``w'_y = 0``, each sum below runs over all base vertices.  With ``s = k_xy``,
+    ``alpha_a = k_ax - k_ay``, ``W = sum w'_a``, ``X = sum w'_a k_ax``,
+    ``Y = sum w'_a k_ay``, ``B = sum w'_a alpha_a^2`` and ``P = sum w'_a w'_b k_ab``,
+    the imbalance ``alpha_a - alpha_b - 2es`` squared sums to
+    ``spread = sum w'_a w'_b (alpha_a - alpha_b)^2 = 2 W B - 2 (X - Y)^2``, plus
+    the cross term ``-4es sum w'_a w'_b (alpha_a - alpha_b)``, zero because its
+    summand is antisymmetric in ``a, b``, plus ``4 e^2 s^2 W^2``.  At ``e = 0`` the
+    series is ``k_ab``, so ``f(0) = 4ns P - spread``.  For ``e >= 1`` the series
+    ``k_ay + k_bx + (e - 1) s`` sums to ``W (X + Y) + (e - 1) s W^2``.  With
+    ``1 + ... + (n - 2) = C(n - 1, 2)`` and the sum of squares
+    ``1^2 + ... + (n - 1)^2 = (n - 1) n (2n - 1) / 6``, the sum over ``e`` is
+    ``4ns (P + (n - 1) W (X + Y) + C(n - 1, 2) s W^2) - n spread``
+    ``- 4 s^2 W^2 (n - 1) n (2n - 1) / 6`` exactly, a cubic in ``n``: one O(m^2)
+    moment ``P`` plus O(m) moments, whatever the petal count.
     """
     det, k = _laplacian_solve(spec.base)
     n, x, y = spec.n, spec.x, spec.y
     s = k[x][y]
-    order = spec.block_order
-    f0 = sum(
-        weights[a] * weights[b] * _scaled_pair_resistance(spec, k, a, b, 0)
-        for a in order for b in order
+    weights = [*weights[:y], 0, *weights[y + 1:]]
+    W = sum(weights)
+    X = sum(w * row[x] for w, row in zip(weights, k))
+    Y = sum(w * row[y] for w, row in zip(weights, k))
+    B = sum(w * (row[x] - row[y]) ** 2 for w, row in zip(weights, k))
+    spread = 2 * W * B - 2 * (X - Y) ** 2
+    total = (
+        4 * n * s * (_pair_moment(k, weights) + (n - 1) * W * (X + Y) + comb(n - 1, 2) * s * W * W)
+        - n * spread
+        - 4 * s * s * W * W * (n - 1) * n * (2 * n - 1) // 6
     )
-    W = sum(weights[a] for a in order)
-    A = sum(weights[a] * (k[a][x] - k[a][y]) for a in order)
-    B = sum(weights[a] * (k[a][x] - k[a][y]) ** 2 for a in order)
-    X = sum(weights[a] * k[a][x] for a in order)
-    Y = sum(weights[a] * k[a][y] for a in order)
-    spread = 2 * W * B - 2 * A * A
-    f1, f2, f3 = (
-        4 * n * s * (W * Y + W * X + (e - 1) * s * W * W) - spread - 4 * e * e * s * s * W * W
-        for e in (1, 2, 3)
-    )
-    steps = n - 1
-    total = f0 + steps * f1 + comb(steps, 2) * (f2 - f1) + comb(steps, 3) * (f3 - 2 * f2 + f1)
     return Fraction(total, 4 * n * s * det)
 
 
 def flower_kirchhoff_exact(spec: FlowerSpec) -> Fraction:
     """Exact Kirchhoff index in O(m^2) time, independent of the petal count.
 
-    Rotation symmetry reduces the sum to pairs anchored in petal 1, and the
-    sum over petal separations takes forward differences per base-locator pair.
+    Rotation symmetry reduces the sum to pairs anchored in petal 1, and the sum
+    over base-locator pairs and petal steps is one closed expression in weighted
+    moments of the base table, a polynomial in the petal count.
     """
-    ones = [1] * spec.base.vertex_count
-    return spec.n * _weighted_pair_total(spec, ones) / 2
+    return spec.n * _weighted_pair_total(spec, [1] * spec.base.vertex_count) / 2
 
 
 def flower_kemeny_exact(spec: FlowerSpec) -> Fraction:

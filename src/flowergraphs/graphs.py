@@ -13,9 +13,16 @@ Edge = tuple[int, int]
 
 
 def _edge_array(pairs) -> np.ndarray:
-    """``pairs`` as a nonempty ``(|E|, 2)`` integer array."""
+    """``pairs`` as a nonempty ``(|E|, 2)`` integer array; float and string labels fail."""
+    edges = np.asarray(pairs)
+    if edges.dtype.kind not in "bi":
+        # numpy holds ints past int64 as uint64, float64 or object: check them exactly.
+        edges = np.asarray(pairs, dtype=object)
+        bad = [label for label in edges.flat if not isinstance(label, (int, np.integer))]
+        if bad:
+            raise ValueError(f"vertex label {bad[0]!r} is not an integer")
     try:
-        edges = np.asarray(pairs, dtype=np.intp)
+        edges = edges.astype(np.intp, copy=False)
     except OverflowError as exc:
         raise ValueError(f"a vertex label is outside 0..{np.iinfo(np.intp).max}") from exc
     if not edges.size:

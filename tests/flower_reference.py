@@ -5,9 +5,10 @@ inversion of the grounded Laplacian, with row swaps, where the library runs
 fraction-free integer elimination.  The flower indices are the direct
 O(m^2 n) definitions: the Kirchhoff index and Kemeny constant as sums of the
 closed-form pair resistance, and the maximum resistance as an exhaustive
-scan.  The library evaluates the same quantities in time independent of the
-petal count.  ``max_diff_sequence`` differences the library's maxima over a
-range of petal counts.  ``reference_flower`` labels every petal's vertices one
+scan, its petal separation counted from the two locators.  The library
+evaluates the same quantities in time independent of the petal count.
+``max_diff_sequence`` differences the library's maxima over a range of petal
+counts.  ``reference_flower`` labels every petal's vertices one
 by one, where the library shifts petal 1's labels by whole blocks.
 ``located_pairs`` lists the general formula's parameters ``(a, b, e)``;
 ``complete_case`` and ``cycle_position`` map them to the parameters of the
@@ -30,7 +31,6 @@ from flowergraphs import (
     graph_from_edge_list,
     max_resistance_search,
 )
-from flowergraphs.flower import normalized_petal_separation
 
 
 def exact_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
@@ -147,13 +147,21 @@ def _anchored_pairs(spec: FlowerSpec):
                 yield u, v
 
 
+def petal_separation(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> int:
+    """Inclusive petal count between two canonical locators, the shorter way round."""
+    if u.petal == v.petal:
+        return 1
+    d = (u.petal - v.petal) % spec.n + 1
+    return min(d, spec.n - d + 2)
+
+
 def exhaustive_max_resistance(spec: FlowerSpec) -> MaxResistance:
     """Maximum over all pairs; ties break toward the smallest locator pair."""
     best: MaxResistance | None = None
     for u, v in _anchored_pairs(spec):
         value = flower_resistance(spec, u, v)
         pair = (u, v) if u <= v else (v, u)
-        d = normalized_petal_separation(spec, u, v)
+        d = petal_separation(spec, u, v)
         if (
             best is None
             or value > best.value

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -126,6 +127,26 @@ def test_spec_validation():
         FlowerSpec(complete_graph(3), 0, 1, 2)
     with pytest.raises(ValueError, match="distinct"):
         FlowerSpec(complete_graph(3), 1, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "x,y,n,message",
+    [
+        (0, 2.0, 3, "y must be an integer, not 2.0"),
+        (0.0, 2, 3, "x must be an integer, not 0.0"),
+        (0, 2, 3.5, "n must be an integer, not 3.5"),
+        (0, 2, "3", "n must be an integer, not '3'"),
+    ],
+)
+def test_spec_rejects_non_integer_marked_vertices_and_petal_counts(x, y, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FlowerSpec(path_graph(3), x, y, n)
+
+
+def test_spec_takes_numpy_integers_as_python_ints():
+    spec = FlowerSpec(path_graph(3), np.int32(0), np.int64(2), np.int64(5))
+    assert spec == FlowerSpec(path_graph(3), 0, 2, 5)
+    assert all(type(value) is int for value in (spec.x, spec.y, spec.n))
 
 
 # ------------------------------------------------------ the resistance formula

@@ -158,7 +158,9 @@ def test_general_path_specialises_to_complete_closed_forms():
             params = CompleteFlowerParams(m, n)
             assert flower_kirchhoff_exact(spec) == cf_kirchhoff(params)
             assert flower_kemeny_exact(spec) == cf_kemeny(params)
-            assert max_resistance_search(spec).value == cf_max_resistance(params)
+            search = max_resistance_search(spec)
+            assert search.value == cf_max_resistance(params)
+            assert search == exhaustive_max_resistance(spec)
 
 
 def test_general_path_specialises_to_cycle_closed_forms():
@@ -169,6 +171,7 @@ def test_general_path_specialises_to_cycle_closed_forms():
                 params = CycleFlowerParams(m, n, p)
                 assert flower_kirchhoff_exact(spec) == gs_kirchhoff(params)
                 assert flower_kemeny_exact(spec) == gs_kemeny(params)
+                assert max_resistance_search(spec) == exhaustive_max_resistance(spec)
 
 
 def test_general_path_specialises_to_paper_pair_forms():

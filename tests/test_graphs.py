@@ -327,3 +327,38 @@ def test_build_flower_allocates_no_per_edge_objects():
 def test_label_beyond_the_index_range_rejected():
     with pytest.raises(ValueError, match="vertex label is outside"):
         graph_from_edge_list([(0, 1), (1, 10**30)])
+
+
+OUTSIDE = rf"a vertex label is outside 0\.\.{np.iinfo(np.intp).max}"
+
+
+# numpy infers float64 for a list holding 2**63 beside small ints, uint64 for one
+# holding only labels in 2**63 .. 2**64 - 1 and object for 2**70; none of them may
+# reach the int cast that would truncate or wrap it.
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(0, 1.7), (1, 2)], r"vertex label 1\.7 is not an integer"),
+        ([(0, 1), (1.0, 2)], r"vertex label 1\.0 is not an integer"),
+        ([("0", "1"), ("1", "2")], "vertex label '0' is not an integer"),
+        (np.array([[0.0, 1.0], [1.0, 2.0]]), r"vertex label 0\.0 is not an integer"),
+        ([(0, 1), (1, 2**63)], OUTSIDE),
+        ([(0, 1), (1, 2**70)], OUTSIDE),
+        ([(2**63, 2**63 + 1)], OUTSIDE),
+        (np.array([[0, 1], [1, 2**64 - 1]], dtype=np.uint64), OUTSIDE),
+    ],
+    ids=["float", "integral-float", "string", "float-array", "2^63", "2^70", "uint64",
+         "uint64-array"],
+)
+def test_non_integer_and_oversized_labels_rejected_not_truncated(edges, message):
+    for build in (lambda: Graph(3, edges), lambda: graph_from_edge_list(edges),
+                  lambda: block_shift_graph(3, edges, 3)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
+def test_numpy_integer_edge_arrays_are_accepted(dtype):
+    edges = np.array([[0, 1], [1, 2], [2, 0]], dtype=dtype)
+    assert Graph(3, edges) == graph_from_edge_list(edges) == cycle_graph(3)
+    assert block_shift_graph(6, edges[:2], 2) == cycle_graph(6)

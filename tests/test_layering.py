@@ -2,10 +2,11 @@
 no library module imports scipy, the oracle imports only numpy and ``.graphs`` and
 reads a graph only as CSR arrays, only ``FlowerSpec`` knows the petal block size and
 ``build_flower`` reads its label shift, ``Graph``'s constructor alone certifies a
-graph's shift, only ``cli._flowers`` reads the family options, ``cli.build_parser``
-alone builds argparse parsers and builds them once per process, the package exports
-what it imports, graphs and flower specs compute their derived attributes at
-construction, and no source line is longer than 99 characters."""
+graph's shift, only the one-pair paths evaluate the flower pair formula, only
+``cli._flowers`` reads the family options, ``cli.build_parser`` alone builds argparse
+parsers and builds them once per process, the package exports what it imports, graphs
+and flower specs compute their derived attributes at construction, and no source line
+is longer than 99 characters."""
 
 from __future__ import annotations
 
@@ -154,6 +155,17 @@ def test_only_the_graph_constructor_calls_check_shift():
             if "check_shift" in _called_names(function):
                 callers.add((path.stem, name))
     assert callers == {("graphs", "Graph.__post_init__")}
+
+
+def test_only_the_one_pair_paths_evaluate_the_pair_formula():
+    """``flower_resistance`` and ``max_resistance_search`` ask for single pairs; the
+    index sums take moments of the base table and evaluate no pair one by one."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, function in _functions(ast.parse(path.read_text())):
+            if "_scaled_pair_resistance" in _called_names(function):
+                callers.add((path.stem, name))
+    assert callers == {("flower", "flower_resistance"), ("flower", "max_resistance_search")}
 
 
 def test_only_flowers_reads_the_family_options():

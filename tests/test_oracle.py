@@ -189,13 +189,13 @@ def _assert_equals_dense(g):
         np.testing.assert_allclose(resistance(g, i, j), dense.resistance(g, i, j), **close)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(connected_graphs())
 def test_fourier_oracle_equals_the_dense_reference(g):
     _assert_equals_dense(g)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @example(FlowerSpec(path_graph(2), 0, 1, 7))  # one label a block: the flower is C_7
 @example(FlowerSpec(path_graph(2), 1, 0, 4))
 @given(flower_specs(max_vertices=7, max_petals=9))
