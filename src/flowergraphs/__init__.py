@@ -43,6 +43,7 @@ from .flower import (
 )
 from .graphs import (
     Graph,
+    Lift,
     complete_graph,
     cycle_graph,
     format_edge_list,
@@ -70,6 +71,7 @@ __all__ = [
     "FlowerLocator",
     "FlowerSpec",
     "Graph",
+    "Lift",
     "MaxResistance",
     "PairCase",
     "TwoSepBundle",

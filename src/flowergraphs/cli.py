@@ -139,11 +139,11 @@ def _indices(spec: FlowerSpec, kirchhoff: float, kemeny: float):
 
 
 def _grid(args: argparse.Namespace):
-    """``(p, spec, graph)`` for every flower of the verify/sweep grid; a grid left
+    """``(p, spec, lift)`` for every flower of the verify/sweep grid; a grid left
     with no flower raises ``ValueError`` once it is exhausted."""
     empty = True
     for p, spec in _flowers(args):
-        yield p, spec, build_flower(spec)
+        yield p, spec, spec.lift()
         empty = False
     if empty:
         raise ValueError("the --m-range, --n-range and --p-range grid holds no flower")
@@ -167,7 +167,7 @@ def cmd_resist(args: argparse.Namespace) -> int:
     if args.pair is None:
         if args.exact:
             raise ValueError("--exact needs --pair; the full matrix comes only from the oracle")
-        matrix = oracle.resistance_matrix(build_flower(spec))
+        matrix = oracle.resistance_matrix(spec.lift())
         for row in matrix:
             print(" ".join(_fmt_float(value) for value in row))
         return 0
@@ -177,7 +177,7 @@ def cmd_resist(args: argparse.Namespace) -> int:
     if show_exact:
         print(format_rational(flower_resistance(spec, u, v)))
     if show_oracle:
-        value = oracle.resistance(build_flower(spec), spec.label_of(*u), spec.label_of(*v))
+        value = oracle.resistance(spec.lift(), spec.label_of(*u), spec.label_of(*v))
         print(_fmt_float(value))
     return 0
 
@@ -189,7 +189,7 @@ def _index_command(args: argparse.Namespace) -> int:
         exact = flower_kirchhoff_exact(spec) if kirchhoff else flower_kemeny_exact(spec)
         print(format_rational(exact))
     if args.oracle or not args.exact:
-        kf, kem = oracle.numeric_indices(build_flower(spec))
+        kf, kem = oracle.numeric_indices(spec.lift())
         print(_fmt_float(kf if kirchhoff else kem))
     return 0
 
@@ -219,13 +219,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
     failures = instances = pairs = 0
-    for p, spec, graph in _grid(args):
+    for p, spec, lift in _grid(args):
         instances += 1
         tag = (
             f"family={args.family} m={spec.base.vertex_count} n={spec.n} "
             f"p={'-' if p is None else p}"
         )
-        matrix = oracle.resistance_matrix(graph)
+        matrix = oracle.resistance_matrix(lift)
         count = spec.vertex_count
         locators = [spec.locator_of(i) for i in range(count)]
         pairs += count * (count - 1) // 2
@@ -254,9 +254,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"observed={_fmt_float(observed[t])}"
                 )
         # Both indices by their definitions, off the same matrix:
-        # Kf = sum_{i<j} R_ij and Kemeny = d^T R d / 4q.
-        degrees = np.asarray(graph.degrees, dtype=float)
-        kemeny = float(degrees @ matrix @ degrees) / (4.0 * graph.edge_count)
+        # Kf = sum_{i<j} R_ij and Kemeny = d^T R d / 4q, with q = n |E_base|.
+        degrees = np.tile(np.asarray(lift.degrees, dtype=float), spec.n)
+        kemeny = float(degrees @ matrix @ degrees) / (4.0 * spec.n * spec.base.edge_count)
         for quantity, closed, observed in _indices(spec, float(matrix.sum()) / 2.0, kemeny):
             if not oracle.values_close(float(closed), observed, abs_tol=tol):
                 failures += 1
@@ -276,8 +276,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dict(family=args.family, m=spec.base.vertex_count, n=spec.n, p=p, quantity=quantity,
              closed_form=format_rational(closed), oracle=observed,
              abs_error=abs(float(closed) - observed))
-        for p, spec, graph in _grid(args)
-        for quantity, closed, observed in _indices(spec, *oracle.numeric_indices(graph))
+        for p, spec, lift in _grid(args)
+        for quantity, closed, observed in _indices(spec, *oracle.numeric_indices(lift))
     ]
     rows.sort(key=lambda row: (row["m"], row["n"], row["p"] or 0, row["quantity"]))
     if args.json:

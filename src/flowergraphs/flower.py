@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .graphs import Graph, block_shift_graph
+from .graphs import Graph, Lift
 
 
 class FlowerLocator(NamedTuple):
@@ -71,12 +71,6 @@ class FlowerSpec:
     def vertex_count(self) -> int:
         return self.n * self.block_size
 
-    @property
-    def shift(self) -> int:
-        """The label shift that moves every petal onto the next, one block: moving
-        every label by it modulo the vertex count maps the flower onto itself."""
-        return self.block_size
-
     def label_of(self, petal: int, base_vertex: int) -> int:
         """The flower label of ``base_vertex`` inside ``petal``."""
         petal, v = locator(self, petal, base_vertex)
@@ -88,6 +82,23 @@ class FlowerSpec:
             raise ValueError(f"label {label} out of range")
         petal, offset = divmod(label, self.block_size)
         return FlowerLocator(petal + 1, self.block_order[offset])
+
+    def lift(self) -> Lift:
+        """The flower as the Z_n lift of its petal: the arcs that leave block 0, in
+        O(|E_base|) whatever the petal count.
+
+        A base vertex other than ``y`` sits in block 0 at its ``block_order`` offset;
+        ``y`` is the junction ``x`` of block ``n - 1``, offset 0 one block back.  So
+        the base edge ``(a, b)`` gives the arcs ``a -> b`` and ``b -> a`` with steps
+        0 or +-1 between the two places.
+        """
+        place = {v: (offset, 0) for offset, v in enumerate(self.block_order)}
+        place[self.y] = (0, -1)
+        arcs = []
+        for a, b in self.base.edges.tolist():
+            (ra, pa), (rb, pb) = place[a], place[b]
+            arcs += ((ra, rb, pb - pa), (rb, ra, pa - pb))
+        return Lift(self.block_size, self.n, arcs)
 
 
 def locator(spec: FlowerSpec, petal: int, base_vertex: int) -> FlowerLocator:
@@ -104,12 +115,9 @@ def locator(spec: FlowerSpec, petal: int, base_vertex: int) -> FlowerLocator:
 
 def build_flower(spec: FlowerSpec) -> Graph:
     """The flower graph: petal 1 labelled by ``spec.label_of`` and petal ``i`` its
-    copy shifted by ``i - 1`` whole blocks, modulo the vertex count, so that
-    petal ``i``'s ``y`` lands on petal ``i - 1``'s ``x``.  The graph's ``shift`` is
-    ``spec.shift``."""
-    label = [spec.label_of(1, v) for v in range(spec.base.vertex_count)]
-    first = [(label[a], label[b]) for a, b in spec.base.edges.tolist()]
-    return block_shift_graph(spec.vertex_count, first, spec.shift)
+    copy moved by ``i - 1`` whole blocks, modulo the vertex count, so that petal
+    ``i``'s ``y`` lands on petal ``i - 1``'s ``x``: ``spec.lift()`` made a graph."""
+    return spec.lift().graph()
 
 
 @lru_cache(maxsize=64)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from pathlib import Path
 from typing import Iterable
@@ -13,23 +15,29 @@ Edge = tuple[int, int]
 
 
 def _edge_array(pairs) -> np.ndarray:
-    """``pairs`` as a nonempty ``(|E|, 2)`` integer array; float and string labels fail."""
-    edges = np.asarray(pairs)
-    if edges.dtype.kind not in "bi":
-        # numpy holds ints past int64 as uint64, float64 or object: check them exactly.
+    """``pairs`` as a nonempty ``(|E|, 2)`` integer array; float, string and bool
+    labels and ragged pairs fail."""
+    try:
+        edges = np.asarray(pairs)
+    except ValueError:  # numpy refuses a ragged list with a message of its own
+        edges = None
+    if edges is not None and not edges.size:
+        raise ValueError("edge list is empty")
+    if edges is None or edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError("every edge must be a pair of vertex labels")
+    # numpy holds ints past int64 as uint64, float64 or object, and a bool beside
+    # ints as an int: check those labels exactly.
+    if edges.dtype.kind != "i" or (
+        not isinstance(pairs, np.ndarray) and bool in set(map(type, chain.from_iterable(pairs)))
+    ):
         edges = np.asarray(pairs, dtype=object)
-        bad = [label for label in edges.flat if not isinstance(label, (int, np.integer))]
+        bad = [v for v in edges.flat if type(v) is bool or not isinstance(v, (int, np.integer))]
         if bad:
             raise ValueError(f"vertex label {bad[0]!r} is not an integer")
     try:
-        edges = edges.astype(np.intp, copy=False)
+        return edges.astype(np.intp, copy=False)
     except OverflowError as exc:
         raise ValueError(f"a vertex label is outside 0..{np.iinfo(np.intp).max}") from exc
-    if not edges.size:
-        raise ValueError("edge list is empty")
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValueError("every edge must be a pair of vertex labels")
-    return edges
 
 
 def _duplicate(u: int, v: int) -> ValueError:
@@ -60,17 +68,10 @@ class Graph:
     rejected here, the one place edges are checked, so every instance can be
     fed to the resistance machinery without further checks.  ``degrees`` and
     ``neighbors`` give Python ints, which the exact solves need.
-
-    ``shift`` is a label rotation the graph is built with: moving every label by
-    it modulo the vertex count maps the edges onto themselves.  ``None``, the
-    constructor's default, stands for the vertex count, the identity, so every
-    built graph's ``shift`` is an int; ``check_shift`` certifies it here, and it
-    takes no part in equality or the hash.
     """
 
     vertex_count: int
     edges: np.ndarray
-    shift: int | None = None
 
     def __post_init__(self) -> None:
         count = self.vertex_count
@@ -117,52 +118,22 @@ class Graph:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         object.__setattr__(self, "degrees", tuple(degrees.tolist()))
-        object.__setattr__(self, "shift", count if self.shift is None else self.shift)
-        check_shift(self, self.shift)
         if not self._is_connected():
             raise ValueError("graph is disconnected")
         object.__setattr__(self, "_key", (count, key))
 
     def _is_connected(self) -> bool:
-        """Whether the graph is connected, by a breadth-first pass over its quotient
-        by ``shift``: ``k = shift`` vertices, one per label offset.
-
-        With ``n = N / k`` and labels ``p k + r``, the rotation makes the graph the
-        Z_n lift of its quotient: the arc from ``r`` in block 0 to ``p k + r'``
-        stands for the arcs ``(q, r) -> (q + p, r')`` of every block ``q``, so it
-        is a quotient arc ``r -> r'`` with voltage ``p``.  The pass reaches each
-        offset along a spanning tree, at a potential ``phi`` (``phi(0) = 0``,
-        ``phi(r') = phi(r) + p`` on a tree arc), so every arc's cycle voltage
-        ``c = phi(r) + p - phi(r')`` is zero on the tree.  The lift is connected
-        iff the quotient is and ``gcd(n, every c) = 1`` (Gross and Tucker,
-        *Topological Graph Theory*, 1987, ch. 2).  Proof, with ``g`` that gcd: a
-        path in the lift projects to a walk in the quotient, and no arc changes
-        ``q - phi(r) mod g``, so each of its ``g`` values, all of which occur, is
-        a union of components.  Conversely, in a connected quotient the tree
-        joins ``(q, 0)`` to ``(q + phi(r), r)``; out along the tree, over an arc
-        and back moves ``(q, 0)`` to ``(q + c, 0)``, and those moves generate
-        ``g Z_n``, so at ``g = 1`` every vertex is reached.
-
-        The pass keeps the label ``phi(r) k + r`` of each offset's tree vertex, on
-        which ``k c`` is a difference of labels, and ``gcd(N, every k c) = k g``.
-        It stops taking gcds once that is ``k``.  At ``shift = N``, ``n = 1`` and
-        this is a plain breadth-first pass.
-        """
-        k = self.shift
-        indptr = self.indptr[:k + 1].tolist()
-        columns = self.indices[:indptr[-1]].tolist()
-        label = [0] + [None] * (k - 1)
-        reached, divisor = [0], self.vertex_count
-        for r in reached:  # breadth first: the loop runs over what it appends
-            tail = label[r] - r
-            for c in columns[indptr[r]:indptr[r + 1]]:
-                w = c % k
-                if label[w] is None:
-                    label[w] = tail + c
+        """Whether a breadth-first pass from vertex 0 reaches every vertex.  It reads
+        the neighbours through a memoryview, so no list of all of them is made."""
+        indptr, columns = self.indptr.tolist(), memoryview(self.indices)
+        seen = [True] + [False] * (self.vertex_count - 1)
+        reached = [0]
+        for v in reached:  # breadth first: the loop runs over what it appends
+            for w in columns[indptr[v]:indptr[v + 1]]:
+                if not seen[w]:
+                    seen[w] = True
                     reached.append(w)
-                elif divisor > k:
-                    divisor = gcd(divisor, tail + c - label[w])
-        return len(reached) == k and divisor == k
+        return len(reached) == self.vertex_count
 
     def __eq__(self, other: object) -> bool:
         return self._key == other._key if isinstance(other, Graph) else NotImplemented
@@ -185,41 +156,97 @@ def graph_from_edge_list(pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(1 + int(edges.max()), edges)
 
 
-def block_shift_graph(count: int, first_edges: Iterable[Edge], shift: int) -> Graph:
-    """The graph on ``count`` labels whose edges are ``first_edges`` moved by every
-    multiple of ``shift`` below ``count``, modulo ``count``: one broadcast.
+@dataclass(frozen=True, eq=False)
+class Lift:
+    """The Z_n lift of a voltage graph on ``k`` offsets: the graph on ``N = k n``
+    labels ``p k + r`` (block ``p``, offset ``r``) that moving every label by ``k``
+    modulo ``N`` maps onto itself (Gross and Tucker, *Topological Graph Theory*,
+    1987, ch. 2).
 
-    ``shift`` divides ``count`` and is the graph's ``shift``; a shifted edge that
-    repeats another is rejected as a duplicate.
+    ``arcs`` lists the arcs that leave block 0 as ``(tail, head, step)`` integer
+    rows, every step centred in ``(-n/2, n/2]``: the arc from ``(0, tail)`` to
+    ``(step, head)`` stands for its orbit, the arcs ``(q, tail) -> (q + step, head)``
+    of every block ``q``, so there are |E| / n rows whatever ``n`` is.  They are
+    stored as a read-only ``intp`` array.  The constructor certifies in O(|arcs|)
+    that the lift is a simple connected graph: no loop, no repeated arc, every arc
+    ``(r, r', d)`` beside its reverse ``(r', r, -d)``, and ``_check_connected``.
+    ``degrees`` gives each offset's degree.
     """
-    first = _edge_array(list(first_edges)) % count
-    shifted = first + np.arange(0, count, shift)[:, None, None]
-    np.subtract(shifted, count, out=shifted, where=shifted >= count)
-    return Graph(count, shifted.reshape(-1, 2), shift)
 
+    k: int
+    n: int
+    arcs: np.ndarray
 
-def check_shift(g: Graph, shift: int) -> None:
-    """Certify that moving every label by ``shift`` modulo the vertex count maps
-    ``g``'s edges onto themselves, exactly.
+    def __post_init__(self) -> None:
+        k, n = self.k, self.n
+        arcs = np.asarray(self.arcs)
+        if not arcs.size:
+            raise ValueError("a lift needs at least one arc")
+        if arcs.dtype.kind != "i" or arcs.ndim != 2 or arcs.shape[1] != 3:
+            raise ValueError("a lift's arcs must be (tail, head, step) integer triples")
+        rows = list(map(tuple, arcs.tolist()))
+        orbits = set(rows)
+        if len(orbits) < len(rows):
+            repeated = next(arc for arc, count in Counter(rows).items() if count > 1)
+            raise ValueError(f"repeated arc {repeated}")
+        leaving = [[] for _ in range(k)]
+        for tail, head, step in rows:
+            if not (0 <= tail < k and 0 <= head < k and -n < 2 * step <= n):
+                raise ValueError(f"arc {(tail, head, step)} leaves the offsets 0..{k - 1} "
+                                 f"or the centred steps {-((n - 1) // 2)}..{n // 2}")
+            if tail == head and not step:
+                raise ValueError(f"loop at offset {tail}")
+            reverse = (head, tail, step if 2 * step == n else -step)  # n/2 is its own negative
+            if reverse not in orbits:
+                raise ValueError(f"arc {(tail, head, step)} has no reverse arc {reverse}")
+            leaving[tail].append((head, step))
+        self._check_connected(leaving)
+        arcs = arcs.astype(np.intp)
+        arcs.flags.writeable = False
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "degrees", tuple(map(len, leaving)))
+        object.__setattr__(self, "vertex_count", k * n)
 
-    The moved edges' keys ``u * N + v`` (``u < v``) are sorted and compared with
-    the stored edges' keys, which are sorted already.  A ``shift`` that does not
-    divide ``N`` (``N`` itself is the identity) or does not map the edges onto
-    themselves raises ``ValueError`` naming it.
-    """
-    count = g.vertex_count
-    if not 0 < shift <= count or count % shift:
-        raise ValueError(f"shift {shift} does not divide the vertex count {count}")
-    if shift == count:
-        return
-    moved = g.edges + shift
-    np.subtract(moved, count, out=moved, where=moved >= count)
-    u, v = moved.T
-    keys = np.minimum(u, v) * count + np.maximum(u, v)
-    # The moved edges form a few sorted runs, which a stable sort merges in O(|E|).
-    keys.sort(kind="stable")
-    if keys.tobytes() != (g.edges[:, 0] * count + g.edges[:, 1]).tobytes():
-        raise ValueError(f"shift {shift} does not map the edges of the graph onto themselves")
+    def _check_connected(self, leaving: list[list[tuple[int, int]]]) -> None:
+        """Raise unless the lift is connected, by a breadth-first pass over its
+        quotient: ``k`` vertices, one per offset, whose arc ``r -> r'`` carries its
+        step ``d`` as a voltage in Z_n.
+
+        The pass reaches each offset along a spanning tree, at a potential ``phi``
+        (``phi(0) = 0``, ``phi(r') = phi(r) + d`` on a tree arc), so every arc's
+        cycle voltage ``c = phi(r) + d - phi(r')`` is zero on the tree.  The lift is
+        connected iff the quotient is and ``gcd(n, every c) = 1``.  Proof, with
+        ``g`` that gcd: a path in the lift projects to a walk in the quotient, and
+        no arc changes ``q - phi(r) mod g``, so each of its ``g`` values, all of
+        which occur, is a union of components.  Conversely, in a connected quotient
+        the tree joins ``(q, 0)`` to ``(q + phi(r), r)``; out along the tree, over
+        an arc and back moves ``(q, 0)`` to ``(q + c, 0)``, and those moves generate
+        ``g Z_n``, so at ``g = 1`` every vertex is reached.  The pass stops taking
+        gcds once that is 1.
+        """
+        potential = [0] + [None] * (self.k - 1)
+        reached, divisor = [0], self.n
+        for r in reached:  # breadth first: the loop runs over what it appends
+            for head, step in leaving[r]:
+                if potential[head] is None:
+                    potential[head] = potential[r] + step
+                    reached.append(head)
+                elif divisor > 1:
+                    divisor = gcd(divisor, potential[r] + step - potential[head])
+        if len(reached) < self.k:
+            raise ValueError("the quotient of the lift is disconnected")
+        if divisor > 1:
+            raise ValueError(f"the lift is disconnected: its cycle voltages share the "
+                             f"factor {divisor} with n = {self.n}")
+
+    def graph(self) -> Graph:
+        """The lift as an N-vertex ``Graph``: every arc moved by every multiple of
+        ``k`` modulo ``N`` in one broadcast, each edge kept as its ``u < v`` arc."""
+        k, count = self.k, self.vertex_count
+        first = self.arcs[:, :2] + np.outer(self.arcs[:, 2] % self.n, (0, k))
+        arcs = (first + np.arange(0, count, k)[:, None, None]).reshape(-1, 2)
+        np.subtract(arcs, count, out=arcs, where=arcs >= count)
+        return Graph(count, arcs[arcs[:, 0] < arcs[:, 1]])
 
 
 def parse_edge_list(text: str) -> list[Edge]:

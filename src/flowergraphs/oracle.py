@@ -1,14 +1,15 @@
 """Numeric ground truth: resistances from the Fourier blocks of a block-circulant Laplacian.
 
-Every entry point works under the graph's label shift ``k = g.shift``, which ``Graph``
-certified when it was built; ``Graph(N, g.edges, shift=s)`` gives the same graph under
-another rotation ``s``.  With ``n = N / k`` blocks, ``v = p k + r``, the Laplacian is
+Every entry point takes a ``graphs.Lift``: ``k`` offsets, ``n`` blocks and the arcs
+that leave block 0, which its constructor certified simple and connected, and never
+the ``N = k n``-vertex graph.  With labels ``v = p k + r`` the lift's Laplacian is
 block circulant, ``L[(p, r), (p', r')] = C_{p'-p}[r, r']``, and a DFT over the blocks
 splits it into ``n`` Hermitian ``k x k`` symbols ``L(w) = sum_d w^d C_d``,
-``w = exp(2 pi i j / n)`` (Davis, *Circulant Matrices*, 1979, ch. 5), read off
-the arcs that leave block 0.  The blocks of ``L^+`` are their inverse DFT, and
-``L(conj w) = conj L(w)`` leaves ``j = 0 .. n // 2``.  A graph built without a
-rotation has ``g.shift = N``, one block: one dense deflated solve of ``L`` itself.
+``w = exp(2 pi i j / n)`` (Davis, *Circulant Matrices*, 1979, ch. 5), read off the
+lift's arcs: the arc ``(r, r', d)`` adds to ``C_d[r, r']``.  The blocks of ``L^+``
+are their inverse DFT, and ``L(conj w) = conj L(w)`` leaves ``j = 0 .. n // 2``.  A
+lift with one block (``n = 1``, ``k = N``) is any connected graph: one dense deflated
+solve of ``L`` itself.
 
 Only ``L(1)`` is singular, but ``1^T L(w) 1`` is of order ``sigma^2``,
 ``sigma = |1 - w| = 2 sin(pi j / n)``.  In the orthonormal basis ``P = [u, Q]``
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Lift
 
 
 def _reflector(v: np.ndarray) -> np.ndarray:
@@ -51,18 +52,15 @@ class _Symbols(NamedTuple):
     inverse: np.ndarray
 
 
-def _symbols(g: Graph) -> _Symbols:
-    """The deflated symbols ``L(w_j)`` of ``g`` under ``g.shift``, inverted in one batch."""
-    k = g.shift
-    n = g.vertex_count // k
-    # Arc r -> c leaving block 0 stands for its orbit: step d = c // k (centred
-    # in (-n/2, n/2]) to the head's block, head offset c % k.
-    tails = np.repeat(np.arange(k), np.diff(g.indptr[:k + 1]))
-    step, head = np.divmod(g.indices[:g.indptr[k]], k)
-    step -= n * (2 * step > n)
+def _symbols(lift: Lift) -> _Symbols:
+    """The deflated symbols ``L(w_j)`` of ``lift``, inverted in one batch."""
+    k, n = lift.k, lift.n
+    # Arc (r, r', d) stands for its orbit: from offset r to offset r' d blocks on,
+    # with d centred in (-n/2, n/2].
+    tails, heads, step = lift.arcs.T
     steps = np.unique(step)
     which = np.searchsorted(steps, step)
-    arcs = np.bincount((which * k + tails) * k + head, minlength=steps.size * k * k)
+    arcs = np.bincount((which * k + tails) * k + heads, minlength=steps.size * k * k)
     arcs = arcs.reshape(-1, k, k).astype(float)
     leaving = arcs.sum(2)
     degrees = leaving.sum(0)
@@ -94,19 +92,19 @@ def _symbols(g: Graph) -> _Symbols:
     return _Symbols(n, arcs, basis, inverse)
 
 
-def _green_blocks(g: Graph) -> np.ndarray:
+def _green_blocks(lift: Lift) -> np.ndarray:
     """``B[d] = L^+[(d, r), (0, r')]``, the ``n`` blocks of ``L^+`` by ``irfft``."""
-    s = _symbols(g)
+    s = _symbols(lift)
     return np.fft.irfft(s.basis @ s.inverse @ s.basis.T, s.blocks, axis=0)
 
 
-def resistance(g: Graph, i: int, j: int) -> float:
+def resistance(lift: Lift, i: int, j: int) -> float:
     """Effective resistance between ``i`` and ``j``: a unit current's potential drop."""
-    potentials = grounded_potentials(g, i, j)
+    potentials = grounded_potentials(lift, i, j)
     return float(potentials[i] - potentials[j])
 
 
-def grounded_potentials(g: Graph, i: int, j: int) -> np.ndarray:
+def grounded_potentials(lift: Lift, i: int, j: int) -> np.ndarray:
     """Vertex potentials for a unit current injected at ``i`` and drawn at ``j``.
 
     Vertex 0 is held at potential zero; the returned vector ``x`` satisfies
@@ -114,10 +112,10 @@ def grounded_potentials(g: Graph, i: int, j: int) -> np.ndarray:
     at vertex 0, and column ``p k + r`` of ``L^+`` is column ``r`` of the blocks
     moved down by ``p`` blocks.
     """
-    count = g.vertex_count
+    count = lift.vertex_count
     if not (0 <= i < count and 0 <= j < count):
         raise IndexError(f"vertex pair ({i}, {j}) out of range for {count} vertices")
-    blocks = _green_blocks(g)
+    blocks = _green_blocks(lift)
     k = blocks.shape[1]
     (pi, ri), (pj, rj) = divmod(i, k), divmod(j, k)
     potentials = np.roll(blocks[:, :, ri], pi, axis=0) - np.roll(blocks[:, :, rj], pj, axis=0)
@@ -125,7 +123,7 @@ def grounded_potentials(g: Graph, i: int, j: int) -> np.ndarray:
     return potentials - potentials[0]
 
 
-def resistance_matrix(g: Graph) -> np.ndarray:
+def resistance_matrix(lift: Lift) -> np.ndarray:
     """Symmetric matrix of pairwise effective resistances with zero diagonal.
 
     ``L^+`` is gathered from its blocks, ``L^+[(p, r), (p', r')] = B[p - p' mod n]``,
@@ -133,7 +131,7 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     rounding; the resistances use ``L^+ + L^+^T``, which makes the matrix exactly
     symmetric.
     """
-    blocks = _green_blocks(g)
+    blocks = _green_blocks(lift)
     n, k = blocks.shape[:2]
     petals = np.arange(n)
     green = blocks[(petals[:, None] - petals) % n].transpose(0, 2, 1, 3).reshape(n * k, n * k)
@@ -145,7 +143,7 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     return matrix
 
 
-def numeric_indices(g: Graph) -> tuple[float, float]:
+def numeric_indices(lift: Lift) -> tuple[float, float]:
     """Kirchhoff index and Kemeny's constant from the traces of the inverse symbols.
 
     - Kirchhoff index ``N tr L^+ = N sum_j tr L(w_j)^+`` (Kf = N sum 1/mu over
@@ -158,7 +156,7 @@ def numeric_indices(g: Graph) -> tuple[float, float]:
 
     ``w_j`` and its conjugate count once each: O(N k^2) time, O(N k) memory.
     """
-    s = _symbols(g)
+    s = _symbols(lift)
     degrees = s.arcs.sum((0, 2))
     twice = 2.0 - (2 * np.arange(len(s.inverse)) % s.blocks == 0)
     traces = np.trace(s.inverse, axis1=1, axis2=2).real
@@ -167,7 +165,7 @@ def numeric_indices(g: Graph) -> tuple[float, float]:
     null = _reflector(root / np.linalg.norm(root))[:, 1:]
     quotient = np.diag(degrees) - s.arcs.sum(0)  # L(1)
     normalized = null.T @ (quotient / np.outer(root, root)) @ null
-    kirchhoff = g.vertex_count * (twice @ traces)
+    kirchhoff = lift.vertex_count * (twice @ traces)
     kemeny = np.trace(np.linalg.inv(normalized)) + twice[1:] @ weighted[1:]
     return float(kirchhoff), float(kemeny)
 

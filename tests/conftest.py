@@ -64,6 +64,27 @@ def flower_specs(draw, max_vertices: int = 6, max_petals: int = 5) -> FlowerSpec
     return FlowerSpec(base, x, y + (y >= x), draw(st.integers(3, max_petals)))
 
 
+@st.composite
+def quotient_arcs(draw, max_offsets: int = 5, max_blocks: int = 9, connected: bool = True):
+    """``(k, n, arcs)`` for a random simple lift: a spanning tree of the ``k``-vertex
+    quotient and a few more arcs, each with a random voltage, every arc beside its
+    reverse.  With ``connected``, offset 0 also gets a loop of voltage 1, so the
+    lift is connected; without it, it may not be."""
+    k = draw(st.integers(1, max_offsets), "k")
+    n = draw(st.integers(2 if k == 1 else 1, max_blocks), "n")  # at least two vertices
+    step = st.integers(-((n - 1) // 2), n // 2)
+    orbits = [(draw(st.integers(0, r - 1)), r, draw(step)) for r in range(1, k)]
+    orbits += draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), step),
+                            max_size=k + 2), "extra arcs")
+    if connected and n > 1:
+        orbits.append((0, 0, 1))
+    arcs = set()
+    for tail, head, d in orbits:
+        if tail != head or d:
+            arcs |= {(tail, head, d), (head, tail, -d if 2 * d != n else d)}
+    return k, n, sorted(arcs)
+
+
 def metric_violations(matrix: np.ndarray, tol: float = 1e-9) -> list[str]:
     """Check the metric contract of a resistance matrix; return failure messages.
 

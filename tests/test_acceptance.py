@@ -15,7 +15,6 @@ from flowergraphs import (
     CycleFlowerParams,
     FlowerSpec,
     PairCase,
-    build_flower,
     cf_kemeny,
     cf_kirchhoff,
     cf_max_resistance,
@@ -39,6 +38,7 @@ from flowergraphs import (
 )
 
 from conftest import metric_violations, random_connected_graph
+from rotations import graph_lift
 from flower_reference import complete_case, cycle_position, located_pairs, max_diff_sequence
 
 TOL = 1e-9
@@ -71,13 +71,12 @@ def test_criterion_1_oracle_closed_base_families():
     start = time.perf_counter()
     worst = 0.0
     for m in range(3, 11):
-        g = complete_graph(m)
+        g = graph_lift(complete_graph(m))
         for i in range(m):
             for j in range(i + 1, m):
                 worst = max(worst, abs(resistance(g, i, j) - 2 / m))
     for m in range(3, 13):
-        g = cycle_graph(m)
-        matrix = resistance_matrix(g)
+        matrix = resistance_matrix(graph_lift(cycle_graph(m)))
         for i in range(m):
             for j in range(i + 1, m):
                 d = min((j - i) % m, (i - j) % m)
@@ -94,8 +93,7 @@ def test_criterion_2_generic_flower_theorem():
     instances = 0
     for _, spec in _generic_specs():
         instances += 1
-        flower = build_flower(spec)
-        matrix = resistance_matrix(flower)
+        matrix = resistance_matrix(spec.lift())
         for i in range(spec.vertex_count):
             u = spec.locator_of(i)
             for j in range(i + 1, spec.vertex_count):
@@ -114,23 +112,22 @@ def test_criterion_3_complete_flower_closed_forms():
         for n in range(3, 9):
             params = CompleteFlowerParams(m, n)
             spec = complete_flower_spec(params)
-            flower = build_flower(spec)
-            matrix = resistance_matrix(flower)
+            lift = spec.lift()
+            matrix = resistance_matrix(lift)
             for a, b, e, _, v in located_pairs(spec):
                 case, d = complete_case(a, b, e, n)
                 cases_seen.add(case)
                 value = cf_resistance(params, case, d)
                 observed = matrix[spec.label_of(1, a), spec.label_of(v.petal, b)]
                 worst = max(worst, abs(float(value) - observed))
-            kf, kem = numeric_indices(flower)
+            kf, kem = numeric_indices(lift)
             worst = max(worst, abs(float(cf_kirchhoff(params)) - kf))
             worst = max(worst, abs(float(cf_kemeny(params)) - kem))
     exact_ok = (
         cf_kirchhoff(CompleteFlowerParams(3, 3)) == Fraction(65, 6)
         and cf_kemeny(CompleteFlowerParams(3, 3)) == Fraction(14, 3)
     )
-    sunflower = build_flower(complete_flower_spec(CompleteFlowerParams(3, 3)))
-    kf, kem = numeric_indices(sunflower)
+    kf, kem = numeric_indices(complete_flower_spec(CompleteFlowerParams(3, 3)).lift())
     oracle_ok = (
         abs(kf - float(Fraction(65, 6))) <= TOL and abs(kem - float(Fraction(14, 3))) <= TOL
     )
@@ -164,22 +161,22 @@ def test_criterion_5_cycle_flower_closed_forms():
             for n in range(3, 7):
                 params = CycleFlowerParams(m, n, p)
                 spec = cycle_flower_spec(params)
-                flower = build_flower(spec)
-                matrix = resistance_matrix(flower)
+                lift = spec.lift()
+                matrix = resistance_matrix(lift)
                 for a, b, e, _, v in located_pairs(spec):
                     pos = cycle_position(params, a, b, e)
                     kinds.add((pos.same_petal, pos.same_arc, pos.same_petal and pos.l == 0))
                     value = gs_resistance(params, pos)
                     observed = matrix[spec.label_of(1, a), spec.label_of(v.petal, b)]
                     worst = max(worst, abs(float(value) - observed))
-                kf, kem = numeric_indices(flower)
+                kf, kem = numeric_indices(lift)
                 worst = max(worst, abs(float(gs_kirchhoff(params)) - kf))
                 worst = max(worst, abs(float(gs_kemeny(params)) - kem))
     identity_ok = all(
         gs_kirchhoff(CycleFlowerParams(3, n, 1)) == cf_kirchhoff(CompleteFlowerParams(3, n))
         for n in range(3, 13)
     )
-    kf, kem = numeric_indices(build_flower(cycle_flower_spec(CycleFlowerParams(4, 3, 2))))
+    kf, kem = numeric_indices(cycle_flower_spec(CycleFlowerParams(4, 3, 2)).lift())
     confirmed = (
         gs_kirchhoff(CycleFlowerParams(4, 3, 2)) == 33
         and gs_kemeny(CycleFlowerParams(4, 3, 2)) == Fraction(53, 6)
@@ -241,7 +238,7 @@ def test_criterion_8_bounds():
             for n in range(3, 7):
                 specs.append(cycle_flower_spec(CycleFlowerParams(m, n, p)))
     for spec in specs:
-        kf, kem = numeric_indices(build_flower(spec))
+        kf, kem = numeric_indices(spec.lift())
         kf_lo, kf_hi = kirchhoff_bounds(spec)
         kem_lo, kem_hi = kemeny_bounds(spec)
         if not (float(kf_lo) - TOL <= kf <= float(kf_hi) + TOL):
@@ -251,7 +248,7 @@ def test_criterion_8_bounds():
     # The three-petal single-edge flower is a triangle and attains the bound.
     edge_spec = FlowerSpec(path_graph(2), 0, 1, 3)
     lo, _ = kirchhoff_bounds(edge_spec)
-    ok = ok and lo == 2 and abs(numeric_indices(complete_graph(3))[0] - 2.0) <= TOL
+    ok = ok and lo == 2 and abs(numeric_indices(edge_spec.lift())[0] - 2.0) <= TOL
     # Upper-bound to closed-form ratios at n = 400, m = 4.
     params = CompleteFlowerParams(4, 400)
     spec = complete_flower_spec(params)
@@ -269,7 +266,7 @@ def test_criterion_9_metric_suite():
     failures = 0
     for _ in range(50):
         g = random_connected_graph(rng, max_vertices=40)
-        if metric_violations(resistance_matrix(g), tol=TOL):
+        if metric_violations(resistance_matrix(graph_lift(g)), tol=TOL):
             failures += 1
     _report(9, failures == 0, "symmetry, zero diagonal, triangle and reverse-triangle "
                               "hold on 50 random connected graphs")

@@ -16,6 +16,7 @@ from flowergraphs import (
     CompleteFlowerParams,
     CycleFlowerParams,
     FlowerSpec,
+    Lift,
     build_flower,
     complete_flower_spec,
     cycle_flower_spec,
@@ -210,7 +211,7 @@ def _reference_verify_lines(spec: FlowerSpec, tol: float) -> list[str]:
     made them: ``float`` of each closed form against the matrix entry by the scalar
     rule, in row-major ``i < j`` order, then the two indices."""
     graph = build_flower(spec)
-    matrix = oracle.resistance_matrix(graph)
+    matrix = oracle.resistance_matrix(spec.lift())
     tag = f"family=complete m={spec.base.vertex_count} n={spec.n} p=-"
     locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
     lines = []
@@ -321,6 +322,29 @@ def test_index_commands_build_no_dense_matrix(capsys, monkeypatch, argv):
     monkeypatch.setattr(oracle, "_green_blocks", forbidden)
     code, out = run(capsys, *argv)
     assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "cycle", "--m-range", "5", "--n-range", "4"),
+        ("sweep", "--family", "complete", "--m-range", "4", "--n-range", "3:4", "--json"),
+        ("resist", "--family", "complete", "-m", "3", "-n", "3"),
+        ("resist", "--family", "complete", "-m", "3", "-n", "3", "--pair", "1:2", "2:2"),
+        ("kirchhoff", "--family", "complete", "-m", "4", "-n", "5", "--oracle"),
+        ("kemeny", "--family", "cycle", "-m", "6", "-n", "4", "-p", "2", "--oracle"),
+    ],
+)
+def test_only_gen_builds_the_flower_graph(capsys, monkeypatch, argv):
+    """The oracle commands read the flower's lift; only ``gen`` makes it a graph."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("N-vertex flower graph built")
+
+    monkeypatch.setattr(Lift, "graph", forbidden)
+    code, out = run(capsys, *argv)
+    assert code == 0 and out
+    with pytest.raises(AssertionError, match="N-vertex flower graph built"):
+        main(["gen", "--family", "complete", "-m", "3", "-n", "3"])
 
 
 def test_resist_exact_without_pair_exits_2(capsys):

@@ -10,7 +10,6 @@ import pytest
 from flowergraphs import (
     CompleteFlowerParams,
     PairCase,
-    build_flower,
     cf_kemeny,
     cf_kirchhoff,
     cf_max_resistance,
@@ -97,7 +96,7 @@ def test_cf_kemeny_examples():
 @pytest.mark.parametrize("m,n", [(4, 3), (4, 4), (5, 3)])
 def test_cf_indices_match_oracle(m, n):
     params = CompleteFlowerParams(m, n)
-    kf, kem = numeric_indices(build_flower(complete_flower_spec(params)))
+    kf, kem = numeric_indices(complete_flower_spec(params).lift())
     assert abs(float(cf_kirchhoff(params)) - kf) <= 1e-9
     assert abs(float(cf_kemeny(params)) - kem) <= 1e-9
 
@@ -143,8 +142,7 @@ def test_cf_pair_resistance_matches_oracle_and_generic(m, n):
     """Every (a, b, e) equals the general-base formula exactly; some also the oracle."""
     params = CompleteFlowerParams(m, n)
     spec = complete_flower_spec(params)
-    flower = build_flower(spec)
-    matrix = resistance_matrix(flower) if (m, n) in CF_ORACLE_CASES else None
+    matrix = resistance_matrix(spec.lift()) if (m, n) in CF_ORACLE_CASES else None
     for a, b, e, u, v in located_pairs(spec):
         value = cf_resistance(params, *complete_case(a, b, e, n))
         assert value == flower_resistance(spec, u, v)

@@ -10,7 +10,6 @@ from flowergraphs import (
     CompleteFlowerParams,
     CycleFlowerParams,
     CyclePairPosition,
-    build_flower,
     cf_kemeny,
     cf_kirchhoff,
     cycle_flower_spec,
@@ -74,7 +73,7 @@ def test_gs_resistance_validates_positions():
 def test_gs_same_petal_different_arcs_against_oracle():
     params = CycleFlowerParams(6, 4, 3)  # both arcs have length 3
     spec = cycle_flower_spec(params)
-    matrix = resistance_matrix(build_flower(spec))
+    matrix = resistance_matrix(spec.lift())
     pos = cycle_position(params, 1, 5, 0)   # short-arc and long-arc interiors, offset 1
     assert pos.same_petal and not pos.same_arc
     value = gs_resistance(params, pos)
@@ -137,8 +136,7 @@ def test_gs_pair_resistance_matches_oracle_and_generic(m, n, p):
     """Every (a, b, e) equals the general-base formula exactly; some also the oracle."""
     params = CycleFlowerParams(m, n, p)
     spec = cycle_flower_spec(params)
-    flower = build_flower(spec)
-    matrix = resistance_matrix(flower) if (m, n, p) in GS_ORACLE_CASES else None
+    matrix = resistance_matrix(spec.lift()) if (m, n, p) in GS_ORACLE_CASES else None
     for a, b, e, u, v in located_pairs(spec):
         value = gs_resistance(params, cycle_position(params, a, b, e))
         assert value == flower_resistance(spec, u, v)
@@ -150,7 +148,7 @@ def test_gs_pair_resistance_matches_oracle_and_generic(m, n, p):
 @pytest.mark.parametrize("m,n,p", [(4, 3, 2), (5, 3, 2), (6, 4, 2)])
 def test_gs_indices_match_oracle(m, n, p):
     params = CycleFlowerParams(m, n, p)
-    kf, kem = numeric_indices(build_flower(cycle_flower_spec(params)))
+    kf, kem = numeric_indices(cycle_flower_spec(params).lift())
     assert abs(float(gs_kirchhoff(params)) - kf) <= 1e-9
     assert abs(float(gs_kemeny(params)) - kem) <= 1e-9
 

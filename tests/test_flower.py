@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -105,12 +106,12 @@ def test_label_map_matches_the_reference_construction(spec):
     """``build_flower`` equals the petal-by-petal reference, a block holds ``x`` and
     then the outer vertices, ``label_of`` and ``locator_of`` are inverse bijections
     between the labels and the canonical locators, a junction reads as ``x`` of the
-    previous petal, and shifting every label by one block maps the edge set onto
-    itself."""
-    n, size, count = spec.n, spec.shift, spec.vertex_count
+    previous petal, shifting every label by one block maps the edge set onto itself,
+    and the lift made a graph is the same flower."""
+    n, size, count = spec.n, spec.block_size, spec.vertex_count
     assert spec.block_order == (spec.x, *outer_vertices(spec))
     graph = build_flower(spec)
-    assert graph == reference_flower(spec)
+    assert graph == reference_flower(spec) == spec.lift().graph()
     locators = [spec.locator_of(label) for label in range(count)]
     assert [spec.label_of(*loc) for loc in locators] == list(range(count))
     assert all(locator(spec, *loc) == loc for loc in locators)
@@ -120,6 +121,22 @@ def test_label_map_matches_the_reference_construction(spec):
             assert spec.locator_of(spec.label_of(petal, v)) == locator(spec, petal, v)
     shifted = {tuple(sorted(((a + size) % count, (b + size) % count))) for a, b in graph.edges.tolist()}
     assert shifted == set(map(tuple, graph.edges.tolist()))
+
+
+@pytest.mark.parametrize("n", [10, 10**6])
+def test_a_lift_does_not_grow_with_the_petal_count(n):
+    """The lift holds petal 1's arcs, 30 for the Petersen graph at any ``n``; the
+    flower graph at n = 10**6 would sort 30M arc keys, over 1 GiB."""
+    spec = FlowerSpec(petersen_graph(), 0, 2, n)
+    tracemalloc.start()
+    try:
+        lift = spec.lift()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (lift.k, lift.n, lift.arcs.shape) == (9, n, (30, 3))
+    assert set(lift.arcs[:, 2].tolist()) == {-1, 0, 1}
+    assert peak < 64 * 2**10
 
 
 def test_spec_validation():
@@ -339,8 +356,7 @@ def test_resistance_of_vertex_with_itself_is_zero():
 )
 def test_flower_resistance_matches_oracle(base, x, y, n):
     spec = FlowerSpec(base, x, y, n)
-    flower = build_flower(spec)
-    matrix = resistance_matrix(flower)
+    matrix = resistance_matrix(spec.lift())
     for i in range(spec.vertex_count):
         for j in range(i + 1, spec.vertex_count):
             closed = flower_resistance(spec, spec.locator_of(i), spec.locator_of(j))
@@ -469,7 +485,7 @@ def test_kemeny_bound_triangle_base():
 )
 def test_bounds_bracket_oracle(base, x, y, n):
     spec = FlowerSpec(base, x, y, n)
-    kf, kem = numeric_indices(build_flower(spec))
+    kf, kem = numeric_indices(spec.lift())
     kf_lo, kf_hi = kirchhoff_bounds(spec)
     assert float(kf_lo) - 1e-9 <= kf <= float(kf_hi) + 1e-9
     kem_lo, kem_hi = kemeny_bounds(spec)
@@ -533,7 +549,7 @@ def test_solve_integers_are_the_table_times_the_tree_count(g):
 
 def test_exact_index_sums_match_oracle():
     spec = FlowerSpec(path_graph(3), 0, 2, 4)
-    kf, kem = numeric_indices(build_flower(spec))
+    kf, kem = numeric_indices(spec.lift())
     assert abs(float(flower_kirchhoff_exact(spec)) - kf) <= 1e-9
     assert abs(float(flower_kemeny_exact(spec)) - kem) <= 1e-9
 

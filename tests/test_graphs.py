@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from flowergraphs import (
     CompleteFlowerParams,
     Graph,
+    Lift,
     build_flower,
     complete_flower_spec,
     complete_graph,
@@ -24,10 +24,10 @@ from flowergraphs import (
 )
 
 from flowergraphs.flower import _laplacian_solve
-from flowergraphs.graphs import block_shift_graph, check_shift
 
-from conftest import connected_graphs
+from conftest import connected_graphs, quotient_arcs
 from dense_oracle import laplacian
+from rotations import check_shift, graph_lift
 
 
 def test_triangle_from_edge_list():
@@ -205,8 +205,10 @@ def test_either_orientation_gives_the_same_graph(g):
         ([(0, 1), (1, 10**30)], rf"a vertex label is outside 0\.\.{np.iinfo(np.intp).max}"),
         ([(0, 1), (1, 2), (2, 0), (1, 0)], r"duplicate edge \(0, 1\)"),
         ([], "edge list is empty"),
+        ([(0, 1), (1, 2, 3)], "every edge must be a pair of vertex labels"),
+        ([(0, 1), 2], "every edge must be a pair of vertex labels"),
     ],
-    ids=["negative", "self-loop", "out-of-range", "duplicate", "empty"],
+    ids=["negative", "self-loop", "out-of-range", "duplicate", "empty", "ragged", "scalar"],
 )
 def test_the_constructor_and_the_edge_list_builder_give_the_same_message(edges, message):
     for build in (lambda: Graph(3, edges), lambda: graph_from_edge_list(edges)):
@@ -214,10 +216,22 @@ def test_the_constructor_and_the_edge_list_builder_give_the_same_message(edges, 
             build()
 
 
-def test_block_shift_graph_rejects_a_shift_that_repeats_an_edge():
-    assert block_shift_graph(6, [(0, 1), (1, 2)], 2) == cycle_graph(6)
-    with pytest.raises(ValueError, match=r"duplicate edge \(0, 2\)"):
-        block_shift_graph(4, [(0, 2), (0, 1)], 2)
+def _lift_edges(k, n, arcs):
+    """The lift's edges, ``u < v``, one orbit of block 0's arcs at a time."""
+    return {
+        tuple(sorted((q * k + tail, (q + step) % n * k + head)))
+        for tail, head, step in arcs for q in range(n)
+    }
+
+
+def test_lift_graph_keeps_a_half_turn_orbit_once():
+    """At even n an arc of step n/2 from an offset to itself is its own reverse,
+    and its orbit has n/2 edges; the broadcast keeps each edge once."""
+    ring = Lift(2, 3, [(0, 1, 0), (1, 0, 0), (1, 0, 1), (0, 1, -1)])
+    assert ring.graph() == cycle_graph(6)
+    assert ring.degrees == (2, 2) and ring.vertex_count == 6
+    path = Lift(2, 2, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+    assert path.graph() == graph_from_edge_list([(1, 0), (0, 2), (2, 3)])
 
 
 def _bfs_connected(count, edges):
@@ -235,71 +249,88 @@ def _bfs_connected(count, edges):
 
 
 @settings(max_examples=500)
-@given(st.data())
-def test_block_shift_graph_accepts_exactly_the_connected_lifts(data):
-    """The quotient pass with its cycle voltages agrees with a plain breadth-first
-    pass over the whole graph on every simple block-shift graph."""
-    k, n = data.draw(st.integers(1, 5), "k"), data.draw(st.integers(1, 8), "n")
-    count = k * n
-    # Edge i leaves offset i mod k of block 0, and the first heads take the offsets
-    # no tail does, so that no label is left untouched.
-    size = data.draw(st.integers(max(1, (k + 1) // 2), 4), "edges")
-    first = [
-        (i % k, k * data.draw(st.integers(0, n - 1)) + (
-            size + i if size + i < k else data.draw(st.integers(0, k - 1))))
-        for i in range(size)
-    ]
-    edges = {
-        tuple(sorted(((a + s) % count, (b + s) % count)))
-        for a, b in first for s in range(0, count, k)
-    }
-    simple = (
-        all(a != b for a, b in edges)
-        and len(edges) == n * len(first)
-        and {v for edge in edges for v in edge} == set(range(count))
-    )
-    if not simple:
-        with pytest.raises(ValueError, match="^(self-loop|duplicate edge|label gap)"):
-            block_shift_graph(count, first, k)
-    elif _bfs_connected(count, edges):
-        g = block_shift_graph(count, first, k)
-        assert g.edges.tolist() == sorted(map(list, edges)) and g.shift == k
+@given(quotient_arcs(connected=False))
+def test_block_shift_graph_accepts_exactly_the_connected_lifts(drawn):
+    """The lift's quotient pass with its cycle voltages agrees with a plain
+    breadth-first pass over the whole graph on every simple lift, the graph it
+    builds is its edges broadcast over the blocks, and reading that graph's
+    block-0 rows back gives the same arcs."""
+    k, n, arcs = drawn
+    edges = _lift_edges(k, n, arcs)
+    if _bfs_connected(k * n, edges):
+        lift = Lift(k, n, arcs)
+        assert lift.graph().edges.tolist() == sorted(map(list, edges))
+        assert sorted(map(tuple, graph_lift(lift.graph(), k).arcs.tolist())) == arcs
     else:
-        with pytest.raises(ValueError, match="^graph is disconnected$"):
-            block_shift_graph(count, first, k)
+        fault = "(the quotient of the lift|the lift) is disconnected" if arcs else "a lift needs"
+        with pytest.raises(ValueError, match=f"^{fault}"):
+            Lift(k, n, arcs)
 
 
 def test_block_shift_graph_rejects_a_disconnected_lift():
-    # N = 6: the quotient by 2 has no edge between its offsets 0 and 1 (two triangles).
+    # N = 6: the quotient by 2 has no arc between its offsets 0 and 1 (two triangles).
     # N = 12: the quotient is connected, but its one cycle, a loop at offset 0, has
     # voltage 2 and gcd(6, 2) = 2.
-    for count, first in ((6, [(0, 2), (1, 3)]), (12, [(0, 1), (0, 4)])):
-        edges = [((a + s) % count, (b + s) % count) for a, b in first for s in range(0, count, 2)]
-        for build in (lambda: block_shift_graph(count, first, 2), lambda: Graph(count, edges)):
-            with pytest.raises(ValueError, match="^graph is disconnected$"):
-                build()
-    # An edge from offset 1 to offset 0 one block on closes a cycle of voltage 1.
-    assert block_shift_graph(12, [(0, 1), (0, 4), (1, 2)], 2).vertex_count == 12
+    cases = (
+        (2, 3, [(0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)],
+         "the quotient of the lift is disconnected"),
+        (2, 6, [(0, 1, 0), (1, 0, 0), (0, 0, 2), (0, 0, -2)],
+         "the lift is disconnected: its cycle voltages share the factor 2 with n = 6"),
+    )
+    for k, n, arcs, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Lift(k, n, arcs)
+        with pytest.raises(ValueError, match="^graph is disconnected$"):
+            Graph(k * n, sorted(_lift_edges(k, n, arcs)))
+    # An arc from offset 1 to offset 0 one block on closes a cycle of voltage 1.
+    closed = [(0, 1, 0), (1, 0, 0), (0, 0, 2), (0, 0, -2), (1, 0, 1), (0, 1, -1)]
+    assert Lift(2, 6, closed).graph().vertex_count == 12
 
 
-def test_graph_certifies_its_shift_and_leaves_it_out_of_equality():
-    ring = cycle_graph(6)
-    assert ring.shift == 6
-    rotated = Graph(6, ring.edges, shift=2)
-    assert rotated.shift == 2 and rotated == ring and hash(rotated) == hash(ring)
-    for shift in (0, -2, 4, 12):
-        message = f"^shift {shift} does not divide the vertex count 6$"
-        with pytest.raises(ValueError, match=message):
-            Graph(6, ring.edges, shift=shift)
-    with pytest.raises(ValueError, match="^shift 2 does not map the edges of the graph onto"):
-        Graph(4, path_graph(4).edges, shift=2)
+@pytest.mark.parametrize(
+    "k,n,arcs,message",
+    [
+        (2, 4, [(0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)],
+         "the quotient of the lift is disconnected"),
+        (1, 6, [(0, 0, 2), (0, 0, -2)],
+         "the lift is disconnected: its cycle voltages share the factor 2 with n = 6"),
+        (2, 4, [(0, 1, 0), (1, 0, 1)], r"arc \(0, 1, 0\) has no reverse arc \(1, 0, 0\)"),
+        (2, 3, [(0, 1, 0), (1, 0, 0), (0, 1, 0)], r"repeated arc \(0, 1, 0\)"),
+        (2, 3, [(0, 0, 0), (0, 1, 0), (1, 0, 0)], "loop at offset 0"),
+        (2, 3, [(0, 2, 0), (2, 0, 0)],
+         r"arc \(0, 2, 0\) leaves the offsets 0\.\.1 or the centred steps -1\.\.1"),
+        (1, 4, [(0, 0, 3), (0, 0, 1)],
+         r"arc \(0, 0, 3\) leaves the offsets 0\.\.0 or the centred steps -1\.\.2"),
+        (2, 3, [(0, 1, 0.5), (1, 0, -0.5)],
+         r"a lift's arcs must be \(tail, head, step\) integer triples"),
+        (2, 3, [(0, 1), (1, 0)], r"a lift's arcs must be \(tail, head, step\) integer triples"),
+        (2, 3, [], "a lift needs at least one arc"),
+        (0, 3, [(0, 0, 1)],
+         r"arc \(0, 0, 1\) leaves the offsets 0\.\.-1 or the centred steps -1\.\.1"),
+    ],
+    ids=["disconnected-quotient", "gcd", "unpaired", "repeated", "loop", "offset-range",
+         "uncentred-step", "non-integer", "pairs", "empty", "no-offsets"],
+)
+def test_the_lift_certificate_names_each_fault(k, n, arcs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Lift(k, n, arcs)
+
+
+def test_lift_arcs_are_read_only_and_centred():
+    lift = Lift(1, 4, np.array([[0, 0, 1], [0, 0, -1], [0, 0, 2]]))
+    assert lift.arcs.dtype == np.intp and lift.arcs.tolist() == [[0, 0, 1], [0, 0, -1], [0, 0, 2]]
+    assert lift.degrees == (3,) and lift.graph() == graph_from_edge_list(
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+    with pytest.raises(ValueError):
+        lift.arcs[0, 0] = 1
 
 
 def test_check_shift_certifies_exactly_the_automorphic_shifts():
     for shift in (1, 2, 3, 6):
         check_shift(cycle_graph(6), shift)
     check_shift(path_graph(5), 5)  # the whole vertex count is the identity
-    check_shift(block_shift_graph(8, [(0, 1), (0, 2), (1, 3)], 2), 4)
+    ladder = Lift(2, 4, [(0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)])
+    check_shift(ladder.graph(), 4)
     for g, shift in ((path_graph(4), 1), (path_graph(4), 2), (petersen_graph(), 5)):
         with pytest.raises(ValueError, match=f"^shift {shift} does not map the edges"):
             check_shift(g, shift)
@@ -346,13 +377,15 @@ OUTSIDE = rf"a vertex label is outside 0\.\.{np.iinfo(np.intp).max}"
         ([(0, 1), (1, 2**70)], OUTSIDE),
         ([(2**63, 2**63 + 1)], OUTSIDE),
         (np.array([[0, 1], [1, 2**64 - 1]], dtype=np.uint64), OUTSIDE),
+        ([(True, False)], "vertex label True is not an integer"),
+        ([(0, 1), (1, True)], "vertex label True is not an integer"),
+        (np.array([[0, 1], [1, 2]]) == 1, "vertex label False is not an integer"),
     ],
     ids=["float", "integral-float", "string", "float-array", "2^63", "2^70", "uint64",
-         "uint64-array"],
+         "uint64-array", "bool", "bool-beside-ints", "bool-array"],
 )
 def test_non_integer_and_oversized_labels_rejected_not_truncated(edges, message):
-    for build in (lambda: Graph(3, edges), lambda: graph_from_edge_list(edges),
-                  lambda: block_shift_graph(3, edges, 3)):
+    for build in (lambda: Graph(3, edges), lambda: graph_from_edge_list(edges)):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
 
@@ -361,4 +394,3 @@ def test_non_integer_and_oversized_labels_rejected_not_truncated(edges, message)
 def test_numpy_integer_edge_arrays_are_accepted(dtype):
     edges = np.array([[0, 1], [1, 2], [2, 0]], dtype=dtype)
     assert Graph(3, edges) == graph_from_edge_list(edges) == cycle_graph(3)
-    assert block_shift_graph(6, edges[:2], 2) == cycle_graph(6)

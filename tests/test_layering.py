@@ -1,17 +1,18 @@
 """The closed forms stay independent of the numeric oracle they are checked against,
 no library module imports scipy, the oracle imports only numpy and ``.graphs`` and
-reads a graph only as CSR arrays, only ``FlowerSpec`` knows the petal block size and
-``build_flower`` reads its label shift, ``Graph``'s constructor alone certifies a
-graph's shift, only the one-pair paths evaluate the flower pair formula, only
-``cli._flowers`` reads the family options, ``cli.build_parser`` alone builds argparse
-parsers and builds them once per process, the package exports what it imports, graphs
-and flower specs compute their derived attributes at construction, and no source line
-is longer than 99 characters."""
+reads lifts, never a ``Graph``, only ``FlowerSpec`` knows the petal block size and
+builds the lift from it, only ``gen`` builds an N-vertex flower graph, only the
+one-pair paths evaluate the flower pair formula, only ``cli._flowers`` reads the
+family options, ``cli.build_parser`` alone builds argparse parsers and builds them
+once per process, the package exports what it imports, graphs and flower specs
+compute their derived attributes at construction, and no source line is longer than
+99 characters."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,13 +101,15 @@ def test_the_oracle_imports_only_numpy_and_graphs():
     assert run.stdout.splitlines()[-1] == "[]"
 
 
-def test_the_oracle_reads_the_graph_as_csr_arrays():
-    """``_symbols`` takes ``indptr`` and ``indices`` as they are; no per-vertex
-    Python lists or edge tuples stand between the graph and the symbols."""
+def test_the_oracle_reads_lifts_not_graphs():
+    """The oracle's entry points take a ``Lift`` and read its arcs: ``oracle.py``
+    names no ``Graph`` and reads no CSR arrays."""
     tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert {"indptr", "indices"} <= read
-    assert not {"adjacency_lists", "neighbors", "edges"} & read
+    assert "Graph" not in named | set(imported_modules(ast.unparse(tree))) | read
+    assert not {"indptr", "indices", "edges", "neighbors"} & read
+    assert "arcs" in read
 
 
 @pytest.mark.parametrize("module", ["graphs", "flower"])
@@ -121,20 +124,6 @@ def test_graphs_and_specs_use_no_cached_property(module):
     assert "cached_property" not in named
 
 
-def test_only_the_spec_and_the_builder_read_the_block_size():
-    """The petal <-> label map lives in ``FlowerSpec``; ``build_flower`` shifts petal
-    1's labels by ``spec.shift`` and hands that rotation to the ``Graph`` it builds;
-    ``Graph``, not the oracle, certifies it."""
-    readers = {"block_size": set(), "shift": set()}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr in readers:
-                    readers[node.attr].add((path.stem, getattr(top, "name", None)))
-    assert readers["block_size"] == {("flower", "FlowerSpec")}
-    assert ("flower", "build_flower") in readers["shift"]
-
-
 def _functions(tree: ast.Module):
     """``(name, node)`` for each top-level function and each method, ``Class.method``."""
     for top in tree.body:
@@ -146,15 +135,34 @@ def _functions(tree: ast.Module):
                     yield f"{top.name}.{node.name}", node
 
 
-def test_only_the_graph_constructor_calls_check_shift():
-    """``Graph.__post_init__`` certifies every graph's shift; everything else, the
-    oracle included, reads the certified ``g.shift``."""
-    callers = set()
+def test_only_the_spec_and_the_builder_read_the_block_size():
+    """The petal <-> label map lives in ``FlowerSpec``, and its ``lift`` builds the
+    flower's arcs from it; nothing else reads the block size."""
+    readers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for name, function in _functions(ast.parse(path.read_text())):
-            if "check_shift" in _called_names(function):
-                callers.add((path.stem, name))
-    assert callers == {("graphs", "Graph.__post_init__")}
+            for node in ast.walk(function):
+                if isinstance(node, ast.Attribute) and node.attr == "block_size":
+                    readers.add((path.stem, name))
+    assert ("flower", "FlowerSpec.lift") in readers
+    assert {module for module, name in readers} == {"flower"}
+    assert all(name.startswith("FlowerSpec.") for _, name in readers)
+
+
+def test_only_gen_builds_a_flower_graph():
+    """Every other command hands the oracle ``spec.lift()``: in the library only
+    ``build_flower`` makes a lift a graph, and in the CLI only ``cmd_gen`` calls it.
+    The rotation certificate and the shifted-graph builder are gone."""
+    callers = {"graph": set(), "build_flower": set()}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        assert not re.search(r"\b(check_shift|block_shift_graph)\b", source), path.stem
+        tree = ast.parse(source)
+        assert "shift" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for name, function in _functions(tree):
+            for called in set(_called_names(function)) & set(callers):
+                callers[called].add((path.stem, name))
+    assert callers == {"graph": {("flower", "build_flower")}, "build_flower": {("cli", "cmd_gen")}}
 
 
 def test_only_the_one_pair_paths_evaluate_the_pair_formula():
