@@ -19,7 +19,6 @@ from .cycle import (
     CycleFlowerParams,
     CyclePairPosition,
     cycle_flower_spec,
-    cycle_resistance,
     gs_kemeny,
     gs_kirchhoff,
     gs_resistance,
@@ -60,7 +59,6 @@ from .oracle import (
     resistance_matrix,
     values_close,
 )
-from .separation import TwoSepBundle, compose_one_sep, compose_two_sep
 
 __version__ = "0.1.0"
 
@@ -74,7 +72,6 @@ __all__ = [
     "Lift",
     "MaxResistance",
     "PairCase",
-    "TwoSepBundle",
     "base_kemeny",
     "base_kirchhoff",
     "base_resistance_table",
@@ -85,11 +82,8 @@ __all__ = [
     "cf_resistance",
     "complete_flower_spec",
     "complete_graph",
-    "compose_one_sep",
-    "compose_two_sep",
     "cycle_flower_spec",
     "cycle_graph",
-    "cycle_resistance",
     "flower_kemeny_exact",
     "flower_kirchhoff_exact",
     "flower_resistance",

@@ -15,16 +15,6 @@ from .flower import FlowerSpec
 from .graphs import cycle_graph
 
 
-def cycle_resistance(m: int, dist: int) -> Fraction:
-    """Resistance across a cycle: the two arcs of lengths ``dist`` and ``m - dist``
-    in parallel."""
-    if m < 3:
-        raise ValueError("a cycle needs at least three vertices")
-    if not 0 <= dist <= m:
-        raise ValueError(f"distance {dist} out of range 0..{m}")
-    return Fraction((m - dist) * dist, m)
-
-
 @dataclass(frozen=True)
 class CycleFlowerParams:
     m: int

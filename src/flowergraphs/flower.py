@@ -183,7 +183,7 @@ def base_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
 #     R_ab(e) = series - imbalance^2 / (4ns),
 #     series = r_ab if e = 0, else r_ay + r_bx + (e - 1) s,
 #     imbalance = r_ax - r_ay - r_bx + r_by - 2es.
-# That is separation.compose_two_sep across the two end vertices of the
+# That is compose_two_sep (tests/separation.py) across the two end vertices of the
 # chain of e + 1 petals from u's to v's (r1_uv = series), where the other
 # n - e - 1 petals make r1_ij + r2_ij = ns.  In the integers k = det * r of
 # the base solve (det the spanning-tree count) the same expressions give

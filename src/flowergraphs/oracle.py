@@ -11,22 +11,19 @@ are their inverse DFT, and ``L(conj w) = conj L(w)`` leaves ``j = 0 .. n // 2``.
 lift with one block (``n = 1``, ``k = N``) is any connected graph: one dense deflated
 solve of ``L`` itself.
 
-Only ``L(1)`` is singular, but ``1^T L(w) 1`` is of order ``sigma^2``,
-``sigma = |1 - w| = 2 sin(pi j / n)``.  In the orthonormal basis ``P = [u, Q]``
-(``u = 1 / sqrt(k)``, ``Q`` from a Householder reflector) ``P^T L(w) P`` is
-``[[sigma^2 alpha, sigma beta^H], [sigma beta, M]]``.  ``alpha`` and ``beta`` come
-from ``rho_d = (1 - w^d) / sigma``, evaluated as ``-i e^{i phi} sin(phi) /
-sin(pi j / n)``, ``phi = pi j d / n``: the factors of ``sigma`` are pulled out
-analytically.  What is left, ``T = [[alpha, beta^H], [beta, M]]``, is well
-conditioned, as its Schur complement ``alpha - beta^H M^-1 beta`` is of order one.
-So ``L(w)^-1 = P S T^-1 S P^T`` with ``S = diag(1 / sigma, 1, ..)``, and
-``L(1)^+ = Q M^-1 Q^T``; no entry comes from cancelling terms of size
-``1 / sigma^2``.  Nothing is cached between calls.
+Only ``L(1)`` is singular, but ``1^T L(w) 1`` is of order ``|1 - w|^2``.  In the
+orthonormal basis ``P = [u, Q]`` (``u = 1 / sqrt(k)``, ``Q`` from a Householder
+reflector) each symbol is ``T = P^T L(w) P``, and ``L(w)^-1 = P T^-1 P^T``.  Row and
+column ``u`` of ``T`` are ``P^T L(w) 1 / sqrt(k)``, and entry ``r`` of ``L(w) 1`` sums
+``1 - w^d`` over the arcs leaving ``r``, evaluated as ``-2i e^{i phi} sin(phi)`` with
+``phi = pi j d / n``, ``d`` centred and ``phi`` reduced exactly into ``[-pi, pi)``.
+Read off ``L(w)`` itself they would be differences of order-one terms, and the
+inverse would lose about ``n^2 eps`` of relative accuracy.  At ``w = 1`` row and
+column ``u`` vanish: a unit pivot stands in, and with row and column ``u`` of its
+inverse zeroed ``L(1)^+ = Q M^-1 Q^T``, ``M = Q^T L(1) Q``.  Nothing is cached.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,17 +40,9 @@ def _reflector(v: np.ndarray) -> np.ndarray:
     return basis
 
 
-class _Symbols(NamedTuple):
-    """``L(w_j)^+ = basis inverse_j basis^T`` for ``j = 0 .. n // 2``."""
-
-    blocks: int
-    arcs: np.ndarray  # arcs[e, r, r']: arcs from r in block 0 to offset r' at step e
-    basis: np.ndarray
-    inverse: np.ndarray
-
-
-def _symbols(lift: Lift) -> _Symbols:
-    """The deflated symbols ``L(w_j)`` of ``lift``, inverted in one batch."""
+def _symbols(lift: Lift) -> tuple[np.ndarray, np.ndarray]:
+    """``(basis, inverse)``, ``L(w_j)^+ = basis inverse[j] basis^T`` for ``j = 0 .. n // 2``:
+    the symbols of ``lift`` in the basis ``[u, Q]``, inverted in one batch."""
     k, n = lift.k, lift.n
     # Arc (r, r', d) stands for its orbit: from offset r to offset r' d blocks on,
     # with d centred in (-n/2, n/2].
@@ -62,8 +51,6 @@ def _symbols(lift: Lift) -> _Symbols:
     which = np.searchsorted(steps, step)
     arcs = np.bincount((which * k + tails) * k + heads, minlength=steps.size * k * k)
     arcs = arcs.reshape(-1, k, k).astype(float)
-    leaving = arcs.sum(2)
-    degrees = leaving.sum(0)
     freq = np.arange(n // 2 + 1)
     # e^{i phi} for phi = pi j d / n reduced exactly into [-pi, pi): w^d is its square
     # and sin(phi), accurate near w = 1, its imaginary part.
@@ -71,31 +58,24 @@ def _symbols(lift: Lift) -> _Symbols:
     basis = _reflector(np.full(k, k ** -0.5))
     # L(w) = diag(degrees) - sum_d w^d arcs[d], in the basis [u, Q] term by term.
     folded = (basis.T @ arcs @ basis).reshape(len(steps), k * k)
-    symbols = ((basis.T * degrees) @ basis).ravel() - np.square(half_turn) @ folded
+    symbols = ((basis.T * lift.degrees) @ basis).ravel() - np.square(half_turn) @ folded
     symbols = symbols.reshape(-1, k, k)
-    # T: row and column u over sigma.  With rho_d = (1 - w^d) / sigma, (L(w) 1)_r
-    # sums sigma rho_d over the arcs leaving r.  The arcs of steps d and -d pair up,
-    # so 1^T L(w) 1 sums sigma Re rho_d = sigma^2 |rho_d|^2 / 2: no cancellation.
-    # At w = 1 row and column u vanish, and a unit pivot stands in.
-    half_sigma = np.sin(np.pi / n * freq[1:])[:, None]
-    rho = -1j * half_turn[1:] * half_turn[1:].imag / half_sigma
-    column = (rho @ leaving) @ basis * k ** -0.5
-    column[:, 0] = column[:, 0].real / (2 * half_sigma[:, 0])
-    symbols[1:, :, 0] = column
-    symbols[1:, 0] = column.conj()
-    symbols[0, 0], symbols[0, :, 0], symbols[0, 0, 0] = 0.0, 0.0, 1.0
+    # Row and column u from 1 - w^d = -2i e^{i phi} sin(phi), free of cancellation; the
+    # arcs of steps d and -d pair up, so (u, u) is real.  At w = 1 a unit pivot stands in.
+    column = (-2j * half_turn * half_turn.imag) @ arcs.sum(2) @ basis * k ** -0.5
+    column[:, 0] = column[:, 0].real
+    symbols[:, :, 0] = column
+    symbols[:, 0] = column.conj()
+    symbols[0, 0, 0] = 1.0
     inverse = np.linalg.inv(symbols)
-    # S T^-1 S: row and column u of the inverse over sigma, and zero at w = 1.
-    scale = np.vstack(([[0.0]], 0.5 / half_sigma))
-    inverse[:, 0] *= scale
-    inverse[:, :, 0] *= scale
-    return _Symbols(n, arcs, basis, inverse)
+    inverse[0, 0], inverse[0, :, 0] = 0.0, 0.0
+    return basis, inverse
 
 
 def _green_blocks(lift: Lift) -> np.ndarray:
     """``B[d] = L^+[(d, r), (0, r')]``, the ``n`` blocks of ``L^+`` by ``irfft``."""
-    s = _symbols(lift)
-    return np.fft.irfft(s.basis @ s.inverse @ s.basis.T, s.blocks, axis=0)
+    basis, inverse = _symbols(lift)
+    return np.fft.irfft(basis @ inverse @ basis.T, lift.n, axis=0)
 
 
 def resistance(lift: Lift, i: int, j: int) -> float:
@@ -150,23 +130,23 @@ def numeric_indices(lift: Lift) -> tuple[float, float]:
       the nonzero Laplacian eigenvalues, Gutman and Mohar 1996);
     - Kemeny's constant ``sum 1/nu`` over the nonzero eigenvalues of the normalized
       Laplacian ``D^-1/2 L D^-1/2`` (Kemeny and Snell 1960; Levene and Loizou
-      2002).  Its symbols are ``D^-1/2 L(w) D^-1/2``, so for ``w != 1`` the trace
-      of their inverse is ``sum_r d_r L(w)^-1_rr``; ``w = 1`` is deflated by its
-      null vector ``D^1/2 1`` the same way ``L(1)`` is by ``1``.
+      2002).  Its symbols are ``N(w) = D^-1/2 L(w) D^-1/2``, so for ``w != 1`` the
+      trace of their inverse is ``sum_r d_r L(w)^-1_rr``.  At ``w = 1``, with
+      ``v = D^1/2 1 / |D^1/2 1|`` and ``X = (I - v v^T) D^1/2 L(1)^+ D^1/2 (I - v v^T)``,
+      ``N(1) X = X N(1) = I - v v^T``, as ``L(1) L(1)^+ = L(1)^+ L(1)`` projects out
+      ``1``: ``X`` meets the four Moore-Penrose conditions, so ``X = N(1)^+``, and
+      ``tr N(1)^+ = sum_r d_r L(1)^+_rr - d^T L(1)^+ d / sum_r d_r``.
 
     ``w_j`` and its conjugate count once each: O(N k^2) time, O(N k) memory.
     """
-    s = _symbols(lift)
-    degrees = s.arcs.sum((0, 2))
-    twice = 2.0 - (2 * np.arange(len(s.inverse)) % s.blocks == 0)
-    traces = np.trace(s.inverse, axis1=1, axis2=2).real
-    weighted = np.einsum("jab,ba->j", s.inverse, (s.basis.T * degrees) @ s.basis).real
-    root = np.sqrt(degrees)
-    null = _reflector(root / np.linalg.norm(root))[:, 1:]
-    quotient = np.diag(degrees) - s.arcs.sum(0)  # L(1)
-    normalized = null.T @ (quotient / np.outer(root, root)) @ null
+    basis, inverse = _symbols(lift)
+    degrees = np.asarray(lift.degrees, dtype=float)
+    twice = 2.0 - (2 * np.arange(len(inverse)) % lift.n == 0)
+    traces = np.trace(inverse, axis1=1, axis2=2).real
+    weighted = np.einsum("jab,ba->j", inverse, (basis.T * degrees) @ basis).real
+    projected = degrees @ basis  # P^T d
     kirchhoff = lift.vertex_count * (twice @ traces)
-    kemeny = np.trace(np.linalg.inv(normalized)) + twice[1:] @ weighted[1:]
+    kemeny = twice @ weighted - (projected @ inverse[0] @ projected).real / degrees.sum()
     return float(kirchhoff), float(kemeny)
 
 

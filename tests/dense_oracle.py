@@ -1,11 +1,12 @@
-"""The dense Cholesky oracle the banded library oracle is compared against.
+"""The dense Cholesky oracle the library's Fourier oracle is compared against.
 
 It builds the integer Laplacian, deletes vertex 0's row and column, factors
 the rest as ``L0 = R^T R`` (LAPACK ``dpotrf``, in place) and finishes with one
 more LAPACK call on ``R``: ``dpotri`` for the Green matrix ``G = L0^-1``,
 ``dpotrs`` for the potentials of one current, ``dtrtri`` for the triangular
 inverse ``S = R^-1`` the two indices are read from.  It costs O(N^3) time and
-O(N^2) memory, against O(N b^2) and O(N b) for the library's index path.
+O(N^2) memory, against O(N k^2) time and O(N k) memory for the library's index
+path on a lift of ``n`` blocks of ``k`` offsets, ``N = k n``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 These rules assemble the resistance of a whole graph from resistances
 measured inside the two edge-disjoint parts of a separation.  The functions
 work for any field-like scalar; exact rationals and floats both pass through
-unchanged.
+unchanged.  The tests hold ``compose_two_sep`` as an independent reference for
+the library's flower pair formula, which is this rule across the two end
+vertices of a chain of petals.
 """
 
 from __future__ import annotations

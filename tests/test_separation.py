@@ -9,17 +9,15 @@ from hypothesis import given, strategies as st
 
 from flowergraphs import (
     CompleteFlowerParams,
-    TwoSepBundle,
     build_flower,
     complete_flower_spec,
-    compose_one_sep,
-    compose_two_sep,
     graph_from_edge_list,
     path_graph,
 )
 from flowergraphs import oracle
 
 from rotations import graph_lift
+from separation import TwoSepBundle, compose_one_sep, compose_two_sep
 
 
 def resistance(g, i, j):
