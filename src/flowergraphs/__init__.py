@@ -53,7 +53,6 @@ from .graphs import (
     read_edge_list,
 )
 from .oracle import (
-    grounded_potentials,
     numeric_indices,
     resistance,
     resistance_matrix,
@@ -90,7 +89,6 @@ __all__ = [
     "format_edge_list",
     "format_rational",
     "graph_from_edge_list",
-    "grounded_potentials",
     "gs_kemeny",
     "gs_kirchhoff",
     "gs_resistance",

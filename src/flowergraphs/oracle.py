@@ -7,9 +7,10 @@ block circulant, ``L[(p, r), (p', r')] = C_{p'-p}[r, r']``, and a DFT over the b
 splits it into ``n`` Hermitian ``k x k`` symbols ``L(w) = sum_d w^d C_d``,
 ``w = exp(2 pi i j / n)`` (Davis, *Circulant Matrices*, 1979, ch. 5), read off the
 lift's arcs: the arc ``(r, r', d)`` adds to ``C_d[r, r']``.  The blocks of ``L^+``
-are their inverse DFT, and ``L(conj w) = conj L(w)`` leaves ``j = 0 .. n // 2``.  A
-lift with one block (``n = 1``, ``k = N``) is any connected graph: one dense deflated
-solve of ``L`` itself.
+are their inverse DFT, and ``L(conj w) = conj L(w)`` leaves ``j = 0 .. n // 2``.  The
+resistance matrix is block circulant too: its ``n`` blocks, one ``k x k`` formula in
+those of ``L^+``, give every resistance.  A lift with one block (``n = 1``, ``k = N``)
+is any connected graph: one dense deflated solve of ``L`` itself.
 
 Only ``L(1)`` is singular, but ``1^T L(w) 1`` is of order ``|1 - w|^2``.  In the
 orthonormal basis ``P = [u, Q]`` (``u = 1 / sqrt(k)``, ``Q`` from a Householder
@@ -72,55 +73,37 @@ def _symbols(lift: Lift) -> tuple[np.ndarray, np.ndarray]:
     return basis, inverse
 
 
-def _green_blocks(lift: Lift) -> np.ndarray:
-    """``B[d] = L^+[(d, r), (0, r')]``, the ``n`` blocks of ``L^+`` by ``irfft``."""
+def _resistance_blocks(lift: Lift) -> np.ndarray:
+    """``R[d][r, r'] = R[(d, r), (0, r')] = L^+_rr + L^+_r'r' - (B[d] + B[-d]^T)[r, r']``
+    from ``B[d] = L^+[(d, r), (0, r')]``, the blocks of ``L^+`` by ``irfft``.  Float
+    addition commutes, so ``R`` is exactly symmetric with an exactly zero diagonal."""
     basis, inverse = _symbols(lift)
-    return np.fft.irfft(basis @ inverse @ basis.T, lift.n, axis=0)
+    blocks = np.fft.irfft(basis @ inverse @ basis.T, lift.n, axis=0)
+    diag = blocks[0].diagonal()
+    reverse = blocks[-np.arange(lift.n)].transpose(0, 2, 1)
+    return (diag[:, None] + diag) - (blocks + reverse)
 
 
 def resistance(lift: Lift, i: int, j: int) -> float:
-    """Effective resistance between ``i`` and ``j``: a unit current's potential drop."""
-    potentials = grounded_potentials(lift, i, j)
-    return float(potentials[i] - potentials[j])
-
-
-def grounded_potentials(lift: Lift, i: int, j: int) -> np.ndarray:
-    """Vertex potentials for a unit current injected at ``i`` and drawn at ``j``.
-
-    Vertex 0 is held at potential zero; the returned vector ``x`` satisfies
-    ``L x = e_i - e_j`` up to rounding.  It is ``L^+ (e_i - e_j)`` less its value
-    at vertex 0, and column ``p k + r`` of ``L^+`` is column ``r`` of the blocks
-    moved down by ``p`` blocks.
-    """
+    """Effective resistance between ``i = p k + r`` and ``j = p' k + r'``: the entry
+    ``[r, r']`` of block ``p - p' mod n``."""
     count = lift.vertex_count
     if not (0 <= i < count and 0 <= j < count):
         raise IndexError(f"vertex pair ({i}, {j}) out of range for {count} vertices")
-    blocks = _green_blocks(lift)
-    k = blocks.shape[1]
-    (pi, ri), (pj, rj) = divmod(i, k), divmod(j, k)
-    potentials = np.roll(blocks[:, :, ri], pi, axis=0) - np.roll(blocks[:, :, rj], pj, axis=0)
-    potentials = potentials.ravel()
-    return potentials - potentials[0]
+    (pi, ri), (pj, rj) = divmod(i, lift.k), divmod(j, lift.k)
+    return float(_resistance_blocks(lift)[(pi - pj) % lift.n, ri, rj])
 
 
 def resistance_matrix(lift: Lift) -> np.ndarray:
     """Symmetric matrix of pairwise effective resistances with zero diagonal.
 
-    ``L^+`` is gathered from its blocks, ``L^+[(p, r), (p', r')] = B[p - p' mod n]``,
-    O(N^2) time and two N x N arrays of memory.  It is symmetric only up to
-    rounding; the resistances use ``L^+ + L^+^T``, which makes the matrix exactly
-    symmetric.
+    ``R[(p, r), (p', r')]`` is entry ``[r, r']`` of block ``p - p' mod n``, gathered
+    straight into the ``(n, k, n, k)`` layout: O(N^2) time, one N x N array.
     """
-    blocks = _green_blocks(lift)
-    n, k = blocks.shape[:2]
-    petals = np.arange(n)
-    green = blocks[(petals[:, None] - petals) % n].transpose(0, 2, 1, 3).reshape(n * k, n * k)
-    diag = green.diagonal().copy()
-    pair_sums = green + green.T
-    matrix = np.add.outer(diag, diag, out=green)
-    matrix -= pair_sums
-    np.fill_diagonal(matrix, 0.0)
-    return matrix
+    blocks = _resistance_blocks(lift)
+    petals, offsets = np.arange(lift.n), np.arange(lift.k)
+    step = (petals[:, None, None, None] - petals[:, None]) % lift.n
+    return blocks[step, offsets[:, None, None], offsets].reshape(lift.vertex_count, -1)
 
 
 def numeric_indices(lift: Lift) -> tuple[float, float]:

@@ -258,8 +258,8 @@ def test_verify_across_chunks_prints_what_the_pair_loop_prints(capsys):
 
 
 def test_verify_c8_stays_within_the_resistance_matrix_memory(capsys):
-    """C8 (p = 4, n = 160), N = 1,120: the peak is ``resistance_matrix``'s two
-    N x N arrays; the compare may not add a third."""
+    """C8 (p = 4, n = 160), N = 1,120: the peak is ``resistance_matrix``'s one
+    N x N array; the compare may not add a second."""
     tracemalloc.start()
     try:
         code, out = run(
@@ -272,7 +272,7 @@ def test_verify_c8_stays_within_the_resistance_matrix_memory(capsys):
         tracemalloc.stop()
     assert code == 0
     assert out == "verify: ok (1 instances, 626640 pairs, tol=1e-09)\n"
-    assert peak < 2.2 * 8 * 1120**2
+    assert peak < 1.5 * 8 * 1120**2
 
 
 def test_sweep_csv(capsys):
@@ -316,10 +316,10 @@ def test_index_commands_build_no_dense_matrix(capsys, monkeypatch, argv):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense resistance matrix built")
 
-    # The index path takes traces of the inverse symbols; gathering the blocks of
-    # L^+ is the first step to the N x N matrix.
+    # The index path takes traces of the inverse symbols; the blocks of the
+    # resistance matrix are the first step to the N x N matrix.
     monkeypatch.setattr(oracle, "resistance_matrix", forbidden)
-    monkeypatch.setattr(oracle, "_green_blocks", forbidden)
+    monkeypatch.setattr(oracle, "_resistance_blocks", forbidden)
     code, out = run(capsys, *argv)
     assert code == 0 and out
 

@@ -28,7 +28,6 @@ from flowergraphs import (
     flower_kirchhoff_exact,
     flower_resistance,
     graph_from_edge_list,
-    grounded_potentials,
     numeric_indices,
     path_graph,
     petersen_graph,
@@ -77,9 +76,9 @@ def test_out_of_range_indices():
 
 
 @pytest.mark.parametrize("i,j", [(-1, 2), (2, -1), (4, 0), (0, 7)])
-def test_grounded_potentials_rejects_out_of_range_vertices(i, j):
+def test_resistance_rejects_out_of_range_vertices(i, j):
     with pytest.raises(IndexError, match=rf"vertex pair \({i}, {j}\) out of range for 4 vertices"):
-        grounded_potentials(graph_lift(path_graph(4)), i, j)
+        resistance(graph_lift(path_graph(4)), i, j)
 
 
 def test_resistance_matrix_triangle():
@@ -149,7 +148,6 @@ ENTRY_POINTS = {
     "numeric_indices": numeric_indices,
     "resistance_matrix": resistance_matrix,
     "resistance": lambda lift: resistance(lift, 1, lift.vertex_count - 1),
-    "grounded_potentials": lambda lift: grounded_potentials(lift, 1, lift.vertex_count - 1),
 }
 # N = 24 in blocks of 4.
 SHIFTED = cycle_flower_spec(CycleFlowerParams(5, 6, 2))
@@ -184,7 +182,7 @@ def test_oracle_raises_when_an_edge_breaks_the_rotation(entry, spec, data):
 
 
 def _assert_equals_dense(lift):
-    """All four entry points on ``lift`` agree to 1e-12 with the dense Cholesky
+    """All three entry points on ``lift`` agree to 1e-12 with the dense Cholesky
     reference on the graph it stands for."""
     g = lift.graph()
     close = {"rtol": 1e-12, "atol": 1e-12}
@@ -192,8 +190,6 @@ def _assert_equals_dense(lift):
     np.testing.assert_allclose(resistance_matrix(lift), dense.resistance_matrix(g), **close)
     last = g.vertex_count - 1
     for i, j in ((0, last), (last, last // 2), (last // 2, 0), (1, last)):
-        np.testing.assert_allclose(
-            grounded_potentials(lift, i, j), dense.grounded_potentials(g, i, j), **close)
         np.testing.assert_allclose(resistance(lift, i, j), dense.resistance(g, i, j), **close)
 
 
@@ -347,16 +343,28 @@ def test_numeric_indices_memory_is_linear_in_n():
     assert peak < 2_000_000
 
 
+def test_resistance_matrix_memory_is_one_n_by_n_array():
+    """K8, n = 280, N = 1,960: the matrix is gathered straight from its ``n`` blocks,
+    with no second N x N array for ``L^+`` or ``L^+ + L^+^T`` (2.0 x 8 N^2 before)."""
+    lift = complete_flower_spec(CompleteFlowerParams(8, 280)).lift()
+    assert lift.vertex_count == 1960
+    tracemalloc.start()
+    try:
+        resistance_matrix(lift)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 8 * 1960**2
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_entry_points_agree_on_every_pair(data):
     g = graph_lift(data.draw(connected_graphs()))
     vertex = st.integers(0, g.vertex_count - 1)
     i, j = data.draw(vertex), data.draw(vertex)
-    potentials = grounded_potentials(g, i, j)
-    value = resistance(g, i, j)
-    assert value == pytest.approx(resistance_matrix(g)[i, j], abs=1e-12)
-    assert value == pytest.approx(potentials[i] - potentials[j], abs=1e-12)
+    # One formula serves both: the same float, not one within rounding of the other.
+    assert resistance(g, i, j) == resistance_matrix(g)[i, j]
 
 
 @settings(max_examples=40)
@@ -374,25 +382,23 @@ def test_metric_contract_on_random_graphs(g):
 
 
 def test_solver_residual_contract():
+    """``L^+ = -P R P / 2`` with ``P = I - 1 1^T / N`` the projection off ``1``, and
+    ``L L^+ = P``."""
     rng = random.Random(7)
     for _ in range(10):
         g = random_connected_graph(rng, max_vertices=20)
-        i, j = rng.sample(range(g.vertex_count), 2)
-        potentials = grounded_potentials(graph_lift(g), i, j)
-        current = np.zeros(g.vertex_count)
-        current[i], current[j] = 1.0, -1.0
-        residual = dense.laplacian(g).astype(float) @ potentials - current
-        assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(current)
+        count = g.vertex_count
+        projection = np.eye(count) - 1.0 / count
+        pseudo_inverse = -0.5 * projection @ resistance_matrix(graph_lift(g)) @ projection
+        residual = dense.laplacian(g).astype(float) @ pseudo_inverse - projection
+        assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(projection)
 
 
 def test_oracle_results_are_fresh_arrays():
     g = graph_lift(cycle_graph(5))
     matrix = resistance_matrix(g)
     matrix[0, 1] = -1.0
-    potentials = grounded_potentials(g, 1, 2)
-    potentials[0] = 5.0
     assert resistance_matrix(g)[0, 1] == pytest.approx(4 / 5, abs=1e-12)
-    assert grounded_potentials(g, 1, 2)[0] == 0.0
 
 
 def test_oracle_keeps_no_array_after_return():
@@ -406,7 +412,6 @@ def test_oracle_keeps_no_array_after_return():
         for g in graphs:
             resistance_matrix(g)
             resistance(g, 5, 150)
-            grounded_potentials(g, 150, 5)
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
