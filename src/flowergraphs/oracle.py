@@ -6,22 +6,22 @@ the ``N = k n``-vertex graph.  With labels ``v = p k + r`` the lift's Laplacian 
 block circulant, ``L[(p, r), (p', r')] = C_{p'-p}[r, r']``, and a DFT over the blocks
 splits it into ``n`` Hermitian ``k x k`` symbols ``L(w) = sum_d w^d C_d``,
 ``w = exp(2 pi i j / n)`` (Davis, *Circulant Matrices*, 1979, ch. 5), read off the
-lift's arcs: the arc ``(r, r', d)`` adds to ``C_d[r, r']``.  The blocks of ``L^+``
-are their inverse DFT, and ``L(conj w) = conj L(w)`` leaves ``j = 0 .. n // 2``.  The
-resistance matrix is block circulant too: its ``n`` blocks, one ``k x k`` formula in
-those of ``L^+``, give every resistance.  A lift with one block (``n = 1``, ``k = N``)
-is any connected graph: one dense deflated solve of ``L`` itself.
+lift's arcs: the arc ``(r, r', d)`` adds to ``C_d[r, r']``.  ``L(conj w) = conj L(w)``
+leaves ``j = 0 .. n // 2``.  Any ``H`` with ``L H L = L`` gives
+``R_ij = (e_i - e_j)^T H (e_i - e_j)`` (Bapat, *Graphs and Matrices*, 2010, ch. 9),
+and the block-circulant ``H`` with symbols ``L(w)^-1``, and ``G`` with
+``L(1) G L(1) = L(1)`` at ``w = 1``, is one: its ``n`` blocks give the ``n`` blocks of
+the resistance matrix.  A lift with one block (``n = 1``) is any connected graph.
 
 Only ``L(1)`` is singular, but ``1^T L(w) 1`` is of order ``|1 - w|^2``.  In the
-orthonormal basis ``P = [u, Q]`` (``u = 1 / sqrt(k)``, ``Q`` from a Householder
-reflector) each symbol is ``T = P^T L(w) P``, and ``L(w)^-1 = P T^-1 P^T``.  Row and
-column ``u`` of ``T`` are ``P^T L(w) 1 / sqrt(k)``, and entry ``r`` of ``L(w) 1`` sums
-``1 - w^d`` over the arcs leaving ``r``, evaluated as ``-2i e^{i phi} sin(phi)`` with
-``phi = pi j d / n``, ``d`` centred and ``phi`` reduced exactly into ``[-pi, pi)``.
-Read off ``L(w)`` itself they would be differences of order-one terms, and the
-inverse would lose about ``n^2 eps`` of relative accuracy.  At ``w = 1`` row and
-column ``u`` vanish: a unit pivot stands in, and with row and column ``u`` of its
-inverse zeroed ``L(1)^+ = Q M^-1 Q^T``, ``M = Q^T L(1) Q``.  Nothing is cached.
+grounding basis ``P = [1, e_1, .., e_{k-1}]``, ``L(w)^-1 = P T^-1 P^T`` with
+``T = P^T L(w) P``: ``L(w)`` with column 0 replaced by ``L(w) 1``, row 0 by its
+conjugate and entry ``[0, 0]`` by their total.  Entry ``r`` of ``L(w) 1`` sums
+``1 - w^d = -2i e^{i phi} sin(phi)``, ``phi = pi j d / n`` with ``d`` centred and ``phi``
+reduced exactly into ``[-pi, pi)``, over the arcs leaving ``r``; as differences of
+order-one terms the inverse would lose about ``n^2 eps``.  At ``w = 1`` row and column 0
+vanish and a unit pivot stands in: the rest of ``T`` is the integer Laplacian grounded
+at offset 0, ``G`` its inverse bordered by zeros.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -31,24 +31,15 @@ import numpy as np
 from .graphs import Lift
 
 
-def _reflector(v: np.ndarray) -> np.ndarray:
-    """An orthogonal matrix whose column 0 is the unit vector ``v``, ``v[0] > 0``: the
-    Householder reflector that takes ``e_0`` to ``-v``, with column 0 negated."""
-    w = v.copy()
-    w[0] += 1.0
-    basis = np.eye(v.size) - np.outer(w, w) / w[0]
-    basis[:, 0] = v
-    return basis
-
-
 def _symbols(lift: Lift) -> tuple[np.ndarray, np.ndarray]:
-    """``(basis, inverse)``, ``L(w_j)^+ = basis inverse[j] basis^T`` for ``j = 0 .. n // 2``:
-    the symbols of ``lift`` in the basis ``[u, Q]``, inverted in one batch."""
+    """``(basis, inverse)``, ``basis inverse[j] basis^T`` is ``L(w_j)^-1`` for
+    ``j = 1 .. n // 2`` and ``G`` for ``j = 0``: the symbols of ``lift`` in the basis
+    ``[1, e_1, ..]``, inverted in one batch."""
     k, n = lift.k, lift.n
     # Arc (r, r', d) stands for its orbit: from offset r to offset r' d blocks on,
     # with d centred in (-n/2, n/2].
     tails, heads, step = lift.arcs.T
-    steps = np.unique(step)
+    steps = np.array(sorted(set(step.tolist())))
     which = np.searchsorted(steps, step)
     arcs = np.bincount((which * k + tails) * k + heads, minlength=steps.size * k * k)
     arcs = arcs.reshape(-1, k, k).astype(float)
@@ -56,26 +47,26 @@ def _symbols(lift: Lift) -> tuple[np.ndarray, np.ndarray]:
     # e^{i phi} for phi = pi j d / n reduced exactly into [-pi, pi): w^d is its square
     # and sin(phi), accurate near w = 1, its imaginary part.
     half_turn = np.exp(1j * np.pi / n * ((np.outer(freq, steps) + n) % (2 * n) - n))
-    basis = _reflector(np.full(k, k ** -0.5))
-    # L(w) = diag(degrees) - sum_d w^d arcs[d], in the basis [u, Q] term by term.
-    folded = (basis.T @ arcs @ basis).reshape(len(steps), k * k)
-    symbols = ((basis.T * lift.degrees) @ basis).ravel() - np.square(half_turn) @ folded
+    # L(w) = diag(degrees) - sum_d w^d arcs[d]: integers at w = 1, where half_turn is 1.
+    symbols = np.diag(lift.degrees).ravel() - np.square(half_turn) @ arcs.reshape(-1, k * k)
     symbols = symbols.reshape(-1, k, k)
-    # Row and column u from 1 - w^d = -2i e^{i phi} sin(phi), free of cancellation; the
-    # arcs of steps d and -d pair up, so (u, u) is real.  At w = 1 a unit pivot stands in.
-    column = (-2j * half_turn * half_turn.imag) @ arcs.sum(2) @ basis * k ** -0.5
-    column[:, 0] = column[:, 0].real
+    # Column 0 is L(w) 1, from 1 - w^d = -2i e^{i phi} sin(phi), free of cancellation;
+    # the arcs of steps d and -d pair up, so its total is real.  At w = 1 it is 0.
+    column = (-2j * half_turn * half_turn.imag) @ arcs.sum(2)
     symbols[:, :, 0] = column
     symbols[:, 0] = column.conj()
+    symbols[:, 0, 0] = column.sum(1).real
     symbols[0, 0, 0] = 1.0
     inverse = np.linalg.inv(symbols)
     inverse[0, 0], inverse[0, :, 0] = 0.0, 0.0
+    basis = np.eye(k)
+    basis[:, 0] = 1.0
     return basis, inverse
 
 
 def _resistance_blocks(lift: Lift) -> np.ndarray:
-    """``R[d][r, r'] = R[(d, r), (0, r')] = L^+_rr + L^+_r'r' - (B[d] + B[-d]^T)[r, r']``
-    from ``B[d] = L^+[(d, r), (0, r')]``, the blocks of ``L^+`` by ``irfft``.  Float
+    """``R[d][r, r'] = R[(d, r), (0, r')] = H_rr + H_r'r' - (B[d] + B[-d]^T)[r, r']``
+    from ``B[d] = H[(d, r), (0, r')]``, the blocks of ``H`` by ``irfft``.  Float
     addition commutes, so ``R`` is exactly symmetric with an exactly zero diagonal."""
     basis, inverse = _symbols(lift)
     blocks = np.fft.irfft(basis @ inverse @ basis.T, lift.n, axis=0)
@@ -97,40 +88,48 @@ def resistance(lift: Lift, i: int, j: int) -> float:
 def resistance_matrix(lift: Lift) -> np.ndarray:
     """Symmetric matrix of pairwise effective resistances with zero diagonal.
 
-    ``R[(p, r), (p', r')]`` is entry ``[r, r']`` of block ``p - p' mod n``, gathered
-    straight into the ``(n, k, n, k)`` layout: O(N^2) time, one N x N array.
+    ``R[(p, r), (p', r')]`` is entry ``[r, r']`` of block ``p - p' mod n``: row block
+    ``p`` is blocks ``p, p - 1, ..`` in a row, a slice of the blocks reversed and
+    doubled.  O(N^2) time, one N x N array.
     """
-    blocks = _resistance_blocks(lift)
-    petals, offsets = np.arange(lift.n), np.arange(lift.k)
-    step = (petals[:, None, None, None] - petals[:, None]) % lift.n
-    return blocks[step, offsets[:, None, None], offsets].reshape(lift.vertex_count, -1)
+    n = lift.n
+    blocks = _resistance_blocks(lift)[-np.arange(n)].transpose(1, 0, 2)
+    doubled = np.concatenate((blocks, blocks), axis=1)
+    matrix = np.empty((n, lift.k, n, lift.k))
+    for p in range(n):
+        matrix[p] = doubled[:, n - p : 2 * n - p]
+    return matrix.reshape(lift.vertex_count, -1)
 
 
 def numeric_indices(lift: Lift) -> tuple[float, float]:
-    """Kirchhoff index and Kemeny's constant from the traces of the inverse symbols.
+    """Kirchhoff index and Kemeny's constant from one weighted trace of the inverse
+    symbols, ``sum_j sum_r w_r L(w_j)^-1_rr - w^T G w / sum_r w_r``:
 
-    - Kirchhoff index ``N tr L^+ = N sum_j tr L(w_j)^+`` (Kf = N sum 1/mu over
-      the nonzero Laplacian eigenvalues, Gutman and Mohar 1996);
+    - Kirchhoff index ``N tr L^+``, with ``w = 1`` (Kf = N sum 1/mu over the nonzero
+      Laplacian eigenvalues, Gutman and Mohar 1996);
     - Kemeny's constant ``sum 1/nu`` over the nonzero eigenvalues of the normalized
       Laplacian ``D^-1/2 L D^-1/2`` (Kemeny and Snell 1960; Levene and Loizou
-      2002).  Its symbols are ``N(w) = D^-1/2 L(w) D^-1/2``, so for ``w != 1`` the
-      trace of their inverse is ``sum_r d_r L(w)^-1_rr``.  At ``w = 1``, with
-      ``v = D^1/2 1 / |D^1/2 1|`` and ``X = (I - v v^T) D^1/2 L(1)^+ D^1/2 (I - v v^T)``,
+      2002), with ``w = d``.  Its symbols are ``N(w) = D^-1/2 L(w) D^-1/2``, so for
+      ``w != 1`` the trace of their inverse is ``sum_r d_r L(w)^-1_rr``.  At ``w = 1``,
+      with ``v = D^1/2 1 / |D^1/2 1|`` and ``X = (I - v v^T) D^1/2 L(1)^+ D^1/2 (I - v v^T)``,
       ``N(1) X = X N(1) = I - v v^T``, as ``L(1) L(1)^+ = L(1)^+ L(1)`` projects out
       ``1``: ``X`` meets the four Moore-Penrose conditions, so ``X = N(1)^+``, and
       ``tr N(1)^+ = sum_r d_r L(1)^+_rr - d^T L(1)^+ d / sum_r d_r``.
 
+    With ``w = 1`` that term is ``tr L(1)^+``, as ``L(1)^+ 1 = 0``.  For either weight
+    it is the same for ``G + 1 a^T + a 1^T + c 1 1^T`` as for ``G``, as the ``a`` and
+    ``c`` terms cancel, and ``L(1)^+ = Q G Q``, ``Q = I - 1 1^T / k``, has that form.
     ``w_j`` and its conjugate count once each: O(N k^2) time, O(N k) memory.
     """
     basis, inverse = _symbols(lift)
-    degrees = np.asarray(lift.degrees, dtype=float)
+    weights = np.stack((np.ones(lift.k), lift.degrees))
     twice = 2.0 - (2 * np.arange(len(inverse)) % lift.n == 0)
-    traces = np.trace(inverse, axis1=1, axis2=2).real
-    weighted = np.einsum("jab,ba->j", inverse, (basis.T * degrees) @ basis).real
-    projected = degrees @ basis  # P^T d
-    kirchhoff = lift.vertex_count * (twice @ traces)
-    kemeny = twice @ weighted - (projected @ inverse[0] @ projected).real / degrees.sum()
-    return float(kirchhoff), float(kemeny)
+    gram = (basis.T * weights[:, None]) @ basis  # P^T W P for each weight w
+    traces = twice @ np.einsum("jab,wba->jw", inverse, gram).real
+    projected = weights @ basis  # P^T w
+    grounded = np.einsum("wa,ab,wb->w", projected, inverse[0].real, projected)
+    kirchhoff, kemeny = traces - grounded / weights.sum(1)
+    return float(lift.vertex_count * kirchhoff), float(kemeny)
 
 
 # The oracle's rounding error grows with the value, so values_close turns relative

@@ -87,7 +87,8 @@ def _called_names(tree: ast.AST):
 
 def test_the_oracle_imports_only_numpy_and_graphs():
     """Besides the standard library the oracle imports numpy and ``.graphs``, and
-    neither it nor any other library module imports scipy, even when it runs."""
+    neither it nor any other library module imports scipy, even when it runs; nor
+    does the oracle load ``numpy.ma``, which ``np.unique`` imports on first use."""
     modules = set()
     for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text())):
         if isinstance(node, ast.Import):
@@ -98,11 +99,13 @@ def test_the_oracle_imports_only_numpy_and_graphs():
     probe = (
         "import sys, flowergraphs.cli\n"
         "flowergraphs.cli.main(['kemeny', '--family', 'complete', '-m', '4', '-n', '3'])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "flowergraphs.cli.main(['resist', '--family', 'complete', '-m', '4', '-n', '3'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('numpy.ma' in sys.modules)"
     )
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={"PYTHONPATH": str(PACKAGE.parent)}, check=True)
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert run.stdout.splitlines()[-2:] == ["[]", "False"]
 
 
 def test_the_oracle_reads_lifts_not_graphs():

@@ -41,6 +41,7 @@ import dense_oracle as dense
 from conftest import (
     connected_graphs,
     flower_specs,
+    grid_graph,
     metric_violations,
     quotient_arcs,
     random_connected_graph,
@@ -267,14 +268,29 @@ def test_indices_within_rel_tol_on_large_cycle_flowers(m, p, n):
 
 def test_the_default_shift_is_the_rotation_the_flower_was_built_with():
     """A flower's lift is its petal rotation, one block of ``m - 1`` labels, and the
-    oracle works under it.  One dense block of this flower, the default before the
-    oracle read the rotation, was off by 1.3e-10 relative."""
+    oracle works under it.  One block of this flower, the default before the oracle
+    read the rotation, is off by 3.3e-13 relative (1.3e-10 in an orthonormal basis)."""
     spec = cycle_flower_spec(CycleFlowerParams(8, 160, 4))
     lift = spec.lift()
     assert (lift.k, lift.n, lift.vertex_count) == (spec.block_size, 160, 1120)
     observed = numeric_indices(lift)
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
         assert abs(value - float(exact)) <= 1e-14 * float(exact)
+
+
+def test_one_block_lifts_stay_near_the_exact_and_dense_indices():
+    """Any graph read as one block (``n = 1``, ``k = N``) is one solve of its integer
+    grounded Laplacian.  The C8 (p = 4, n = 160) flower is off the exact indices by
+    3.3e-13 relative, a 20 x 20 grid off the dense reference by 3.3e-15; deflated in
+    an orthonormal basis they were off by 1.3e-10 and 3.9e-14.  Both bounds are
+    measured regression pins, not derived error bounds."""
+    spec = cycle_flower_spec(CycleFlowerParams(8, 160, 4))
+    observed = numeric_indices(graph_lift(build_flower(spec)))
+    for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
+        assert abs(value - float(exact)) <= 1e-11 * float(exact)
+    grid = grid_graph(20, 20)
+    np.testing.assert_allclose(numeric_indices(graph_lift(grid)), dense.numeric_indices(grid),
+                               rtol=1e-14, atol=0)
 
 
 def test_resistance_matrix_within_1e_9_of_every_exact_pair_at_n_1960():
@@ -305,7 +321,8 @@ def test_resistance_matrix_within_1e_9_of_every_exact_pair_at_n_1960():
 )
 def test_indices_within_1e_12_relative_at_n_18000(spec):
     """A grounded banded Cholesky solve errs by 3.6e-12 (K10) to 1.4e-11 (Petersen)
-    at this size; the deflated Fourier blocks keep both indices near 1e-15."""
+    at this size; the Fourier blocks keep both indices within 7.8e-15 (C8's Kemeny
+    constant)."""
     assert abs(spec.vertex_count - 18_000) <= 10
     observed = numeric_indices(spec.lift())
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
@@ -323,8 +340,8 @@ def test_indices_within_1e_12_relative_at_n_18000(spec):
 )
 def test_indices_within_1e_14_relative_at_n_20000(spec):
     """N = 180,000 (C8: 140,000), with no N-vertex graph built.  The indices err by
-    at most 3.3e-15 relative (Petersen); with the steps left uncentred, in [0, n),
-    K10's Kirchhoff index errs by 4.4e-13."""
+    at most 6.2e-15 relative (K10's Kemeny constant); with the steps left uncentred,
+    in [0, n), K10's Kirchhoff index erred by 4.4e-13."""
     observed = numeric_indices(spec.lift())
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
         assert abs(value - float(exact)) <= 1e-14 * float(exact)
@@ -344,17 +361,25 @@ def test_numeric_indices_memory_is_linear_in_n():
 
 
 def test_resistance_matrix_memory_is_one_n_by_n_array():
-    """K8, n = 280, N = 1,960: the matrix is gathered straight from its ``n`` blocks,
-    with no second N x N array for ``L^+`` or ``L^+ + L^+^T`` (2.0 x 8 N^2 before)."""
-    lift = complete_flower_spec(CompleteFlowerParams(8, 280)).lift()
-    assert lift.vertex_count == 1960
-    tracemalloc.start()
-    try:
-        resistance_matrix(lift)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.2 * 8 * 1960**2
+    """N = 1,960 in blocks of 7, and N = 1,200 in blocks of one and of two labels: each
+    row block is a slice of the ``n`` blocks doubled, with no second N x N array for
+    ``L^+`` or ``L^+ + L^+^T`` (2.0 x 8 N^2 before) and no ``(n, n)`` step index
+    (2.0 x 8 N^2 at k = 1 and 1.27 at k = 2 with one)."""
+    specs = [
+        complete_flower_spec(CompleteFlowerParams(8, 280)),
+        FlowerSpec(path_graph(2), 0, 1, 1200),
+        complete_flower_spec(CompleteFlowerParams(3, 600)),
+    ]
+    for spec, (k, count) in zip(specs, [(7, 1960), (1, 1200), (2, 1200)]):
+        lift = spec.lift()
+        assert (lift.k, lift.vertex_count) == (k, count)
+        tracemalloc.start()
+        try:
+            resistance_matrix(lift)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 8 * count**2, (k, peak / (8 * count**2))
 
 
 @settings(max_examples=40)
