@@ -10,11 +10,12 @@ else is an "outer" vertex of its petal.
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, Lift
 
@@ -84,21 +85,30 @@ class FlowerSpec:
         return FlowerLocator(petal + 1, self.block_order[offset])
 
     def lift(self) -> Lift:
-        """The flower as the Z_n lift of its petal: the arcs that leave block 0, in
-        O(|E_base|) whatever the petal count.
+        """The flower as the Z_n lift of its petal, whose arcs ``_petal_arcs`` keeps
+        per base and marked pair."""
+        return Lift(self.block_size, self.n, _petal_arcs(self.base, self.block_order, self.y))
 
-        A base vertex other than ``y`` sits in block 0 at its ``block_order`` offset;
-        ``y`` is the junction ``x`` of block ``n - 1``, offset 0 one block back.  So
-        the base edge ``(a, b)`` gives the arcs ``a -> b`` and ``b -> a`` with steps
-        0 or +-1 between the two places.
-        """
-        place = {v: (offset, 0) for offset, v in enumerate(self.block_order)}
-        place[self.y] = (0, -1)
-        arcs = []
-        for a, b in self.base.edges.tolist():
-            (ra, pa), (rb, pb) = place[a], place[b]
-            arcs += ((ra, rb, pb - pa), (rb, ra, pa - pb))
-        return Lift(self.block_size, self.n, arcs)
+
+@lru_cache(maxsize=64)
+def _petal_arcs(base: Graph, block_order: tuple[int, ...], y: int) -> memoryview:
+    """The arcs that leave block 0 of every flower on ``base`` with this
+    ``block_order`` and ``y``, in O(|E_base|) whatever the petal count.
+
+    A base vertex other than ``y`` sits in block 0 at its ``block_order`` offset;
+    ``y`` is the junction ``x`` of block ``n - 1``, offset 0 one block back.  So
+    the base edge ``(a, b)`` gives the arcs ``a -> b`` and ``b -> a`` with steps
+    0 or +-1 between the two places.  The rows are packed as a read-only
+    ``(rows, 3)`` memoryview of 64-bit ints, which ``Lift`` reads without a pass
+    over Python tuples.
+    """
+    place = {v: (offset, 0) for offset, v in enumerate(block_order)}
+    place[y] = (0, -1)
+    arcs = array("q")
+    for a, b in base.edges.tolist():
+        (ra, pa), (rb, pb) = place[a], place[b]
+        arcs.extend((ra, rb, pb - pa, rb, ra, pa - pb))
+    return memoryview(arcs.tobytes()).cast("q", (len(arcs) // 3, 3))
 
 
 def locator(spec: FlowerSpec, petal: int, base_vertex: int) -> FlowerLocator:
@@ -310,19 +320,21 @@ def _pair_moment(k: tuple[tuple[int, ...], ...], weights) -> int:
     return sum(w * v * k[i][j] for i, w in enumerate(weights) for j, v in enumerate(weights))
 
 
+@lru_cache(maxsize=64)
 def base_kirchhoff(g: Graph) -> Fraction:
     """Kirchhoff index of the base graph: its resistance sum over vertex pairs."""
     det, k = _laplacian_solve(g)
     return Fraction(_pair_moment(k, (1,) * g.vertex_count), 2 * det)
 
 
+@lru_cache(maxsize=64)
 def base_kemeny(g: Graph) -> Fraction:
     """Kemeny's constant of the base graph: ``sum of d_i d_j r_ij / 4|E|``."""
     det, k = _laplacian_solve(g)
     return Fraction(_pair_moment(k, g.degrees), 4 * g.edge_count * det)
 
 
-def _weighted_pair_total(spec: FlowerSpec, weights: list[int]) -> Fraction:
+def _weighted_pair_total(spec: FlowerSpec, weights: Sequence[int]) -> Fraction:
     """Weighted resistance sum over all pairs whose first vertex is in petal 1.
 
     With ``f(e)`` the sum of ``w_a w_b 4 n k_xy det R_ab(e)`` over ordered pairs
@@ -340,24 +352,33 @@ def _weighted_pair_total(spec: FlowerSpec, weights: list[int]) -> Fraction:
     ``1 + ... + (n - 2) = C(n - 1, 2)`` and the sum of squares
     ``1^2 + ... + (n - 1)^2 = (n - 1) n (2n - 1) / 6``, the sum over ``e`` is
     ``4ns (P + (n - 1) W (X + Y) + C(n - 1, 2) s W^2) - n spread``
-    ``- 4 s^2 W^2 (n - 1) n (2n - 1) / 6`` exactly, a cubic in ``n``: one O(m^2)
-    moment ``P`` plus O(m) moments, whatever the petal count.
+    ``- 4 s^2 W^2 (n - 1) n (2n - 1) / 6`` exactly, a cubic in ``n`` whose
+    coefficients, from ``_moments``, do not depend on ``n``.
     """
-    det, k = _laplacian_solve(spec.base)
-    n, x, y = spec.n, spec.x, spec.y
-    s = k[x][y]
+    det, s, W, XY, spread, P = _moments(spec.base, spec.x, spec.y, tuple(weights))
+    n = spec.n
+    total = (
+        4 * n * s * (P + (n - 1) * W * XY + comb(n - 1, 2) * s * W * W)
+        - n * spread
+        - 4 * s * s * W * W * (n - 1) * n * (2 * n - 1) // 6
+    )
+    return Fraction(total, 4 * n * s * det)
+
+
+@lru_cache(maxsize=128)
+def _moments(
+    base: Graph, x: int, y: int, weights: tuple[int, ...]
+) -> tuple[int, int, int, int, int, int]:
+    """``det``, ``s``, ``W``, ``X + Y``, ``spread`` and ``P`` of ``_weighted_pair_total``
+    for one base, marked pair and weighting: one O(m^2) moment ``P`` plus O(m)
+    moments, kept for the last 64 marked bases under both indices' weightings."""
+    det, k = _laplacian_solve(base)
     weights = [*weights[:y], 0, *weights[y + 1:]]
     W = sum(weights)
     X = sum(w * row[x] for w, row in zip(weights, k))
     Y = sum(w * row[y] for w, row in zip(weights, k))
     B = sum(w * (row[x] - row[y]) ** 2 for w, row in zip(weights, k))
-    spread = 2 * W * B - 2 * (X - Y) ** 2
-    total = (
-        4 * n * s * (_pair_moment(k, weights) + (n - 1) * W * (X + Y) + comb(n - 1, 2) * s * W * W)
-        - n * spread
-        - 4 * s * s * W * W * (n - 1) * n * (2 * n - 1) // 6
-    )
-    return Fraction(total, 4 * n * s * det)
+    return det, k[x][y], W, X + Y, 2 * W * B - 2 * (X - Y) ** 2, _pair_moment(k, weights)
 
 
 def flower_kirchhoff_exact(spec: FlowerSpec) -> Fraction:
@@ -367,7 +388,7 @@ def flower_kirchhoff_exact(spec: FlowerSpec) -> Fraction:
     over base-locator pairs and petal steps is one closed expression in weighted
     moments of the base table, a polynomial in the petal count.
     """
-    return spec.n * _weighted_pair_total(spec, [1] * spec.base.vertex_count) / 2
+    return spec.n * _weighted_pair_total(spec, (1,) * spec.base.vertex_count) / 2
 
 
 def flower_kemeny_exact(spec: FlowerSpec) -> Fraction:

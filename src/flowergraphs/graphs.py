@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from math import gcd
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -151,8 +153,16 @@ class Graph:
 
 def graph_from_edge_list(pairs: Iterable[tuple[int, int]]) -> Graph:
     """The graph on labels ``0 .. max`` whose edges are ``pairs``, unordered vertex
-    pairs; ``Graph`` rejects what is not a simple connected graph."""
-    edges = _edge_array(list(pairs))
+    pairs; ``Graph`` rejects what is not a simple connected graph.  The labels are
+    checked every call; the graph is memoised on the bytes of the checked ``intp``
+    edge array, so a repeated edge list skips ``Graph``'s checks."""
+    return _graph_of(_edge_array(list(pairs)).tobytes())
+
+
+@lru_cache(maxsize=64)
+def _graph_of(key: bytes) -> Graph:
+    """The graph of the ``(|E|, 2)`` ``intp`` edge array whose bytes are ``key``."""
+    edges = np.frombuffer(key, np.intp).reshape(-1, 2)
     return Graph(1 + int(edges.max()), edges)
 
 
@@ -167,10 +177,16 @@ class Lift:
     rows, every step centred in ``(-n/2, n/2]``: the arc from ``(0, tail)`` to
     ``(step, head)`` stands for its orbit, the arcs ``(q, tail) -> (q + step, head)``
     of every block ``q``, so there are |E| / n rows whatever ``n`` is.  They are
-    stored as a read-only ``intp`` array.  The constructor certifies in O(|arcs|)
-    that the lift is a simple connected graph: no loop, no repeated arc, every arc
-    ``(r, r', d)`` beside its reverse ``(r', r, -d)``, and ``_check_connected``.
-    ``degrees`` gives each offset's degree.
+    stored as a read-only ``intp`` array.  The constructor certifies that the lift
+    is a simple connected graph: no loop, no repeated arc, every arc ``(r, r', d)``
+    beside its reverse ``(r', r, -d)`` (``(r', r, d)`` where ``2d = n``), and
+    ``_cycle_voltages``.  The certificate has two parts.  ``_certificate``, the
+    part that does not depend on ``n``, is memoised on ``k`` and the bytes of the
+    ``intp`` arcs (the last 64): offset range, loops, repeats, reverse pairing,
+    quotient connectivity, degrees, step extremes and the gcd of the cycle
+    voltages.  Every construction checks the rest: centred steps, that only
+    half-turn arcs (``2d = n``) lack their ``-d`` reverse, and ``gcd(n, g) = 1``
+    for that gcd ``g``.  ``degrees`` gives each offset's degree.
     """
 
     k: int
@@ -184,60 +200,24 @@ class Lift:
             raise ValueError("a lift needs at least one arc")
         if arcs.dtype.kind != "i" or arcs.ndim != 2 or arcs.shape[1] != 3:
             raise ValueError("a lift's arcs must be (tail, head, step) integer triples")
-        rows = list(map(tuple, arcs.tolist()))
-        orbits = set(rows)
-        if len(orbits) < len(rows):
-            repeated = next(arc for arc, count in Counter(rows).items() if count > 1)
-            raise ValueError(f"repeated arc {repeated}")
-        leaving = [[] for _ in range(k)]
-        for tail, head, step in rows:
-            if not (0 <= tail < k and 0 <= head < k and -n < 2 * step <= n):
-                raise ValueError(f"arc {(tail, head, step)} leaves the offsets 0..{k - 1} "
-                                 f"or the centred steps {-((n - 1) // 2)}..{n // 2}")
-            if tail == head and not step:
-                raise ValueError(f"loop at offset {tail}")
-            reverse = (head, tail, step if 2 * step == n else -step)  # n/2 is its own negative
-            if reverse not in orbits:
-                raise ValueError(f"arc {(tail, head, step)} has no reverse arc {reverse}")
-            leaving[tail].append((head, step))
-        self._check_connected(leaving)
-        arcs = arcs.astype(np.intp)
-        arcs.flags.writeable = False
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "degrees", tuple(map(len, leaving)))
-        object.__setattr__(self, "vertex_count", k * n)
-
-    def _check_connected(self, leaving: list[list[tuple[int, int]]]) -> None:
-        """Raise unless the lift is connected, by a breadth-first pass over its
-        quotient: ``k`` vertices, one per offset, whose arc ``r -> r'`` carries its
-        step ``d`` as a voltage in Z_n.
-
-        The pass reaches each offset along a spanning tree, at a potential ``phi``
-        (``phi(0) = 0``, ``phi(r') = phi(r) + d`` on a tree arc), so every arc's
-        cycle voltage ``c = phi(r) + d - phi(r')`` is zero on the tree.  The lift is
-        connected iff the quotient is and ``gcd(n, every c) = 1``.  Proof, with
-        ``g`` that gcd: a path in the lift projects to a walk in the quotient, and
-        no arc changes ``q - phi(r) mod g``, so each of its ``g`` values, all of
-        which occur, is a union of components.  Conversely, in a connected quotient
-        the tree joins ``(q, 0)`` to ``(q + phi(r), r)``; out along the tree, over
-        an arc and back moves ``(q, 0)`` to ``(q + c, 0)``, and those moves generate
-        ``g Z_n``, so at ``g = 1`` every vertex is reached.  The pass stops taking
-        gcds once that is 1.
-        """
-        potential = [0] + [None] * (self.k - 1)
-        reached, divisor = [0], self.n
-        for r in reached:  # breadth first: the loop runs over what it appends
-            for head, step in leaving[r]:
-                if potential[head] is None:
-                    potential[head] = potential[r] + step
-                    reached.append(head)
-                elif divisor > 1:
-                    divisor = gcd(divisor, potential[r] + step - potential[head])
-        if len(reached) < self.k:
+        key = arcs.astype(np.intp, copy=False).tobytes()
+        # operator.index keeps a float k, equal in value and hash, off an int k's entry.
+        certificate = _certificate(operator.index(k), key)
+        if (
+            certificate is None
+            or not -n < 2 * certificate.low <= 2 * certificate.high <= n
+            or any(2 * step != n for step in certificate.half_turns)
+        ):
+            raise _row_fault(k, n, list(map(tuple, arcs.tolist())))
+        if certificate.voltages is None:
             raise ValueError("the quotient of the lift is disconnected")
+        divisor = gcd(n, certificate.voltages)
         if divisor > 1:
             raise ValueError(f"the lift is disconnected: its cycle voltages share the "
-                             f"factor {divisor} with n = {self.n}")
+                             f"factor {divisor} with n = {n}")
+        object.__setattr__(self, "arcs", np.frombuffer(key, np.intp).reshape(-1, 3))
+        object.__setattr__(self, "degrees", certificate.degrees)
+        object.__setattr__(self, "vertex_count", k * n)
 
     def graph(self) -> Graph:
         """The lift as an N-vertex ``Graph``: every arc moved by every multiple of
@@ -247,6 +227,89 @@ class Lift:
         arcs = (first + np.arange(0, count, k)[:, None, None]).reshape(-1, 2)
         np.subtract(arcs, count, out=arcs, where=arcs >= count)
         return Graph(count, arcs[arcs[:, 0] < arcs[:, 1]])
+
+
+class _Certificate(NamedTuple):
+    """What a lift's arcs certify whatever ``n`` is; see ``Lift``."""
+
+    low: int  # the least and greatest step
+    high: int
+    half_turns: tuple[int, ...]  # steps of the arcs (r, r', d) whose reverse is (r', r, d)
+    degrees: tuple[int, ...]
+    voltages: int | None  # gcd of the cycle voltages; None if the quotient is disconnected
+
+
+@lru_cache(maxsize=64)
+def _certificate(k: int, key: bytes) -> _Certificate | None:
+    """The ``n``-free part of ``Lift``'s certificate for the ``intp`` arcs whose
+    bytes are ``key``, or None if the arcs hold a fault at every ``n``: a repeated
+    arc, an offset outside ``0 .. k - 1``, a loop, or an arc ``(r, r', d)`` beside
+    neither ``(r', r, -d)`` nor ``(r', r, d)``.  ``_row_fault`` names it."""
+    rows = list(map(tuple, np.frombuffer(key, np.intp).reshape(-1, 3).tolist()))
+    orbits = set(rows)
+    if len(orbits) < len(rows):
+        return None
+    leaving = [[] for _ in range(k)]
+    half_turns = set()
+    for tail, head, step in rows:
+        if not (0 <= tail < k and 0 <= head < k) or (tail == head and not step):
+            return None
+        if (head, tail, -step) not in orbits:
+            if (head, tail, step) not in orbits:
+                return None
+            half_turns.add(step)
+        leaving[tail].append((head, step))
+    steps = [step for _, _, step in rows]
+    return _Certificate(min(steps), max(steps), tuple(half_turns),
+                        tuple(map(len, leaving)), _cycle_voltages(leaving))
+
+
+def _cycle_voltages(leaving: list[list[tuple[int, int]]]) -> int | None:
+    """The gcd of the integer cycle voltages of a quotient whose arcs leaving offset
+    ``r`` are ``leaving[r]``, as ``(head, step)``; None if it is disconnected.
+
+    A breadth-first pass reaches each offset along a spanning tree, at a potential
+    ``phi`` (``phi(0) = 0``, ``phi(r') = phi(r) + d`` on a tree arc), so every arc's
+    cycle voltage ``c = phi(r) + d - phi(r')`` is zero on the tree.  The Z_n lift is
+    connected iff the quotient is and ``gcd(n, every c) = 1``.  Proof, with ``g``
+    that gcd: a path in the lift projects to a walk in the quotient, and no arc
+    changes ``q - phi(r) mod g``, so each of its ``g`` values, all of which occur,
+    is a union of components.  Conversely, in a connected quotient the tree joins
+    ``(q, 0)`` to ``(q + phi(r), r)``; out along the tree, over an arc and back
+    moves ``(q, 0)`` to ``(q + c, 0)``, and those moves generate ``g Z_n``, so at
+    ``g = 1`` every vertex is reached.  ``gcd(n, every c)`` is ``gcd(n, G)`` for the
+    integer gcd ``G`` of every ``c``, which this returns.
+    """
+    potential = [0] + [None] * (len(leaving) - 1)
+    reached, divisor = [0], 0
+    for r in reached:  # breadth first: the loop runs over what it appends
+        for head, step in leaving[r]:
+            if potential[head] is None:
+                potential[head] = potential[r] + step
+                reached.append(head)
+            else:
+                divisor = gcd(divisor, potential[r] + step - potential[head])
+    return divisor if len(reached) == len(leaving) else None
+
+
+def _row_fault(k: int, n: int, rows: list[tuple[int, int, int]]) -> ValueError:
+    """The fault that names arcs failing ``Lift``'s row checks at ``n``: a repeated
+    arc, else the first arc that leaves the offsets or the centred steps, is a loop
+    or lacks its reverse."""
+    orbits = set(rows)
+    if len(orbits) < len(rows):
+        repeated = next(arc for arc, count in Counter(rows).items() if count > 1)
+        return ValueError(f"repeated arc {repeated}")
+    for tail, head, step in rows:
+        if not (0 <= tail < k and 0 <= head < k and -n < 2 * step <= n):
+            return ValueError(f"arc {(tail, head, step)} leaves the offsets 0..{k - 1} "
+                              f"or the centred steps {-((n - 1) // 2)}..{n // 2}")
+        if tail == head and not step:
+            return ValueError(f"loop at offset {tail}")
+        reverse = (head, tail, step if 2 * step == n else -step)  # n/2 is its own negative
+        if reverse not in orbits:
+            return ValueError(f"arc {(tail, head, step)} has no reverse arc {reverse}")
+    raise AssertionError(f"arcs {rows} pass every row check at n = {n}")
 
 
 def parse_edge_list(text: str) -> list[Edge]:

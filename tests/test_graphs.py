@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowergraphs import (
     CompleteFlowerParams,
@@ -287,33 +289,158 @@ def test_block_shift_graph_rejects_a_disconnected_lift():
     assert Lift(2, 6, closed).graph().vertex_count == 12
 
 
-@pytest.mark.parametrize(
-    "k,n,arcs,message",
-    [
-        (2, 4, [(0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)],
-         "the quotient of the lift is disconnected"),
-        (1, 6, [(0, 0, 2), (0, 0, -2)],
-         "the lift is disconnected: its cycle voltages share the factor 2 with n = 6"),
-        (2, 4, [(0, 1, 0), (1, 0, 1)], r"arc \(0, 1, 0\) has no reverse arc \(1, 0, 0\)"),
-        (2, 3, [(0, 1, 0), (1, 0, 0), (0, 1, 0)], r"repeated arc \(0, 1, 0\)"),
-        (2, 3, [(0, 0, 0), (0, 1, 0), (1, 0, 0)], "loop at offset 0"),
-        (2, 3, [(0, 2, 0), (2, 0, 0)],
-         r"arc \(0, 2, 0\) leaves the offsets 0\.\.1 or the centred steps -1\.\.1"),
-        (1, 4, [(0, 0, 3), (0, 0, 1)],
-         r"arc \(0, 0, 3\) leaves the offsets 0\.\.0 or the centred steps -1\.\.2"),
-        (2, 3, [(0, 1, 0.5), (1, 0, -0.5)],
-         r"a lift's arcs must be \(tail, head, step\) integer triples"),
-        (2, 3, [(0, 1), (1, 0)], r"a lift's arcs must be \(tail, head, step\) integer triples"),
-        (2, 3, [], "a lift needs at least one arc"),
-        (0, 3, [(0, 0, 1)],
-         r"arc \(0, 0, 1\) leaves the offsets 0\.\.-1 or the centred steps -1\.\.1"),
-    ],
-    ids=["disconnected-quotient", "gcd", "unpaired", "repeated", "loop", "offset-range",
-         "uncentred-step", "non-integer", "pairs", "empty", "no-offsets"],
-)
+LIFT_FAULTS = [
+    (2, 4, [(0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)],
+     "the quotient of the lift is disconnected"),
+    (1, 6, [(0, 0, 2), (0, 0, -2)],
+     "the lift is disconnected: its cycle voltages share the factor 2 with n = 6"),
+    (2, 4, [(0, 1, 0), (1, 0, 1)], r"arc \(0, 1, 0\) has no reverse arc \(1, 0, 0\)"),
+    (2, 3, [(0, 1, 0), (1, 0, 0), (0, 1, 0)], r"repeated arc \(0, 1, 0\)"),
+    (2, 3, [(0, 0, 0), (0, 1, 0), (1, 0, 0)], "loop at offset 0"),
+    (2, 3, [(0, 2, 0), (2, 0, 0)],
+     r"arc \(0, 2, 0\) leaves the offsets 0\.\.1 or the centred steps -1\.\.1"),
+    (1, 4, [(0, 0, 3), (0, 0, 1)],
+     r"arc \(0, 0, 3\) leaves the offsets 0\.\.0 or the centred steps -1\.\.2"),
+    (2, 3, [(0, 1, 0.5), (1, 0, -0.5)],
+     r"a lift's arcs must be \(tail, head, step\) integer triples"),
+    (2, 3, [(0, 1), (1, 0)], r"a lift's arcs must be \(tail, head, step\) integer triples"),
+    (2, 3, [], "a lift needs at least one arc"),
+    (0, 3, [(0, 0, 1)],
+     r"arc \(0, 0, 1\) leaves the offsets 0\.\.-1 or the centred steps -1\.\.1"),
+]
+LIFT_FAULT_IDS = ["disconnected-quotient", "gcd", "unpaired", "repeated", "loop", "offset-range",
+                  "uncentred-step", "non-integer", "pairs", "empty", "no-offsets"]
+
+
+@pytest.mark.parametrize("k,n,arcs,message", LIFT_FAULTS, ids=LIFT_FAULT_IDS)
 def test_the_lift_certificate_names_each_fault(k, n, arcs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Lift(k, n, arcs)
+
+
+@pytest.mark.parametrize("k,n,arcs,message", LIFT_FAULTS, ids=LIFT_FAULT_IDS)
+def test_a_memoised_certificate_names_the_same_fault(k, n, arcs, message):
+    """The same rows first at every other n up to 12 (the gcd case is a lift at
+    odd n), then twice at the faulty n: the n-free part of the certificate is a
+    memo hit, and the fault is named as on a cold cache."""
+    for other in range(1, 13):
+        try:
+            Lift(k, other, arcs)
+        except ValueError:
+            pass
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Lift(k, n, arcs)
+
+
+def test_memo_hits_keep_the_faults_that_depend_on_n():
+    """Rows certified at one n and built at another: the gcd with the new n, the
+    half-turn arcs (``2d = n``, their own reverse only there), and labels of
+    another type equal in value to those of a cached graph or lift."""
+    gcd = [(0, 0, 2), (0, 0, -2)]
+    assert Lift(1, 5, gcd).vertex_count == 5
+    with pytest.raises(ValueError, match="^the lift is disconnected: its cycle voltages share "
+                                         "the factor 2 with n = 6$"):
+        Lift(1, 6, gcd)
+    half_turn = [(0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 0, -1), (0, 1, 2), (1, 0, 2)]
+    assert Lift(2, 4, half_turn).degrees == (4, 2)
+    for n, message in (
+        (6, r"arc \(0, 1, 2\) has no reverse arc \(1, 0, -2\)"),
+        (5, r"arc \(0, 1, 2\) has no reverse arc \(1, 0, -2\)"),
+        (3, r"arc \(0, 1, 2\) leaves the offsets 0\.\.1 or the centred steps -1\.\.1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Lift(2, n, half_turn)
+    k4 = [(0, 0, 1), (0, 0, -1), (0, 0, 2)]
+    assert Lift(1, 4, k4).degrees == (3,)
+    for arcs in (np.array(k4, dtype=float), np.array([[True, False, True]] * 2)):
+        with pytest.raises(ValueError, match="^a lift's arcs must be .* integer triples$"):
+            Lift(1, 4, arcs)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        Lift(1.0, 4, k4)
+    path = [(0, 1), (1, 2)]
+    assert graph_from_edge_list(path) is graph_from_edge_list(np.array(path))
+    for labels, shown in (([(0, True), (True, 2)], "True"), ([(0.0, 1.0), (1.0, 2.0)], "0.0")):
+        with pytest.raises(ValueError, match=f"^vertex label {shown} is not an integer$"):
+            graph_from_edge_list(labels)
+
+
+def reference_lift_fault(k: int, n: int, rows: list[tuple[int, int, int]]) -> str | None:
+    """The message of ``Lift``'s certificate in one pass at ``n``, with no memo: a
+    repeated arc, else the first arc off the offsets or the centred steps, a loop
+    or an arc without its reverse, else a disconnected quotient, else cycle
+    voltages sharing a factor with ``n``; None for a simple connected lift."""
+    orbits = set(rows)
+    if len(orbits) < len(rows):
+        return f"repeated arc {next(arc for arc in rows if rows.count(arc) > 1)}"
+    leaving = [[] for _ in range(k)]
+    for tail, head, step in rows:
+        if not (0 <= tail < k and 0 <= head < k and -n < 2 * step <= n):
+            return (f"arc {(tail, head, step)} leaves the offsets 0..{k - 1} "
+                    f"or the centred steps {-((n - 1) // 2)}..{n // 2}")
+        if tail == head and not step:
+            return f"loop at offset {tail}"
+        reverse = (head, tail, step if 2 * step == n else -step)
+        if reverse not in orbits:
+            return f"arc {(tail, head, step)} has no reverse arc {reverse}"
+        leaving[tail].append((head, step))
+    potential = [0] + [None] * (k - 1)
+    reached, divisor = [0], n
+    for r in reached:
+        for head, step in leaving[r]:
+            if potential[head] is None:
+                potential[head] = potential[r] + step
+                reached.append(head)
+            else:
+                divisor = gcd(divisor, potential[r] + step - potential[head])
+    if len(reached) < k:
+        return "the quotient of the lift is disconnected"
+    if divisor > 1:
+        return (f"the lift is disconnected: its cycle voltages share the factor {divisor} "
+                f"with n = {n}")
+    return None
+
+
+@st.composite
+def perturbed_lifts(draw):
+    """``(k, n, rows)``: a random simple lift with up to two arcs dropped, with or
+    without their reverses, added (offsets and steps possibly out of range) or
+    repeated, in a random order."""
+    k, n, arcs = draw(quotient_arcs(connected=False))
+    rows = list(arcs)
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(("drop", "drop-pair", "add", "repeat")))
+        if change == "add" or not rows:
+            rows.append(draw(st.tuples(st.integers(-1, k), st.integers(-1, k),
+                                       st.integers(-n - 1, n + 1))))
+        elif change.startswith("drop"):
+            tail, head, step = rows.pop(draw(st.integers(0, len(rows) - 1)))
+            if change == "drop-pair":
+                rows = [row for row in rows if row[:2] != (head, tail) or abs(row[2]) != abs(step)]
+        else:
+            rows.append(draw(st.sampled_from(rows)))
+    if not rows:
+        rows.append((0, 0, 1))
+    return k, n, draw(st.permutations(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_lifts(), st.lists(st.integers(0, 10), max_size=3))
+def test_the_split_certificate_names_the_reference_fault(drawn, others):
+    """At the drawn n and then at other petal counts, cold or after the same rows
+    were certified, ``Lift`` accepts exactly the rows the one-pass reference
+    accepts, with their degrees, and otherwise names the reference's fault."""
+    k, n, rows = drawn
+    for petals in (n, *others, n):
+        expected = reference_lift_fault(k, petals, rows)
+        if expected is None:
+            lift = Lift(k, petals, rows)
+            assert lift.degrees == tuple(sum(arc[0] == r for arc in rows) for r in range(k))
+            assert lift.arcs.tolist() == list(map(list, rows))
+        else:
+            with pytest.raises(ValueError) as raised:
+                Lift(k, petals, rows)
+            assert str(raised.value) == expected
 
 
 def test_lift_arcs_are_read_only_and_centred():

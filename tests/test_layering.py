@@ -4,7 +4,8 @@ reads lifts, never a ``Graph``, only ``FlowerSpec`` knows the petal block size a
 builds the lift from it, only ``gen`` builds an N-vertex flower graph, only the
 one-pair paths evaluate the flower pair formula, only ``cli._flowers`` reads the
 family options, ``cli.build_parser`` alone builds argparse parsers and builds them
-once per process, the package exports what it imports, graphs and flower specs
+once per process, every other memo is an ``lru_cache`` with an integer bound, the
+package exports what it imports, graphs and flower specs
 compute their derived attributes at construction, and no source line is longer than
 99 characters."""
 
@@ -210,3 +211,24 @@ def test_only_the_cached_build_parser_makes_argparse_parsers():
     assert builders == {"build_parser"}
     build_parser = next(top for top in body if getattr(top, "name", None) == "build_parser")
     assert [ast.unparse(node) for node in build_parser.decorator_list] == ["functools.cache"]
+
+
+def test_every_memo_but_the_parser_has_an_integer_bound():
+    """A memo holds strong references to its keys and values, so each
+    ``lru_cache`` names an integer ``maxsize``; only ``cli.build_parser``, one
+    parser tree per process, may be an unbounded ``functools.cache``."""
+    memos = {}
+    for module in LIBRARY_MODULES:
+        for name, function in _functions(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            for decorator in function.decorator_list:
+                called = decorator.func if isinstance(decorator, ast.Call) else decorator
+                kind = called.attr if isinstance(called, ast.Attribute) else called.id
+                if kind in ("cache", "lru_cache"):
+                    memos[module, name] = (kind, decorator)
+    assert memos.pop(("cli", "build_parser"))[0] == "cache"
+    assert len(memos) >= 8
+    for (module, name), (kind, decorator) in memos.items():
+        assert kind == "lru_cache" and isinstance(decorator, ast.Call), (module, name)
+        bounds = [*decorator.args, *(k.value for k in decorator.keywords if k.arg == "maxsize")]
+        assert len(bounds) == 1, (module, name)
+        assert type(getattr(bounds[0], "value", None)) is int, (module, name)

@@ -1,0 +1,113 @@
+"""The per-process memos of a base's petal-count-free work: the same values cold
+and warm, and memory that stops growing once more bases than any memo's bound
+have passed through."""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+import weakref
+from itertools import combinations, islice
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowergraphs import (
+    FlowerSpec,
+    Lift,
+    build_flower,
+    flower_kemeny_exact,
+    flower_kirchhoff_exact,
+    format_edge_list,
+    graph_from_edge_list,
+    kemeny_bounds,
+    kirchhoff_bounds,
+    read_edge_list,
+)
+from flowergraphs import flower, graphs
+
+from conftest import connected_graphs
+from rotations import graph_lift
+
+# Every memo of work that does not depend on the petal count.
+MEMOS = (graphs._graph_of, graphs._certificate, flower._petal_arcs, flower._moments,
+         flower.base_kirchhoff, flower.base_kemeny)
+
+
+def _observed(base, x, y, ns, path):
+    """What the memos feed, for one marked base at several petal counts."""
+    values = [read_edge_list(path)]
+    for n in ns:
+        spec = FlowerSpec(base, x, y, n)
+        lift = spec.lift()
+        values += [flower_kirchhoff_exact(spec), flower_kemeny_exact(spec),
+                   kirchhoff_bounds(spec), kemeny_bounds(spec),
+                   lift.arcs.tolist(), lift.degrees, lift.vertex_count]
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_vertices=7), st.data())
+def test_every_memo_gives_the_same_values_cold_and_warm(tmp_path_factory, base, data):
+    x, y = data.draw(st.permutations(range(base.vertex_count)))[:2]
+    ns = data.draw(st.lists(st.integers(3, 12), min_size=1, max_size=4))
+    path = tmp_path_factory.mktemp("base") / "base.edges"
+    path.write_text(format_edge_list(base))
+    warm = _observed(base, x, y, ns, path)
+    assert warm[0] == base and np.array_equal(warm[0].indices, base.indices)
+    for memo in MEMOS:
+        memo.cache_clear()
+        assert _observed(base, x, y, ns, path) == warm
+    for n in ns:
+        spec = FlowerSpec(base, x, y, n)
+        lift = spec.lift()
+        # The same rows certified cold from an array, and read back off the built graph.
+        graphs._certificate.cache_clear()
+        cold = Lift(spec.block_size, n, np.asarray(lift.arcs.tolist()))
+        assert (cold.arcs.tolist(), cold.degrees) == (lift.arcs.tolist(), lift.degrees)
+        read = graph_lift(build_flower(spec), spec.block_size)
+        assert sorted(read.arcs.tolist()) == sorted(lift.arcs.tolist())
+        assert read.degrees == lift.degrees
+
+
+def test_the_memos_stop_growing_and_keep_no_graph_the_solves_drop():
+    """300 bases of one size, more than any memo's bound, in two halves: the second
+    half leaves the traced memory about where the first did, and every graph the
+    memos still hold is one ``_laplacian_solve``'s cache holds too."""
+    path = [(i, i + 1) for i in range(7)]
+    chords = [(u, v) for u, v in combinations(range(8), 2) if v > u + 1]
+    bases = [path + list(extra) for extra in islice(combinations(chords, 4), 300)]
+    assert len(bases) > 2 * max(memo.cache_info().maxsize for memo in MEMOS)
+    built = []
+
+    def run(edge_lists):
+        for edges in edge_lists:
+            g = graph_from_edge_list(edges)
+            built.append(weakref.ref(g))
+            for n in (3, 4):
+                spec = FlowerSpec(g, 0, 7, n)
+                spec.lift()
+                flower_kirchhoff_exact(spec), flower_kemeny_exact(spec)
+                kirchhoff_bounds(spec), kemeny_bounds(spec)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        first = run(bases[:150])
+        second = run(bases[150:])
+        alive = sum(ref() is not None for ref in built)
+        for memo in MEMOS:
+            memo.cache_clear()
+        gc.collect()
+        held = second - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # A memo that grew with the bases would add about its own share again.
+    assert abs(second - first) < held / 4
+    assert alive == sum(ref() is not None for ref in built) == 64
+    assert flower._laplacian_solve.cache_info().currsize == 64
+    flower._laplacian_solve.cache_clear()
+    gc.collect()
+    assert not any(ref() is not None for ref in built)
