@@ -1,4 +1,5 @@
-"""Numeric ground truth: resistances from the Fourier blocks of a block-circulant Laplacian.
+"""Numeric ground truth: resistances from the Fourier blocks of a block-circulant
+Laplacian, Kron-reduced onto a junction.
 
 Every entry point takes a ``graphs.Lift``: ``k`` offsets, ``n`` blocks and the arcs
 that leave block 0, which its constructor certified simple and connected, and never
@@ -16,60 +17,119 @@ the resistance matrix.  A lift with one block (``n = 1``) is any connected graph
 Only ``L(1)`` is singular, but ``1^T L(w) 1`` is of order ``|1 - w|^2``.  In the
 grounding basis ``P = [1, e_1, .., e_{k-1}]``, ``L(w)^-1 = P T^-1 P^T`` with
 ``T = P^T L(w) P``: ``L(w)`` with column 0 replaced by ``L(w) 1``, row 0 by its
-conjugate and entry ``[0, 0]`` by their total.  Entry ``r`` of ``L(w) 1`` sums
-``1 - w^d = -2i e^{i phi} sin(phi)``, ``phi = pi j d / n`` with ``d`` centred and ``phi``
-reduced exactly into ``[-pi, pi)``, over the arcs leaving ``r``; as differences of
-order-one terms the inverse would lose about ``n^2 eps``.  At ``w = 1`` row and column 0
-vanish and a unit pivot stands in: the rest of ``T`` is the integer Laplacian grounded
-at offset 0, ``G`` its inverse bordered by zeros.  Nothing is cached.
+conjugate and entry ``[0, 0]`` by their total.  ``L(w) = L(1) + sum_d (1 - w^d) A_d``
+for the step-``d`` arcs ``A_d``, and ``1 - w^d = -2i e^{i phi} sin(phi)``,
+``phi = pi j d / n`` with ``d`` centred and ``phi`` reduced exactly into ``[-pi, pi)``,
+so ``L(w) 1 = sum_d (1 - w^d) A_d 1`` has no entry made of cancelling order-one
+terms, which would cost the inverse about ``n^2 eps``.
+
+Kron reduction (Dorfler and Bullo, *Kron reduction of graphs with applications to
+electrical networks*, IEEE TCAS-I 60, 2013) inverts ``T`` through a small Schur
+complement.  The junction ``J`` is offset 0 and the tail of every nonzero-step arc
+that avoids offset 0, so it meets every nonzero-step arc, and the interior ``I`` is
+the rest: two interior offsets meet only by step-0 arcs, and ``T``'s interior block
+``M = L(w)_II`` is the same real positive definite matrix at every ``w``, inverted
+once.  A flower's petals meet only at its junction vertex, offset 0, so ``J = {0}``
+for every flower, as for a one-block lift; ``J`` of every offset leaves ``T`` itself.
+What is left at each ``w`` is the ``J x J`` Schur complement
+``S = T_JJ - T_JI M^-1 T_IJ``, and ``L(w)^-1 = E M^-1 E^T + U S^-1 U^H`` with
+``U = P_J - E M^-1 T_IJ``, for ``E`` and ``P_J`` the columns ``I`` of the identity and
+``J`` of ``P``.  ``S[0, 0]`` is ``1^T L(w) 1 - b_I^H M^-1 b_I`` with ``b = L(w) 1``:
+the first term sums the ``1 - w^d`` above, the second is a form in them, and both
+are of order ``|1 - w|^2`` with constants set by the arcs, so how much of the first
+the second cancels does not grow with ``n``.  At ``w = 1`` row and column 0 of ``S``
+vanish and a unit pivot stands in; with them zeroed in ``S^-1``, ``L(1)^-1`` above
+is ``G``, the inverse of the integer Laplacian grounded at offset 0, bordered by
+zeros.
+
+The oracle stays independent of the closed forms: it reads only the lift's arcs,
+never a base resistance such as ``r_xy`` nor any formula of ``flower.py``, and it
+sums the frequencies numerically.  Nothing is cached.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .graphs import Lift
 
 
-def _symbols(lift: Lift) -> tuple[np.ndarray, np.ndarray]:
-    """``(basis, inverse)``, ``basis inverse[j] basis^T`` is ``L(w_j)^-1`` for
-    ``j = 1 .. n // 2`` and ``G`` for ``j = 0``: the symbols of ``lift`` in the basis
-    ``[1, e_1, ..]``, inverted in one batch."""
+def _reduced(lift: Lift) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(interior, green, frame, inverse)`` with the frequency ``j`` last:
+    ``E green E^T + frame[..., j] inverse[..., j] frame[..., j]^H`` is ``L(w_j)^-1``
+    for ``j = 1 .. n // 2`` and ``G`` for ``j = 0``, ``E`` the columns ``interior`` of
+    the identity, ``green`` ``M^-1``, ``frame`` ``U`` and ``inverse`` ``S^-1``."""
     k, n = lift.k, lift.n
     # Arc (r, r', d) stands for its orbit: from offset r to offset r' d blocks on,
     # with d centred in (-n/2, n/2].
     tails, heads, step = lift.arcs.T
     steps = np.array(sorted(set(step.tolist())))
-    which = np.searchsorted(steps, step)
+    which = steps.searchsorted(step)
     arcs = np.bincount((which * k + tails) * k + heads, minlength=steps.size * k * k)
     arcs = arcs.reshape(-1, k, k).astype(float)
-    freq = np.arange(n // 2 + 1)
-    # e^{i phi} for phi = pi j d / n reduced exactly into [-pi, pi): w^d is its square
-    # and sin(phi), accurate near w = 1, its imaginary part.
-    half_turn = np.exp(1j * np.pi / n * ((np.outer(freq, steps) + n) % (2 * n) - n))
-    # L(w) = diag(degrees) - sum_d w^d arcs[d]: integers at w = 1, where half_turn is 1.
-    symbols = np.diag(lift.degrees).ravel() - np.square(half_turn) @ arcs.reshape(-1, k * k)
-    symbols = symbols.reshape(-1, k, k)
-    # Column 0 is L(w) 1, from 1 - w^d = -2i e^{i phi} sin(phi), free of cancellation;
-    # the arcs of steps d and -d pair up, so its total is real.  At w = 1 it is 0.
-    column = (-2j * half_turn * half_turn.imag) @ arcs.sum(2)
-    symbols[:, :, 0] = column
-    symbols[:, 0] = column.conj()
-    symbols[:, 0, 0] = column.sum(1).real
-    symbols[0, 0, 0] = 1.0
-    inverse = np.linalg.inv(symbols)
-    inverse[0, 0], inverse[0, :, 0] = 0.0, 0.0
-    basis = np.eye(k)
+    # J: offset 0 and the tail of every nonzero-step arc that avoids it.
+    outer = np.bincount(tails, (step != 0) & (heads != 0), k)
+    outer[0] = 1.0
+    junction, interior = outer.nonzero()[0], (outer == 0).nonzero()[0]
+    size = junction.size
+    laplacian = -arcs.sum(0)  # L(1), integers
+    laplacian.ravel()[:: k + 1] += lift.degrees
+    green = np.linalg.inv(laplacian[interior[:, None], interior])  # M^-1
+    basis = (np.arange(k)[:, None] == junction).astype(float)  # P_J
     basis[:, 0] = 1.0
-    return basis, inverse
+    freq = np.arange(n // 2 + 1)
+    # e^{i phi} for phi = pi j d / n reduced exactly into [-pi, pi).
+    half_turn = np.exp(1j * np.pi / n * ((freq[:, None] * steps + n) % (2 * n) - n))
+    gap = -2j * half_turn * half_turn.imag  # 1 - w^d
+    # L(w) P_J: its column 0 is L(w) 1, zero at w = 1.
+    columns = (arcs @ basis).transpose(1, 2, 0).reshape(-1, steps.size) @ gap.T
+    columns = columns.reshape(k, size, -1)
+    columns += (laplacian @ basis)[:, :, None]
+    coupling = columns[interior]  # T_IJ
+    solved = green @ coupling.reshape(interior.size, size * freq.size)
+    solved = solved.reshape(coupling.shape)
+    schur = columns[junction]
+    schur[0] = columns.sum(0)  # row 0 of T_JJ is 1^T L(w) P_J
+    schur -= np.einsum("iaj,ibj->abj", np.conjugate(coupling, out=coupling), solved)
+    schur[0, 0, 0] = 1.0  # the unit pivot at w = 1, zeroed again in S^-1
+    inverse = _invert(schur)
+    inverse[0, :, 0], inverse[:, 0, 0] = 0.0, 0.0
+    # U = P_J - E M^-1 T_IJ, in the place of the columns.
+    columns[junction] = 0.0
+    columns[interior] = solved
+    frame = np.subtract(basis[:, :, None], columns, out=columns)
+    return interior, green, frame, inverse
+
+
+def _invert(batch: np.ndarray) -> np.ndarray:
+    """Invert the Hermitian positive definite matrices ``batch[:, :, j]`` in place by
+    Gauss-Jordan elimination, a few whole-array operations per pivot for all ``j`` at
+    once, where ``np.linalg.inv`` makes one LAPACK call per matrix.  Each pivot is a
+    diagonal entry of a Schur complement of such a matrix, which is again Hermitian
+    positive definite, so no pivot is zero and no rows are exchanged."""
+    for p in range(len(batch)):
+        pivot = 1.0 / batch[p, p]
+        batch[p, p] = 1.0
+        batch[p] *= pivot
+        column = batch[:, p].copy()
+        column[p] = 0.0
+        batch[:, p] -= column
+        batch -= column[:, None] * batch[p]
+    return batch
 
 
 def _resistance_blocks(lift: Lift) -> np.ndarray:
     """``R[d][r, r'] = R[(d, r), (0, r')] = H_rr + H_r'r' - (B[d] + B[-d]^T)[r, r']``
-    from ``B[d] = H[(d, r), (0, r')]``, the blocks of ``H`` by ``irfft``.  Float
-    addition commutes, so ``R`` is exactly symmetric with an exactly zero diagonal."""
-    basis, inverse = _symbols(lift)
-    blocks = np.fft.irfft(basis @ inverse @ basis.T, lift.n, axis=0)
+    from ``B[d] = H[(d, r), (0, r')]``, the blocks of ``H``: ``irfft`` of the
+    ``U S^-1 U^H``, with ``M^-1``, the same at every ``w``, added to block 0 alone.
+    Float addition commutes, so ``R`` is exactly symmetric with an exactly zero
+    diagonal, and ``R[-d]`` is ``R[d]`` transposed, float for float."""
+    interior, green, frame, inverse = _reduced(lift)
+    condensed = np.einsum("raj,abj,sbj->jrs", frame, inverse, frame.conj())
+    blocks = np.fft.irfft(condensed, lift.n, axis=0)
+    blocks[0, interior[:, None], interior] += green
     diag = blocks[0].diagonal()
     reverse = blocks[-np.arange(lift.n)].transpose(0, 2, 1)
     return (diag[:, None] + diag) - (blocks + reverse)
@@ -89,11 +149,11 @@ def resistance_matrix(lift: Lift) -> np.ndarray:
     """Symmetric matrix of pairwise effective resistances with zero diagonal.
 
     ``R[(p, r), (p', r')]`` is entry ``[r, r']`` of block ``p - p' mod n``: row block
-    ``p`` is blocks ``p, p - 1, ..`` in a row, a slice of the blocks reversed and
+    ``p`` is blocks ``p, p - 1, ..`` in a row, a slice of the blocks transposed and
     doubled.  O(N^2) time, one N x N array.
     """
     n = lift.n
-    blocks = _resistance_blocks(lift)[-np.arange(n)].transpose(1, 0, 2)
+    blocks = _resistance_blocks(lift).transpose(2, 0, 1)
     doubled = np.concatenate((blocks, blocks), axis=1)
     matrix = np.empty((n, lift.k, n, lift.k))
     for p in range(n):
@@ -119,16 +179,27 @@ def numeric_indices(lift: Lift) -> tuple[float, float]:
     With ``w = 1`` that term is ``tr L(1)^+``, as ``L(1)^+ 1 = 0``.  For either weight
     it is the same for ``G + 1 a^T + a 1^T + c 1 1^T`` as for ``G``, as the ``a`` and
     ``c`` terms cancel, and ``L(1)^+ = Q G Q``, ``Q = I - 1 1^T / k``, has that form.
-    ``w_j`` and its conjugate count once each: O(N k^2) time, O(N k) memory.
+
+    Reduced, ``sum_r w_r L(w)^-1_rr`` is ``tr(W_I M^-1)``, the same at every ``w`` and
+    so counted ``n`` times, plus ``sum_r w_r (U S^-1 U^H)_rr``; at ``w = 1``,
+    ``w^T G w = w_I^T M^-1 w_I + (U^T w)^T S^-1 (U^T w)``.  ``w_j`` and its conjugate
+    count once each, and ``math.fsum`` rounds only the total of the terms:
+    O(|I|^3 + N k |J|) time, O(|I|^2 + N |J|) memory.
     """
-    basis, inverse = _symbols(lift)
-    weights = np.stack((np.ones(lift.k), lift.degrees))
-    twice = 2.0 - (2 * np.arange(len(inverse)) % lift.n == 0)
-    gram = (basis.T * weights[:, None]) @ basis  # P^T W P for each weight w
-    traces = twice @ np.einsum("jab,wba->jw", inverse, gram).real
-    projected = weights @ basis  # P^T w
-    grounded = np.einsum("wa,ab,wb->w", projected, inverse[0].real, projected)
-    kirchhoff, kemeny = traces - grounded / weights.sum(1)
+    interior, green, frame, inverse = _reduced(lift)
+    n = lift.n
+    weights = np.ones((2, lift.k))
+    weights[1] = lift.degrees
+    inside = weights[:, interior]
+    condensed = weights @ np.einsum("raj,abj,rbj->rj", frame, inverse, frame.conj()).real
+    spread = weights @ frame[:, :, 0].real
+    grounded = (spread @ inverse[:, :, 0].real * spread).sum(1) + (inside @ green * inside).sum(1)
+    constant = n * (inside @ green.diagonal()) - grounded / weights.sum(1)
+    # w_j and its conjugate count once each: j = 1 .. (n - 1) // 2 count twice.
+    kirchhoff, kemeny = (
+        math.fsum([*terms, *terms[1 : (n + 1) // 2], extra])
+        for terms, extra in zip(condensed.tolist(), constant.tolist())
+    )
     return float(lift.vertex_count * kirchhoff), float(kemeny)
 
 

@@ -8,6 +8,7 @@ import io
 import json
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,6 +274,26 @@ def test_verify_c8_stays_within_the_resistance_matrix_memory(capsys):
     assert code == 0
     assert out == "verify: ok (1 instances, 626640 pairs, tol=1e-09)\n"
     assert peak < 1.5 * 8 * 1120**2
+
+
+def test_sweep_memory_is_bounded_at_n_100000(capsys):
+    """K10 with n = 100,000, N = 900,000: the Kron-reduced oracle keeps O(N |J|)
+    complex numbers, ``|J| = 1`` for a flower, and peaks near 27 MiB; inverting every
+    k x k symbol peaked at 133 MiB."""
+    tracemalloc.start()
+    try:
+        code, out = run(
+            capsys, "sweep", "--family", "complete", "--m-range", "10", "--n-range", "100000"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["quantity"] for row in rows] == ["kemeny", "kirchhoff"]
+    for row in rows:
+        assert float(row["abs_error"]) <= 1e-14 * float(Fraction(row["closed_form"]))
+    assert peak < 64 * 2**20
 
 
 def test_sweep_csv(capsys):

@@ -257,6 +257,74 @@ def test_fourier_oracle_equals_the_dense_reference_on_examples(lift):
     _assert_equals_dense(lift)
 
 
+def _junction(lift):
+    """The offsets the oracle keeps after Kron reduction: all but the interior."""
+    return sorted(set(range(lift.k)) - set(oracle._reduced(lift)[0].tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    flower_specs(max_vertices=7, max_petals=9),
+    st.builds(lambda m, n: complete_flower_spec(CompleteFlowerParams(m, n)),
+              st.integers(3, 9), st.integers(3, 40)),
+    st.integers(3, 9).flatmap(lambda m: st.builds(
+        lambda n, p: cycle_flower_spec(CycleFlowerParams(m, n, p)),
+        st.integers(3, 40), st.integers(1, m // 2))),
+    connected_graphs().map(graph_lift),
+))
+def test_flowers_and_one_block_lifts_reduce_onto_offset_0(subject):
+    """A flower's petals meet only at its junction vertex, offset 0 of its lift,
+    and a one-block lift has no nonzero step: each reduces onto ``J = {0}``."""
+    lift = subject.lift() if isinstance(subject, FlowerSpec) else subject
+    assert _junction(lift) == [0]
+
+
+@pytest.mark.parametrize(
+    "lift,junction",
+    [
+        # Steps 1 and -1 join offsets 1 and 3 away from offset 0; 2 and 4 stay inside.
+        (Lift(5, 9, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (2, 3, 0), (3, 2, 0),
+                     (3, 1, 1), (1, 3, -1), (2, 4, 0), (4, 2, 0), (4, 0, 2), (0, 4, -2)]),
+         [0, 1, 3]),
+        # A half-turn loop at offset 2 (2d = n) and a half-turn arc to offset 0.
+        (Lift(3, 6, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (2, 2, 3), (0, 0, 1),
+                     (0, 0, -1), (2, 0, 3), (0, 2, 3)]),
+         [0, 2]),
+        # Every offset on a nonzero-step arc that avoids offset 0: nothing to reduce.
+        (Lift(3, 5, [(0, 1, 0), (1, 0, 0), (1, 2, 1), (2, 1, -1), (2, 1, 2), (1, 2, -2)]),
+         [0, 1, 2]),
+        # One block of the 4 x 5 grid: only step 0.
+        (graph_lift(grid_graph(4, 5)), [0]),
+    ],
+    ids=["two-junction-offsets", "half-turn", "no-interior", "one-block"],
+)
+def test_the_reduction_equals_the_dense_reference_on_any_junction(lift, junction):
+    assert _junction(lift) == junction
+    _assert_equals_dense(lift)
+
+
+def test_no_inverse_of_every_symbol(monkeypatch):
+    """The O(n k^3) path stays gone: at K10 with n = 200 the oracle inverts the
+    8 x 8 interior block and a batch of 1 x 1 Schur complements, never a batch of
+    ``n // 2 + 1`` symbols of size ``k x k``, through ``np.linalg.inv`` or its own
+    batched inverse."""
+    lift = complete_flower_spec(CompleteFlowerParams(10, 200)).lift()
+    shapes = []
+
+    def recording(invert):
+        def record(matrices, *args, **kwargs):
+            shapes.append(np.shape(matrices))
+            return invert(matrices, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(oracle.np.linalg, "inv", recording(np.linalg.inv))
+    monkeypatch.setattr(oracle, "_invert", recording(oracle._invert))
+    numeric_indices(lift)
+    resistance_matrix(lift)
+    k, batch = lift.k, lift.n // 2 + 1
+    assert shapes == [(k - 1, k - 1), (1, 1, batch)] * 2
+
+
 @pytest.mark.parametrize("m,p,n", [(8, 4, 160), (8, 3, 200), (6, 3, 220)])
 def test_indices_within_rel_tol_on_large_cycle_flowers(m, p, n):
     # The dense oracle's relative error passed REL_TOL = 1e-12 first at these sizes.
@@ -281,7 +349,7 @@ def test_the_default_shift_is_the_rotation_the_flower_was_built_with():
 def test_one_block_lifts_stay_near_the_exact_and_dense_indices():
     """Any graph read as one block (``n = 1``, ``k = N``) is one solve of its integer
     grounded Laplacian.  The C8 (p = 4, n = 160) flower is off the exact indices by
-    3.3e-13 relative, a 20 x 20 grid off the dense reference by 3.3e-15; deflated in
+    3.5e-13 relative, a 20 x 20 grid off the dense reference by 1.2e-15; deflated in
     an orthonormal basis they were off by 1.3e-10 and 3.9e-14.  Both bounds are
     measured regression pins, not derived error bounds."""
     spec = cycle_flower_spec(CycleFlowerParams(8, 160, 4))
@@ -321,8 +389,8 @@ def test_resistance_matrix_within_1e_9_of_every_exact_pair_at_n_1960():
 )
 def test_indices_within_1e_12_relative_at_n_18000(spec):
     """A grounded banded Cholesky solve errs by 3.6e-12 (K10) to 1.4e-11 (Petersen)
-    at this size; the Fourier blocks keep both indices within 7.8e-15 (C8's Kemeny
-    constant)."""
+    at this size; the Kron-reduced Fourier blocks keep both indices within 5.3e-16
+    (K10's Kirchhoff index; 7.8e-15 with every k x k symbol inverted)."""
     assert abs(spec.vertex_count - 18_000) <= 10
     observed = numeric_indices(spec.lift())
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
@@ -340,8 +408,9 @@ def test_indices_within_1e_12_relative_at_n_18000(spec):
 )
 def test_indices_within_1e_14_relative_at_n_20000(spec):
     """N = 180,000 (C8: 140,000), with no N-vertex graph built.  The indices err by
-    at most 6.2e-15 relative (K10's Kemeny constant); with the steps left uncentred,
-    in [0, n), K10's Kirchhoff index erred by 4.4e-13."""
+    at most 3.0e-16 relative (Petersen's Kemeny constant); with every k x k symbol
+    inverted and the frequencies summed by a BLAS dot, by up to 6.2e-15, and with the
+    steps left uncentred, in [0, n), K10's Kirchhoff index erred by 4.4e-13."""
     observed = numeric_indices(spec.lift())
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
         assert abs(value - float(exact)) <= 1e-14 * float(exact)
