@@ -44,27 +44,47 @@ zeros.
 
 The oracle stays independent of the closed forms: it reads only the lift's arcs,
 never a base resistance such as ``r_xy`` nor any formula of ``flower.py``, and it
-sums the frequencies numerically.  Nothing is cached.
+sums the frequencies numerically.  What does not depend on ``n`` (``J``, ``M^-1``, the
+step columns and the index terms in ``M^-1``) is memoised on ``k`` and the bytes of
+the lift's arcs, its pattern, for the last 64 patterns; each call does only the
+frequencies.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import Lift
 
 
-def _reduced(lift: Lift) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(interior, green, frame, inverse)`` with the frequency ``j`` last:
-    ``E green E^T + frame[..., j] inverse[..., j] frame[..., j]^H`` is ``L(w_j)^-1``
-    for ``j = 1 .. n // 2`` and ``G`` for ``j = 0``, ``E`` the columns ``interior`` of
-    the identity, ``green`` ``M^-1``, ``frame`` ``U`` and ``inverse`` ``S^-1``."""
-    k, n = lift.k, lift.n
+class _Pattern(NamedTuple):
+    """What ``_reduced`` and ``numeric_indices`` read of a lift's arcs whatever ``n``
+    is, every array read-only."""
+
+    steps: np.ndarray  # the distinct steps d, ascending
+    junction: np.ndarray  # J and I, as offsets
+    interior: np.ndarray
+    green: np.ndarray  # M^-1
+    basis: np.ndarray  # P_J
+    step_columns: np.ndarray  # A_d P_J, row (r, a) and column d
+    grounded: np.ndarray  # L(1) P_J
+    weights: np.ndarray  # 1 and the degrees, the two weightings w
+    traces: np.ndarray  # tr(W_I M^-1) for each w
+    forms: np.ndarray  # w_I^T M^-1 w_I for each w
+
+
+@lru_cache(maxsize=64)
+def _pattern(k: int, key: bytes) -> _Pattern:
+    """The ``n``-free part of the reduction of the lift on ``k`` offsets whose ``intp``
+    arcs have the bytes ``key``, for the last 64 such: ``J``, ``M^-1`` and the step
+    columns cost O(|I|^3) once, and each ``n`` reuses them."""
     # Arc (r, r', d) stands for its orbit: from offset r to offset r' d blocks on,
     # with d centred in (-n/2, n/2].
-    tails, heads, step = lift.arcs.T
+    tails, heads, step = np.frombuffer(key, np.intp).reshape(-1, 3).T
     steps = np.array(sorted(set(step.tolist())))
     which = steps.searchsorted(step)
     arcs = np.bincount((which * k + tails) * k + heads, minlength=steps.size * k * k)
@@ -73,20 +93,40 @@ def _reduced(lift: Lift) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     outer = np.bincount(tails, (step != 0) & (heads != 0), k)
     outer[0] = 1.0
     junction, interior = outer.nonzero()[0], (outer == 0).nonzero()[0]
-    size = junction.size
+    degrees = np.bincount(tails, minlength=k)
     laplacian = -arcs.sum(0)  # L(1), integers
-    laplacian.ravel()[:: k + 1] += lift.degrees
+    laplacian.ravel()[:: k + 1] += degrees
     green = np.linalg.inv(laplacian[interior[:, None], interior])  # M^-1
     basis = (np.arange(k)[:, None] == junction).astype(float)  # P_J
     basis[:, 0] = 1.0
+    step_columns = (arcs @ basis).transpose(1, 2, 0).reshape(-1, steps.size)
+    weights = np.ones((2, k))
+    weights[1] = degrees
+    inside = weights[:, interior]
+    pattern = _Pattern(steps, junction, interior, green, basis, step_columns,
+                       laplacian @ basis, weights, inside @ green.diagonal(),
+                       (inside @ green * inside).sum(1))
+    for array in pattern:
+        array.flags.writeable = False
+    return pattern
+
+
+def _reduced(lift: Lift) -> tuple[_Pattern, np.ndarray, np.ndarray]:
+    """``(pattern, frame, inverse)`` with the frequency ``j`` last:
+    ``E M^-1 E^T + frame[..., j] inverse[..., j] frame[..., j]^H`` is ``L(w_j)^-1``
+    for ``j = 1 .. n // 2`` and ``G`` for ``j = 0``, ``E`` the columns
+    ``pattern.interior`` of the identity, ``frame`` ``U`` and ``inverse`` ``S^-1``."""
+    n = lift.n
+    pattern = _pattern(lift.k, lift.arcs.tobytes())
+    junction, interior, green = pattern.junction, pattern.interior, pattern.green
+    size = junction.size
     freq = np.arange(n // 2 + 1)
     # e^{i phi} for phi = pi j d / n reduced exactly into [-pi, pi).
-    half_turn = np.exp(1j * np.pi / n * ((freq[:, None] * steps + n) % (2 * n) - n))
+    half_turn = np.exp(1j * np.pi / n * ((freq[:, None] * pattern.steps + n) % (2 * n) - n))
     gap = -2j * half_turn * half_turn.imag  # 1 - w^d
     # L(w) P_J: its column 0 is L(w) 1, zero at w = 1.
-    columns = (arcs @ basis).transpose(1, 2, 0).reshape(-1, steps.size) @ gap.T
-    columns = columns.reshape(k, size, -1)
-    columns += (laplacian @ basis)[:, :, None]
+    columns = (pattern.step_columns @ gap.T).reshape(lift.k, size, -1)
+    columns += pattern.grounded[:, :, None]
     coupling = columns[interior]  # T_IJ
     solved = green @ coupling.reshape(interior.size, size * freq.size)
     solved = solved.reshape(coupling.shape)
@@ -99,8 +139,8 @@ def _reduced(lift: Lift) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     # U = P_J - E M^-1 T_IJ, in the place of the columns.
     columns[junction] = 0.0
     columns[interior] = solved
-    frame = np.subtract(basis[:, :, None], columns, out=columns)
-    return interior, green, frame, inverse
+    frame = np.subtract(pattern.basis[:, :, None], columns, out=columns)
+    return pattern, frame, inverse
 
 
 def _invert(batch: np.ndarray) -> np.ndarray:
@@ -126,10 +166,10 @@ def _resistance_blocks(lift: Lift) -> np.ndarray:
     ``U S^-1 U^H``, with ``M^-1``, the same at every ``w``, added to block 0 alone.
     Float addition commutes, so ``R`` is exactly symmetric with an exactly zero
     diagonal, and ``R[-d]`` is ``R[d]`` transposed, float for float."""
-    interior, green, frame, inverse = _reduced(lift)
+    pattern, frame, inverse = _reduced(lift)
     condensed = np.einsum("raj,abj,sbj->jrs", frame, inverse, frame.conj())
     blocks = np.fft.irfft(condensed, lift.n, axis=0)
-    blocks[0, interior[:, None], interior] += green
+    blocks[0, pattern.interior[:, None], pattern.interior] += pattern.green
     diag = blocks[0].diagonal()
     reverse = blocks[-np.arange(lift.n)].transpose(0, 2, 1)
     return (diag[:, None] + diag) - (blocks + reverse)
@@ -184,17 +224,14 @@ def numeric_indices(lift: Lift) -> tuple[float, float]:
     so counted ``n`` times, plus ``sum_r w_r (U S^-1 U^H)_rr``; at ``w = 1``,
     ``w^T G w = w_I^T M^-1 w_I + (U^T w)^T S^-1 (U^T w)``.  ``w_j`` and its conjugate
     count once each, and ``math.fsum`` rounds only the total of the terms:
-    O(|I|^3 + N k |J|) time, O(|I|^2 + N |J|) memory.
+    O(|I|^3) once per lift pattern, O(N k |J|) per call; O(|I|^2 + N |J|) memory.
     """
-    interior, green, frame, inverse = _reduced(lift)
-    n = lift.n
-    weights = np.ones((2, lift.k))
-    weights[1] = lift.degrees
-    inside = weights[:, interior]
+    pattern, frame, inverse = _reduced(lift)
+    n, weights = lift.n, pattern.weights
     condensed = weights @ np.einsum("raj,abj,rbj->rj", frame, inverse, frame.conj()).real
     spread = weights @ frame[:, :, 0].real
-    grounded = (spread @ inverse[:, :, 0].real * spread).sum(1) + (inside @ green * inside).sum(1)
-    constant = n * (inside @ green.diagonal()) - grounded / weights.sum(1)
+    grounded = (spread @ inverse[:, :, 0].real * spread).sum(1) + pattern.forms
+    constant = n * pattern.traces - grounded / weights.sum(1)
     # w_j and its conjugate count once each: j = 1 .. (n - 1) // 2 count twice.
     kirchhoff, kemeny = (
         math.fsum([*terms, *terms[1 : (n + 1) // 2], extra])

@@ -325,6 +325,25 @@ def test_sweep_json(capsys):
 
 
 @pytest.mark.parametrize(
+    "grid",
+    [
+        "sweep --family complete --m-range 3:6 --n-range 3:9 --json",
+        "sweep --family cycle --m-range 4:7 --n-range 3:9 --json",
+        # At tolerance 0 which pairs fail depends on every bit of every resistance.
+        "verify --family cycle --m-range 4:6 --n-range 3:6 --tol 0",
+    ],
+    ids=["sweep-complete", "sweep-cycle", "verify-cycle"],
+)
+def test_the_oracle_memo_changes_no_output_byte(capsys, grid):
+    """The oracle reuses each lift pattern's ``n``-free part across the grid and
+    across commands; cold and warm, in one process, the output is the same."""
+    oracle._pattern.cache_clear()
+    cold = run(capsys, *grid.split())
+    assert oracle._pattern.cache_info().hits
+    assert run(capsys, *grid.split()) == cold
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("sweep", "--family", "complete", "--m-range", "3:4", "--n-range", "3:5"),

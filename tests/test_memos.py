@@ -1,6 +1,6 @@
-"""The per-process memos of a base's petal-count-free work: the same values cold
-and warm, and memory that stops growing once more bases than any memo's bound
-have passed through."""
+"""The per-process memos of a base's and a lift pattern's petal-count-free work:
+the same values cold and warm, and memory that stops growing once more bases than
+any memo's bound have passed through."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import weakref
 from itertools import combinations, islice
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,16 +24,18 @@ from flowergraphs import (
     graph_from_edge_list,
     kemeny_bounds,
     kirchhoff_bounds,
+    numeric_indices,
     read_edge_list,
+    resistance_matrix,
 )
-from flowergraphs import flower, graphs
+from flowergraphs import flower, graphs, oracle
 
 from conftest import connected_graphs
 from rotations import graph_lift
 
 # Every memo of work that does not depend on the petal count.
 MEMOS = (graphs._graph_of, graphs._certificate, flower._petal_arcs, flower._moments,
-         flower.base_kirchhoff, flower.base_kemeny)
+         flower.base_kirchhoff, flower.base_kemeny, oracle._pattern)
 
 
 def _observed(base, x, y, ns, path):
@@ -43,7 +46,8 @@ def _observed(base, x, y, ns, path):
         lift = spec.lift()
         values += [flower_kirchhoff_exact(spec), flower_kemeny_exact(spec),
                    kirchhoff_bounds(spec), kemeny_bounds(spec),
-                   lift.arcs.tolist(), lift.degrees, lift.vertex_count]
+                   lift.arcs.tolist(), lift.degrees, lift.vertex_count,
+                   np.array(numeric_indices(lift)).tobytes(), resistance_matrix(lift).tobytes()]
     return values
 
 
@@ -72,9 +76,10 @@ def test_every_memo_gives_the_same_values_cold_and_warm(tmp_path_factory, base, 
 
 
 def test_the_memos_stop_growing_and_keep_no_graph_the_solves_drop():
-    """300 bases of one size, more than any memo's bound, in two halves: the second
-    half leaves the traced memory about where the first did, and every graph the
-    memos still hold is one ``_laplacian_solve``'s cache holds too."""
+    """300 bases of one size, more than any memo's bound, in two halves, each flower
+    also through the oracle: the second half leaves the traced memory about where
+    the first did, and every graph the memos still hold is one
+    ``_laplacian_solve``'s cache holds too."""
     path = [(i, i + 1) for i in range(7)]
     chords = [(u, v) for u, v in combinations(range(8), 2) if v > u + 1]
     bases = [path + list(extra) for extra in islice(combinations(chords, 4), 300)]
@@ -87,7 +92,7 @@ def test_the_memos_stop_growing_and_keep_no_graph_the_solves_drop():
             built.append(weakref.ref(g))
             for n in (3, 4):
                 spec = FlowerSpec(g, 0, 7, n)
-                spec.lift()
+                numeric_indices(spec.lift())
                 flower_kirchhoff_exact(spec), flower_kemeny_exact(spec)
                 kirchhoff_bounds(spec), kemeny_bounds(spec)
         gc.collect()
@@ -111,3 +116,13 @@ def test_the_memos_stop_growing_and_keep_no_graph_the_solves_drop():
     flower._laplacian_solve.cache_clear()
     gc.collect()
     assert not any(ref() is not None for ref in built)
+
+
+def test_the_oracle_memo_hands_out_read_only_arrays():
+    """A caller that wrote into a cached array would change every later result of
+    its lift pattern, so every array of ``oracle._pattern`` is read-only."""
+    lift = FlowerSpec(graph_from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3)]), 0, 3, 5).lift()
+    pattern = oracle._pattern(lift.k, lift.arcs.tobytes())
+    assert not any(array.flags.writeable for array in pattern)
+    with pytest.raises(ValueError, match="read-only"):
+        pattern.green[0, 0] = 0.0

@@ -258,8 +258,8 @@ def test_fourier_oracle_equals_the_dense_reference_on_examples(lift):
 
 
 def _junction(lift):
-    """The offsets the oracle keeps after Kron reduction: all but the interior."""
-    return sorted(set(range(lift.k)) - set(oracle._reduced(lift)[0].tolist()))
+    """The offsets the oracle keeps after Kron reduction, the junction ``J``."""
+    return oracle._reduced(lift)[0].junction.tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -304,11 +304,12 @@ def test_the_reduction_equals_the_dense_reference_on_any_junction(lift, junction
 
 
 def test_no_inverse_of_every_symbol(monkeypatch):
-    """The O(n k^3) path stays gone: at K10 with n = 200 the oracle inverts the
-    8 x 8 interior block and a batch of 1 x 1 Schur complements, never a batch of
-    ``n // 2 + 1`` symbols of size ``k x k``, through ``np.linalg.inv`` or its own
-    batched inverse."""
-    lift = complete_flower_spec(CompleteFlowerParams(10, 200)).lift()
+    """The O(n k^3) path stays gone: at K10 with n = 200 and n = 201 the oracle
+    inverts the 8 x 8 interior block once, for the lift pattern both share, and a
+    batch of 1 x 1 Schur complements per call, never a batch of ``n // 2 + 1``
+    symbols of size ``k x k``, through ``np.linalg.inv`` or its own batched
+    inverse."""
+    lifts = [complete_flower_spec(CompleteFlowerParams(10, n)).lift() for n in (200, 201)]
     shapes = []
 
     def recording(invert):
@@ -319,10 +320,13 @@ def test_no_inverse_of_every_symbol(monkeypatch):
 
     monkeypatch.setattr(oracle.np.linalg, "inv", recording(np.linalg.inv))
     monkeypatch.setattr(oracle, "_invert", recording(oracle._invert))
-    numeric_indices(lift)
-    resistance_matrix(lift)
-    k, batch = lift.k, lift.n // 2 + 1
-    assert shapes == [(k - 1, k - 1), (1, 1, batch)] * 2
+    oracle._pattern.cache_clear()
+    for lift in lifts:
+        numeric_indices(lift)
+        resistance_matrix(lift)
+    k, batch = lifts[0].k, lifts[0].n // 2 + 1
+    assert lifts[1].n // 2 + 1 == batch
+    assert shapes == [(k - 1, k - 1)] + [(1, 1, batch)] * 4
 
 
 @pytest.mark.parametrize("m,p,n", [(8, 4, 160), (8, 3, 200), (6, 3, 220)])
@@ -496,21 +500,32 @@ def test_oracle_results_are_fresh_arrays():
 
 
 def test_oracle_keeps_no_array_after_return():
-    graphs = [
+    """Past its bounded memo of each lift pattern's ``n``-free part, which the first
+    call per lift fills, the oracle keeps nothing: repeated calls retain nothing
+    more, and neither does the same pattern at ten times the petal count, so what
+    it keeps does not grow with ``N``."""
+    lifts = [
         graph_lift(random_connected_graph(random.Random(seed), max_vertices=200, min_vertices=200))
         for seed in (11, 12, 13)
     ]
+    small, large = (complete_flower_spec(CompleteFlowerParams(5, n)).lift() for n in (20, 200))
+    for lift in [*lifts, small]:
+        resistance_matrix(lift)
+        numeric_indices(lift)
     tracemalloc.start()
     try:
         baseline, _ = tracemalloc.get_traced_memory()
-        for g in graphs:
-            resistance_matrix(g)
-            resistance(g, 5, 150)
+        for lift in [*lifts, small, large]:
+            resistance_matrix(lift)
+            resistance(lift, 5, lift.vertex_count - 50)
+            numeric_indices(lift)
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # One grounded 199 x 199 float matrix alone is 317 kB.
     assert current - baseline < 32_000
+
+
 def test_edge_removal_never_decreases_resistance():
     # Rayleigh monotonicity, spot-checked on graphs that stay connected.
     cases = [
