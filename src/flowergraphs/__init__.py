@@ -31,7 +31,6 @@ from .flower import (
     base_kemeny,
     base_kirchhoff,
     base_resistance_table,
-    build_flower,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
     flower_resistance,
@@ -74,7 +73,6 @@ __all__ = [
     "base_kemeny",
     "base_kirchhoff",
     "base_resistance_table",
-    "build_flower",
     "cf_kemeny",
     "cf_kirchhoff",
     "cf_max_resistance",

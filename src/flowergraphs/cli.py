@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -24,7 +25,6 @@ from .cycle import CycleFlowerParams, cycle_flower_spec
 from .exact import format_rational
 from .flower import (
     FlowerSpec,
-    build_flower,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
     flower_resistance,
@@ -33,7 +33,7 @@ from .flower import (
     locator,
     max_resistance_search,
 )
-from .graphs import format_edge_list, read_edge_list
+from .graphs import read_edge_list
 
 FAMILIES = ("generic", "complete", "cycle")
 # (attribute, option, families it applies to) for each family option without a default
@@ -151,12 +151,12 @@ def _grid(args: argparse.Namespace):
 
 def cmd_gen(args: argparse.Namespace) -> int:
     _, spec = next(_flowers(args))
-    text = format_edge_list(build_flower(spec))
+    lines = (f"{u} {v}\n" for u, v in spec.lift().edges())  # streamed a block at a time
     if args.output:
         with open(args.output, "w") as handle:
-            handle.write(text)
+            handle.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return 0
 
 
@@ -366,7 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:  # the reader has gone; see the signal module's docs on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
         return 2

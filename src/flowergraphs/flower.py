@@ -5,6 +5,10 @@ A flower on base graph ``G`` with marked vertices ``x != y`` and petal count
 the ``x`` vertex of each petal with the ``y`` vertex of the next petal,
 cyclically.  The shared vertices are the "associated" vertices; everything
 else is an "outer" vertex of its petal.
+
+The flower is never built as an ``N``-vertex graph: ``FlowerSpec.lift`` gives it
+as the Z_n lift of one petal, whose arcs the oracle reads and whose edges ``gen``
+streams, and every closed form reads only the base graph.
 """
 
 from __future__ import annotations
@@ -99,13 +103,13 @@ def _petal_arcs(base: Graph, block_order: tuple[int, ...], y: int) -> memoryview
     ``y`` is the junction ``x`` of block ``n - 1``, offset 0 one block back.  So
     the base edge ``(a, b)`` gives the arcs ``a -> b`` and ``b -> a`` with steps
     0 or +-1 between the two places.  The rows are packed as a read-only
-    ``(rows, 3)`` memoryview of 64-bit ints, which ``Lift`` reads without a pass
-    over Python tuples.
+    ``(rows, 3)`` memoryview of 64-bit ints over bytes, which ``Lift`` keeps as
+    they are.
     """
     place = {v: (offset, 0) for offset, v in enumerate(block_order)}
     place[y] = (0, -1)
     arcs = array("q")
-    for a, b in base.edges.tolist():
+    for a, b in base.edges:
         (ra, pa), (rb, pb) = place[a], place[b]
         arcs.extend((ra, rb, pb - pa, rb, ra, pa - pb))
     return memoryview(arcs.tobytes()).cast("q", (len(arcs) // 3, 3))
@@ -121,13 +125,6 @@ def locator(spec: FlowerSpec, petal: int, base_vertex: int) -> FlowerLocator:
     if base_vertex == spec.y:
         return FlowerLocator((petal - 2) % spec.n + 1, spec.x)
     return FlowerLocator(petal, base_vertex)
-
-
-def build_flower(spec: FlowerSpec) -> Graph:
-    """The flower graph: petal 1 labelled by ``spec.label_of`` and petal ``i`` its
-    copy moved by ``i - 1`` whole blocks, modulo the vertex count, so that petal
-    ``i``'s ``y`` lands on petal ``i - 1``'s ``x``: ``spec.lift()`` made a graph."""
-    return spec.lift().graph()
 
 
 @lru_cache(maxsize=64)

@@ -1,169 +1,137 @@
-"""Simple undirected connected graphs with dense 0-based vertex labels."""
+"""Simple undirected connected base graphs, held in pure Python, and the Z_n
+lifts that hold flowers without their N-vertex graphs."""
 
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd
 from pathlib import Path
-from typing import Iterable, NamedTuple
-
-import numpy as np
+from typing import Iterable, Iterator, NamedTuple
 
 Edge = tuple[int, int]
 
 
-def _edge_array(pairs) -> np.ndarray:
-    """``pairs`` as a nonempty ``(|E|, 2)`` integer array; float, string and bool
-    labels and ragged pairs fail."""
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer label or arc entry: an int or a numpy
+    integer, never a bool."""
+    return type(value) is not bool and hasattr(value, "__index__")
+
+
+def _label_pairs(pairs) -> tuple[Edge, ...]:
+    """``pairs`` as a nonempty tuple of pairs of ints, a numpy array read through
+    ``tolist``; ragged pairs and bool, float, string and oversized labels fail."""
+    if hasattr(pairs, "tolist"):
+        pairs = pairs.tolist()
     try:
-        edges = np.asarray(pairs)
-    except ValueError:  # numpy refuses a ragged list with a message of its own
+        edges = tuple(map(tuple, pairs))
+    except TypeError:  # a pair that is not a sequence
         edges = None
-    if edges is not None and not edges.size:
+    if edges == ():
         raise ValueError("edge list is empty")
-    if edges is None or edges.ndim != 2 or edges.shape[1] != 2:
+    if edges is None or set(map(len, edges)) != {2}:
         raise ValueError("every edge must be a pair of vertex labels")
-    # numpy holds ints past int64 as uint64, float64 or object, and a bool beside
-    # ints as an int: check those labels exactly.
-    if edges.dtype.kind != "i" or (
-        not isinstance(pairs, np.ndarray) and bool in set(map(type, chain.from_iterable(pairs)))
-    ):
-        edges = np.asarray(pairs, dtype=object)
-        bad = [v for v in edges.flat if type(v) is bool or not isinstance(v, (int, np.integer))]
+    labels = list(chain.from_iterable(edges))
+    if set(map(type, labels)) != {int}:
+        bad = [v for v in labels if not _is_integer(v)]
         if bad:
             raise ValueError(f"vertex label {bad[0]!r} is not an integer")
-    try:
-        return edges.astype(np.intp, copy=False)
-    except OverflowError as exc:
-        raise ValueError(f"a vertex label is outside 0..{np.iinfo(np.intp).max}") from exc
-
-
-def _duplicate(u: int, v: int) -> ValueError:
-    return ValueError(f"duplicate edge {(u, v)}")
-
-
-def _label_gap(count: int, touched: np.ndarray) -> ValueError:
-    """The error for labels ``0 .. count - 1`` of which only ``touched`` (ascending)
-    are touched by an edge."""
-    misplaced = np.flatnonzero(touched != np.arange(touched.size))
-    first = int(misplaced[0]) if misplaced.size else touched.size
-    return ValueError(
-        f"label gap: no edge touches {count - touched.size} of the "
-        f"labels 0..{count - 1} (the first is {first})"
-    )
+        edges = tuple((operator.index(u), operator.index(v)) for u, v in edges)
+        labels = list(chain.from_iterable(edges))
+    if min(labels) < -sys.maxsize - 1 or max(labels) > sys.maxsize:
+        raise ValueError(f"a vertex label is outside 0..{sys.maxsize}")
+    return edges
 
 
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple connected graph on vertex labels ``0 .. vertex_count - 1``.
 
-    ``edges`` is a nonempty ``(|E|, 2)`` integer array of ``(u, v)`` rows in any
-    order and either orientation; it is stored sorted with ``u < v``, so two
-    graphs are equal, and hash equal, exactly when their vertex counts and
-    edge arrays' bytes are.  ``indptr`` and ``indices`` are the graph in CSR
-    form, every row's neighbours ascending.  Negative or out-of-range labels,
-    self-loops, duplicate edges, label gaps and disconnected graphs are
-    rejected here, the one place edges are checked, so every instance can be
-    fed to the resistance machinery without further checks.  ``degrees`` and
-    ``neighbors`` give Python ints, which the exact solves need.
+    ``edges`` is given as a nonempty iterable of ``(u, v)`` integer pairs, or a
+    numpy array of them, in any order and either orientation; it is stored as the
+    sorted tuple of its ``u < v`` pairs, so two graphs are equal, and hash equal,
+    exactly when their vertex counts and edge tuples are.  The hash is computed
+    once, here.  Negative or out-of-range labels, self-loops, duplicate edges,
+    label gaps and disconnected graphs are rejected here, the one place edges are
+    checked, so every instance can be fed to the resistance machinery without
+    further checks.  ``degrees`` and ``neighbors``, each vertex's neighbours in
+    ascending order, give Python ints, which the exact solves need.
     """
 
     vertex_count: int
-    edges: np.ndarray
+    edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
         count = self.vertex_count
-        edges = _edge_array(self.edges)
-        u, v = edges.T
-        if edges.min() < 0 or edges.max() >= count or (u == v).any():
-            bad = (u < 0) | (v < 0) | (u == v) | (u >= count) | (v >= count)
-            u, v = edges[bad.argmax()].tolist()
+        edges = _label_pairs(self.edges)
+        for u, v in edges:
             if u < 0 or v < 0:
                 raise ValueError(f"negative vertex label in edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            raise ValueError(f"edge ({u}, {v}) is out of range for {count} vertices")
-        # |E| edges touch at most 2|E| labels.  Past that nothing of length
-        # vertex_count is allocated; below it the keys u * N + v stay under 4|E|^2.
-        if count > 2 * len(edges):
-            pairs, repeats = np.unique(np.sort(edges, 1), axis=0, return_counts=True)
-            if (repeats > 1).any():
-                raise _duplicate(*pairs[(repeats > 1).argmax()].tolist())
-            raise _label_gap(count, np.unique(edges))
-        # Both orientations of every edge sorted by the key row * N + column are the
-        # CSR arcs: a repeated key is a duplicate edge, and the arcs with
-        # row < column are the edges in sorted order.
-        keys = np.concatenate((u * count + v, v * count + u))
-        keys.sort()
-        repeated = keys[1:] == keys[:-1]
-        if repeated.any():
-            raise _duplicate(*sorted(divmod(int(keys[repeated.argmax()]), count)))
-        rows = keys // count  # numpy divides by a scalar far faster than it takes remainders
-        columns = keys - rows * count
-        degrees = np.bincount(rows, minlength=count)
-        if not degrees.all():
-            raise _label_gap(count, np.flatnonzero(degrees))
-        indptr = np.concatenate(((0,), degrees.cumsum()))
-        forward = rows < columns
-        key = np.stack((rows[forward], columns[forward]), 1).tobytes()
-        arrays = {
-            # A read-only view of the bytes that equality and the hash compare.
-            "edges": np.frombuffer(key, np.intp).reshape(-1, 2),
-            "indptr": indptr,
-            "indices": columns,
-        }
-        for name, array in arrays.items():
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-        object.__setattr__(self, "degrees", tuple(degrees.tolist()))
-        if not self._is_connected():
-            raise ValueError("graph is disconnected")
-        object.__setattr__(self, "_key", (count, key))
-
-    def _is_connected(self) -> bool:
-        """Whether a breadth-first pass from vertex 0 reaches every vertex.  It reads
-        the neighbours through a memoryview, so no list of all of them is made."""
-        indptr, columns = self.indptr.tolist(), memoryview(self.indices)
-        seen = [True] + [False] * (self.vertex_count - 1)
-        reached = [0]
+            if u >= count or v >= count:
+                raise ValueError(f"edge ({u}, {v}) is out of range for {count} vertices")
+        edges = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
+        repeated = next((edge for edge, after in zip(edges, edges[1:]) if edge == after), None)
+        if repeated:
+            raise ValueError(f"duplicate edge {repeated}")
+        # |E| edges touch at most 2|E| labels: nothing of length vertex_count is
+        # made before every label is known to be touched.
+        touched = sorted(set(chain.from_iterable(edges)))
+        if len(touched) < count:
+            first = next((i for i, v in enumerate(touched) if i != v), len(touched))
+            raise ValueError(f"label gap: no edge touches {count - len(touched)} of the "
+                             f"labels 0..{count - 1} (the first is {first})")
+        # The edges are sorted, so every vertex meets its neighbours in ascending order.
+        neighbours = [[] for _ in range(count)]
+        for u, v in edges:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        reached, seen = [0], [True] + [False] * (count - 1)
         for v in reached:  # breadth first: the loop runs over what it appends
-            for w in columns[indptr[v]:indptr[v + 1]]:
+            for w in neighbours[v]:
                 if not seen[w]:
                     seen[w] = True
                     reached.append(w)
-        return len(reached) == self.vertex_count
+        if len(reached) < count:
+            raise ValueError("graph is disconnected")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "degrees", tuple(map(len, neighbours)))
+        object.__setattr__(self, "_neighbours", tuple(map(tuple, neighbours)))
+        object.__setattr__(self, "_key", (count, edges))
+        object.__setattr__(self, "_hash", hash(self._key))
 
     def __eq__(self, other: object) -> bool:
         return self._key == other._key if isinstance(other, Graph) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
+        return self._neighbours[v]
 
 
 def graph_from_edge_list(pairs: Iterable[tuple[int, int]]) -> Graph:
     """The graph on labels ``0 .. max`` whose edges are ``pairs``, unordered vertex
     pairs; ``Graph`` rejects what is not a simple connected graph.  The labels are
-    checked every call; the graph is memoised on the bytes of the checked ``intp``
-    edge array, so a repeated edge list skips ``Graph``'s checks."""
-    return _graph_of(_edge_array(list(pairs)).tobytes())
+    checked every call; the graph is memoised on the checked tuple of pairs, so a
+    repeated edge list skips ``Graph``'s checks."""
+    return _graph_of(_label_pairs(pairs))
 
 
 @lru_cache(maxsize=64)
-def _graph_of(key: bytes) -> Graph:
-    """The graph of the ``(|E|, 2)`` ``intp`` edge array whose bytes are ``key``."""
-    edges = np.frombuffer(key, np.intp).reshape(-1, 2)
-    return Graph(1 + int(edges.max()), edges)
+def _graph_of(edges: tuple[Edge, ...]) -> Graph:
+    """The graph whose edges are the checked integer pairs ``edges``."""
+    return Graph(1 + max(chain.from_iterable(edges)), edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,32 +145,32 @@ class Lift:
     rows, every step centred in ``(-n/2, n/2]``: the arc from ``(0, tail)`` to
     ``(step, head)`` stands for its orbit, the arcs ``(q, tail) -> (q + step, head)``
     of every block ``q``, so there are |E| / n rows whatever ``n`` is.  They are
-    stored as a read-only ``intp`` array.  The constructor certifies that the lift
-    is a simple connected graph: no loop, no repeated arc, every arc ``(r, r', d)``
-    beside its reverse ``(r', r, -d)`` (``(r', r, d)`` where ``2d = n``), and
-    ``_cycle_voltages``.  The certificate has two parts.  ``_certificate``, the
-    part that does not depend on ``n``, is memoised on ``k`` and the bytes of the
-    ``intp`` arcs (the last 64): offset range, loops, repeats, reverse pairing,
-    quotient connectivity, degrees, step extremes and the gcd of the cycle
-    voltages.  Every construction checks the rest: centred steps, that only
+    stored as a read-only ``(rows, 3)`` memoryview of 64-bit ints; one over bytes,
+    such as ``flower._petal_arcs`` packs, is kept as it is, and any other rows, a
+    numpy array read through ``tolist``, are packed after ``Graph``'s label rule:
+    no bool, no float, nothing outside 64 bits.  The constructor certifies that
+    the lift is a simple connected graph: no loop, no repeated arc, every arc
+    ``(r, r', d)`` beside its reverse ``(r', r, -d)`` (``(r', r, d)`` where
+    ``2d = n``), and ``_cycle_voltages``.  The certificate has two parts.
+    ``_certificate``, the part that does not depend on ``n``, is memoised on ``k``
+    and the bytes of the arcs (the last 64): offset range, loops, repeats, reverse
+    pairing, quotient connectivity, degrees, step extremes and the gcd of the
+    cycle voltages.  Every construction checks the rest: centred steps, that only
     half-turn arcs (``2d = n``) lack their ``-d`` reverse, and ``gcd(n, g) = 1``
     for that gcd ``g``.  ``degrees`` gives each offset's degree.
     """
 
     k: int
     n: int
-    arcs: np.ndarray
+    arcs: memoryview
 
     def __post_init__(self) -> None:
-        k, n = self.k, self.n
-        arcs = np.asarray(self.arcs)
-        if not arcs.size:
-            raise ValueError("a lift needs at least one arc")
-        if arcs.dtype.kind != "i" or arcs.ndim != 2 or arcs.shape[1] != 3:
-            raise ValueError("a lift's arcs must be (tail, head, step) integer triples")
-        key = arcs.astype(np.intp, copy=False).tobytes()
+        k, n, arcs = self.k, self.n, self.arcs
+        if not (type(arcs) is memoryview and type(arcs.obj) is bytes
+                and arcs.format == "q" and arcs.shape[1:] == (3,)):
+            arcs = _packed_arcs(arcs)
         # operator.index keeps a float k, equal in value and hash, off an int k's entry.
-        certificate = _certificate(operator.index(k), key)
+        certificate = _certificate(operator.index(k), arcs.tobytes())
         if (
             certificate is None
             or not -n < 2 * certificate.low <= 2 * certificate.high <= n
@@ -215,18 +183,37 @@ class Lift:
         if divisor > 1:
             raise ValueError(f"the lift is disconnected: its cycle voltages share the "
                              f"factor {divisor} with n = {n}")
-        object.__setattr__(self, "arcs", np.frombuffer(key, np.intp).reshape(-1, 3))
+        object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "degrees", certificate.degrees)
         object.__setattr__(self, "vertex_count", k * n)
 
-    def graph(self) -> Graph:
-        """The lift as an N-vertex ``Graph``: every arc moved by every multiple of
-        ``k`` modulo ``N`` in one broadcast, each edge kept as its ``u < v`` arc."""
+    def edges(self) -> Iterator[Edge]:
+        """The lift's edges ``(u, v)``, ``u < v``, in sorted order, one block at a
+        time: block ``p``'s, those whose smaller end is in it, are the arcs that
+        leave block 0 moved ``p`` blocks on, each kept where it goes up, so an edge
+        comes once, even from a half-turn arc, which meets it from both ends."""
         k, count = self.k, self.vertex_count
-        first = self.arcs[:, :2] + np.outer(self.arcs[:, 2] % self.n, (0, k))
-        arcs = (first + np.arange(0, count, k)[:, None, None]).reshape(-1, 2)
-        np.subtract(arcs, count, out=arcs, where=arcs >= count)
-        return Graph(count, arcs[arcs[:, 0] < arcs[:, 1]])
+        # The arc (tail, head, step) from label start + tail ends at start + reach.
+        arcs = [(tail, step * k + head) for tail, head, step in self.arcs.tolist()]
+        for start in range(0, count, k):
+            yield from sorted((start + tail, end) for tail, reach in arcs
+                              if start + tail < (end := (start + reach) % count))
+
+
+def _packed_arcs(rows) -> memoryview:
+    """``rows`` of three integers, a numpy array read through ``tolist``, as a
+    read-only ``(rows, 3)`` memoryview of 64-bit ints."""
+    rows = rows.tolist() if hasattr(rows, "tolist") else list(rows)
+    if not rows:
+        raise ValueError("a lift needs at least one arc")
+    try:
+        entries = list(chain.from_iterable(rows))
+        if any(len(row) != 3 for row in rows) or not all(map(_is_integer, entries)):
+            raise TypeError
+        packed = array("q", map(operator.index, entries))
+    except (TypeError, OverflowError):  # OverflowError: an entry outside 64 bits
+        raise ValueError("a lift's arcs must be (tail, head, step) integer triples") from None
+    return memoryview(packed.tobytes()).cast("q", (len(rows), 3))
 
 
 class _Certificate(NamedTuple):
@@ -241,11 +228,12 @@ class _Certificate(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _certificate(k: int, key: bytes) -> _Certificate | None:
-    """The ``n``-free part of ``Lift``'s certificate for the ``intp`` arcs whose
+    """The ``n``-free part of ``Lift``'s certificate for the 64-bit arcs whose
     bytes are ``key``, or None if the arcs hold a fault at every ``n``: a repeated
     arc, an offset outside ``0 .. k - 1``, a loop, or an arc ``(r, r', d)`` beside
     neither ``(r', r, -d)`` nor ``(r', r, d)``.  ``_row_fault`` names it."""
-    rows = list(map(tuple, np.frombuffer(key, np.intp).reshape(-1, 3).tolist()))
+    flat = array("q", key)
+    rows = list(zip(flat[::3], flat[1::3], flat[2::3]))
     orbits = set(rows)
     if len(orbits) < len(rows):
         return None
@@ -340,7 +328,7 @@ def read_edge_list(path: str | Path) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
+    return "".join(f"{u} {v}\n" for u, v in g.edges)
 
 
 def path_graph(vertices: int) -> Graph:

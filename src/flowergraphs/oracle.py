@@ -79,12 +79,12 @@ class _Pattern(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _pattern(k: int, key: bytes) -> _Pattern:
-    """The ``n``-free part of the reduction of the lift on ``k`` offsets whose ``intp``
+    """The ``n``-free part of the reduction of the lift on ``k`` offsets whose 64-bit
     arcs have the bytes ``key``, for the last 64 such: ``J``, ``M^-1`` and the step
     columns cost O(|I|^3) once, and each ``n`` reuses them."""
     # Arc (r, r', d) stands for its orbit: from offset r to offset r' d blocks on,
     # with d centred in (-n/2, n/2].
-    tails, heads, step = np.frombuffer(key, np.intp).reshape(-1, 3).T
+    tails, heads, step = np.frombuffer(key, np.int64).reshape(-1, 3).T
     steps = np.array(sorted(set(step.tolist())))
     which = steps.searchsorted(step)
     arcs = np.bincount((which * k + tails) * k + heads, minlength=steps.size * k * k)

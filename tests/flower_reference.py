@@ -80,7 +80,7 @@ def reference_flower(spec: FlowerSpec) -> Graph:
     return graph_from_edge_list(
         (label(petal, a), label(petal, b))
         for petal in range(1, spec.n + 1)
-        for a, b in spec.base.edges.tolist()
+        for a, b in spec.base.edges
     )
 
 

@@ -7,18 +7,21 @@ import csv
 import io
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowergraphs
 from flowergraphs import (
     CompleteFlowerParams,
     CycleFlowerParams,
     FlowerSpec,
     Lift,
-    build_flower,
     complete_flower_spec,
     cycle_flower_spec,
     flower_kemeny_exact,
@@ -34,6 +37,7 @@ from flowergraphs.cli import VERIFY_CHUNK_PAIRS, build_parser, main
 
 from conftest import grid_graph, scalar_values_close
 from flower_reference import summed_kirchhoff
+from rotations import build_flower
 
 
 def run(capsys, *argv):
@@ -376,15 +380,48 @@ def test_index_commands_build_no_dense_matrix(capsys, monkeypatch, argv):
     ],
 )
 def test_only_gen_builds_the_flower_graph(capsys, monkeypatch, argv):
-    """The oracle commands read the flower's lift; only ``gen`` makes it a graph."""
+    """The oracle commands read the flower's lift; only ``gen`` lists its edges."""
     def forbidden(*args, **kwargs):
         raise AssertionError("N-vertex flower graph built")
 
-    monkeypatch.setattr(Lift, "graph", forbidden)
+    monkeypatch.setattr(Lift, "edges", forbidden)
     code, out = run(capsys, *argv)
     assert code == 0 and out
     with pytest.raises(AssertionError, match="N-vertex flower graph built"):
         main(["gen", "--family", "complete", "-m", "3", "-n", "3"])
+
+
+GEN_K10 = ("gen", "--family", "complete", "-m", "10", "-n", "20000")
+
+
+def test_gen_streams_the_flower(tmp_path, capsys):
+    """K10 with n = 20,000: N = 180,000 and 900,000 edges.  Building the flower graph
+    peaked at 214 MiB; streamed a block at a time, ``gen`` stays under 4 MiB and
+    writes what ``format_edge_list`` makes of the N-vertex graph."""
+    target = tmp_path / "flower.edges"
+    tracemalloc.start()
+    try:
+        code, _ = run(capsys, *GEN_K10, "-o", str(target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
+    spec = complete_flower_spec(CompleteFlowerParams(10, 20000))
+    assert target.read_text() == format_edge_list(build_flower(spec))
+
+
+def test_a_closed_pipe_ends_gen_quietly():
+    """A reader that takes one line and closes the pipe: ``gen`` exits 1 and says
+    nothing on stderr, where it printed a usage error."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "flowergraphs.cli", *GEN_K10], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env={"PYTHONPATH": str(Path(flowergraphs.__file__).parents[1])})
+    assert process.stdout.readline() == b"0 1\n"
+    process.stdout.close()
+    assert process.wait(timeout=60) == 1
+    assert process.stderr.read() == b""
+    process.stderr.close()
 
 
 def test_resist_exact_without_pair_exits_2(capsys):

@@ -16,7 +16,6 @@ from flowergraphs import (
     base_kemeny,
     base_kirchhoff,
     base_resistance_table,
-    build_flower,
     complete_graph,
     cycle_graph,
     flower_kemeny_exact,
@@ -42,6 +41,7 @@ from flower_reference import (
     outer_vertices,
     reference_flower,
 )
+from rotations import build_flower
 from separation import TwoSepBundle, compose_two_sep
 
 
@@ -106,11 +106,12 @@ def test_label_map_matches_the_reference_construction(spec):
     then the outer vertices, ``label_of`` and ``locator_of`` are inverse bijections
     between the labels and the canonical locators, a junction reads as ``x`` of the
     previous petal, shifting every label by one block maps the edge set onto itself,
-    and the lift made a graph is the same flower."""
+    and the lift lists the same flower's edges in sorted order."""
     n, size, count = spec.n, spec.block_size, spec.vertex_count
     assert spec.block_order == (spec.x, *outer_vertices(spec))
     graph = build_flower(spec)
-    assert graph == reference_flower(spec) == spec.lift().graph()
+    assert graph == reference_flower(spec)
+    assert list(spec.lift().edges()) == list(graph.edges)
     locators = [spec.locator_of(label) for label in range(count)]
     assert [spec.label_of(*loc) for loc in locators] == list(range(count))
     assert all(locator(spec, *loc) == loc for loc in locators)
@@ -118,8 +119,8 @@ def test_label_map_matches_the_reference_construction(spec):
         assert locator(spec, petal, spec.y) == ((petal - 2) % n + 1, spec.x)
         for v in range(spec.base.vertex_count):
             assert spec.locator_of(spec.label_of(petal, v)) == locator(spec, petal, v)
-    shifted = {tuple(sorted(((a + size) % count, (b + size) % count))) for a, b in graph.edges.tolist()}
-    assert shifted == set(map(tuple, graph.edges.tolist()))
+    shifted = {tuple(sorted(((a + size) % count, (b + size) % count))) for a, b in graph.edges}
+    assert shifted == set(graph.edges)
 
 
 @pytest.mark.parametrize("n", [10, 10**6])
@@ -134,7 +135,7 @@ def test_a_lift_does_not_grow_with_the_petal_count(n):
     finally:
         tracemalloc.stop()
     assert (lift.k, lift.n, lift.arcs.shape) == (9, n, (30, 3))
-    assert set(lift.arcs[:, 2].tolist()) == {-1, 0, 1}
+    assert {step for _, _, step in lift.arcs.tolist()} == {-1, 0, 1}
     assert peak < 64 * 2**10
 
 

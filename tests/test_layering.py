@@ -1,13 +1,13 @@
-"""The closed forms stay independent of the numeric oracle they are checked against,
-no library module imports scipy, the oracle imports only numpy and ``.graphs`` and
-reads lifts, never a ``Graph``, only ``FlowerSpec`` knows the petal block size and
-builds the lift from it, only ``gen`` builds an N-vertex flower graph, only the
-one-pair paths evaluate the flower pair formula, only ``cli._flowers`` reads the
-family options, ``cli.build_parser`` alone builds argparse parsers and builds them
-once per process, every other memo is an ``lru_cache`` with an integer bound, the
-package exports what it imports, graphs and flower specs
-compute their derived attributes at construction, and no source line is longer than
-99 characters."""
+"""The closed forms and the graphs they read import neither numpy nor the numeric
+oracle they are checked against, no library module imports scipy, the oracle
+imports only numpy and ``.graphs`` and reads lifts, never a ``Graph``, only
+``FlowerSpec`` knows the petal block size and builds the lift from it, only ``gen``
+lists a flower's edges, only the one-pair paths evaluate the flower pair formula,
+only ``cli._flowers`` reads the family options, ``cli.build_parser`` alone builds
+argparse parsers and builds them once per process, every other memo is an
+``lru_cache`` with an integer bound, the package exports what it imports, graphs
+and flower specs compute their derived attributes at construction, and no source
+line is longer than 99 characters."""
 
 from __future__ import annotations
 
@@ -23,9 +23,10 @@ import pytest
 import flowergraphs
 
 PACKAGE = Path(flowergraphs.__file__).parent
-# The closed forms, and the separator rules the tests hold as their exact reference.
+# The closed forms, the graphs they read, and the separator rules the tests hold as
+# their exact reference.
 CLOSED_FORM_SOURCES = {
-    name: PACKAGE / f"{name}.py" for name in ("flower", "complete", "cycle", "exact")
+    name: PACKAGE / f"{name}.py" for name in ("flower", "complete", "cycle", "exact", "graphs")
 }
 CLOSED_FORM_SOURCES["separation"] = Path(__file__).parent / "separation.py"
 NUMERIC_MODULES = {"oracle", "numpy", "scipy"}
@@ -158,10 +159,11 @@ def test_only_the_spec_and_the_builder_read_the_block_size():
 
 
 def test_only_gen_builds_a_flower_graph():
-    """Every other command hands the oracle ``spec.lift()``: in the library only
-    ``build_flower`` makes a lift a graph, and in the CLI only ``cmd_gen`` calls it.
-    The rotation certificate and the shifted-graph builder are gone."""
-    callers = {"graph": set(), "build_flower": set()}
+    """Every other command hands the oracle ``spec.lift()``, and ``cmd_gen`` alone
+    lists a lift's edges; no library function calls ``.graph()`` or
+    ``build_flower``, so none builds an N-vertex graph.  The rotation certificate
+    and the shifted-graph builder are gone."""
+    callers = {"graph": set(), "build_flower": set(), "edges": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         assert not re.search(r"\b(check_shift|block_shift_graph)\b", source), path.stem
@@ -170,7 +172,7 @@ def test_only_gen_builds_a_flower_graph():
         for name, function in _functions(tree):
             for called in set(_called_names(function)) & set(callers):
                 callers[called].add((path.stem, name))
-    assert callers == {"graph": {("flower", "build_flower")}, "build_flower": {("cli", "cmd_gen")}}
+    assert callers == {"graph": set(), "build_flower": set(), "edges": {("cli", "cmd_gen")}}
 
 
 def test_only_the_one_pair_paths_evaluate_the_pair_formula():

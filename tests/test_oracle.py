@@ -19,7 +19,6 @@ from flowergraphs import (
     FlowerSpec,
     Graph,
     Lift,
-    build_flower,
     complete_flower_spec,
     complete_graph,
     cycle_flower_spec,
@@ -48,7 +47,7 @@ from conftest import (
     scalar_values_close,
 )
 from flower_reference import located_pairs
-from rotations import graph_lift
+from rotations import build_flower, graph_lift, lift_graph
 
 
 def test_single_edge_resistance():
@@ -169,7 +168,7 @@ def test_oracle_raises_when_the_shift_does_not_divide_n(entry):
 @given(spec=flower_specs(max_vertices=6, max_petals=9), data=st.data())
 def test_oracle_raises_when_an_edge_breaks_the_rotation(entry, spec, data):
     flower = build_flower(spec)
-    edges = flower.edges.tolist()
+    edges = list(map(list, flower.edges))
     at = data.draw(st.integers(0, len(edges) - 1))
     to = data.draw(st.integers(0, flower.vertex_count - 1).filter(lambda v: v != edges[at][1]))
     edges[at][1] = to
@@ -185,7 +184,7 @@ def test_oracle_raises_when_an_edge_breaks_the_rotation(entry, spec, data):
 def _assert_equals_dense(lift):
     """All three entry points on ``lift`` agree to 1e-12 with the dense Cholesky
     reference on the graph it stands for."""
-    g = lift.graph()
+    g = lift_graph(lift)
     close = {"rtol": 1e-12, "atol": 1e-12}
     np.testing.assert_allclose(numeric_indices(lift), dense.numeric_indices(g), **close)
     np.testing.assert_allclose(resistance_matrix(lift), dense.resistance_matrix(g), **close)
@@ -233,7 +232,7 @@ def test_every_multiple_of_the_shift_gives_the_same_values():
     close = {"rtol": 1e-12, "atol": 1e-12}
     expected = numeric_indices(lift), resistance_matrix(lift)
     for shift in (8, 12, 24):
-        rotated = graph_lift(lift.graph(), shift)
+        rotated = graph_lift(lift_graph(lift), shift)
         np.testing.assert_allclose(numeric_indices(rotated), expected[0], **close)
         np.testing.assert_allclose(resistance_matrix(rotated), expected[1], **close)
 
@@ -535,7 +534,7 @@ def test_edge_removal_never_decreases_resistance():
     ]
     for g, removed in cases:
         before = resistance_matrix(graph_lift(g))
-        smaller = graph_from_edge_list(sorted(set(map(tuple, g.edges.tolist())) - {removed}))
+        smaller = graph_from_edge_list(sorted(set(g.edges) - {removed}))
         after = resistance_matrix(graph_lift(smaller))
         assert np.all(after >= before - 1e-9)
 

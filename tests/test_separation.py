@@ -9,14 +9,13 @@ from hypothesis import given, strategies as st
 
 from flowergraphs import (
     CompleteFlowerParams,
-    build_flower,
     complete_flower_spec,
     graph_from_edge_list,
     path_graph,
 )
 from flowergraphs import oracle
 
-from rotations import graph_lift
+from rotations import build_flower, graph_lift
 from separation import TwoSepBundle, compose_one_sep, compose_two_sep
 
 
@@ -121,7 +120,7 @@ def test_two_sep_matches_flower_petal_split():
     g = build_flower(spec)
     i, j = spec.label_of(1, 0), spec.label_of(1, 1)
     petal = graph_from_edge_list([(0, 1), (1, 2), (0, 2)])
-    rest_edges = sorted(e for e in g.edges.tolist() if not (set(e) <= {i, j, spec.label_of(1, 2)}))
+    rest_edges = sorted(e for e in g.edges if not (set(e) <= {i, j, spec.label_of(1, 2)}))
     # Relabel the remaining two petals to dense labels.
     labels = sorted({w for e in rest_edges for w in e})
     relabel = {old: new for new, old in enumerate(labels)}
