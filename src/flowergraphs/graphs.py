@@ -9,7 +9,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -92,13 +92,8 @@ class Graph:
         for u, v in edges:
             neighbours[u].append(v)
             neighbours[v].append(u)
-        reached, seen = [0], [True] + [False] * (count - 1)
-        for v in reached:  # breadth first: the loop runs over what it appends
-            for w in neighbours[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    reached.append(w)
-        if len(reached) < count:
+        # A graph is the quotient of its one-block lift: every arc has step 0.
+        if _cycle_voltages([zip(row, repeat(0)) for row in neighbours]) is None:
             raise ValueError("graph is disconnected")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "degrees", tuple(map(len, neighbours)))
@@ -157,7 +152,8 @@ class Lift:
     pairing, quotient connectivity, degrees, step extremes and the gcd of the
     cycle voltages.  Every construction checks the rest: centred steps, that only
     half-turn arcs (``2d = n``) lack their ``-d`` reverse, and ``gcd(n, g) = 1``
-    for that gcd ``g``.  ``degrees`` gives each offset's degree.
+    for that gcd ``g``.  A bool ``k`` or ``n`` and ``n < 1`` are refused first.
+    ``degrees`` gives each offset's degree.
     """
 
     k: int
@@ -166,6 +162,11 @@ class Lift:
 
     def __post_init__(self) -> None:
         k, n, arcs = self.k, self.n, self.arcs
+        for name, value in (("k", k), ("n", n)):
+            if type(value) is bool:
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if n < 1:
+            raise ValueError(f"a lift needs at least one block, not n = {n}")
         if not (type(arcs) is memoryview and type(arcs.obj) is bytes
                 and arcs.format == "q" and arcs.shape[1:] == (3,)):
             arcs = _packed_arcs(arcs)
@@ -252,7 +253,7 @@ def _certificate(k: int, key: bytes) -> _Certificate | None:
                         tuple(map(len, leaving)), _cycle_voltages(leaving))
 
 
-def _cycle_voltages(leaving: list[list[tuple[int, int]]]) -> int | None:
+def _cycle_voltages(leaving: list[Iterable[tuple[int, int]]]) -> int | None:
     """The gcd of the integer cycle voltages of a quotient whose arcs leaving offset
     ``r`` are ``leaving[r]``, as ``(head, step)``; None if it is disconnected.
 
@@ -275,8 +276,8 @@ def _cycle_voltages(leaving: list[list[tuple[int, int]]]) -> int | None:
             if potential[head] is None:
                 potential[head] = potential[r] + step
                 reached.append(head)
-            else:
-                divisor = gcd(divisor, potential[r] + step - potential[head])
+            elif voltage := potential[r] + step - potential[head]:
+                divisor = gcd(divisor, voltage)
     return divisor if len(reached) == len(leaving) else None
 
 

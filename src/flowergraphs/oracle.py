@@ -1,5 +1,5 @@
 """Numeric ground truth: resistances from the Fourier blocks of a block-circulant
-Laplacian, Kron-reduced onto a junction.
+Laplacian, Kron-reduced onto offset 0.
 
 Every entry point takes a ``graphs.Lift``: ``k`` offsets, ``n`` blocks and the arcs
 that leave block 0, which its constructor certified simple and connected, and never
@@ -24,28 +24,27 @@ so ``L(w) 1 = sum_d (1 - w^d) A_d 1`` has no entry made of cancelling order-one
 terms, which would cost the inverse about ``n^2 eps``.
 
 Kron reduction (Dorfler and Bullo, *Kron reduction of graphs with applications to
-electrical networks*, IEEE TCAS-I 60, 2013) inverts ``T`` through a small Schur
-complement.  The junction ``J`` is offset 0 and the tail of every nonzero-step arc
-that avoids offset 0, so it meets every nonzero-step arc, and the interior ``I`` is
-the rest: two interior offsets meet only by step-0 arcs, and ``T``'s interior block
-``M = L(w)_II`` is the same real positive definite matrix at every ``w``, inverted
-once.  A flower's petals meet only at its junction vertex, offset 0, so ``J = {0}``
-for every flower, as for a one-block lift; ``J`` of every offset leaves ``T`` itself.
-What is left at each ``w`` is the ``J x J`` Schur complement
-``S = T_JJ - T_JI M^-1 T_IJ``, and ``L(w)^-1 = E M^-1 E^T + U S^-1 U^H`` with
-``U = P_J - E M^-1 T_IJ``, for ``E`` and ``P_J`` the columns ``I`` of the identity and
-``J`` of ``P``.  ``S[0, 0]`` is ``1^T L(w) 1 - b_I^H M^-1 b_I`` with ``b = L(w) 1``:
-the first term sums the ``1 - w^d`` above, the second is a form in them, and both
-are of order ``|1 - w|^2`` with constants set by the arcs, so how much of the first
-the second cancels does not grow with ``n``.  At ``w = 1`` row and column 0 of ``S``
-vanish and a unit pivot stands in; with them zeroed in ``S^-1``, ``L(1)^-1`` above
-is ``G``, the inverse of the integer Laplacian grounded at offset 0, bordered by
-zeros.
+electrical networks*, IEEE TCAS-I 60, 2013) keeps offset 0 alone.  A flower's
+petals meet only at its junction vertex, offset 0, so every nonzero-step arc touches
+offset 0 (a one-block lift has none), and ``T``'s interior block ``M = L(w)_II``,
+``I = 1 .. k - 1``, is ``L(1)`` grounded at offset 0 at every ``w``, inverted once.
+Each ``w`` leaves the scalar Schur complement ``S = 1^T L(w) 1 - b_I^H M^-1 b_I``,
+``b = L(w) 1``, and ``L(w)^-1 = E M^-1 E^T + U U^H / S`` with ``U = 1 - E M^-1 b_I``,
+``E`` the columns ``I`` of the identity.  The first term of ``S`` sums the
+``1 - w^d`` above, the second is a form in them, and both are of order
+``|1 - w|^2`` with constants set by the arcs, so how much of the first the second
+cancels does not grow with ``n``.  At ``w = 1``, ``b = 0`` and ``S`` vanishes; a unit
+pivot stands in, and with ``1 / S`` zeroed, ``L(1)^-1`` above is ``G``, ``M^-1``
+bordered by zeros.
+
+A lift with a nonzero-step arc that avoids offset 0, which no flower has, is read as
+its one-block form ``Lift(k n, 1, ..)``, built from its arcs: one block on its ``N``
+labels, whose ``N x N`` symbol costs O(N^2) memory and O(N^3) time.
 
 The oracle stays independent of the closed forms: it reads only the lift's arcs,
 never a base resistance such as ``r_xy`` nor any formula of ``flower.py``, and it
-sums the frequencies numerically.  What does not depend on ``n`` (``J``, ``M^-1``, the
-step columns and the index terms in ``M^-1``) is memoised on ``k`` and the bytes of
+sums the frequencies numerically.  What does not depend on ``n`` (``M^-1``, the step
+columns and the index terms in ``M^-1``) is memoised on ``k`` and the bytes of
 the lift's arcs, its pattern, for the last 64 patterns; each call does only the
 frequencies.
 """
@@ -66,113 +65,94 @@ class _Pattern(NamedTuple):
     is, every array read-only."""
 
     steps: np.ndarray  # the distinct steps d, ascending
-    junction: np.ndarray  # J and I, as offsets
-    interior: np.ndarray
     green: np.ndarray  # M^-1
-    basis: np.ndarray  # P_J
-    step_columns: np.ndarray  # A_d P_J, row (r, a) and column d
-    grounded: np.ndarray  # L(1) P_J
+    step_columns: np.ndarray  # A_d 1, row r and column d
     weights: np.ndarray  # 1 and the degrees, the two weightings w
     traces: np.ndarray  # tr(W_I M^-1) for each w
     forms: np.ndarray  # w_I^T M^-1 w_I for each w
 
 
 @lru_cache(maxsize=64)
-def _pattern(k: int, key: bytes) -> _Pattern:
+def _pattern(k: int, key: bytes) -> _Pattern | None:
     """The ``n``-free part of the reduction of the lift on ``k`` offsets whose 64-bit
-    arcs have the bytes ``key``, for the last 64 such: ``J``, ``M^-1`` and the step
-    columns cost O(|I|^3) once, and each ``n`` reuses them."""
+    arcs have the bytes ``key``, for the last 64 such: ``M^-1`` and the step columns
+    cost O(k^3) once, and each ``n`` reuses them.  None if a nonzero-step arc avoids
+    offset 0, so that ``M`` depends on ``w``."""
     # Arc (r, r', d) stands for its orbit: from offset r to offset r' d blocks on,
     # with d centred in (-n/2, n/2].
     tails, heads, step = np.frombuffer(key, np.int64).reshape(-1, 3).T
+    if ((step != 0) & (tails != 0) & (heads != 0)).any():
+        return None
     steps = np.array(sorted(set(step.tolist())))
     which = steps.searchsorted(step)
     arcs = np.bincount((which * k + tails) * k + heads, minlength=steps.size * k * k)
     arcs = arcs.reshape(-1, k, k).astype(float)
-    # J: offset 0 and the tail of every nonzero-step arc that avoids it.
-    outer = np.bincount(tails, (step != 0) & (heads != 0), k)
-    outer[0] = 1.0
-    junction, interior = outer.nonzero()[0], (outer == 0).nonzero()[0]
     degrees = np.bincount(tails, minlength=k)
     laplacian = -arcs.sum(0)  # L(1), integers
     laplacian.ravel()[:: k + 1] += degrees
-    green = np.linalg.inv(laplacian[interior[:, None], interior])  # M^-1
-    basis = (np.arange(k)[:, None] == junction).astype(float)  # P_J
-    basis[:, 0] = 1.0
-    step_columns = (arcs @ basis).transpose(1, 2, 0).reshape(-1, steps.size)
-    weights = np.ones((2, k))
-    weights[1] = degrees
-    inside = weights[:, interior]
-    pattern = _Pattern(steps, junction, interior, green, basis, step_columns,
-                       laplacian @ basis, weights, inside @ green.diagonal(),
+    green = np.linalg.inv(laplacian[1:, 1:])  # M^-1
+    weights = np.stack((np.ones(k), degrees))
+    inside = np.asfortranarray(weights[:, 1:])  # BLAS's summation order follows the layout
+    pattern = _Pattern(steps, green, arcs.sum(2).T, weights, inside @ green.diagonal(),
                        (inside @ green * inside).sum(1))
     for array in pattern:
         array.flags.writeable = False
     return pattern
 
 
-def _reduced(lift: Lift) -> tuple[_Pattern, np.ndarray, np.ndarray]:
-    """``(pattern, frame, inverse)`` with the frequency ``j`` last:
-    ``E M^-1 E^T + frame[..., j] inverse[..., j] frame[..., j]^H`` is ``L(w_j)^-1``
-    for ``j = 1 .. n // 2`` and ``G`` for ``j = 0``, ``E`` the columns
-    ``pattern.interior`` of the identity, ``frame`` ``U`` and ``inverse`` ``S^-1``."""
-    n = lift.n
+def _one_block(lift: Lift) -> Lift:
+    """The one-block lift of the graph ``lift`` stands for: the orbit of the arc
+    ``(r, r', d)`` is the step-0 arcs from ``p k + r`` to ``((p + d) mod n) k + r'``
+    for every block ``p``."""
+    k, count = lift.k, lift.vertex_count
+    tails, heads, steps = np.asarray(lift.arcs).T
+    starts = np.arange(0, count, k)[:, None]
+    arcs = np.broadcast_arrays(starts + tails, (starts + steps * k) % count + heads, 0)
+    return Lift(count, 1, np.stack(arcs, -1).reshape(-1, 3))
+
+
+def _reduced(lift: Lift) -> tuple[Lift, _Pattern, np.ndarray, np.ndarray]:
+    """``(reduced, pattern, frame, inverse)`` for ``reduced``, ``lift`` or its one-block
+    form, with the frequency ``j`` last: ``E M^-1 E^T + inverse[j] frame[:, j]
+    frame[:, j]^H`` is ``L(w_j)^-1`` for ``j = 1 .. reduced.n // 2`` and ``G`` for
+    ``j = 0``, ``E`` the columns ``1 .. k - 1`` of the identity, ``frame`` ``U`` and
+    ``inverse`` ``1 / S``."""
     pattern = _pattern(lift.k, lift.arcs.tobytes())
-    junction, interior, green = pattern.junction, pattern.interior, pattern.green
-    size = junction.size
+    if pattern is None:
+        lift = _one_block(lift)
+        pattern = _pattern(lift.k, lift.arcs.tobytes())
+    n = lift.n
     freq = np.arange(n // 2 + 1)
     # e^{i phi} for phi = pi j d / n reduced exactly into [-pi, pi).
     half_turn = np.exp(1j * np.pi / n * ((freq[:, None] * pattern.steps + n) % (2 * n) - n))
     gap = -2j * half_turn * half_turn.imag  # 1 - w^d
-    # L(w) P_J: its column 0 is L(w) 1, zero at w = 1.
-    columns = (pattern.step_columns @ gap.T).reshape(lift.k, size, -1)
-    columns += pattern.grounded[:, :, None]
-    coupling = columns[interior]  # T_IJ
-    solved = green @ coupling.reshape(interior.size, size * freq.size)
-    solved = solved.reshape(coupling.shape)
-    schur = columns[junction]
-    schur[0] = columns.sum(0)  # row 0 of T_JJ is 1^T L(w) P_J
-    schur -= np.einsum("iaj,ibj->abj", np.conjugate(coupling, out=coupling), solved)
-    schur[0, 0, 0] = 1.0  # the unit pivot at w = 1, zeroed again in S^-1
-    inverse = _invert(schur)
-    inverse[0, :, 0], inverse[:, 0, 0] = 0.0, 0.0
-    # U = P_J - E M^-1 T_IJ, in the place of the columns.
-    columns[junction] = 0.0
-    columns[interior] = solved
-    frame = np.subtract(pattern.basis[:, :, None], columns, out=columns)
-    return pattern, frame, inverse
-
-
-def _invert(batch: np.ndarray) -> np.ndarray:
-    """Invert the Hermitian positive definite matrices ``batch[:, :, j]`` in place by
-    Gauss-Jordan elimination, a few whole-array operations per pivot for all ``j`` at
-    once, where ``np.linalg.inv`` makes one LAPACK call per matrix.  Each pivot is a
-    diagonal entry of a Schur complement of such a matrix, which is again Hermitian
-    positive definite, so no pivot is zero and no rows are exchanged."""
-    for p in range(len(batch)):
-        pivot = 1.0 / batch[p, p]
-        batch[p, p] = 1.0
-        batch[p] *= pivot
-        column = batch[:, p].copy()
-        column[p] = 0.0
-        batch[:, p] -= column
-        batch -= column[:, None] * batch[p]
-    return batch
+    column = pattern.step_columns @ gap.T  # b = L(w) 1, zero at w = 1
+    coupling = column[1:]  # b_I
+    solved = pattern.green @ coupling
+    schur = column.sum(0) - np.einsum("ij,ij->j", coupling.conj(), solved)
+    schur[0] = 1.0  # the unit pivot at w = 1, zeroed again in 1 / S
+    inverse = 1.0 / schur
+    inverse[0] = 0.0
+    # U = 1 - E M^-1 b_I, in the place of b.
+    column[0], column[1:] = 0.0, solved
+    return lift, pattern, np.subtract(1.0, column, out=column), inverse
 
 
 def _resistance_blocks(lift: Lift) -> np.ndarray:
     """``R[d][r, r'] = R[(d, r), (0, r')] = H_rr + H_r'r' - (B[d] + B[-d]^T)[r, r']``
     from ``B[d] = H[(d, r), (0, r')]``, the blocks of ``H``: ``irfft`` of the
-    ``U S^-1 U^H``, with ``M^-1``, the same at every ``w``, added to block 0 alone.
+    ``U U^H / S``, with ``M^-1``, the same at every ``w``, added to block 0 alone.
     Float addition commutes, so ``R`` is exactly symmetric with an exactly zero
     diagonal, and ``R[-d]`` is ``R[d]`` transposed, float for float."""
-    pattern, frame, inverse = _reduced(lift)
-    condensed = np.einsum("raj,abj,sbj->jrs", frame, inverse, frame.conj())
-    blocks = np.fft.irfft(condensed, lift.n, axis=0)
-    blocks[0, pattern.interior[:, None], pattern.interior] += pattern.green
+    reduced, pattern, frame, inverse = _reduced(lift)
+    condensed = np.einsum("rj,j,sj->jrs", frame, inverse, frame.conj())
+    blocks = np.fft.irfft(condensed, reduced.n, axis=0)
+    blocks[0, 1:, 1:] += pattern.green
     diag = blocks[0].diagonal()
-    reverse = blocks[-np.arange(lift.n)].transpose(0, 2, 1)
-    return (diag[:, None] + diag) - (blocks + reverse)
+    reverse = blocks[-np.arange(reduced.n)].transpose(0, 2, 1)
+    resistances = (diag[:, None] + diag) - (blocks + reverse)
+    # Row d k + r of a one-block form's block is row r of the lift's block d.
+    return resistances[:, :, : lift.k].reshape(lift.n, lift.k, lift.k)
 
 
 def resistance(lift: Lift, i: int, j: int) -> float:
@@ -221,17 +201,16 @@ def numeric_indices(lift: Lift) -> tuple[float, float]:
     ``c`` terms cancel, and ``L(1)^+ = Q G Q``, ``Q = I - 1 1^T / k``, has that form.
 
     Reduced, ``sum_r w_r L(w)^-1_rr`` is ``tr(W_I M^-1)``, the same at every ``w`` and
-    so counted ``n`` times, plus ``sum_r w_r (U S^-1 U^H)_rr``; at ``w = 1``,
-    ``w^T G w = w_I^T M^-1 w_I + (U^T w)^T S^-1 (U^T w)``.  ``w_j`` and its conjugate
-    count once each, and ``math.fsum`` rounds only the total of the terms:
-    O(|I|^3) once per lift pattern, O(N k |J|) per call; O(|I|^2 + N |J|) memory.
+    so counted ``n`` times, plus ``sum_r w_r |U_r|^2 / S``, which is zero at ``w = 1``,
+    where ``1 / S`` is; there ``G`` is ``M^-1`` bordered by zeros, so
+    ``w^T G w = w_I^T M^-1 w_I``.  ``w_j`` and its conjugate count once each, and
+    ``math.fsum`` rounds only the total of the terms: O(k^3) once per lift pattern,
+    O(N k) per call; O(k^2 + N) memory.
     """
-    pattern, frame, inverse = _reduced(lift)
-    n, weights = lift.n, pattern.weights
-    condensed = weights @ np.einsum("raj,abj,rbj->rj", frame, inverse, frame.conj()).real
-    spread = weights @ frame[:, :, 0].real
-    grounded = (spread @ inverse[:, :, 0].real * spread).sum(1) + pattern.forms
-    constant = n * pattern.traces - grounded / weights.sum(1)
+    reduced, pattern, frame, inverse = _reduced(lift)
+    n, weights = reduced.n, pattern.weights
+    condensed = weights @ np.einsum("rj,j,rj->rj", frame, inverse, frame.conj()).real
+    constant = n * pattern.traces - pattern.forms / weights.sum(1)
     # w_j and its conjugate count once each: j = 1 .. (n - 1) // 2 count twice.
     kirchhoff, kemeny = (
         math.fsum([*terms, *terms[1 : (n + 1) // 2], extra])

@@ -312,10 +312,14 @@ LIFT_FAULTS = [
     (2, 3, [], "a lift needs at least one arc"),
     (0, 3, [(0, 0, 1)],
      r"arc \(0, 0, 1\) leaves the offsets 0\.\.-1 or the centred steps -1\.\.1"),
+    (1, 0, [(0, 0, 1)], "a lift needs at least one block, not n = 0"),
+    (1, -4, [(0, 0, 1), (0, 0, -1)], "a lift needs at least one block, not n = -4"),
+    (True, 4, [(0, 0, 1), (0, 0, -1), (0, 0, 2)], "k must be an integer, not True"),
+    (2, True, [(0, 1, 0), (1, 0, 0)], "n must be an integer, not True"),
 ]
 LIFT_FAULT_IDS = ["disconnected-quotient", "gcd", "unpaired", "repeated", "loop", "offset-range",
                   "uncentred-step", "non-integer", "pairs", "bool", "beyond-64-bits", "empty",
-                  "no-offsets"]
+                  "no-offsets", "no-blocks", "negative-blocks", "bool-k", "bool-n"]
 
 
 @pytest.mark.parametrize("k,n,arcs,message", LIFT_FAULTS, ids=LIFT_FAULT_IDS)
@@ -372,10 +376,12 @@ def test_memo_hits_keep_the_faults_that_depend_on_n():
 
 
 def reference_lift_fault(k: int, n: int, rows: list[tuple[int, int, int]]) -> str | None:
-    """The message of ``Lift``'s certificate in one pass at ``n``, with no memo: a
-    repeated arc, else the first arc off the offsets or the centred steps, a loop
-    or an arc without its reverse, else a disconnected quotient, else cycle
-    voltages sharing a factor with ``n``; None for a simple connected lift."""
+    """The message of ``Lift``'s certificate in one pass at ``n``, with no memo: no
+    block, else a repeated arc, else the first arc off the offsets or the centred
+    steps, a loop or an arc without its reverse, else a disconnected quotient, else
+    cycle voltages sharing a factor with ``n``; None for a simple connected lift."""
+    if n < 1:
+        return f"a lift needs at least one block, not n = {n}"
     orbits = set(rows)
     if len(orbits) < len(rows):
         return f"repeated arc {next(arc for arc in rows if rows.count(arc) > 1)}"

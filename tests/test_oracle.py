@@ -4,13 +4,14 @@ solver residuals, accuracy and memory at large N."""
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowergraphs import (
@@ -256,11 +257,6 @@ def test_fourier_oracle_equals_the_dense_reference_on_examples(lift):
     _assert_equals_dense(lift)
 
 
-def _junction(lift):
-    """The offsets the oracle keeps after Kron reduction, the junction ``J``."""
-    return oracle._reduced(lift)[0].junction.tolist()
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(
     flower_specs(max_vertices=7, max_petals=9),
@@ -273,59 +269,94 @@ def _junction(lift):
 ))
 def test_flowers_and_one_block_lifts_reduce_onto_offset_0(subject):
     """A flower's petals meet only at its junction vertex, offset 0 of its lift,
-    and a one-block lift has no nonzero step: each reduces onto ``J = {0}``."""
+    and a one-block lift has no nonzero step: the oracle reduces each onto offset
+    0 as it is, never through its one-block form."""
     lift = subject.lift() if isinstance(subject, FlowerSpec) else subject
-    assert _junction(lift) == [0]
+    assert oracle._pattern(lift.k, lift.arcs.tobytes()) is not None
+    assert oracle._reduced(lift)[0] is lift
+
+
+@st.composite
+def star_lifts(draw):
+    """``(k, n, arcs)``: a lift whose nonzero-step arcs all touch offset 0, which
+    the oracle reduces as it is: a step-0 spanning tree of the offsets and arcs
+    from offset 0 with random steps, loops among them, half-turn loops and arcs
+    (``2d = n``) included, each beside its reverse, and connected."""
+    k = draw(st.integers(1, 5), "k")
+    n = draw(st.integers(2, 10), "n")
+    step = st.integers(-((n - 1) // 2), n // 2)
+    orbits = [(draw(st.integers(0, r - 1)), r, 0) for r in range(1, k)]
+    orbits += draw(st.lists(st.tuples(st.just(0), st.integers(0, k - 1), step),
+                            min_size=1, max_size=k + 3), "star arcs")
+    if draw(st.booleans(), "half-turn loop") and n % 2 == 0:
+        orbits.append((0, 0, n // 2))
+    arcs = set()
+    for tail, head, d in orbits:
+        if tail != head or d:
+            arcs |= {(tail, head, d), (head, tail, -d if 2 * d != n else d)}
+    # The tree's potentials are 0, so the cycle voltages are the steps.
+    assume(math.gcd(n, *(d for _, _, d in arcs)) == 1)
+    return k, n, sorted(arcs)
+
+
+@settings(max_examples=60, deadline=None)
+@example((1, 4, [(0, 0, -1), (0, 0, 1), (0, 0, 2)]))  # K4: a half-turn loop
+@example((3, 6, [(0, 1, 0), (0, 2, 3), (1, 0, 0), (2, 0, 3), (0, 0, 1), (0, 0, -1),
+                 (1, 2, 0), (2, 1, 0)]))  # a half-turn arc between offsets 0 and 2
+@given(star_lifts())
+def test_star_junction_lifts_equal_the_dense_reference(drawn):
+    lift = Lift(*drawn)
+    assert oracle._reduced(lift)[0] is lift
+    _assert_equals_dense(lift)
 
 
 @pytest.mark.parametrize(
-    "lift,junction",
+    "lift,reduced",
     [
         # Steps 1 and -1 join offsets 1 and 3 away from offset 0; 2 and 4 stay inside.
         (Lift(5, 9, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (2, 3, 0), (3, 2, 0),
                      (3, 1, 1), (1, 3, -1), (2, 4, 0), (4, 2, 0), (4, 0, 2), (0, 4, -2)]),
-         [0, 1, 3]),
+         (45, 1)),
         # A half-turn loop at offset 2 (2d = n) and a half-turn arc to offset 0.
         (Lift(3, 6, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (2, 2, 3), (0, 0, 1),
                      (0, 0, -1), (2, 0, 3), (0, 2, 3)]),
-         [0, 2]),
-        # Every offset on a nonzero-step arc that avoids offset 0: nothing to reduce.
+         (18, 1)),
+        # No offset but 0 is free of a nonzero-step arc that avoids offset 0.
         (Lift(3, 5, [(0, 1, 0), (1, 0, 0), (1, 2, 1), (2, 1, -1), (2, 1, 2), (1, 2, -2)]),
-         [0, 1, 2]),
-        # One block of the 4 x 5 grid: only step 0.
-        (graph_lift(grid_graph(4, 5)), [0]),
+         (15, 1)),
+        # One block of the 4 x 5 grid: only step 0, reduced as it is.
+        (graph_lift(grid_graph(4, 5)), (20, 1)),
     ],
     ids=["two-junction-offsets", "half-turn", "no-interior", "one-block"],
 )
-def test_the_reduction_equals_the_dense_reference_on_any_junction(lift, junction):
-    assert _junction(lift) == junction
+def test_the_reduction_equals_the_dense_reference_on_any_junction(lift, reduced):
+    """A lift with a nonzero-step arc that avoids offset 0 is read as its one-block
+    form on its ``N`` labels; the values are the dense reference's either way."""
+    form = oracle._reduced(lift)[0]
+    assert (form.k, form.n) == reduced
     _assert_equals_dense(lift)
 
 
 def test_no_inverse_of_every_symbol(monkeypatch):
     """The O(n k^3) path stays gone: at K10 with n = 200 and n = 201 the oracle
-    inverts the 8 x 8 interior block once, for the lift pattern both share, and a
-    batch of 1 x 1 Schur complements per call, never a batch of ``n // 2 + 1``
-    symbols of size ``k x k``, through ``np.linalg.inv`` or its own batched
-    inverse."""
+    inverts the 8 x 8 interior block once, for the lift pattern both share, and
+    nothing per call or per frequency; each frequency's Schur complement is a
+    scalar, divided."""
     lifts = [complete_flower_spec(CompleteFlowerParams(10, n)).lift() for n in (200, 201)]
     shapes = []
 
-    def recording(invert):
-        def record(matrices, *args, **kwargs):
-            shapes.append(np.shape(matrices))
-            return invert(matrices, *args, **kwargs)
-        return record
+    def record(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return invert(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(oracle.np.linalg, "inv", recording(np.linalg.inv))
-    monkeypatch.setattr(oracle, "_invert", recording(oracle._invert))
+    invert = np.linalg.inv
+    monkeypatch.setattr(oracle.np.linalg, "inv", record)
     oracle._pattern.cache_clear()
     for lift in lifts:
         numeric_indices(lift)
         resistance_matrix(lift)
-    k, batch = lifts[0].k, lifts[0].n // 2 + 1
-    assert lifts[1].n // 2 + 1 == batch
-    assert shapes == [(k - 1, k - 1)] + [(1, 1, batch)] * 4
+    k = lifts[0].k
+    assert shapes == [(k - 1, k - 1)]
 
 
 @pytest.mark.parametrize("m,p,n", [(8, 4, 160), (8, 3, 200), (6, 3, 220)])
