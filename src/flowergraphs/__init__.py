@@ -55,6 +55,7 @@ from .oracle import (
     numeric_indices,
     resistance,
     resistance_matrix,
+    resistance_rows,
     values_close,
 )
 
@@ -101,5 +102,6 @@ __all__ = [
     "read_edge_list",
     "resistance",
     "resistance_matrix",
+    "resistance_rows",
     "values_close",
 ]

@@ -167,9 +167,9 @@ def cmd_resist(args: argparse.Namespace) -> int:
     if args.pair is None:
         if args.exact:
             raise ValueError("--exact needs --pair; the full matrix comes only from the oracle")
-        matrix = oracle.resistance_matrix(spec.lift())
-        for row in matrix:
-            print(" ".join(_fmt_float(value) for value in row))
+        for rows in oracle.resistance_rows(spec.lift()):  # a row block at a time
+            for row in rows:
+                print(" ".join(_fmt_float(value) for value in row))
         return 0
     (pu, bu), (pv, bv) = (_parse_locator(text) for text in args.pair)
     u = locator(spec, pu, bu)
@@ -254,9 +254,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"observed={_fmt_float(observed[t])}"
                 )
         # Both indices by their definitions, off the same matrix:
-        # Kf = sum_{i<j} R_ij and Kemeny = d^T R d / 4q, with q = n |E_base|.
-        degrees = np.tile(np.asarray(lift.degrees, dtype=float), spec.n)
-        kemeny = float(degrees @ matrix @ degrees) / (4.0 * spec.n * spec.base.edge_count)
+        # Kf = sum_{i<j} R_ij and Kemeny = d^T R d / 4q, with q = n sum(d_r) / 2 edges.
+        degrees = np.tile(np.asarray(lift.degrees, dtype=float), lift.n)
+        kemeny = float(degrees @ matrix @ degrees) / (4.0 * (lift.n * sum(lift.degrees) / 2))
         for quantity, closed, observed in _indices(spec, float(matrix.sum()) / 2.0, kemeny):
             if not oracle.values_close(float(closed), observed, abs_tol=tol):
                 failures += 1

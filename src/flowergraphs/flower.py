@@ -13,7 +13,6 @@ streams, and every closed form reads only the base graph.
 
 from __future__ import annotations
 
-import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, Lift
+from .graphs import Graph, Lift, integer
 
 
 class FlowerLocator(NamedTuple):
@@ -49,11 +48,8 @@ class FlowerSpec:
     n: int
 
     def __post_init__(self) -> None:
-        for name, value in (("x", self.x), ("y", self.y), ("n", self.n)):
-            try:  # numpy integers become ints, which the exact sums need
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, not {value!r}") from None
+        for name in ("x", "y", "n"):  # numpy integers become ints, which the exact sums need
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         m = self.base.vertex_count
         if not (0 <= self.x < m and 0 <= self.y < m):
             raise ValueError(f"marked vertices ({self.x}, {self.y}) out of range")
@@ -83,6 +79,7 @@ class FlowerSpec:
 
     def locator_of(self, label: int) -> FlowerLocator:
         """The canonical locator of flower label ``label``."""
+        label = integer("label", label)
         if not (0 <= label < self.vertex_count):
             raise ValueError(f"label {label} out of range")
         petal, offset = divmod(label, self.block_size)
@@ -118,6 +115,7 @@ def _petal_arcs(base: Graph, block_order: tuple[int, ...], y: int) -> memoryview
 def locator(spec: FlowerSpec, petal: int, base_vertex: int) -> FlowerLocator:
     """The canonical locator of ``base_vertex`` inside ``petal``: a junction
     reads as vertex ``x`` of the previous petal, cyclically."""
+    petal, base_vertex = integer("petal", petal), integer("base_vertex", base_vertex)
     if not (1 <= petal <= spec.n):
         raise ValueError(f"petal {petal} out of range 1..{spec.n}")
     if not (0 <= base_vertex < spec.base.vertex_count):

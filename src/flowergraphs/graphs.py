@@ -23,6 +23,15 @@ def _is_integer(value) -> bool:
     return type(value) is not bool and hasattr(value, "__index__")
 
 
+def integer(name: str, value) -> int:
+    """``value`` as an int, through ``operator.index``; anything that is not an integer
+    raises ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
 def _label_pairs(pairs) -> tuple[Edge, ...]:
     """``pairs`` as a nonempty tuple of pairs of ints, a numpy array read through
     ``tolist``; ragged pairs and bool, float, string and oversized labels fail."""

@@ -26,20 +26,16 @@ terms, which would cost the inverse about ``n^2 eps``.
 Kron reduction (Dorfler and Bullo, *Kron reduction of graphs with applications to
 electrical networks*, IEEE TCAS-I 60, 2013) keeps offset 0 alone.  A flower's
 petals meet only at its junction vertex, offset 0, so every nonzero-step arc touches
-offset 0 (a one-block lift has none), and ``T``'s interior block ``M = L(w)_II``,
-``I = 1 .. k - 1``, is ``L(1)`` grounded at offset 0 at every ``w``, inverted once.
-Each ``w`` leaves the scalar Schur complement ``S = 1^T L(w) 1 - b_I^H M^-1 b_I``,
-``b = L(w) 1``, and ``L(w)^-1 = E M^-1 E^T + U U^H / S`` with ``U = 1 - E M^-1 b_I``,
-``E`` the columns ``I`` of the identity.  The first term of ``S`` sums the
-``1 - w^d`` above, the second is a form in them, and both are of order
-``|1 - w|^2`` with constants set by the arcs, so how much of the first the second
-cancels does not grow with ``n``.  At ``w = 1``, ``b = 0`` and ``S`` vanishes; a unit
-pivot stands in, and with ``1 / S`` zeroed, ``L(1)^-1`` above is ``G``, ``M^-1``
-bordered by zeros.
-
-A lift with a nonzero-step arc that avoids offset 0, which no flower has, is read as
-its one-block form ``Lift(k n, 1, ..)``, built from its arcs: one block on its ``N``
-labels, whose ``N x N`` symbol costs O(N^2) memory and O(N^3) time.
+offset 0 (a one-block lift has none; any other lift is refused), and ``T``'s interior
+block ``M = L(w)_II``, ``I = 1 .. k - 1``, is ``L(1)`` grounded at offset 0 at every
+``w``, inverted once.  Each ``w`` leaves the scalar Schur complement
+``S = 1^T L(w) 1 - b_I^H M^-1 b_I``, ``b = L(w) 1``, and ``L(w)^-1 = E M^-1 E^T +
+U U^H / S`` with ``U = 1 - E M^-1 b_I``, ``E`` the columns ``I`` of the identity.
+The first term of ``S`` sums the ``1 - w^d`` above, the second is a form in them,
+and both are of order ``|1 - w|^2`` with constants set by the arcs, so how much of
+the first the second cancels does not grow with ``n``.  At ``w = 1``, ``b = 0`` and
+``S`` vanishes; a unit pivot stands in, and with ``1 / S`` zeroed, ``L(1)^-1`` above
+is ``G``, ``M^-1`` bordered by zeros.
 
 The oracle stays independent of the closed forms: it reads only the lift's arcs,
 never a base resistance such as ``r_xy`` nor any formula of ``flower.py``, and it
@@ -53,11 +49,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .graphs import Lift
+from .graphs import Lift, integer
 
 
 class _Pattern(NamedTuple):
@@ -73,16 +69,19 @@ class _Pattern(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _pattern(k: int, key: bytes) -> _Pattern | None:
+def _pattern(k: int, key: bytes) -> _Pattern:
     """The ``n``-free part of the reduction of the lift on ``k`` offsets whose 64-bit
     arcs have the bytes ``key``, for the last 64 such: ``M^-1`` and the step columns
-    cost O(k^3) once, and each ``n`` reuses them.  None if a nonzero-step arc avoids
-    offset 0, so that ``M`` depends on ``w``."""
+    cost O(k^3) once, and each ``n`` reuses them.  ``ValueError`` names the first
+    nonzero-step arc that avoids offset 0, with which ``M`` would depend on ``w``."""
     # Arc (r, r', d) stands for its orbit: from offset r to offset r' d blocks on,
     # with d centred in (-n/2, n/2].
-    tails, heads, step = np.frombuffer(key, np.int64).reshape(-1, 3).T
-    if ((step != 0) & (tails != 0) & (heads != 0)).any():
-        return None
+    rows = np.frombuffer(key, np.int64).reshape(-1, 3)
+    tails, heads, step = rows.T
+    avoiding = rows[(step != 0) & (tails != 0) & (heads != 0)].tolist()
+    if avoiding:
+        raise ValueError(f"arc {tuple(avoiding[0])} has a nonzero step and avoids offset 0, "
+                         "which the oracle reduces onto: pass its one-block form Lift(k n, 1, ..)")
     steps = np.array(sorted(set(step.tolist())))
     which = steps.searchsorted(step)
     arcs = np.bincount((which * k + tails) * k + heads, minlength=steps.size * k * k)
@@ -100,27 +99,12 @@ def _pattern(k: int, key: bytes) -> _Pattern | None:
     return pattern
 
 
-def _one_block(lift: Lift) -> Lift:
-    """The one-block lift of the graph ``lift`` stands for: the orbit of the arc
-    ``(r, r', d)`` is the step-0 arcs from ``p k + r`` to ``((p + d) mod n) k + r'``
-    for every block ``p``."""
-    k, count = lift.k, lift.vertex_count
-    tails, heads, steps = np.asarray(lift.arcs).T
-    starts = np.arange(0, count, k)[:, None]
-    arcs = np.broadcast_arrays(starts + tails, (starts + steps * k) % count + heads, 0)
-    return Lift(count, 1, np.stack(arcs, -1).reshape(-1, 3))
-
-
-def _reduced(lift: Lift) -> tuple[Lift, _Pattern, np.ndarray, np.ndarray]:
-    """``(reduced, pattern, frame, inverse)`` for ``reduced``, ``lift`` or its one-block
-    form, with the frequency ``j`` last: ``E M^-1 E^T + inverse[j] frame[:, j]
-    frame[:, j]^H`` is ``L(w_j)^-1`` for ``j = 1 .. reduced.n // 2`` and ``G`` for
-    ``j = 0``, ``E`` the columns ``1 .. k - 1`` of the identity, ``frame`` ``U`` and
-    ``inverse`` ``1 / S``."""
+def _reduced(lift: Lift) -> tuple[_Pattern, np.ndarray, np.ndarray]:
+    """``(pattern, frame, inverse)`` for ``lift``, with the frequency ``j`` last:
+    ``E M^-1 E^T + inverse[j] frame[:, j] frame[:, j]^H`` is ``L(w_j)^-1`` for
+    ``j = 1 .. n // 2`` and ``G`` for ``j = 0``, ``E`` the columns ``1 .. k - 1`` of
+    the identity, ``frame`` ``U`` and ``inverse`` ``1 / S``."""
     pattern = _pattern(lift.k, lift.arcs.tobytes())
-    if pattern is None:
-        lift = _one_block(lift)
-        pattern = _pattern(lift.k, lift.arcs.tobytes())
     n = lift.n
     freq = np.arange(n // 2 + 1)
     # e^{i phi} for phi = pi j d / n reduced exactly into [-pi, pi).
@@ -135,7 +119,7 @@ def _reduced(lift: Lift) -> tuple[Lift, _Pattern, np.ndarray, np.ndarray]:
     inverse[0] = 0.0
     # U = 1 - E M^-1 b_I, in the place of b.
     column[0], column[1:] = 0.0, solved
-    return lift, pattern, np.subtract(1.0, column, out=column), inverse
+    return pattern, np.subtract(1.0, column, out=column), inverse
 
 
 def _resistance_blocks(lift: Lift) -> np.ndarray:
@@ -144,41 +128,44 @@ def _resistance_blocks(lift: Lift) -> np.ndarray:
     ``U U^H / S``, with ``M^-1``, the same at every ``w``, added to block 0 alone.
     Float addition commutes, so ``R`` is exactly symmetric with an exactly zero
     diagonal, and ``R[-d]`` is ``R[d]`` transposed, float for float."""
-    reduced, pattern, frame, inverse = _reduced(lift)
+    pattern, frame, inverse = _reduced(lift)
     condensed = np.einsum("rj,j,sj->jrs", frame, inverse, frame.conj())
-    blocks = np.fft.irfft(condensed, reduced.n, axis=0)
+    blocks = np.fft.irfft(condensed, lift.n, axis=0)
     blocks[0, 1:, 1:] += pattern.green
     diag = blocks[0].diagonal()
-    reverse = blocks[-np.arange(reduced.n)].transpose(0, 2, 1)
-    resistances = (diag[:, None] + diag) - (blocks + reverse)
-    # Row d k + r of a one-block form's block is row r of the lift's block d.
-    return resistances[:, :, : lift.k].reshape(lift.n, lift.k, lift.k)
+    reverse = blocks[-np.arange(lift.n)].transpose(0, 2, 1)
+    return (diag[:, None] + diag) - (blocks + reverse)
 
 
 def resistance(lift: Lift, i: int, j: int) -> float:
     """Effective resistance between ``i = p k + r`` and ``j = p' k + r'``: the entry
     ``[r, r']`` of block ``p - p' mod n``."""
-    count = lift.vertex_count
+    i, j, count = integer("i", i), integer("j", j), lift.vertex_count
     if not (0 <= i < count and 0 <= j < count):
         raise IndexError(f"vertex pair ({i}, {j}) out of range for {count} vertices")
     (pi, ri), (pj, rj) = divmod(i, lift.k), divmod(j, lift.k)
     return float(_resistance_blocks(lift)[(pi - pj) % lift.n, ri, rj])
 
 
-def resistance_matrix(lift: Lift) -> np.ndarray:
-    """Symmetric matrix of pairwise effective resistances with zero diagonal.
-
-    ``R[(p, r), (p', r')]`` is entry ``[r, r']`` of block ``p - p' mod n``: row block
-    ``p`` is blocks ``p, p - 1, ..`` in a row, a slice of the blocks transposed and
-    doubled.  O(N^2) time, one N x N array.
-    """
+def resistance_rows(lift: Lift) -> Iterator[np.ndarray]:
+    """Row blocks ``p = 0 .. n - 1`` of the resistance matrix, ``k x N`` each, in O(N k)
+    memory: ``R[(p, r), (p', r')]`` is entry ``[r, r']`` of block ``p - p' mod n``, so
+    row block ``p`` is blocks ``p, p - 1, ..`` in a row, a read-only view of the blocks
+    transposed and doubled."""
     n = lift.n
     blocks = _resistance_blocks(lift).transpose(2, 0, 1)
     doubled = np.concatenate((blocks, blocks), axis=1)
-    matrix = np.empty((n, lift.k, n, lift.k))
-    for p in range(n):
-        matrix[p] = doubled[:, n - p : 2 * n - p]
-    return matrix.reshape(lift.vertex_count, -1)
+    doubled.flags.writeable = False
+    return (doubled[:, n - p : 2 * n - p].reshape(lift.k, -1) for p in range(n))
+
+
+def resistance_matrix(lift: Lift) -> np.ndarray:
+    """The N x N resistance matrix, symmetric with a zero diagonal, from ``resistance_rows``."""
+    rows = resistance_rows(lift)
+    matrix = np.empty((lift.vertex_count, lift.vertex_count))
+    for target, row_block in zip(matrix.reshape(lift.n, lift.k, -1), rows):
+        target[...] = row_block
+    return matrix
 
 
 def numeric_indices(lift: Lift) -> tuple[float, float]:
@@ -207,8 +194,8 @@ def numeric_indices(lift: Lift) -> tuple[float, float]:
     ``math.fsum`` rounds only the total of the terms: O(k^3) once per lift pattern,
     O(N k) per call; O(k^2 + N) memory.
     """
-    reduced, pattern, frame, inverse = _reduced(lift)
-    n, weights = reduced.n, pattern.weights
+    pattern, frame, inverse = _reduced(lift)
+    n, weights = lift.n, pattern.weights
     condensed = weights @ np.einsum("rj,j,rj->rj", frame, inverse, frame.conj()).real
     constant = n * pattern.traces - pattern.forms / weights.sum(1)
     # w_j and its conjugate count once each: j = 1 .. (n - 1) // 2 count twice.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -278,6 +279,27 @@ def test_verify_c8_stays_within_the_resistance_matrix_memory(capsys):
     assert code == 0
     assert out == "verify: ok (1 instances, 626640 pairs, tol=1e-09)\n"
     assert peak < 1.5 * 8 * 1120**2
+
+
+def test_resist_streams_the_matrix_a_row_block_at_a_time(tmp_path):
+    """C8 (p = 4, n = 80), N = 560: ``resist`` prints each row block as
+    ``oracle.resistance_rows`` yields it and holds no N x N array (8 N^2 is 2.5 MB;
+    the whole matrix peaked at 2.6 MB); its lines are ``resistance_matrix``'s rows."""
+    spec = cycle_flower_spec(CycleFlowerParams(8, 80, 4))
+    count = spec.vertex_count
+    build_parser()
+    path = tmp_path / "matrix.txt"
+    with path.open("w") as out, contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            code = main(["resist", "--family", "cycle", "-m", "8", "-n", "80", "-p", "4"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and count == 560
+    assert peak < 8 * count**2 / 4
+    rows = oracle.resistance_matrix(spec.lift())
+    assert path.read_text() == "".join(" ".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
 
 
 def test_sweep_memory_is_bounded_at_n_100000(capsys):

@@ -29,6 +29,7 @@ from flowergraphs import (
     numeric_indices,
     path_graph,
     petersen_graph,
+    resistance,
     resistance_matrix,
 )
 
@@ -164,6 +165,30 @@ def test_spec_takes_numpy_integers_as_python_ints():
     spec = FlowerSpec(path_graph(3), np.int32(0), np.int64(2), np.int64(5))
     assert spec == FlowerSpec(path_graph(3), 0, 2, 5)
     assert all(type(value) is int for value in (spec.x, spec.y, spec.n))
+
+
+C5_SPEC = FlowerSpec(cycle_graph(5), 0, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: locator(C5_SPEC, 1.5, 3), "petal must be an integer, not 1.5"),
+        (lambda: locator(C5_SPEC, 1, 2.0), "base_vertex must be an integer, not 2.0"),
+        (lambda: C5_SPEC.label_of(1, 2.5), "base_vertex must be an integer, not 2.5"),
+        (lambda: C5_SPEC.locator_of(2.0), "label must be an integer, not 2.0"),
+        (lambda: resistance(C5_SPEC.lift(), 1.5, 0), "i must be an integer, not 1.5"),
+        (lambda: resistance(C5_SPEC.lift(), 0, "3"), "j must be an integer, not '3'"),
+    ],
+    ids=["locator-petal", "locator-vertex", "label_of", "locator_of", "resistance-i",
+         "resistance-j"],
+)
+def test_vertex_arguments_must_be_integers(call, message):
+    """A float or string petal, base vertex, label or oracle vertex is refused as
+    ``FlowerSpec`` refuses a non-integer ``x``, ``y`` or ``n``, not located, looked
+    up or indexed as it is."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 # ------------------------------------------------------ the resistance formula

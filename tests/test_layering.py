@@ -175,6 +175,18 @@ def test_only_gen_builds_a_flower_graph():
     assert callers == {"graph": set(), "build_flower": set(), "edges": {("cli", "cmd_gen")}}
 
 
+def test_only_the_spec_builds_a_lift():
+    """``FlowerSpec.lift`` is the one library function that calls ``Lift(``: the
+    oracle takes the lifts it is given and builds none of its own, such as the
+    ``N``-offset one-block form of a lift it cannot reduce."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, function in _functions(ast.parse(path.read_text())):
+            if "Lift" in _called_names(function):
+                callers.add((path.stem, name))
+    assert callers == {("flower", "FlowerSpec.lift")}
+
+
 def test_only_the_one_pair_paths_evaluate_the_pair_formula():
     """``flower_resistance`` and ``max_resistance_search`` ask for single pairs; the
     index sums take moments of the base table and evaluate no pair one by one."""

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -182,6 +183,20 @@ def test_oracle_raises_when_an_edge_breaks_the_rotation(entry, spec, data):
         ENTRY_POINTS[entry](graph_lift(Graph(flower.vertex_count, edges), spec.block_size))
 
 
+def _oracle_form(lift):
+    """``lift`` if each of its nonzero-step arcs touches offset 0, which the oracle
+    reduces onto; otherwise every entry point refuses it, naming the first arc in
+    row order that avoids offset 0, and its one-block form, which the oracle takes,
+    is returned."""
+    avoiding = [tuple(arc) for arc in lift.arcs.tolist() if arc[0] and arc[1] and arc[2]]
+    if not avoiding:
+        return lift
+    for entry in ENTRY_POINTS.values():
+        with pytest.raises(ValueError, match=re.escape(f"arc {avoiding[0]} has a nonzero step")):
+            entry(lift)
+    return graph_lift(lift_graph(lift))
+
+
 def _assert_equals_dense(lift):
     """All three entry points on ``lift`` agree to 1e-12 with the dense Cholesky
     reference on the graph it stands for."""
@@ -211,8 +226,9 @@ def test_fourier_oracle_equals_the_dense_reference_on_random_lifts(drawn):
     """A random quotient with random voltages in (-n/2, n/2], each arc beside its
     reverse; steps of n/2, several steps between two offsets and loops at an
     offset all occur, and so do lifts of one and two blocks, whose degrees
-    differ between offsets."""
-    _assert_equals_dense(Lift(*drawn))
+    differ between offsets.  A draw with a nonzero-step arc that avoids offset 0
+    is refused, and its one-block form is compared instead."""
+    _assert_equals_dense(_oracle_form(Lift(*drawn)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,12 +244,16 @@ def test_oracle_on_the_rotation_equals_the_dense_reference(spec):
 
 
 def test_every_multiple_of_the_shift_gives_the_same_values():
+    """Read under two or three petals a block, the flower has arcs that avoid offset
+    0 and is refused; under those rotations and as one block, the form the oracle
+    takes gives the values of the flower's own lift."""
     lift = SHIFTED.lift()
     assert (lift.k, lift.n) == (4, 6)
     close = {"rtol": 1e-12, "atol": 1e-12}
     expected = numeric_indices(lift), resistance_matrix(lift)
     for shift in (8, 12, 24):
-        rotated = graph_lift(lift_graph(lift), shift)
+        rotated = _oracle_form(graph_lift(lift_graph(lift), shift))
+        assert (rotated.k, rotated.n) == (24, 1)
         np.testing.assert_allclose(numeric_indices(rotated), expected[0], **close)
         np.testing.assert_allclose(resistance_matrix(rotated), expected[1], **close)
 
@@ -270,10 +290,10 @@ def test_fourier_oracle_equals_the_dense_reference_on_examples(lift):
 def test_flowers_and_one_block_lifts_reduce_onto_offset_0(subject):
     """A flower's petals meet only at its junction vertex, offset 0 of its lift,
     and a one-block lift has no nonzero step: the oracle reduces each onto offset
-    0 as it is, never through its one-block form."""
+    0 as it is, and refuses neither."""
     lift = subject.lift() if isinstance(subject, FlowerSpec) else subject
-    assert oracle._pattern(lift.k, lift.arcs.tobytes()) is not None
-    assert oracle._reduced(lift)[0] is lift
+    assert isinstance(oracle._pattern(lift.k, lift.arcs.tobytes()), oracle._Pattern)
+    assert _oracle_form(lift) is lift
 
 
 @st.composite
@@ -306,35 +326,54 @@ def star_lifts(draw):
 @given(star_lifts())
 def test_star_junction_lifts_equal_the_dense_reference(drawn):
     lift = Lift(*drawn)
-    assert oracle._reduced(lift)[0] is lift
+    assert _oracle_form(lift) is lift
     _assert_equals_dense(lift)
 
 
 @pytest.mark.parametrize(
-    "lift,reduced",
+    "lift,avoiding",
     [
         # Steps 1 and -1 join offsets 1 and 3 away from offset 0; 2 and 4 stay inside.
         (Lift(5, 9, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (2, 3, 0), (3, 2, 0),
                      (3, 1, 1), (1, 3, -1), (2, 4, 0), (4, 2, 0), (4, 0, 2), (0, 4, -2)]),
-         (45, 1)),
+         (3, 1, 1)),
         # A half-turn loop at offset 2 (2d = n) and a half-turn arc to offset 0.
         (Lift(3, 6, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (2, 2, 3), (0, 0, 1),
                      (0, 0, -1), (2, 0, 3), (0, 2, 3)]),
-         (18, 1)),
+         (2, 2, 3)),
         # No offset but 0 is free of a nonzero-step arc that avoids offset 0.
         (Lift(3, 5, [(0, 1, 0), (1, 0, 0), (1, 2, 1), (2, 1, -1), (2, 1, 2), (1, 2, -2)]),
-         (15, 1)),
+         (1, 2, 1)),
         # One block of the 4 x 5 grid: only step 0, reduced as it is.
-        (graph_lift(grid_graph(4, 5)), (20, 1)),
+        (graph_lift(grid_graph(4, 5)), None),
     ],
     ids=["two-junction-offsets", "half-turn", "no-interior", "one-block"],
 )
-def test_the_reduction_equals_the_dense_reference_on_any_junction(lift, reduced):
-    """A lift with a nonzero-step arc that avoids offset 0 is read as its one-block
-    form on its ``N`` labels; the values are the dense reference's either way."""
-    form = oracle._reduced(lift)[0]
-    assert (form.k, form.n) == reduced
-    _assert_equals_dense(lift)
+def test_the_reduction_equals_the_dense_reference_on_any_junction(lift, avoiding):
+    """A lift with a nonzero-step arc that avoids offset 0 is refused, naming the
+    first such arc in row order; its one-block form on its ``N`` labels, like any
+    one-block lift, gives the dense reference's values."""
+    if avoiding is not None:
+        with pytest.raises(ValueError, match=re.escape(f"arc {avoiding} has a nonzero step")):
+            numeric_indices(lift)
+    _assert_equals_dense(_oracle_form(lift))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_lift_with_an_arc_that_avoids_offset_0_is_refused_in_constant_memory(entry):
+    """No entry point falls back to the one-block form of such a lift, an N x N
+    symbol: at N = 1,200 that took 291 ms and a 33 MiB traced peak, and both grew
+    about 4 x with each doubling of n."""
+    lift = Lift(3, 400, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (1, 2, 1), (2, 1, -1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                "arc (1, 2, 1) has a nonzero step and avoids offset 0")):
+            ENTRY_POINTS[entry](lift)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_no_inverse_of_every_symbol(monkeypatch):
