@@ -6,23 +6,8 @@ arithmetic, and cross-check everything against a numeric Laplacian oracle that
 works on the Fourier blocks of the petal rotation.
 """
 
-from .complete import (
-    CompleteFlowerParams,
-    PairCase,
-    cf_kemeny,
-    cf_kirchhoff,
-    cf_max_resistance,
-    cf_resistance,
-    complete_flower_spec,
-)
-from .cycle import (
-    CycleFlowerParams,
-    CyclePairPosition,
-    cycle_flower_spec,
-    gs_kemeny,
-    gs_kirchhoff,
-    gs_resistance,
-)
+from .complete import CompleteFlowerParams, complete_flower_spec
+from .cycle import CycleFlowerParams, cycle_flower_spec
 from .exact import format_rational
 from .flower import (
     FlowerLocator,
@@ -44,7 +29,6 @@ from .graphs import (
     Lift,
     complete_graph,
     cycle_graph,
-    format_edge_list,
     graph_from_edge_list,
     parse_edge_list,
     path_graph,
@@ -64,20 +48,14 @@ __version__ = "0.1.0"
 __all__ = [
     "CompleteFlowerParams",
     "CycleFlowerParams",
-    "CyclePairPosition",
     "FlowerLocator",
     "FlowerSpec",
     "Graph",
     "Lift",
     "MaxResistance",
-    "PairCase",
     "base_kemeny",
     "base_kirchhoff",
     "base_resistance_table",
-    "cf_kemeny",
-    "cf_kirchhoff",
-    "cf_max_resistance",
-    "cf_resistance",
     "complete_flower_spec",
     "complete_graph",
     "cycle_flower_spec",
@@ -85,12 +63,8 @@ __all__ = [
     "flower_kemeny_exact",
     "flower_kirchhoff_exact",
     "flower_resistance",
-    "format_edge_list",
     "format_rational",
     "graph_from_edge_list",
-    "gs_kemeny",
-    "gs_kirchhoff",
-    "gs_resistance",
     "kemeny_bounds",
     "kirchhoff_bounds",
     "locator",

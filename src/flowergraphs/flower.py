@@ -216,22 +216,26 @@ def flower_resistance(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> F
     """Exact resistance between two located flower vertices.
 
     Evaluates ``R_ab(e)`` on the canonical locators, with ``v`` ``e`` petals
-    down the chain from ``u``.  Locators that are canonical already, such as
-    ``spec.locator_of``'s, are used as they are; any other goes through ``locator``.
-    Rotating the petals is an automorphism (see above ``_scaled_pair_resistance``),
-    so the value depends on ``(a, b, e)`` alone and is kept on the spec under that
-    key: at most ``(m - 1)^2 n`` values, each computed once.
+    down the chain from ``u``; ``R_aa(0)`` is 0.  Locators in range with no ``y``,
+    such as ``spec.locator_of``'s, are looked up as they are; any other goes
+    through ``locator``.  Rotating the petals is an automorphism (see above
+    ``_scaled_pair_resistance``), so the value depends on ``(a, b, e)`` alone and
+    is kept on the spec under that key: at most ``(m - 1)^2 n`` values, each
+    computed once.  A hit is one dict lookup, so an integral float such as
+    ``2.0``, hash-equal to ``2``, can read its int key's value.  A miss passes
+    locators that are not all ints through ``locator``, so a non-integer raises
+    ``ValueError`` there and the key stored is made of ints.
     """
     (pu, a), (pv, b) = u, v
     n, y = spec.n, spec.y
     m = spec.base.vertex_count
     if not (0 < pu <= n and 0 < pv <= n and 0 <= a < m and 0 <= b < m and a != y != b):
         (pu, a), (pv, b) = locator(spec, pu, a), locator(spec, pv, b)
-    if pu == pv and a == b:
-        return Fraction(0)
-    key = (a, b, (pu - pv) % n)
-    value = spec._resistances.get(key)
+    value = spec._resistances.get((a, b, (pu - pv) % n))
     if value is None:
+        if not type(pu) is type(pv) is type(a) is type(b) is int:
+            (pu, a), (pv, b) = locator(spec, pu, a), locator(spec, pv, b)
+        key = (a, b, (pu - pv) % n)
         det, k = _laplacian_solve(spec.base)
         value = Fraction(_scaled_pair_resistance(spec, k, *key), 4 * n * k[spec.x][y] * det)
         spec._resistances[key] = value

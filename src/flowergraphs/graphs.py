@@ -161,8 +161,8 @@ class Lift:
     pairing, quotient connectivity, degrees, step extremes and the gcd of the
     cycle voltages.  Every construction checks the rest: centred steps, that only
     half-turn arcs (``2d = n``) lack their ``-d`` reverse, and ``gcd(n, g) = 1``
-    for that gcd ``g``.  A bool ``k`` or ``n`` and ``n < 1`` are refused first.
-    ``degrees`` gives each offset's degree.
+    for that gcd ``g``.  A ``k`` or ``n`` that is a bool or no integer, and
+    ``n < 1``, are refused first.  ``degrees`` gives each offset's degree.
     """
 
     k: int
@@ -170,17 +170,18 @@ class Lift:
     arcs: memoryview
 
     def __post_init__(self) -> None:
-        k, n, arcs = self.k, self.n, self.arcs
-        for name, value in (("k", k), ("n", n)):
-            if type(value) is bool:
+        for name in ("k", "n"):
+            value = getattr(self, name)
+            if type(value) is bool:  # integer would take it as 0 or 1
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, integer(name, value))
+        k, n, arcs = self.k, self.n, self.arcs
         if n < 1:
             raise ValueError(f"a lift needs at least one block, not n = {n}")
         if not (type(arcs) is memoryview and type(arcs.obj) is bytes
                 and arcs.format == "q" and arcs.shape[1:] == (3,)):
             arcs = _packed_arcs(arcs)
-        # operator.index keeps a float k, equal in value and hash, off an int k's entry.
-        certificate = _certificate(operator.index(k), arcs.tobytes())
+        certificate = _certificate(k, arcs.tobytes())
         if (
             certificate is None
             or not -n < 2 * certificate.low <= 2 * certificate.high <= n
@@ -335,10 +336,6 @@ def parse_edge_list(text: str) -> list[Edge]:
 
 def read_edge_list(path: str | Path) -> Graph:
     return graph_from_edge_list(parse_edge_list(Path(path).read_text()))
-
-
-def format_edge_list(g: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.edges)
 
 
 def path_graph(vertices: int) -> Graph:

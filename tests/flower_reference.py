@@ -12,7 +12,7 @@ counts.  ``reference_flower`` labels every petal's vertices one
 by one, where the library shifts petal 1's labels by whole blocks.
 ``located_pairs`` lists the general formula's parameters ``(a, b, e)``;
 ``complete_case`` and ``cycle_position`` map them to the parameters of the
-paper's complete- and cycle-base pair forms.
+paper's complete- and cycle-base pair forms in ``paper_forms``.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ from fractions import Fraction
 
 from flowergraphs import (
     CycleFlowerParams,
-    CyclePairPosition,
     FlowerLocator,
     FlowerSpec,
     Graph,
     MaxResistance,
-    PairCase,
     flower_resistance,
     graph_from_edge_list,
     max_resistance_search,
 )
+
+from paper_forms import CyclePairPosition, PairCase
 
 
 def exact_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:

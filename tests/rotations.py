@@ -5,10 +5,11 @@ or flower as the N-vertex ``Graph`` the library never builds.
 count maps a graph's edges onto themselves; ``graph_lift`` then reads the arcs
 that leave block 0 off the graph's neighbour rows.  ``lift_graph`` moves every arc
 of a lift through every block, and ``build_flower`` is a flower spec's lift made a
-graph that way.  The library builds its lifts from flower specs and lists a lift's
-edges with ``Lift.edges``; the tests use these to run the oracle on arbitrary
-graphs, under one block or under a rotation, and to compare a flower or a lift
-with an independently built graph.
+graph that way, and ``format_edge_list`` writes a graph as edge-list text.  The
+library builds its lifts from flower specs and lists a lift's edges with
+``Lift.edges``; the tests use these to run the oracle on arbitrary graphs, under
+one block or under a rotation, to compare a flower or a lift with an independently
+built graph, and to write the files the command line reads.
 """
 
 from __future__ import annotations
@@ -64,3 +65,8 @@ def build_flower(spec: FlowerSpec) -> Graph:
     copy moved by ``i - 1`` whole blocks, modulo the vertex count, so that petal
     ``i``'s ``y`` lands on petal ``i - 1``'s ``x``: ``spec.lift()`` made a graph."""
     return lift_graph(spec.lift())
+
+
+def format_edge_list(g: Graph) -> str:
+    """``g``'s edges as edge-list text, one ``u v`` line each, as ``gen`` writes them."""
+    return "".join(f"{u} {v}\n" for u, v in g.edges)

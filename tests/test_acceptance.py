@@ -14,19 +14,11 @@ from flowergraphs import (
     CompleteFlowerParams,
     CycleFlowerParams,
     FlowerSpec,
-    PairCase,
-    cf_kemeny,
-    cf_kirchhoff,
-    cf_max_resistance,
-    cf_resistance,
     complete_flower_spec,
     complete_graph,
     cycle_flower_spec,
     cycle_graph,
     flower_resistance,
-    gs_kemeny,
-    gs_kirchhoff,
-    gs_resistance,
     kemeny_bounds,
     kirchhoff_bounds,
     max_resistance_search,
@@ -40,6 +32,8 @@ from flowergraphs import (
 from conftest import metric_violations, random_connected_graph
 from rotations import graph_lift
 from flower_reference import complete_case, cycle_position, located_pairs, max_diff_sequence
+from paper_forms import (PairCase, cf_kemeny, cf_kirchhoff, cf_max_resistance, cf_resistance,
+                         gs_kemeny, gs_kirchhoff, gs_resistance)
 
 TOL = 1e-9
 

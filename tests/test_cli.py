@@ -28,7 +28,6 @@ from flowergraphs import (
     flower_kemeny_exact,
     flower_kirchhoff_exact,
     flower_resistance,
-    format_edge_list,
     format_rational,
     graph_from_edge_list,
     parse_edge_list,
@@ -38,7 +37,7 @@ from flowergraphs.cli import VERIFY_CHUNK_PAIRS, build_parser, main
 
 from conftest import grid_graph, scalar_values_close
 from flower_reference import summed_kirchhoff
-from rotations import build_flower
+from rotations import build_flower, format_edge_list
 
 
 def run(capsys, *argv):

@@ -1,5 +1,6 @@
-"""Complete-flower closed forms, their m = 3 sunflower identities, and every pair
-form checked at the general formula's parameters."""
+"""The paper's complete-flower forms from ``paper_forms``: examples, their m = 3
+sunflower identities, orientation symmetry, the maximum-resistance form, and the
+pair and index forms against the oracle."""
 
 from __future__ import annotations
 
@@ -9,11 +10,6 @@ import pytest
 
 from flowergraphs import (
     CompleteFlowerParams,
-    PairCase,
-    cf_kemeny,
-    cf_kirchhoff,
-    cf_max_resistance,
-    cf_resistance,
     complete_flower_spec,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
@@ -26,6 +22,7 @@ from flowergraphs import (
 )
 
 from flower_reference import complete_case, located_pairs
+from paper_forms import PairCase, cf_kemeny, cf_kirchhoff, cf_max_resistance, cf_resistance
 
 
 def test_cf_resistance_examples():
@@ -120,14 +117,6 @@ def test_sunflower_examples():
     assert cf_resistance(params, PairCase.NEITHER, 2) == Fraction(10, 9)
     assert cf_kirchhoff(params) == flower_kirchhoff_exact(spec) == Fraction(65, 6)
     assert cf_kemeny(params) == flower_kemeny_exact(spec) == Fraction(14, 3)
-
-
-def test_sunflower_index_identities():
-    for n in range(3, 13):
-        params = CompleteFlowerParams(3, n)
-        spec = complete_flower_spec(params)
-        assert cf_kirchhoff(params) == flower_kirchhoff_exact(spec)
-        assert cf_kemeny(params) == flower_kemeny_exact(spec)
 
 
 CF_ORACLE_CASES = [(3, 3), (3, 5), (4, 4), (5, 3)]

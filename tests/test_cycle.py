@@ -1,4 +1,5 @@
-"""Cycle-flower closed forms: cycle resistance, the three pair cases, indices."""
+"""The paper's cycle-flower forms from ``paper_forms``: cycle resistance, the three
+pair cases and the indices, by example, by symmetry and against the oracle."""
 
 from __future__ import annotations
 
@@ -9,19 +10,15 @@ import pytest
 from flowergraphs import (
     CompleteFlowerParams,
     CycleFlowerParams,
-    CyclePairPosition,
-    cf_kemeny,
-    cf_kirchhoff,
     cycle_flower_spec,
     flower_resistance,
-    gs_kemeny,
-    gs_kirchhoff,
-    gs_resistance,
     numeric_indices,
     resistance_matrix,
 )
 
 from flower_reference import cycle_position, located_pairs
+from paper_forms import (CyclePairPosition, cf_kemeny, cf_kirchhoff, gs_kemeny, gs_kirchhoff,
+                         gs_resistance)
 
 
 def cycle_resistance(m: int, dist: int) -> Fraction:

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from flowergraphs import (
+    CompleteFlowerParams,
+    CycleFlowerParams,
     FlowerLocator,
     FlowerSpec,
     base_kemeny,
@@ -161,6 +163,24 @@ def test_spec_rejects_non_integer_marked_vertices_and_petal_counts(x, y, n, mess
         FlowerSpec(path_graph(3), x, y, n)
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: CompleteFlowerParams(3.0, 4), "m must be an integer, not 3.0"),
+        (lambda: CompleteFlowerParams(3, 4.5), "n must be an integer, not 4.5"),
+        (lambda: CycleFlowerParams(6.0, 4, 1), "m must be an integer, not 6.0"),
+        (lambda: CycleFlowerParams(6, "4", 1), "n must be an integer, not '4'"),
+        (lambda: CycleFlowerParams(6, 4, 1.0), "p must be an integer, not 1.0"),
+    ],
+    ids=["complete-m", "complete-n", "cycle-m", "cycle-n", "cycle-p"],
+)
+def test_family_params_refuse_non_integers(make, message):
+    """The complete and cycle parameters name the field that is no integer, as
+    ``FlowerSpec`` does, before any range check or base graph is built."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_spec_takes_numpy_integers_as_python_ints():
     spec = FlowerSpec(path_graph(3), np.int32(0), np.int64(2), np.int64(5))
     assert spec == FlowerSpec(path_graph(3), 0, 2, 5)
@@ -179,14 +199,17 @@ C5_SPEC = FlowerSpec(cycle_graph(5), 0, 2, 4)
         (lambda: C5_SPEC.locator_of(2.0), "label must be an integer, not 2.0"),
         (lambda: resistance(C5_SPEC.lift(), 1.5, 0), "i must be an integer, not 1.5"),
         (lambda: resistance(C5_SPEC.lift(), 0, "3"), "j must be an integer, not '3'"),
+        (lambda: flower_resistance(C5_SPEC, FlowerLocator(1.5, 3), FlowerLocator(1, 4)),
+         "petal must be an integer, not 1.5"),
     ],
     ids=["locator-petal", "locator-vertex", "label_of", "locator_of", "resistance-i",
-         "resistance-j"],
+         "resistance-j", "flower_resistance"],
 )
 def test_vertex_arguments_must_be_integers(call, message):
     """A float or string petal, base vertex, label or oracle vertex is refused as
     ``FlowerSpec`` refuses a non-integer ``x``, ``y`` or ``n``, not located, looked
-    up or indexed as it is."""
+    up or indexed as it is.  ``flower_resistance`` passes a locator that misses its
+    memo through ``locator``."""
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 

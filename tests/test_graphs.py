@@ -17,7 +17,6 @@ from flowergraphs import (
     complete_flower_spec,
     complete_graph,
     cycle_graph,
-    format_edge_list,
     graph_from_edge_list,
     parse_edge_list,
     path_graph,
@@ -28,7 +27,7 @@ from flowergraphs.flower import _laplacian_solve
 
 from conftest import connected_graphs, quotient_arcs
 from dense_oracle import laplacian
-from rotations import build_flower, check_shift, graph_lift, lift_graph
+from rotations import build_flower, check_shift, format_edge_list, graph_lift, lift_graph
 
 
 def test_triangle_from_edge_list():
@@ -316,10 +315,13 @@ LIFT_FAULTS = [
     (1, -4, [(0, 0, 1), (0, 0, -1)], "a lift needs at least one block, not n = -4"),
     (True, 4, [(0, 0, 1), (0, 0, -1), (0, 0, 2)], "k must be an integer, not True"),
     (2, True, [(0, 1, 0), (1, 0, 0)], "n must be an integer, not True"),
+    (2.0, 3, [(0, 1, 0), (1, 0, 0)], r"k must be an integer, not 2\.0"),
+    (2, 3.0, [(0, 1, 0), (1, 0, 0)], r"n must be an integer, not 3\.0"),
 ]
 LIFT_FAULT_IDS = ["disconnected-quotient", "gcd", "unpaired", "repeated", "loop", "offset-range",
                   "uncentred-step", "non-integer", "pairs", "bool", "beyond-64-bits", "empty",
-                  "no-offsets", "no-blocks", "negative-blocks", "bool-k", "bool-n"]
+                  "no-offsets", "no-blocks", "negative-blocks", "bool-k", "bool-n", "float-k",
+                  "float-n"]
 
 
 @pytest.mark.parametrize("k,n,arcs,message", LIFT_FAULTS, ids=LIFT_FAULT_IDS)
@@ -366,7 +368,7 @@ def test_memo_hits_keep_the_faults_that_depend_on_n():
     for arcs in (np.array(k4, dtype=float), np.array([[True, False, True]] * 2)):
         with pytest.raises(ValueError, match="^a lift's arcs must be .* integer triples$"):
             Lift(1, 4, arcs)
-    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+    with pytest.raises(ValueError, match=r"^k must be an integer, not 1\.0$"):
         Lift(1.0, 4, k4)
     path = [(0, 1), (1, 2)]
     assert graph_from_edge_list(path) is graph_from_edge_list(np.array(path))

@@ -1,13 +1,14 @@
 """The closed forms and the graphs they read import neither numpy nor the numeric
-oracle they are checked against, no library module imports scipy, the oracle
-imports only numpy and ``.graphs`` and reads lifts, never a ``Graph``, only
-``FlowerSpec`` knows the petal block size and builds the lift from it, only ``gen``
-lists a flower's edges, only the one-pair paths evaluate the flower pair formula,
-only ``cli._flowers`` reads the family options, ``cli.build_parser`` alone builds
-argparse parsers and builds them once per process, every other memo is an
-``lru_cache`` with an integer bound, the package exports what it imports, graphs
-and flower specs compute their derived attributes at construction, and no source
-line is longer than 99 characters."""
+oracle they are checked against, the tests' transcription of the paper's forms
+takes nothing from the package but its two parameter classes, no library module
+imports scipy, the oracle imports only numpy and ``.graphs`` and reads lifts,
+never a ``Graph``, only ``FlowerSpec`` knows the petal block size and builds the
+lift from it, only ``gen`` lists a flower's edges, only the one-pair paths
+evaluate the flower pair formula, only ``cli._flowers`` reads the family options,
+``cli.build_parser`` alone builds argparse parsers and builds them once per
+process, every other memo is an ``lru_cache`` with an integer bound, the package
+exports what it imports, graphs and flower specs compute their derived attributes
+at construction, and no source line is longer than 99 characters."""
 
 from __future__ import annotations
 
@@ -23,12 +24,13 @@ import pytest
 import flowergraphs
 
 PACKAGE = Path(flowergraphs.__file__).parent
-# The closed forms, the graphs they read, and the separator rules the tests hold as
-# their exact reference.
+# The closed forms, the graphs they read, and the separator rules and paper forms the
+# tests hold as their exact references.
 CLOSED_FORM_SOURCES = {
     name: PACKAGE / f"{name}.py" for name in ("flower", "complete", "cycle", "exact", "graphs")
 }
-CLOSED_FORM_SOURCES["separation"] = Path(__file__).parent / "separation.py"
+for name in ("separation", "paper_forms"):
+    CLOSED_FORM_SOURCES[name] = Path(__file__).parent / f"{name}.py"
 NUMERIC_MODULES = {"oracle", "numpy", "scipy"}
 LIBRARY_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 MAX_LINE_LENGTH = 99
@@ -51,6 +53,17 @@ def test_closed_form_module_imports_no_numeric_code(module):
     source = CLOSED_FORM_SOURCES[module].read_text()
     for name in imported_modules(source):
         assert not NUMERIC_MODULES & set(name.split(".")), f"{module} imports {name}"
+
+
+def test_the_paper_forms_take_only_the_parameter_classes():
+    """``paper_forms`` imports the standard library and, from the package, only
+    ``CompleteFlowerParams`` and ``CycleFlowerParams``: it reads none of the
+    library's formulas, so ``test_paper_forms`` compares two independent
+    derivations."""
+    source = CLOSED_FORM_SOURCES["paper_forms"].read_text()
+    outside = {name for name in imported_modules(source)
+               if name.split(".")[0] not in sys.stdlib_module_names}
+    assert outside == {"flowergraphs.CompleteFlowerParams", "flowergraphs.CycleFlowerParams"}
 
 
 @pytest.mark.parametrize("module", LIBRARY_MODULES)

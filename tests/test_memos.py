@@ -19,7 +19,6 @@ from flowergraphs import (
     Lift,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
-    format_edge_list,
     graph_from_edge_list,
     kemeny_bounds,
     kirchhoff_bounds,
@@ -30,7 +29,7 @@ from flowergraphs import (
 from flowergraphs import flower, graphs, oracle
 
 from conftest import connected_graphs
-from rotations import build_flower, graph_lift
+from rotations import build_flower, format_edge_list, graph_lift
 
 # Every memo of work that does not depend on the petal count.
 MEMOS = (graphs._graph_of, graphs._certificate, flower._petal_arcs, flower._moments,
