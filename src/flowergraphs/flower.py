@@ -193,8 +193,15 @@ def base_resistance_table(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
 # n - e - 1 petals make r1_ij + r2_ij = ns.  In the integers k = det * r of
 # the base solve (det the spanning-tree count) the same expressions give
 #     4 n k_xy det R_ab(e) = 4 n k_xy series_k - imbalance_k^2,
-# which _scaled_pair_resistance evaluates for one pair.  flower_resistance
-# divides it out; rotating the petals is an automorphism, so
+# which _scaled_pair_resistance evaluates for one pair.  It is symmetric:
+# seen from v, u is n - e petals down the chain (0 if e = 0), and the key
+# (b, a, -e mod n) gives the same value.  At e = 0 the series k_ab = k_ba is
+# shared and the imbalance only changes sign.  For e >= 1 the mirror's
+# imbalance is r_bx - r_by - r_ax + r_ay - 2(n - e)s = -(imbalance + 2ns), so
+# its square is imbalance^2 + 4ns imbalance + 4n^2 s^2, while its series
+# r_by + r_ax + (n - e - 1)s exceeds series by exactly imbalance + ns; times
+# 4ns the two differences cancel.  flower_resistance divides the value out
+# and keeps it under both keys; rotating the petals is an automorphism, so
 # max_resistance_search compares it across pairs anchored in petal 1.  With
 # c = r_ax - r_ay - r_bx + r_by, the imbalance at e = 0, R_ab(e) is for e >= 1
 # a concave quadratic peaking at e* = (ns + c) / 2s.  The index sums evaluate
@@ -216,29 +223,40 @@ def flower_resistance(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> F
     """Exact resistance between two located flower vertices.
 
     Evaluates ``R_ab(e)`` on the canonical locators, with ``v`` ``e`` petals
-    down the chain from ``u``; ``R_aa(0)`` is 0.  Locators in range with no ``y``,
-    such as ``spec.locator_of``'s, are looked up as they are; any other goes
-    through ``locator``.  Rotating the petals is an automorphism (see above
-    ``_scaled_pair_resistance``), so the value depends on ``(a, b, e)`` alone and
-    is kept on the spec under that key: at most ``(m - 1)^2 n`` values, each
-    computed once.  A hit is one dict lookup, so an integral float such as
-    ``2.0``, hash-equal to ``2``, can read its int key's value.  A miss passes
-    locators that are not all ints through ``locator``, so a non-integer raises
-    ``ValueError`` there and the key stored is made of ints.
+    down the chain from ``u``; ``R_aa(0)`` is 0.  Rotating the petals is an
+    automorphism and the resistance is symmetric (see above
+    ``_scaled_pair_resistance``), so the value depends on the unordered key
+    ``{(a, b, e), (b, a, -e mod n)}`` alone.  It is computed once per unordered
+    key and kept on the spec under both orderings: at most ``(m - 1)^2 n``
+    entries.
+
+    A hit checks that both petals lie in ``1..n`` and probes the memo once with
+    ``(a, b, (petal_u - petal_v) mod n)``.  The memo holds only canonical keys
+    of ints, so a ``y`` copy, an out-of-range base vertex and a non-integer
+    step miss.  A locator hash-equal to a stored key hits: an integral float
+    such as ``2.0`` or a bool reads its int key's value, as do two fractional
+    petals an integer apart.  A miss passes any locator that is not four ints
+    in range with no ``y`` through ``locator``, so a non-integer or a bool
+    raises ``ValueError`` there and the keys stored are made of ints.
     """
     (pu, a), (pv, b) = u, v
-    n, y = spec.n, spec.y
-    m = spec.base.vertex_count
-    if not (0 < pu <= n and 0 < pv <= n and 0 <= a < m and 0 <= b < m and a != y != b):
+    n = spec.n
+    memo = spec._resistances
+    if 0 < pu <= n and 0 < pv <= n:
+        value = memo.get((a, b, (pu - pv) % n))
+        if value is not None:
+            return value
+    m, x, y = spec.base.vertex_count, spec.x, spec.y
+    if not (type(pu) is type(pv) is type(a) is type(b) is int and 0 < pu <= n
+            and 0 < pv <= n and 0 <= a < m and 0 <= b < m and a != y != b):
         (pu, a), (pv, b) = locator(spec, pu, a), locator(spec, pv, b)
-    value = spec._resistances.get((a, b, (pu - pv) % n))
-    if value is None:
-        if not type(pu) is type(pv) is type(a) is type(b) is int:
-            (pu, a), (pv, b) = locator(spec, pu, a), locator(spec, pv, b)
-        key = (a, b, (pu - pv) % n)
-        det, k = _laplacian_solve(spec.base)
-        value = Fraction(_scaled_pair_resistance(spec, k, *key), 4 * n * k[spec.x][y] * det)
-        spec._resistances[key] = value
+        value = memo.get((a, b, (pu - pv) % n))
+        if value is not None:
+            return value
+    e = (pu - pv) % n
+    det, k = _laplacian_solve(spec.base)
+    value = Fraction(_scaled_pair_resistance(spec, k, a, b, e), 4 * n * k[x][y] * det)
+    memo[a, b, e] = memo[b, a, -e % n] = value
     return value
 
 

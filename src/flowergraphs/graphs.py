@@ -24,12 +24,14 @@ def _is_integer(value) -> bool:
 
 
 def integer(name: str, value) -> int:
-    """``value`` as an int, through ``operator.index``; anything that is not an integer
-    raises ``ValueError`` naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    """``value`` as an int, through ``operator.index``; a bool or anything else that
+    is not an integer raises ``ValueError`` naming ``name``."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def _label_pairs(pairs) -> tuple[Edge, ...]:
@@ -171,10 +173,7 @@ class Lift:
 
     def __post_init__(self) -> None:
         for name in ("k", "n"):
-            value = getattr(self, name)
-            if type(value) is bool:  # integer would take it as 0 or 1
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            object.__setattr__(self, name, integer(name, value))
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         k, n, arcs = self.k, self.n, self.arcs
         if n < 1:
             raise ValueError(f"a lift needs at least one block, not n = {n}")

@@ -27,13 +27,13 @@ from flowergraphs import (
     cycle_flower_spec,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
-    flower_resistance,
     format_rational,
     graph_from_edge_list,
     parse_edge_list,
 )
 from flowergraphs import oracle
 from flowergraphs.cli import VERIFY_CHUNK_PAIRS, build_parser, main
+from flowergraphs.flower import _laplacian_solve, _scaled_pair_resistance
 
 from conftest import grid_graph, scalar_values_close
 from flower_reference import summed_kirchhoff
@@ -211,19 +211,26 @@ def test_verify_failure_reports_and_exits_1(capsys):
     assert "expected=" in first and "observed=" in first
 
 
-def _reference_verify_lines(spec: FlowerSpec, tol: float) -> list[str]:
-    """``verify``'s FAIL lines for one complete flower as the pair-at-a-time loop
-    made them: ``float`` of each closed form against the matrix entry by the scalar
-    rule, in row-major ``i < j`` order, then the two indices."""
+def _reference_verify_lines(spec: FlowerSpec, tag: str, tol: float) -> list[str]:
+    """``verify``'s FAIL lines for one flower as the pair-at-a-time loop made them:
+    ``float`` of each closed form against the matrix entry by the scalar rule, in
+    row-major ``i < j`` order, then the two indices.  Each closed form is
+    ``4 n k_xy det R_ab(e)`` over its denominator, evaluated for that pair alone,
+    so no value is read from the memo that ``verify`` fills."""
     graph = build_flower(spec)
     matrix = oracle.resistance_matrix(spec.lift())
-    tag = f"family=complete m={spec.base.vertex_count} n={spec.n} p=-"
+    det, k = _laplacian_solve(spec.base)
+    denominator = 4 * spec.n * k[spec.x][spec.y] * det
     locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
     lines = []
     for i, u in enumerate(locators):
         for j in range(i + 1, len(locators)):
             v = locators[j]
-            expected, observed = flower_resistance(spec, u, v), float(matrix[i, j])
+            e = (u.petal - v.petal) % spec.n
+            expected = Fraction(
+                _scaled_pair_resistance(spec, k, u.base_vertex, v.base_vertex, e), denominator
+            )
+            observed = float(matrix[i, j])
             if not scalar_values_close(float(expected), observed, tol):
                 lines.append(
                     f"FAIL {tag} pair={u.petal}:{u.base_vertex},{v.petal}:{v.base_vertex} "
@@ -245,21 +252,29 @@ def _reference_verify_lines(spec: FlowerSpec, tol: float) -> list[str]:
 
 
 def test_verify_across_chunks_prints_what_the_pair_loop_prints(capsys):
-    """K6 with n = 52: N = 260 and 33,670 pairs, in three runs of rows for the
-    vectorized compare, with float noise above the tolerance in each."""
-    spec = complete_flower_spec(CompleteFlowerParams(6, 52))
-    assert VERIFY_CHUNK_PAIRS // spec.vertex_count < spec.vertex_count - 1
-    code, out = run(
-        capsys,
-        "verify", "--family", "complete", "--m-range", "6", "--n-range", "52",
-        "--tol", "1e-16",
+    """K6 with n = 52 (N = 260, 33,670 pairs) and C8 with p = 4 and n = 40
+    (N = 280, 39,060 pairs), each in three runs of rows for the vectorized
+    compare, with float noise above the tolerance in each."""
+    flowers = (
+        ("complete", complete_flower_spec(CompleteFlowerParams(6, 52)), None),
+        ("cycle", cycle_flower_spec(CycleFlowerParams(8, 40, 4)), 4),
     )
-    lines = _reference_verify_lines(spec, 1e-16)
-    assert len(lines) > 1000
-    lines.append(f"verify: {len(lines)} mismatches over 1 instances, 33670 pairs")
-    assert code == 1
-    assert out.endswith("\n")
-    assert out.splitlines() == lines
+    for family, spec, p in flowers:
+        m, n, count = spec.base.vertex_count, spec.n, spec.vertex_count
+        assert VERIFY_CHUNK_PAIRS // count < count - 1
+        argv = ["verify", "--family", family, "--m-range", str(m), "--n-range", str(n),
+                "--tol", "1e-16"]
+        if p is not None:
+            argv += ["--p-range", str(p)]
+        code, out = run(capsys, *argv)
+        tag = f"family={family} m={m} n={n} p={'-' if p is None else p}"
+        lines = _reference_verify_lines(spec, tag, 1e-16)
+        assert len(lines) > 1000
+        lines.append(f"verify: {len(lines)} mismatches over 1 instances, "
+                     f"{count * (count - 1) // 2} pairs")
+        assert code == 1
+        assert out.endswith("\n")
+        assert out.splitlines() == lines
 
 
 def test_verify_c8_stays_within_the_resistance_matrix_memory(capsys):

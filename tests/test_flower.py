@@ -35,7 +35,7 @@ from flowergraphs import (
     resistance_matrix,
 )
 
-from flowergraphs.flower import _laplacian_solve
+from flowergraphs.flower import _laplacian_solve, _scaled_pair_resistance
 
 from conftest import connected_graphs, flower_specs, grid_graph, random_connected_graph
 from flower_reference import (
@@ -201,15 +201,23 @@ C5_SPEC = FlowerSpec(cycle_graph(5), 0, 2, 4)
         (lambda: resistance(C5_SPEC.lift(), 0, "3"), "j must be an integer, not '3'"),
         (lambda: flower_resistance(C5_SPEC, FlowerLocator(1.5, 3), FlowerLocator(1, 4)),
          "petal must be an integer, not 1.5"),
+        (lambda: FlowerSpec(complete_graph(4), True, 0, 3), "x must be an integer, not True"),
+        (lambda: CycleFlowerParams(6, 4, True), "p must be an integer, not True"),
+        (lambda: locator(C5_SPEC, True, 2), "petal must be an integer, not True"),
+        (lambda: resistance(C5_SPEC.lift(), True, 0), "i must be an integer, not True"),
+        (lambda: flower_resistance(C5_SPEC, FlowerLocator(1, False), FlowerLocator(1, 4)),
+         "base_vertex must be an integer, not False"),
     ],
     ids=["locator-petal", "locator-vertex", "label_of", "locator_of", "resistance-i",
-         "resistance-j", "flower_resistance"],
+         "resistance-j", "flower_resistance", "spec-bool", "cycle-params-bool",
+         "locator-bool", "resistance-bool", "flower_resistance-bool"],
 )
 def test_vertex_arguments_must_be_integers(call, message):
-    """A float or string petal, base vertex, label or oracle vertex is refused as
-    ``FlowerSpec`` refuses a non-integer ``x``, ``y`` or ``n``, not located, looked
-    up or indexed as it is.  ``flower_resistance`` passes a locator that misses its
-    memo through ``locator``."""
+    """A float, string or bool petal, base vertex, label or oracle vertex is refused
+    as ``FlowerSpec`` refuses a non-integer ``x``, ``y`` or ``n``, not located,
+    looked up or indexed as it is, and a bool is not read as 0 or 1.
+    ``flower_resistance`` passes a locator that misses its memo through
+    ``locator``."""
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
@@ -303,17 +311,33 @@ def test_cross_formula_rejects_bad_inputs():
 @given(flower_specs())
 def test_cross_orientation_invariance(spec):
     """Counting petals the other way round (swapping the endpoints, or swapping
-    x and y, which reverses the petal order) leaves every value unchanged."""
-    n = spec.n
-    mirror = FlowerSpec(spec.base, spec.y, spec.x, n)
+    x and y, which reverses the petal order) leaves every value unchanged.  The
+    memo stores each value under its mirror too, so the swapped endpoints are
+    evaluated on a cold spec, equal to ``spec``, that has evaluated nothing else."""
+    base, x, y, n = spec.base, spec.x, spec.y, spec.n
+    mirror = FlowerSpec(base, y, x, n)
     locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
     for u in locators:
         mirrored_u = FlowerLocator(n + 1 - u.petal, u.base_vertex)
         for v in locators:
             value = flower_resistance(spec, u, v)
-            assert flower_resistance(spec, v, u) == value
+            assert flower_resistance(FlowerSpec(base, x, y, n), v, u) == value
             mirrored_v = FlowerLocator(n + 1 - v.petal, v.base_vertex)
             assert flower_resistance(mirror, mirrored_u, mirrored_v) == value
+
+
+@given(flower_specs(max_petals=8))
+def test_the_scaled_pair_resistance_is_its_own_mirror(spec):
+    """``4 n k_xy det R_ab(e)`` takes the same value on ``(b, a, -e mod n)``, the
+    key of the same pair seen from its other end: the symmetry the memo's
+    mirrored fill relies on, checked without the memo."""
+    _, k = _laplacian_solve(spec.base)
+    n = spec.n
+    for a in spec.block_order:
+        for b in spec.block_order:
+            for e in range(n):
+                assert (_scaled_pair_resistance(spec, k, a, b, e)
+                        == _scaled_pair_resistance(spec, k, b, a, -e % n)), (a, b, e)
 
 
 @settings(max_examples=40)
@@ -437,6 +461,74 @@ def test_memoised_resistance_equals_a_fresh_evaluation(base, x, y, n):
         for v in every:
             fresh = flower_resistance(FlowerSpec(base, x, y, n), u, v)
             assert flower_resistance(spec, u, v) == fresh, (u, v)
+
+
+def _filled(spec: FlowerSpec) -> FlowerSpec:
+    """``spec`` after every ordered pair of canonical locators has been evaluated."""
+    locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
+    for u in locators:
+        for v in locators:
+            flower_resistance(spec, u, v)
+    assert len(spec._resistances) == spec.block_size ** 2 * spec.n
+    return spec
+
+
+@pytest.mark.parametrize(
+    "u,v,message",
+    [
+        (FlowerLocator(0, 3), FlowerLocator(1, 4), "petal 0 out of range 1..4"),
+        (FlowerLocator(1, 3), FlowerLocator(5, 4), "petal 5 out of range 1..4"),
+        (FlowerLocator(2, 5), FlowerLocator(1, 4), "base vertex 5 out of range"),
+        (FlowerLocator(1, 3), FlowerLocator(1, -1), "base vertex -1 out of range"),
+        (FlowerLocator(1.5, 3), FlowerLocator(1, 4), "petal must be an integer, not 1.5"),
+        (FlowerLocator(1, 3), FlowerLocator(2.5, 4), "petal must be an integer, not 2.5"),
+    ],
+    ids=["petal-0", "petal-n+1", "vertex-m", "vertex-negative", "petal-1.5", "petal-2.5"],
+)
+def test_a_warm_memo_refuses_what_a_cold_one_refuses(u, v, message):
+    """A hit checks only the petal range and probes the memo, so with every key
+    stored an out-of-range petal or base vertex and a fractional step still miss
+    into ``locator``, which raises what it raises on a cold spec."""
+    cold = FlowerSpec(cycle_graph(5), 0, 2, 4)
+    for spec in (cold, _filled(FlowerSpec(cycle_graph(5), 0, 2, 4))):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            flower_resistance(spec, u, v)
+
+
+def test_a_warm_memo_reads_a_y_locator_as_the_previous_junction():
+    """Petal ``p``'s ``y`` is petal ``p - 1``'s ``x``; the memo holds no key with
+    ``y``, so the ``y`` locator misses, and ``locator`` canonicalises it."""
+    spec = _filled(FlowerSpec(cycle_graph(5), 0, 2, 4))
+    keys = dict(spec._resistances)
+    locators = [spec.locator_of(i) for i in range(spec.vertex_count)]
+    for p in range(1, spec.n + 1):
+        y_copy, junction = FlowerLocator(p, spec.y), FlowerLocator((p - 2) % spec.n + 1, spec.x)
+        for w in locators:
+            assert flower_resistance(spec, y_copy, w) == flower_resistance(spec, junction, w)
+            assert flower_resistance(spec, w, y_copy) == flower_resistance(spec, w, junction)
+    assert spec._resistances == keys
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_one_miss_stores_its_key_and_its_mirror(n):
+    """Each miss adds its key ``(a, b, e)`` and its mirror ``(b, a, -e mod n)``,
+    one entry when the two are the same key: ``(a, a, 0)``, and ``(a, a, n/2)``
+    at even ``n``."""
+    spec = FlowerSpec(cycle_graph(5), 0, 2, n)
+    own_mirrors = 0
+    for a in spec.block_order:
+        for b in spec.block_order:
+            for e in range(n):
+                key, mirror = (a, b, e), (b, a, -e % n)
+                before = dict(spec._resistances)
+                if key in before:
+                    continue
+                own_mirrors += key == mirror
+                u, v = FlowerLocator(1, a), FlowerLocator((1 - e) % n or n, b)
+                value = flower_resistance(spec, u, v)
+                assert spec._resistances == {**before, key: value, mirror: value}
+    assert own_mirrors == spec.block_size * (2 if n % 2 == 0 else 1)
+    assert len(spec._resistances) == spec.block_size ** 2 * n
 
 
 def test_the_memo_is_outside_equality_the_hash_and_the_repr():
