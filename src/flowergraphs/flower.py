@@ -134,18 +134,24 @@ def _laplacian_solve(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     ``det`` is the spanning-tree count (matrix-tree theorem) and ``adj`` the
     adjugate, so ``k_ij = adj_ii + adj_jj - 2 adj_ij = det r_ij`` with row and
     column 0 of ``adj`` zero.  The grounded Laplacian of a connected graph is
-    positive definite, so no pivot is zero and no row swaps are needed.  Before
-    ``k`` is returned, the adjugate is checked exactly against the sparse
-    Laplacian, ``deg(i) adj_ij - sum of adj_wj over neighbours w = det [i == j]``;
-    a failure raises ``ArithmeticError``.  The solve costs O(m^3) big-integer
-    operations and the check O(|E| m), once per base while it stays cached.
+    positive definite, so no pivot is zero and no row swaps are needed.  The
+    elimination runs in place on the ``(m - 1) x (m - 1)`` grounded Laplacian:
+    the identity's column ``p`` is ``det e_p`` until row ``p`` pivots, and the
+    Laplacian's is after, so column ``p`` holds the Laplacian's column until then
+    and the adjugate's column once row ``p`` has pivoted.  That pivot turns the
+    identity's column into ``-row_i[p]`` in every other row ``i`` and the previous
+    pivot in row ``p``.  Before ``k`` is returned, the adjugate is checked exactly
+    against the sparse Laplacian, ``deg(i) adj_ij - sum of adj_wj over neighbours
+    w = det [i == j]``; a failure raises ``ArithmeticError``.  The solve costs
+    O(m^3) big-integer operations and the check O(|E| m), once per base while it
+    stays cached.
     """
     m = g.vertex_count
     k = m - 1
     rows = []
     for i in range(1, m):
-        row = [0] * (2 * k)
-        row[i - 1], row[k + i - 1] = g.degrees[i], 1
+        row = [0] * k
+        row[i - 1] = g.degrees[i]
         for w in g.neighbors(i):
             if w:
                 row[w - 1] = -1
@@ -158,9 +164,12 @@ def _laplacian_solve(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
             if i != p:
                 f = row[p]
                 # Exact division: each entry is a minor of the augmented matrix.
-                rows[i] = [(pivot * a - f * b) // det for a, b in zip(row, pivot_row)]
+                new = [(pivot * a - f * b) // det for a, b in zip(row, pivot_row)]
+                new[p] = -f
+                rows[i] = new
+        pivot_row[p] = det
         det = pivot
-    adj = [[0] * m] + [[0] + row[k:] for row in rows]
+    adj = [[0] * m] + [[0] + row for row in rows]
     for i in range(1, m):
         residual = [g.degrees[i] * a for a in adj[i]]
         for w in g.neighbors(i):
@@ -233,19 +242,24 @@ def flower_resistance(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> F
     A hit checks that both petals lie in ``1..n`` and probes the memo once with
     ``(a, b, (petal_u - petal_v) mod n)``.  The memo holds only canonical keys
     of ints, so a ``y`` copy, an out-of-range base vertex and a non-integer
-    step miss.  A locator hash-equal to a stored key hits: an integral float
-    such as ``2.0`` or a bool reads its int key's value, as do two fractional
-    petals an integer apart.  A miss passes any locator that is not four ints
-    in range with no ``y`` through ``locator``, so a non-integer or a bool
-    raises ``ValueError`` there and the keys stored are made of ints.
+    step miss, and so does a petal that no int compares with, such as ``"1"`` or
+    ``None``, whose ``TypeError`` the hit drops.  A locator hash-equal to a stored
+    key hits: an integral float such as ``2.0`` or a bool reads its int key's
+    value, as do two fractional petals an integer apart.  A miss passes any
+    locator that is not four ints in range with no ``y`` through ``locator``, so
+    a non-integer or a bool raises ``ValueError`` there and the keys stored are
+    made of ints.
     """
     (pu, a), (pv, b) = u, v
     n = spec.n
     memo = spec._resistances
-    if 0 < pu <= n and 0 < pv <= n:
-        value = memo.get((a, b, (pu - pv) % n))
-        if value is not None:
-            return value
+    try:
+        if 0 < pu <= n and 0 < pv <= n:
+            value = memo.get((a, b, (pu - pv) % n))
+            if value is not None:
+                return value
+    except TypeError:  # a petal such as "1" or None, or an unhashable vertex
+        pass
     m, x, y = spec.base.vertex_count, spec.x, spec.y
     if not (type(pu) is type(pv) is type(a) is type(b) is int and 0 < pu <= n
             and 0 < pv <= n and 0 <= a < m and 0 <= b < m and a != y != b):
@@ -271,14 +285,22 @@ class MaxResistance:
 def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
     """Maximum resistance over all vertex pairs of the flower.
 
-    For each base-locator pair ``R_ab(e)`` is a concave quadratic in
-    ``e = 1..n-1``, so only the integers next to its vertex ``e* = (ns + c) / 2s``
-    can attain its maximum.  Together with the same-petal values ``R_ab(0)``
-    that is O(m^2) candidates, whatever the petal count; their integer keys
-    share one denominator, so comparing the keys compares the resistances
-    exactly.  Ties break toward the lexicographically smallest locator pair.
-    The reported ``d`` is the inclusive petal count between the pair, the
-    smaller way round the chain: ``min(e, n - e) + 1`` for the best pair's step.
+    For each base-locator pair the scaled ``R_ab(e)`` is, on ``e = 1..n-1``, a
+    concave quadratic: a step on adds ``s`` to the series and takes ``2s`` off the
+    imbalance ``c - 2es``, so it rises by ``4s (ns + c - (2e + 1) s)``.  With
+    ``below, r = divmod(ns + c, 2s)`` the rise at ``e = below`` is ``4s (r - s)``,
+    so the best step is ``below + 1`` if ``r > s``, ``below`` if ``r < s`` and both
+    at ``r == s``.  Since ``|k_ax - k_ay| <= s`` (the triangle inequality),
+    ``|c| <= 2s`` and the vertex ``e* = (ns + c) / 2s`` lies within 1 of ``n/2``,
+    so a best step leaves ``1..n-1`` only in the ties at ``e* = 1/2`` and
+    ``e* = n - 1/2``, both at ``n = 3``, where step 1 or step ``n - 1`` alone is
+    then the best.
+    With the same-petal value ``R_ab(0)`` that is at most three formula calls per
+    pair, whatever the petal count; their integer keys share one denominator, so
+    comparing the keys compares the resistances exactly.  Ties break toward the
+    lexicographically smallest locator pair.  The reported ``d`` is the inclusive
+    petal count between the pair, the smaller way round the chain:
+    ``min(e, n - e) + 1`` for the best pair's step.
     """
     det, k = _laplacian_solve(spec.base)
     n, x, y = spec.n, spec.x, spec.y
@@ -289,11 +311,13 @@ def max_resistance_search(spec: FlowerSpec) -> MaxResistance:
     for a in spec.block_order:
         u = FlowerLocator(1, a)
         for b in spec.block_order:
-            c = k[a][x] - k[a][y] - k[b][x] + k[b][y]
-            below = (n * s + c) // (2 * s)
-            steps = {min(max(e, 1), n - 1) for e in (below, below + 1)}
+            below, r = divmod(n * s + k[a][x] - k[a][y] - k[b][x] + k[b][y], 2 * s)
+            if r == s and 1 <= below < n - 1:
+                steps = [below, below + 1]
+            else:
+                steps = [max(below + (r > s), 1)]
             if a != b:
-                steps.add(0)
+                steps.append(0)
             for e in steps:
                 value = _scaled_pair_resistance(spec, k, a, b, e)
                 if value < best_value:

@@ -334,7 +334,21 @@ def parse_edge_list(text: str) -> list[Edge]:
 
 
 def read_edge_list(path: str | Path) -> Graph:
-    return graph_from_edge_list(parse_edge_list(Path(path).read_text()))
+    """The graph in the edge-list file at ``path``, read afresh on every call.
+
+    The parsed and checked graph is memoised on the file's text, for the last
+    64 texts, so a file read again unchanged skips ``parse_edge_list`` and the
+    label checks and returns the same object, while an edited file is parsed
+    again.  A bad file is never kept: its ``ValueError``, with the line number,
+    comes on every read.
+    """
+    return _graph_of_text(Path(path).read_text())
+
+
+@lru_cache(maxsize=64)
+def _graph_of_text(text: str) -> Graph:
+    """The graph whose edge list is ``text``, in ``parse_edge_list``'s format."""
+    return graph_from_edge_list(parse_edge_list(text))
 
 
 def path_graph(vertices: int) -> Graph:

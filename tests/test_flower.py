@@ -35,6 +35,7 @@ from flowergraphs import (
     resistance_matrix,
 )
 
+from flowergraphs import flower as flower_module
 from flowergraphs.flower import _laplacian_solve, _scaled_pair_resistance
 
 from conftest import connected_graphs, flower_specs, grid_graph, random_connected_graph
@@ -482,13 +483,17 @@ def _filled(spec: FlowerSpec) -> FlowerSpec:
         (FlowerLocator(1, 3), FlowerLocator(1, -1), "base vertex -1 out of range"),
         (FlowerLocator(1.5, 3), FlowerLocator(1, 4), "petal must be an integer, not 1.5"),
         (FlowerLocator(1, 3), FlowerLocator(2.5, 4), "petal must be an integer, not 2.5"),
+        (FlowerLocator("1", 3), FlowerLocator(1, 4), "petal must be an integer, not '1'"),
+        (FlowerLocator(1, 3), FlowerLocator(None, 4), "petal must be an integer, not None"),
     ],
-    ids=["petal-0", "petal-n+1", "vertex-m", "vertex-negative", "petal-1.5", "petal-2.5"],
+    ids=["petal-0", "petal-n+1", "vertex-m", "vertex-negative", "petal-1.5", "petal-2.5",
+         "petal-str", "petal-None"],
 )
 def test_a_warm_memo_refuses_what_a_cold_one_refuses(u, v, message):
     """A hit checks only the petal range and probes the memo, so with every key
-    stored an out-of-range petal or base vertex and a fractional step still miss
-    into ``locator``, which raises what it raises on a cold spec."""
+    stored an out-of-range petal or base vertex, a fractional step and a petal no
+    int compares with still miss into ``locator``, which raises what it raises on
+    a cold spec."""
     cold = FlowerSpec(cycle_graph(5), 0, 2, 4)
     for spec in (cold, _filled(FlowerSpec(cycle_graph(5), 0, 2, 4))):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -554,6 +559,54 @@ def test_max_resistance_even_triangle_flower():
     result = max_resistance_search(k3_spec(4))
     assert result.value == Fraction(4, 3)
     assert result.d == 3
+
+
+def _step_rule_specs():
+    """At least 200 small flowers, n = 3..12: random bases, plus paths whose
+    marked vertices hang a pendant off each end, so that at n = 3 a pair's vertex
+    ``e*`` sits below step 1 and halfway between steps n - 1 and n."""
+    rng = random.Random(43)
+    specs = [FlowerSpec(path_graph(m), x, x + 1, n)
+             for m in (4, 5, 6) for x in range(1, m - 2) for n in (3, 4)]
+    while len(specs) < 240:
+        base = random_connected_graph(rng, max_vertices=8)
+        x, y = rng.sample(range(base.vertex_count), 2)
+        specs.append(FlowerSpec(base, x, y, rng.randint(3, 12)))
+    return specs
+
+
+def test_the_search_evaluates_exactly_the_best_steps_of_each_pair(monkeypatch):
+    """For each ordered base-locator pair the search evaluates ``R_ab(e)`` at
+    ``e >= 1`` only at the steps of ``1..n-1`` where it is largest, each once, so
+    one call per pair and one more per tie, and ``e = 0`` once for ``a != b``."""
+    calls = []
+
+    def recorded(spec, k, a, b, e):
+        calls.append((a, b, e))
+        return _scaled_pair_resistance(spec, k, a, b, e)
+
+    monkeypatch.setattr(flower_module, "_scaled_pair_resistance", recorded)
+    seen = {"tie": 0, "below 1": 0, "past n - 1": 0}
+    for spec in _step_rule_specs():
+        calls.clear()
+        max_resistance_search(spec)
+        _, k = _laplacian_solve(spec.base)
+        n, s = spec.n, k[spec.x][spec.y]
+        made = {}
+        for a, b, e in calls:
+            made.setdefault((a, b), []).append(e)
+        assert set(made) == {(a, b) for a in spec.block_order for b in spec.block_order}
+        for (a, b), steps in made.items():
+            values = {e: _scaled_pair_resistance(spec, k, a, b, e) for e in range(1, n)}
+            best = sorted(e for e, value in values.items() if value == max(values.values()))
+            assert sorted(e for e in steps if e) == best, (spec, a, b)
+            assert steps.count(0) == (a != b), (spec, a, b)
+            vertex = Fraction(n * s + k[a][spec.x] - k[a][spec.y] - k[b][spec.x] + k[b][spec.y],
+                              2 * s)
+            seen["tie"] += len(best) == 2
+            seen["below 1"] += vertex < 1
+            seen["past n - 1"] += vertex >= n - 1 + Fraction(1, 2)
+    assert all(seen.values()), seen
 
 
 def test_max_location_window():

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from flowergraphs import (
     FlowerSpec,
     Lift,
+    complete_graph,
+    cycle_graph,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
     graph_from_edge_list,
@@ -32,8 +34,8 @@ from conftest import connected_graphs
 from rotations import build_flower, format_edge_list, graph_lift
 
 # Every memo of work that does not depend on the petal count.
-MEMOS = (graphs._graph_of, graphs._certificate, flower._petal_arcs, flower._moments,
-         flower.base_kirchhoff, flower.base_kemeny, oracle._pattern)
+MEMOS = (graphs._graph_of, graphs._graph_of_text, graphs._certificate, flower._petal_arcs,
+         flower._moments, flower.base_kirchhoff, flower.base_kemeny, oracle._pattern)
 
 
 def _observed(base, x, y, ns, path):
@@ -114,6 +116,39 @@ def test_the_memos_stop_growing_and_keep_no_graph_the_solves_drop():
     flower._laplacian_solve.cache_clear()
     gc.collect()
     assert not any(ref() is not None for ref in built)
+
+
+def test_a_rewritten_base_file_reads_as_its_new_graph(tmp_path):
+    """``read_edge_list`` reads the file on every call and memoises on its text, so
+    an unchanged file gives the same graph and a rewritten one the new graph."""
+    path = tmp_path / "base.edges"
+    path.write_text(format_edge_list(complete_graph(4)))
+    first = read_edge_list(path)
+    assert read_edge_list(path) is first
+    path.write_text(format_edge_list(cycle_graph(5)))
+    assert read_edge_list(path) == cycle_graph(5) != first
+    path.write_text("# the first graph again, written another way\n" + "\n".join(
+        f"{v} {u}" for u, v in reversed(complete_graph(4).edges)))
+    assert read_edge_list(path) == first
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("0 1\n1 2\n2\n", "line 3: expected two vertex labels, got '2'"),
+     ("0 1\n\n1 x\n", "line 3: non-integer vertex label in '1 x'"),
+     ("0 1\n2 3\n", "graph is disconnected")],
+    ids=["two-labels", "non-integer", "disconnected"],
+)
+def test_a_bad_base_file_raises_on_every_read(tmp_path, text, message):
+    """The memo keeps only graphs, so a bad file raises its ``ValueError``, with
+    its line number, on every read, cold and warm."""
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    held = graphs._graph_of_text.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_edge_list(path)
+    assert graphs._graph_of_text.cache_info().currsize == held
 
 
 def test_the_oracle_memo_hands_out_read_only_arrays():
