@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -227,7 +228,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         matrix = oracle.resistance_matrix(lift)
         count = spec.vertex_count
-        locators = [spec.locator_of(i) for i in range(count)]
+        # (petal, base vertex) in label order: the canonical locators as plain pairs
+        locators = list(itertools.product(range(1, spec.n + 1), spec.block_order))
         pairs += count * (count - 1) // 2
         step = VERIFY_CHUNK_PAIRS // count or 1
         for start in range(0, count - 1, step):
@@ -247,9 +249,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             rows, columns = np.nonzero(above)
             for t in np.flatnonzero(~close):
                 failures += 1
-                u, v = locators[start + rows[t]], locators[columns[t]]
+                (pu, bu), (pv, bv) = locators[start + rows[t]], locators[columns[t]]
                 print(
-                    f"FAIL {tag} pair={u.petal}:{u.base_vertex},{v.petal}:{v.base_vertex} "
+                    f"FAIL {tag} pair={pu}:{bu},{pv}:{bv} "
                     f"expected={format_rational(expected[t])} "
                     f"observed={_fmt_float(observed[t])}"
                 )
@@ -360,11 +362,25 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
     for command in sub.choices.values():  # a command's errors print its own usage
         command.set_defaults(parser=command)
+    parser.commands = sub.choices  # name -> command parser, for main's one-pass dispatch
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line.  A line that starts with a command name is parsed
+    once, by that command's parser, into what ``parse_args`` on the whole tree
+    gives; any other line goes to the top-level parser, which can only print
+    help or an error for it."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -228,38 +228,34 @@ def _scaled_pair_resistance(
     return 4 * spec.n * s * series - imbalance * imbalance
 
 
-def flower_resistance(spec: FlowerSpec, u: FlowerLocator, v: FlowerLocator) -> Fraction:
+def flower_resistance(spec: FlowerSpec, u: tuple[int, int], v: tuple[int, int]) -> Fraction:
     """Exact resistance between two located flower vertices.
 
-    Evaluates ``R_ab(e)`` on the canonical locators, with ``v`` ``e`` petals
-    down the chain from ``u``; ``R_aa(0)`` is 0.  Rotating the petals is an
-    automorphism and the resistance is symmetric (see above
+    ``u`` and ``v`` are ``(petal, base vertex)`` pairs, a ``FlowerLocator`` or a
+    plain tuple.  Evaluates ``R_ab(e)`` on the canonical locators, with ``v``
+    ``e`` petals down the chain from ``u``; ``R_aa(0)`` is 0.  Rotating the
+    petals is an automorphism and the resistance is symmetric (see above
     ``_scaled_pair_resistance``), so the value depends on the unordered key
     ``{(a, b, e), (b, a, -e mod n)}`` alone.  It is computed once per unordered
     key and kept on the spec under both orderings: at most ``(m - 1)^2 n``
     entries.
 
-    A hit checks that both petals lie in ``1..n`` and probes the memo once with
-    ``(a, b, (petal_u - petal_v) mod n)``.  The memo holds only canonical keys
-    of ints, so a ``y`` copy, an out-of-range base vertex and a non-integer
-    step miss, and so does a petal that no int compares with, such as ``"1"`` or
-    ``None``, whose ``TypeError`` the hit drops.  A locator hash-equal to a stored
-    key hits: an integral float such as ``2.0`` or a bool reads its int key's
-    value, as do two fractional petals an integer apart.  A miss passes any
-    locator that is not four ints in range with no ``y`` through ``locator``, so
-    a non-integer or a bool raises ``ValueError`` there and the keys stored are
-    made of ints.
+    A hit checks that all four fields are exactly ``int`` and both petals lie
+    in ``1..n``, and probes the memo once with ``(a, b, (petal_u - petal_v) mod
+    n)``.  The memo holds only canonical keys of ints, so a ``y`` copy and an
+    out-of-range base vertex miss.  Anything else, a bool, an integral float
+    such as ``2.0``, a fractional petal or a string, misses before the probe.
+    A miss passes any locator that is not four ints in range with no ``y``
+    through ``locator``, so a warm spec refuses with the ``ValueError`` a cold
+    one raises, and the keys stored are made of ints.
     """
     (pu, a), (pv, b) = u, v
     n = spec.n
     memo = spec._resistances
-    try:
-        if 0 < pu <= n and 0 < pv <= n:
-            value = memo.get((a, b, (pu - pv) % n))
-            if value is not None:
-                return value
-    except TypeError:  # a petal such as "1" or None, or an unhashable vertex
-        pass
+    if type(pu) is type(pv) is type(a) is type(b) is int and 0 < pu <= n and 0 < pv <= n:
+        value = memo.get((a, b, (pu - pv) % n))
+        if value is not None:
+            return value
     m, x, y = spec.base.vertex_count, spec.x, spec.y
     if not (type(pu) is type(pv) is type(a) is type(b) is int and 0 < pu <= n
             and 0 < pv <= n and 0 <= a < m and 0 <= b < m and a != y != b):

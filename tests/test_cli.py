@@ -7,6 +7,7 @@ import contextlib
 import csv
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -31,8 +32,8 @@ from flowergraphs import (
     graph_from_edge_list,
     parse_edge_list,
 )
-from flowergraphs import oracle
-from flowergraphs.cli import VERIFY_CHUNK_PAIRS, build_parser, main
+from flowergraphs import cli, oracle
+from flowergraphs.cli import FAMILIES, VERIFY_CHUNK_PAIRS, build_parser, main
 from flowergraphs.flower import _laplacian_solve, _scaled_pair_resistance
 
 from conftest import grid_graph, scalar_values_close
@@ -883,3 +884,104 @@ def test_the_shared_parser_prints_the_help_of_a_fresh_one(capsys, command):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("usage: flowergraphs")
+
+
+# Tokens for the dispatch corpus: options of every command (whole, abbreviated,
+# joined with their value), good and bad values, help, "--" and strays.
+_TOKENS = (
+    "--family", "--fam", "--family=cycle", "complete", "cycle", "generic", "hexagon",
+    "-m", "-m3", "-n", "-n4", "-p", "2", "3", "x", "--m-range", "--m-r", "3:4", "5:3",
+    "--n-range", "--n-range=4", "--p-range", "1:9", "--base", "edges.txt", "--x", "--y",
+    "0", "--tol", "-1e-9", "--tol=1e-3", "-0.5", "--pair", "1:0", "2:1", "--exact",
+    "--ex", "--oracle", "--json", "-o", "--output", "out.txt", "--bogus", "-q", "extra",
+    "-h", "--help", "--he", "-hx", "--",
+)
+
+
+def _dispatch_corpus() -> list[list[str]]:
+    """At least 200 command lines: the fixed edge cases, then seeded random ones."""
+    valid = {
+        "gen": "--family complete -m 3 -n 3",
+        "resist": "--family cycle -m 5 -n 4 -p 2 --pair 1:0 2:1 --exact",
+        "kirchhoff": "--family complete -m 4 -n 3 --exact",
+        "kemeny": "--family generic --base b.txt --x 0 --y 1 -n 3 --oracle",
+        "bounds": "--fam complete -m 4 -n 3",
+        "maxres": "--family cycle -m 6 -n 4 -p 3",
+        "verify": "--family complete --m-range 3 --n-range 3 --tol -1e-9",
+        "sweep": "--family cycle --m-range 4:5 --n-range 5:3 --json",
+    }
+    corpus = [[], ["-h"], ["--help"], ["--"], ["bogus"], ["--", "verify"], ["-h", "verify"],
+              ["--he", "gen"], ["--family", "complete"], ["Verify"], ["ver"]]
+    for command, options in valid.items():
+        line = [command, *options.split()]
+        corpus += [
+            [command], [command, "-h"], [command, "--help"], line, [*line, "extra"],
+            [*line, "--bogus"], [*line, "--bogus", "1", "two"], [*line, "--", "x"],
+            [command, *options.split()[2:]],  # --family missing
+            [command, "--family", "complete", "-m", "3:4", "-n", "3"],
+            [command, "--family", "cycle", "--m-range", "3:2", "--n-range", "4:", "-p", "x"],
+        ]
+    rng = random.Random(44)
+    while len(corpus) < 400:
+        command = rng.choice([*SUBCOMMANDS, *SUBCOMMANDS, "bogus", "--", "-h", "--tol"])
+        family = ["--family", rng.choice(FAMILIES)] if rng.random() < 0.6 else []
+        corpus.append([command, *family, *rng.choices(_TOKENS, k=rng.randint(0, 6))])
+    return corpus
+
+
+def test_main_dispatches_as_the_full_parser_tree_does(capsys, monkeypatch):
+    """``main`` parses a line that names a command with that command's parser
+    alone; on every line of the corpus it exits, prints and, where parsing
+    succeeds, fills the namespace as ``parse_args`` on the whole tree does.
+    The commands are stubbed out, so only the parse runs."""
+    tree = build_parser.__wrapped__()
+    seen = []
+    for command in tree.commands.values():
+        command.set_defaults(func=lambda args: seen.append(vars(args)) or 0)
+    monkeypatch.setattr(cli, "build_parser", lambda: tree)
+
+    def outcome(call, argv):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    corpus = _dispatch_corpus()
+    assert len(corpus) >= 200
+    parsed = 0
+    for argv in corpus:
+        seen.clear()
+        full = outcome(lambda argv: seen.append(vars(tree.parse_args(argv))) or 0, argv)
+        assert outcome(main, argv) == full, argv
+        if full[0] == 0 and len(seen) == 2:
+            assert seen[0] == seen[1], argv
+            parsed += 1
+    assert parsed >= 8
+
+
+@pytest.mark.parametrize("argv", [
+    "gen --family complete -m 3 -n 3",
+    "resist --family cycle -m 5 -n 4 -p 2 --pair 1:0 2:1 --exact",
+    "kirchhoff --family complete -m 4 -n 3 --exact",
+    "kemeny --family cycle -m 4 -n 3 -p 2 --exact",
+    "bounds --family complete -m 4 -n 3",
+    "maxres --family cycle -m 6 -n 4 -p 3",
+    "verify --family complete --m-range 3 --n-range 3",
+    "sweep --family complete --m-range 3 --n-range 3 --json",
+])
+def test_a_command_line_is_parsed_once(capsys, monkeypatch, argv):
+    """One ``parse_known_args`` call per line, on the command's own parser: the
+    top-level parser, which only picks the command, is not run."""
+    argv = argv.split()
+    build_parser()
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == [build_parser().commands[argv[0]]]

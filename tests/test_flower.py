@@ -485,15 +485,22 @@ def _filled(spec: FlowerSpec) -> FlowerSpec:
         (FlowerLocator(1, 3), FlowerLocator(2.5, 4), "petal must be an integer, not 2.5"),
         (FlowerLocator("1", 3), FlowerLocator(1, 4), "petal must be an integer, not '1'"),
         (FlowerLocator(1, 3), FlowerLocator(None, 4), "petal must be an integer, not None"),
+        (FlowerLocator(1.5, 3), FlowerLocator(0.5, 4), "petal must be an integer, not 1.5"),
+        (FlowerLocator(True, 3), FlowerLocator(2, 4), "petal must be an integer, not True"),
+        (FlowerLocator(2.0, 3), FlowerLocator(1, 4), "petal must be an integer, not 2.0"),
+        ((1, 3.0), (2, 4), "base_vertex must be an integer, not 3.0"),
     ],
     ids=["petal-0", "petal-n+1", "vertex-m", "vertex-negative", "petal-1.5", "petal-2.5",
-         "petal-str", "petal-None"],
+         "petal-str", "petal-None", "petals-an-integer-apart", "petal-bool", "petal-2.0",
+         "vertex-3.0"],
 )
 def test_a_warm_memo_refuses_what_a_cold_one_refuses(u, v, message):
-    """A hit checks only the petal range and probes the memo, so with every key
-    stored an out-of-range petal or base vertex, a fractional step and a petal no
-    int compares with still miss into ``locator``, which raises what it raises on
-    a cold spec."""
+    """A hit needs four exact ints and petals in range before it probes the
+    memo, so with every key stored an out-of-range petal or base vertex, a
+    fractional petal, a bool and an integral float still miss into ``locator``,
+    which raises what it raises on a cold spec.  An int-keyed memo would answer
+    the last three by hash equality: ``1.5 - 0.5 == 1``, ``True == 1`` and
+    ``2.0 == 2``."""
     cold = FlowerSpec(cycle_graph(5), 0, 2, 4)
     for spec in (cold, _filled(FlowerSpec(cycle_graph(5), 0, 2, 4))):
         with pytest.raises(ValueError, match=f"^{message}$"):
