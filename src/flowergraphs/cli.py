@@ -89,7 +89,8 @@ def _flowers(args: argparse.Namespace):
     up to ``m // 2``.  Generic flowers take each ``n`` on the ``--base`` edge list
     with marked vertices ``--x`` and ``--y``.  ``p`` is None for the families
     without one.  A missing option, a bad range or an option given to a family
-    it does not apply to raises ``ValueError``.
+    it does not apply to raises ``ValueError``; so does a cycle grid left with no
+    flower (every ``p`` above ``m // 2``), once it is exhausted.
     """
     grid = hasattr(args, "n_range")
     if grid:
@@ -120,6 +121,7 @@ def _flowers(args: argparse.Namespace):
             return [span.start]
         return range(span.start, min(span.stop, m // 2 + 1))
 
+    empty = True
     for m in ms:
         if m is None:
             raise ValueError(f"-m is required for the {args.family} family")
@@ -129,6 +131,9 @@ def _flowers(args: argparse.Namespace):
             else:
                 for p in distances(m):
                     yield p, cycle_flower_spec(CycleFlowerParams(m, n, p))
+                    empty = False
+    if empty and args.family == "cycle":
+        raise ValueError("the --m-range, --n-range and --p-range grid holds no flower")
 
 
 def _indices(spec: FlowerSpec, kirchhoff: float, kemeny: float):
@@ -137,17 +142,6 @@ def _indices(spec: FlowerSpec, kirchhoff: float, kemeny: float):
         ("kirchhoff", flower_kirchhoff_exact(spec), kirchhoff),
         ("kemeny", flower_kemeny_exact(spec), kemeny),
     )
-
-
-def _grid(args: argparse.Namespace):
-    """``(p, spec, lift)`` for every flower of the verify/sweep grid; a grid left
-    with no flower raises ``ValueError`` once it is exhausted."""
-    empty = True
-    for p, spec in _flowers(args):
-        yield p, spec, spec.lift()
-        empty = False
-    if empty:
-        raise ValueError("the --m-range, --n-range and --p-range grid holds no flower")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -220,7 +214,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
     failures = instances = pairs = 0
-    for p, spec, lift in _grid(args):
+    for p, spec in _flowers(args):
+        lift = spec.lift()
         instances += 1
         tag = (
             f"family={args.family} m={spec.base.vertex_count} n={spec.n} "
@@ -255,11 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"expected={format_rational(expected[t])} "
                     f"observed={_fmt_float(observed[t])}"
                 )
-        # Both indices by their definitions, off the same matrix:
-        # Kf = sum_{i<j} R_ij and Kemeny = d^T R d / 4q, with q = n sum(d_r) / 2 edges.
-        degrees = np.tile(np.asarray(lift.degrees, dtype=float), lift.n)
-        kemeny = float(degrees @ matrix @ degrees) / (4.0 * (lift.n * sum(lift.degrees) / 2))
-        for quantity, closed, observed in _indices(spec, float(matrix.sum()) / 2.0, kemeny):
+        for quantity, closed, observed in _indices(spec, *oracle.numeric_indices(lift)):
             if not oracle.values_close(float(closed), observed, abs_tol=tol):
                 failures += 1
                 print(
@@ -278,8 +269,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dict(family=args.family, m=spec.base.vertex_count, n=spec.n, p=p, quantity=quantity,
              closed_form=format_rational(closed), oracle=observed,
              abs_error=abs(float(closed) - observed))
-        for p, spec, lift in _grid(args)
-        for quantity, closed, observed in _indices(spec, *oracle.numeric_indices(lift))
+        for p, spec in _flowers(args)
+        for quantity, closed, observed in _indices(spec, *oracle.numeric_indices(spec.lift()))
     ]
     rows.sort(key=lambda row: (row["m"], row["n"], row["p"] or 0, row["quantity"]))
     if args.json:

@@ -160,11 +160,11 @@ class Lift:
     ``2d = n``), and ``_cycle_voltages``.  The certificate has two parts.
     ``_certificate``, the part that does not depend on ``n``, is memoised on ``k``
     and the bytes of the arcs (the last 64): offset range, loops, repeats, reverse
-    pairing, quotient connectivity, degrees, step extremes and the gcd of the
-    cycle voltages.  Every construction checks the rest: centred steps, that only
+    pairing, quotient connectivity, step extremes and the gcd of the cycle
+    voltages.  Every construction checks the rest: centred steps, that only
     half-turn arcs (``2d = n``) lack their ``-d`` reverse, and ``gcd(n, g) = 1``
     for that gcd ``g``.  A ``k`` or ``n`` that is a bool or no integer, and
-    ``n < 1``, are refused first.  ``degrees`` gives each offset's degree.
+    ``n < 1``, are refused first.
     """
 
     k: int
@@ -194,7 +194,6 @@ class Lift:
             raise ValueError(f"the lift is disconnected: its cycle voltages share the "
                              f"factor {divisor} with n = {n}")
         object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "degrees", certificate.degrees)
         object.__setattr__(self, "vertex_count", k * n)
 
     def edges(self) -> Iterator[Edge]:
@@ -232,7 +231,6 @@ class _Certificate(NamedTuple):
     low: int  # the least and greatest step
     high: int
     half_turns: tuple[int, ...]  # steps of the arcs (r, r', d) whose reverse is (r', r, d)
-    degrees: tuple[int, ...]
     voltages: int | None  # gcd of the cycle voltages; None if the quotient is disconnected
 
 
@@ -258,8 +256,7 @@ def _certificate(k: int, key: bytes) -> _Certificate | None:
             half_turns.add(step)
         leaving[tail].append((head, step))
     steps = [step for _, _, step in rows]
-    return _Certificate(min(steps), max(steps), tuple(half_turns),
-                        tuple(map(len, leaving)), _cycle_voltages(leaving))
+    return _Certificate(min(steps), max(steps), tuple(half_turns), _cycle_voltages(leaving))
 
 
 def _cycle_voltages(leaving: list[Iterable[tuple[int, int]]]) -> int | None:

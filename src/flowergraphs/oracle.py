@@ -127,14 +127,17 @@ def _resistance_blocks(lift: Lift) -> np.ndarray:
     from ``B[d] = H[(d, r), (0, r')]``, the blocks of ``H``: ``irfft`` of the
     ``U U^H / S``, with ``M^-1``, the same at every ``w``, added to block 0 alone.
     Float addition commutes, so ``R`` is exactly symmetric with an exactly zero
-    diagonal, and ``R[-d]`` is ``R[d]`` transposed, float for float."""
+    diagonal, and ``R[-d]`` is ``R[d]`` transposed, float for float.  ``R`` is
+    summed from views of ``B[-d]^T`` into one fresh C-contiguous array, which
+    ``irfft``'s output is not: at most two real ``n k^2`` arrays at once."""
     pattern, frame, inverse = _reduced(lift)
-    condensed = np.einsum("rj,j,sj->jrs", frame, inverse, frame.conj())
-    blocks = np.fft.irfft(condensed, lift.n, axis=0)
+    blocks = np.fft.irfft(np.einsum("rj,j,sj->jrs", frame, inverse, frame.conj()), lift.n, axis=0)
     blocks[0, 1:, 1:] += pattern.green
     diag = blocks[0].diagonal()
-    reverse = blocks[-np.arange(lift.n)].transpose(0, 2, 1)
-    return (diag[:, None] + diag) - (blocks + reverse)
+    summed = np.empty(blocks.shape)
+    np.add(blocks[0], blocks[0].T, out=summed[0])
+    np.add(blocks[1:], blocks[:0:-1].transpose(0, 2, 1), out=summed[1:])  # B[d] + B[n - d]^T
+    return np.subtract(diag[:, None] + diag, summed, out=summed)
 
 
 def resistance(lift: Lift, i: int, j: int) -> float:

@@ -15,7 +15,6 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import flowergraphs
@@ -212,13 +211,37 @@ def test_verify_failure_reports_and_exits_1(capsys):
     assert "expected=" in first and "observed=" in first
 
 
+def test_verify_checks_the_indices_the_oracle_reads_off_its_symbols(capsys, monkeypatch):
+    """``verify`` takes both indices from ``oracle.numeric_indices``, as ``sweep``
+    does, and not from the matrix its pairs are checked against: with the indices
+    off by 1e-3, both fail and every pair still passes."""
+    numeric_indices = oracle.numeric_indices
+
+    def shifted(lift):
+        return tuple(value + 1e-3 for value in numeric_indices(lift))
+
+    monkeypatch.setattr(oracle, "numeric_indices", shifted)
+    code, out = run(capsys, "verify", "--family", "complete", "--m-range", "5",
+                    "--n-range", "10")
+    spec = complete_flower_spec(CompleteFlowerParams(5, 10))
+    observed = shifted(spec.lift())
+    assert code == 1
+    assert out.splitlines() == [
+        *(f"FAIL family=complete m=5 n=10 p=- quantity={quantity} "
+          f"expected={format_rational(closed)} observed={value:.12g}"
+          for quantity, closed, value in zip(
+              ("kirchhoff", "kemeny"),
+              (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec)), observed)),
+        "verify: 2 mismatches over 1 instances, 780 pairs",
+    ]
+
+
 def _reference_verify_lines(spec: FlowerSpec, tag: str, tol: float) -> list[str]:
     """``verify``'s FAIL lines for one flower as the pair-at-a-time loop made them:
     ``float`` of each closed form against the matrix entry by the scalar rule, in
-    row-major ``i < j`` order, then the two indices.  Each closed form is
-    ``4 n k_xy det R_ab(e)`` over its denominator, evaluated for that pair alone,
-    so no value is read from the memo that ``verify`` fills."""
-    graph = build_flower(spec)
+    row-major ``i < j`` order, then the two indices against ``numeric_indices``.
+    Each closed form is ``4 n k_xy det R_ab(e)`` over its denominator, evaluated for
+    that pair alone, so no value is read from the memo that ``verify`` fills."""
     matrix = oracle.resistance_matrix(spec.lift())
     det, k = _laplacian_solve(spec.base)
     denominator = 4 * spec.n * k[spec.x][spec.y] * det
@@ -237,11 +260,10 @@ def _reference_verify_lines(spec: FlowerSpec, tag: str, tol: float) -> list[str]
                     f"FAIL {tag} pair={u.petal}:{u.base_vertex},{v.petal}:{v.base_vertex} "
                     f"expected={format_rational(expected)} observed={observed:.12g}"
                 )
-    degrees = np.asarray(graph.degrees, dtype=float)
+    kirchhoff, kemeny = oracle.numeric_indices(spec.lift())
     indices = (
-        ("kirchhoff", flower_kirchhoff_exact(spec), float(matrix.sum()) / 2.0),
-        ("kemeny", flower_kemeny_exact(spec),
-         float(degrees @ matrix @ degrees) / (4.0 * graph.edge_count)),
+        ("kirchhoff", flower_kirchhoff_exact(spec), kirchhoff),
+        ("kemeny", flower_kemeny_exact(spec), kemeny),
     )
     for quantity, closed, observed in indices:
         if not scalar_values_close(float(closed), observed, tol):

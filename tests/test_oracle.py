@@ -502,6 +502,22 @@ def test_numeric_indices_memory_is_linear_in_n():
     assert peak < 2_000_000
 
 
+def test_one_pair_holds_two_real_block_arrays():
+    """One pair at K10 with n = 20,000 (N = 180,000, ``n`` blocks of 9 x 9): at most
+    the blocks and the one array the resistances are summed into, 12.4 MiB each, with
+    no reversed copy of the blocks and no complex symbols beside them (63.5 MiB,
+    about five such arrays, before)."""
+    lift = complete_flower_spec(CompleteFlowerParams(10, 20_000)).lift()
+    resistance(lift, 0, 5)  # the lift pattern's memoised n-free part is not counted
+    tracemalloc.start()
+    try:
+        resistance(lift, 0, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * lift.n * lift.k**2, peak / (8 * lift.n * lift.k**2)
+
+
 def test_resistance_matrix_memory_is_one_n_by_n_array():
     """N = 1,960 in blocks of 7, and N = 1,200 in blocks of one and of two labels: each
     row block is a slice of the ``n`` blocks doubled, with no second N x N array for
