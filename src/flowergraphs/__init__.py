@@ -26,7 +26,6 @@ from .flower import (
 )
 from .graphs import (
     Graph,
-    Lift,
     complete_graph,
     cycle_graph,
     graph_from_edge_list,
@@ -51,7 +50,6 @@ __all__ = [
     "FlowerLocator",
     "FlowerSpec",
     "Graph",
-    "Lift",
     "MaxResistance",
     "base_kemeny",
     "base_kirchhoff",

@@ -382,6 +382,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
         return 2
+    except MemoryError as exc:  # numpy's message gives the size it could not allocate
+        args.parser.error(f"out of memory: {str(exc) or 'an allocation failed'}; "
+                          "--exact gives the closed form without the oracle's arrays")
+        return 2
 
 
 if __name__ == "__main__":

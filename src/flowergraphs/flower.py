@@ -87,7 +87,18 @@ class FlowerSpec:
 
     def lift(self) -> Lift:
         """The flower as the Z_n lift of its petal, whose arcs ``_petal_arcs`` keeps
-        per base and marked pair."""
+        per base and marked pair.
+
+        The lift is a simple connected graph, so ``Lift`` checks nothing.  ``Graph``
+        has certified the base simple and connected.  ``_petal_arcs`` makes steps 0
+        and +-1 only, and ``n >= 3`` keeps them centred in ``(-n/2, n/2]`` and
+        distinct modulo ``n``: a step-0 arc joins two distinct offsets of one block,
+        so there is no loop; distinct base edges give distinct arcs, so there is no
+        repeated one; and no step is ``n/2``, so there is no half-turn arc.  The
+        quotient is the base with ``x`` and ``y`` identified, which is connected, and
+        an ``x``-``y`` path in the base is a closed walk in it of voltage +-1: the
+        gcd of the cycle voltages is 1, so the lift is connected (Gross and Tucker,
+        *Topological Graph Theory*, 1987, ch. 2)."""
         return Lift(self.block_size, self.n, _petal_arcs(self.base, self.block_order, self.y))
 
 
@@ -99,9 +110,8 @@ def _petal_arcs(base: Graph, block_order: tuple[int, ...], y: int) -> memoryview
     A base vertex other than ``y`` sits in block 0 at its ``block_order`` offset;
     ``y`` is the junction ``x`` of block ``n - 1``, offset 0 one block back.  So
     the base edge ``(a, b)`` gives the arcs ``a -> b`` and ``b -> a`` with steps
-    0 or +-1 between the two places.  The rows are packed as a read-only
-    ``(rows, 3)`` memoryview of 64-bit ints over bytes, which ``Lift`` keeps as
-    they are.
+    0 or +-1 between the two places.  The rows are packed as the read-only
+    ``(rows, 3)`` memoryview of 64-bit ints over bytes that ``Lift`` holds.
     """
     place = {v: (offset, 0) for offset, v in enumerate(block_order)}
     place[y] = (0, -1)

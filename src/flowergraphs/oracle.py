@@ -2,10 +2,10 @@
 Laplacian, Kron-reduced onto offset 0.
 
 Every entry point takes a ``graphs.Lift``: ``k`` offsets, ``n`` blocks and the arcs
-that leave block 0, which its constructor certified simple and connected, and never
-the ``N = k n``-vertex graph.  With labels ``v = p k + r`` the lift's Laplacian is
-block circulant, ``L[(p, r), (p', r')] = C_{p'-p}[r, r']``, and a DFT over the blocks
-splits it into ``n`` Hermitian ``k x k`` symbols ``L(w) = sum_d w^d C_d``,
+that leave block 0 of a simple connected graph, and never the ``N = k n``-vertex
+graph.  With labels ``v = p k + r`` the lift's Laplacian is block circulant,
+``L[(p, r), (p', r')] = C_{p'-p}[r, r']``, and a DFT over the blocks splits it
+into ``n`` Hermitian ``k x k`` symbols ``L(w) = sum_d w^d C_d``,
 ``w = exp(2 pi i j / n)`` (Davis, *Circulant Matrices*, 1979, ch. 5), read off the
 lift's arcs: the arc ``(r, r', d)`` adds to ``C_d[r, r']``.  ``L(conj w) = conj L(w)``
 leaves ``j = 0 .. n // 2``.  Any ``H`` with ``L H L = L`` gives
@@ -81,7 +81,7 @@ def _pattern(k: int, key: bytes) -> _Pattern:
     avoiding = rows[(step != 0) & (tails != 0) & (heads != 0)].tolist()
     if avoiding:
         raise ValueError(f"arc {tuple(avoiding[0])} has a nonzero step and avoids offset 0, "
-                         "which the oracle reduces onto: pass its one-block form Lift(k n, 1, ..)")
+                         "which the oracle reduces onto")
     steps = np.array(sorted(set(step.tolist())))
     which = steps.searchsorted(step)
     arcs = np.bincount((which * k + tails) * k + heads, minlength=steps.size * k * k)

@@ -1,20 +1,27 @@
-"""Any graph under a label rotation as the ``Lift`` the oracle takes, and any lift
-or flower as the N-vertex ``Graph`` the library never builds.
+"""Any graph under a label rotation as the ``Lift`` the oracle takes, any arcs as a
+certified lift, and any lift or flower as the N-vertex ``Graph`` the library never
+builds.
 
 ``check_shift`` certifies that moving every label by ``shift`` modulo the vertex
 count maps a graph's edges onto themselves; ``graph_lift`` then reads the arcs
 that leave block 0 off the graph's neighbour rows.  ``lift_graph`` moves every arc
 of a lift through every block, and ``build_flower`` is a flower spec's lift made a
-graph that way, and ``format_edge_list`` writes a graph as edge-list text.  The
-library builds its lifts from flower specs and lists a lift's edges with
-``Lift.edges``; the tests use these to run the oracle on arbitrary graphs, under
-one block or under a rotation, to compare a flower or a lift with an independently
-built graph, and to write the files the command line reads.
+graph that way.  ``certified_lift`` takes arbitrary arcs, which ``Lift`` holds
+unchecked, only when their lift is a simple connected graph that gives them back.
+``format_edge_list`` writes a graph as edge-list text.  The library builds its
+lifts from flower specs and lists a lift's edges with ``Lift.edges``; the tests
+use these to run the oracle on arbitrary graphs and arcs, under one block or
+under a rotation, to compare a flower or a lift with an independently built
+graph, and to write the files the command line reads.
 """
 
 from __future__ import annotations
 
-from flowergraphs import FlowerSpec, Graph, Lift
+from array import array
+from itertools import chain
+
+from flowergraphs import FlowerSpec, Graph
+from flowergraphs.graphs import Lift
 
 
 def check_shift(g: Graph, shift: int) -> None:
@@ -48,7 +55,31 @@ def graph_lift(g: Graph, shift: int | None = None) -> Lift:
         for neighbour in g.neighbors(tail):
             step, head = divmod(neighbour, k)
             arcs.append((tail, head, step - n if 2 * step > n else step))
-    return Lift(k, n, arcs)
+    return Lift(k, n, _packed(arcs))
+
+
+def certified_lift(k: int, n: int, rows) -> Lift:
+    """The lift on ``k`` offsets and ``n`` blocks whose arcs leaving block 0 are the
+    ``(tail, head, step)`` ``rows``, a numpy array read through ``tolist``.
+
+    ``lift_graph`` makes it a ``Graph``, which certifies it simple and connected:
+    a loop or an arc off the labels is refused there.  Reading that graph's block-0
+    arcs back by ``graph_lift``'s rule must give ``rows`` again, in any order, which
+    an arc without its reverse, a repeated arc or an uncentred step would not, so a
+    ``ValueError`` refuses those.
+    """
+    lift = Lift(k, n, _packed(rows))
+    if sorted(graph_lift(lift_graph(lift), k).arcs.tolist()) != sorted(lift.arcs.tolist()):
+        raise ValueError(f"arcs {lift.arcs.tolist()} do not come back from their lift")
+    return lift
+
+
+def _packed(rows) -> memoryview:
+    """``rows`` of three integers as the read-only ``(rows, 3)`` memoryview of 64-bit
+    ints that ``Lift`` holds."""
+    rows = rows.tolist() if hasattr(rows, "tolist") else rows
+    flat = array("q", chain.from_iterable(rows))
+    return memoryview(flat.tobytes()).cast("q", (len(flat) // 3, 3))
 
 
 def lift_graph(lift: Lift) -> Graph:

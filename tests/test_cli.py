@@ -9,6 +9,7 @@ import io
 import json
 import random
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -22,7 +23,6 @@ from flowergraphs import (
     CompleteFlowerParams,
     CycleFlowerParams,
     FlowerSpec,
-    Lift,
     complete_flower_spec,
     cycle_flower_spec,
     flower_kemeny_exact,
@@ -34,6 +34,7 @@ from flowergraphs import (
 from flowergraphs import cli, oracle
 from flowergraphs.cli import FAMILIES, VERIFY_CHUNK_PAIRS, build_parser, main
 from flowergraphs.flower import _laplacian_solve, _scaled_pair_resistance
+from flowergraphs.graphs import Lift
 
 from conftest import grid_graph, scalar_values_close
 from flower_reference import summed_kirchhoff
@@ -482,6 +483,27 @@ def test_a_closed_pipe_ends_gen_quietly():
     assert process.wait(timeout=60) == 1
     assert process.stderr.read() == b""
     process.stderr.close()
+
+
+def test_an_oracle_too_large_to_allocate_exits_2():
+    """n = 10^15 asks the oracle for petabytes of frequencies: numpy's
+    ``MemoryError`` becomes one usage and error block that keeps numpy's size and
+    points to ``--exact``, with exit code 2 and no traceback.  The address space is
+    capped at 2 GiB, so a regression cannot fill the machine."""
+    cap = 2 << 30
+    run = subprocess.run(
+        [sys.executable, "-m", "flowergraphs.cli", "kemeny", "--family", "complete", "-m", "3",
+         "-n", "1000000000000000", "--oracle"], capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(flowergraphs.__file__).parents[1]),
+             "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert run.returncode == 2 and run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("usage: flowergraphs kemeny ")
+    assert run.stderr.count("usage:") == run.stderr.count("error:") == 1
+    last = run.stderr.splitlines()[-1]
+    assert last.startswith("flowergraphs kemeny: error: out of memory: Unable to allocate ")
+    assert "--exact" in last
 
 
 def test_resist_exact_without_pair_exits_2(capsys):

@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import tracemalloc
-from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowergraphs import (
     CompleteFlowerParams,
     Graph,
-    Lift,
     complete_flower_spec,
     complete_graph,
     cycle_graph,
@@ -27,7 +25,8 @@ from flowergraphs.flower import _laplacian_solve
 
 from conftest import connected_graphs, quotient_arcs
 from dense_oracle import laplacian
-from rotations import build_flower, check_shift, format_edge_list, graph_lift, lift_graph
+from rotations import (build_flower, certified_lift, check_shift, format_edge_list,
+                       graph_lift, lift_graph)
 
 
 def test_triangle_from_edge_list():
@@ -229,10 +228,10 @@ def _lift_edges(k, n, arcs):
 def test_lift_graph_keeps_a_half_turn_orbit_once():
     """At even n an arc of step n/2 from an offset to itself is its own reverse,
     and its orbit has n/2 edges; the lift lists each edge once."""
-    ring = Lift(2, 3, [(0, 1, 0), (1, 0, 0), (1, 0, 1), (0, 1, -1)])
+    ring = certified_lift(2, 3, [(0, 1, 0), (1, 0, 0), (1, 0, 1), (0, 1, -1)])
     assert list(ring.edges()) == list(cycle_graph(6).edges)
     assert ring.vertex_count == 6
-    path = Lift(2, 2, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+    path = certified_lift(2, 2, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
     assert list(path.edges()) == list(graph_from_edge_list([(1, 0), (0, 2), (2, 3)]).edges)
 
 
@@ -253,214 +252,58 @@ def _bfs_connected(count, edges):
 @settings(max_examples=500)
 @given(quotient_arcs(connected=False))
 def test_block_shift_graph_accepts_exactly_the_connected_lifts(drawn):
-    """The lift's quotient pass with its cycle voltages agrees with a plain
-    breadth-first pass over the whole graph on every simple lift, it lists its
-    edges, half-turn orbits included, as its arcs moved through every block in
-    sorted order, and reading that graph's block-0 rows back gives the same arcs."""
+    """``certified_lift`` agrees with a plain breadth-first pass over the whole graph
+    on every simple lift, the lift lists its edges, half-turn orbits included, as its
+    arcs moved through every block in sorted order, and reading that graph's block-0
+    rows back gives the same arcs."""
     k, n, arcs = drawn
+    assume(arcs)  # a lift with no arc has no rows
     edges = _lift_edges(k, n, arcs)
     if _bfs_connected(k * n, edges):
-        lift = Lift(k, n, arcs)
+        lift = certified_lift(k, n, arcs)
         assert list(lift.edges()) == sorted(edges)
         assert sorted(map(tuple, graph_lift(lift_graph(lift), k).arcs.tolist())) == arcs
     else:
-        fault = "(the quotient of the lift|the lift) is disconnected" if arcs else "a lift needs"
-        with pytest.raises(ValueError, match=f"^{fault}"):
-            Lift(k, n, arcs)
+        with pytest.raises(ValueError, match="^graph is disconnected$"):
+            certified_lift(k, n, arcs)
 
 
 def test_block_shift_graph_rejects_a_disconnected_lift():
     # N = 6: the quotient by 2 has no arc between its offsets 0 and 1 (two triangles).
     # N = 12: the quotient is connected, but its one cycle, a loop at offset 0, has
     # voltage 2 and gcd(6, 2) = 2.
-    cases = (
-        (2, 3, [(0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)],
-         "the quotient of the lift is disconnected"),
-        (2, 6, [(0, 1, 0), (1, 0, 0), (0, 0, 2), (0, 0, -2)],
-         "the lift is disconnected: its cycle voltages share the factor 2 with n = 6"),
-    )
-    for k, n, arcs, message in cases:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            Lift(k, n, arcs)
-        with pytest.raises(ValueError, match="^graph is disconnected$"):
-            Graph(k * n, sorted(_lift_edges(k, n, arcs)))
+    for k, n, arcs in ((2, 3, [(0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)]),
+                       (2, 6, [(0, 1, 0), (1, 0, 0), (0, 0, 2), (0, 0, -2)])):
+        for build in (lambda: certified_lift(k, n, arcs),
+                      lambda: Graph(k * n, sorted(_lift_edges(k, n, arcs)))):
+            with pytest.raises(ValueError, match="^graph is disconnected$"):
+                build()
     # An arc from offset 1 to offset 0 one block on closes a cycle of voltage 1.
     closed = [(0, 1, 0), (1, 0, 0), (0, 0, 2), (0, 0, -2), (1, 0, 1), (0, 1, -1)]
-    assert lift_graph(Lift(2, 6, closed)).vertex_count == 12
+    assert lift_graph(certified_lift(2, 6, closed)).vertex_count == 12
 
 
-LIFT_FAULTS = [
-    (2, 4, [(0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)],
-     "the quotient of the lift is disconnected"),
-    (1, 6, [(0, 0, 2), (0, 0, -2)],
-     "the lift is disconnected: its cycle voltages share the factor 2 with n = 6"),
-    (2, 4, [(0, 1, 0), (1, 0, 1)], r"arc \(0, 1, 0\) has no reverse arc \(1, 0, 0\)"),
-    (2, 3, [(0, 1, 0), (1, 0, 0), (0, 1, 0)], r"repeated arc \(0, 1, 0\)"),
-    (2, 3, [(0, 0, 0), (0, 1, 0), (1, 0, 0)], "loop at offset 0"),
-    (2, 3, [(0, 2, 0), (2, 0, 0)],
-     r"arc \(0, 2, 0\) leaves the offsets 0\.\.1 or the centred steps -1\.\.1"),
-    (1, 4, [(0, 0, 3), (0, 0, 1)],
-     r"arc \(0, 0, 3\) leaves the offsets 0\.\.0 or the centred steps -1\.\.2"),
-    (2, 3, [(0, 1, 0.5), (1, 0, -0.5)],
-     r"a lift's arcs must be \(tail, head, step\) integer triples"),
-    (2, 3, [(0, 1), (1, 0)], r"a lift's arcs must be \(tail, head, step\) integer triples"),
-    (1, 4, [(0, 0, True), (0, 0, -1), (0, 0, 2)],
-     r"a lift's arcs must be \(tail, head, step\) integer triples"),
-    (1, 4, [(0, 0, 2**70), (0, 0, -1)],
-     r"a lift's arcs must be \(tail, head, step\) integer triples"),
-    (2, 3, [], "a lift needs at least one arc"),
-    (0, 3, [(0, 0, 1)],
-     r"arc \(0, 0, 1\) leaves the offsets 0\.\.-1 or the centred steps -1\.\.1"),
-    (1, 0, [(0, 0, 1)], "a lift needs at least one block, not n = 0"),
-    (1, -4, [(0, 0, 1), (0, 0, -1)], "a lift needs at least one block, not n = -4"),
-    (True, 4, [(0, 0, 1), (0, 0, -1), (0, 0, 2)], "k must be an integer, not True"),
-    (2, True, [(0, 1, 0), (1, 0, 0)], "n must be an integer, not True"),
-    (2.0, 3, [(0, 1, 0), (1, 0, 0)], r"k must be an integer, not 2\.0"),
-    (2, 3.0, [(0, 1, 0), (1, 0, 0)], r"n must be an integer, not 3\.0"),
-]
-LIFT_FAULT_IDS = ["disconnected-quotient", "gcd", "unpaired", "repeated", "loop", "offset-range",
-                  "uncentred-step", "non-integer", "pairs", "bool", "beyond-64-bits", "empty",
-                  "no-offsets", "no-blocks", "negative-blocks", "bool-k", "bool-n", "float-k",
-                  "float-n"]
-
-
-@pytest.mark.parametrize("k,n,arcs,message", LIFT_FAULTS, ids=LIFT_FAULT_IDS)
-def test_the_lift_certificate_names_each_fault(k, n, arcs, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        Lift(k, n, arcs)
-
-
-@pytest.mark.parametrize("k,n,arcs,message", LIFT_FAULTS, ids=LIFT_FAULT_IDS)
-def test_a_memoised_certificate_names_the_same_fault(k, n, arcs, message):
-    """The same rows first at every other n up to 12 (the gcd case is a lift at
-    odd n), then twice at the faulty n: the n-free part of the certificate is a
-    memo hit, and the fault is named as on a cold cache."""
-    for other in range(1, 13):
-        try:
-            Lift(k, other, arcs)
-        except ValueError:
-            pass
-    for _ in range(2):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            Lift(k, n, arcs)
-
-
-def test_memo_hits_keep_the_faults_that_depend_on_n():
-    """Rows certified at one n and built at another: the gcd with the new n, the
-    half-turn arcs (``2d = n``, their own reverse only there), and labels of
-    another type equal in value to those of a cached graph or lift."""
-    gcd = [(0, 0, 2), (0, 0, -2)]
-    assert Lift(1, 5, gcd).vertex_count == 5
-    with pytest.raises(ValueError, match="^the lift is disconnected: its cycle voltages share "
-                                         "the factor 2 with n = 6$"):
-        Lift(1, 6, gcd)
-    half_turn = [(0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 0, -1), (0, 1, 2), (1, 0, 2)]
-    assert Lift(2, 4, half_turn).vertex_count == 8
-    for n, message in (
-        (6, r"arc \(0, 1, 2\) has no reverse arc \(1, 0, -2\)"),
-        (5, r"arc \(0, 1, 2\) has no reverse arc \(1, 0, -2\)"),
-        (3, r"arc \(0, 1, 2\) leaves the offsets 0\.\.1 or the centred steps -1\.\.1"),
-    ):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            Lift(2, n, half_turn)
-    k4 = [(0, 0, 1), (0, 0, -1), (0, 0, 2)]
-    assert Lift(1, 4, k4).vertex_count == 4
-    for arcs in (np.array(k4, dtype=float), np.array([[True, False, True]] * 2)):
-        with pytest.raises(ValueError, match="^a lift's arcs must be .* integer triples$"):
-            Lift(1, 4, arcs)
-    with pytest.raises(ValueError, match=r"^k must be an integer, not 1\.0$"):
-        Lift(1.0, 4, k4)
-    path = [(0, 1), (1, 2)]
-    assert graph_from_edge_list(path) is graph_from_edge_list(np.array(path))
-    for labels, shown in (([(0, True), (True, 2)], "True"), ([(0.0, 1.0), (1.0, 2.0)], "0.0")):
-        with pytest.raises(ValueError, match=f"^vertex label {shown} is not an integer$"):
-            graph_from_edge_list(labels)
-
-
-def reference_lift_fault(k: int, n: int, rows: list[tuple[int, int, int]]) -> str | None:
-    """The message of ``Lift``'s certificate in one pass at ``n``, with no memo: no
-    block, else a repeated arc, else the first arc off the offsets or the centred
-    steps, a loop or an arc without its reverse, else a disconnected quotient, else
-    cycle voltages sharing a factor with ``n``; None for a simple connected lift."""
-    if n < 1:
-        return f"a lift needs at least one block, not n = {n}"
-    orbits = set(rows)
-    if len(orbits) < len(rows):
-        return f"repeated arc {next(arc for arc in rows if rows.count(arc) > 1)}"
-    leaving = [[] for _ in range(k)]
-    for tail, head, step in rows:
-        if not (0 <= tail < k and 0 <= head < k and -n < 2 * step <= n):
-            return (f"arc {(tail, head, step)} leaves the offsets 0..{k - 1} "
-                    f"or the centred steps {-((n - 1) // 2)}..{n // 2}")
-        if tail == head and not step:
-            return f"loop at offset {tail}"
-        reverse = (head, tail, step if 2 * step == n else -step)
-        if reverse not in orbits:
-            return f"arc {(tail, head, step)} has no reverse arc {reverse}"
-        leaving[tail].append((head, step))
-    potential = [0] + [None] * (k - 1)
-    reached, divisor = [0], n
-    for r in reached:
-        for head, step in leaving[r]:
-            if potential[head] is None:
-                potential[head] = potential[r] + step
-                reached.append(head)
-            else:
-                divisor = gcd(divisor, potential[r] + step - potential[head])
-    if len(reached) < k:
-        return "the quotient of the lift is disconnected"
-    if divisor > 1:
-        return (f"the lift is disconnected: its cycle voltages share the factor {divisor} "
-                f"with n = {n}")
-    return None
-
-
-@st.composite
-def perturbed_lifts(draw):
-    """``(k, n, rows)``: a random simple lift with up to two arcs dropped, with or
-    without their reverses, added (offsets and steps possibly out of range) or
-    repeated, in a random order."""
-    k, n, arcs = draw(quotient_arcs(connected=False))
-    rows = list(arcs)
-    for _ in range(draw(st.integers(0, 2))):
-        change = draw(st.sampled_from(("drop", "drop-pair", "add", "repeat")))
-        if change == "add" or not rows:
-            rows.append(draw(st.tuples(st.integers(-1, k), st.integers(-1, k),
-                                       st.integers(-n - 1, n + 1))))
-        elif change.startswith("drop"):
-            tail, head, step = rows.pop(draw(st.integers(0, len(rows) - 1)))
-            if change == "drop-pair":
-                rows = [row for row in rows if row[:2] != (head, tail) or abs(row[2]) != abs(step)]
-        else:
-            rows.append(draw(st.sampled_from(rows)))
-    if not rows:
-        rows.append((0, 0, 1))
-    return k, n, draw(st.permutations(rows))
-
-
-@settings(max_examples=400, deadline=None)
-@given(perturbed_lifts(), st.lists(st.integers(0, 10), max_size=3))
-def test_the_split_certificate_names_the_reference_fault(drawn, others):
-    """At the drawn n and then at other petal counts, cold or after the same rows
-    were certified, ``Lift`` accepts exactly the rows the one-pass reference
-    accepts, with the degrees its arcs count, and otherwise names the reference's
-    fault."""
-    k, n, rows = drawn
-    for petals in (n, *others, n):
-        expected = reference_lift_fault(k, petals, rows)
-        if expected is None:
-            lift = Lift(k, petals, rows)
-            degrees = tuple(sum(arc[0] == r for arc in rows) for r in range(k))
-            assert lift_graph(lift).degrees[:k] == degrees
-            assert lift.arcs.tolist() == list(map(list, rows))
-        else:
-            with pytest.raises(ValueError) as raised:
-                Lift(k, petals, rows)
-            assert str(raised.value) == expected
+@pytest.mark.parametrize(
+    "k,n,arcs,message",
+    [
+        (2, 4, [(0, 1, 0), (1, 0, 1)], "do not come back"),
+        (2, 3, [(0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 0, -1), (0, 0, 1)], "do not come back"),
+        (1, 4, [(0, 0, 3), (0, 0, 1)], "do not come back"),
+        (2, 3, [(0, 0, 0), (0, 1, 0), (1, 0, 0)], "^self-loop at vertex"),
+        (2, 3, [(0, 2, 0), (2, 0, 0)], "is out of range for 6 vertices$"),
+    ],
+    ids=["unpaired", "repeated", "uncentred-step", "loop", "offset-range"],
+)
+def test_certified_lift_refuses_rows_that_are_no_simple_lift(k, n, arcs, message):
+    """The rows' lift graph refuses a loop or a label off the lift, and reading its
+    block-0 arcs back exposes an arc without its reverse, a repeated arc and a step
+    outside the centred ones."""
+    with pytest.raises(ValueError, match=message):
+        certified_lift(k, n, arcs)
 
 
 def test_lift_arcs_are_read_only_and_centred():
-    lift = Lift(1, 4, np.array([[0, 0, 1], [0, 0, -1], [0, 0, 2]]))
+    lift = certified_lift(1, 4, np.array([[0, 0, 1], [0, 0, -1], [0, 0, 2]]))
     assert lift.arcs.format == "q" and lift.arcs.readonly
     assert lift.arcs.tolist() == [[0, 0, 1], [0, 0, -1], [0, 0, 2]]
     assert list(lift.edges()) == list(graph_from_edge_list(
@@ -473,7 +316,7 @@ def test_check_shift_certifies_exactly_the_automorphic_shifts():
     for shift in (1, 2, 3, 6):
         check_shift(cycle_graph(6), shift)
     check_shift(path_graph(5), 5)  # the whole vertex count is the identity
-    ladder = Lift(2, 4, [(0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)])
+    ladder = certified_lift(2, 4, [(0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)])
     check_shift(lift_graph(ladder), 4)
     for g, shift in ((path_graph(4), 1), (path_graph(4), 2), (petersen_graph(), 5)):
         with pytest.raises(ValueError, match=f"^shift {shift} does not map the edges"):
@@ -520,7 +363,13 @@ def test_non_integer_and_oversized_labels_rejected_not_truncated(edges, message)
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
 def test_numpy_integer_edge_arrays_are_accepted(dtype):
-    """Signed and unsigned arrays alike, as edges and as a lift's arcs."""
+    """Signed and unsigned arrays alike, and memoised as the list of the same pairs,
+    while labels of another type, equal in value to those of a memoised graph, are
+    still refused."""
     edges = np.array([[0, 1], [1, 2], [2, 0]], dtype=dtype)
     assert Graph(3, edges) == graph_from_edge_list(edges) == cycle_graph(3)
-    assert list(Lift(1, 2, np.array([[0, 0, 1]], dtype=dtype)).edges()) == [(0, 1)]
+    path = [(0, 1), (1, 2)]
+    assert graph_from_edge_list(path) is graph_from_edge_list(np.array(path, dtype=dtype))
+    for labels, shown in (([(0, True), (True, 2)], "True"), ([(0.0, 1.0), (1.0, 2.0)], "0.0")):
+        with pytest.raises(ValueError, match=f"^vertex label {shown} is not an integer$"):
+            graph_from_edge_list(labels)

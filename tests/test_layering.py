@@ -7,8 +7,9 @@ lift from it, only ``gen`` lists a flower's edges, only the one-pair paths
 evaluate the flower pair formula, only ``cli._flowers`` reads the family options,
 ``cli.build_parser`` alone builds argparse parsers and builds them once per
 process, every other memo is an ``lru_cache`` with an integer bound, the package
-exports what it imports, graphs and flower specs compute their derived attributes
-at construction, and no source line is longer than 99 characters."""
+exports what it imports and uses every private name it defines, graphs and flower
+specs compute their derived attributes at construction, and no source line is
+longer than 99 characters."""
 
 from __future__ import annotations
 
@@ -84,6 +85,33 @@ def test_all_lists_exactly_the_names_init_imports():
     for name, (module, original) in imported.items():
         submodule = importlib.import_module(f"flowergraphs.{module}")
         assert getattr(flowergraphs, name) is getattr(submodule, original)
+
+
+def test_every_private_module_name_is_used():
+    """Each module-level ``_name`` a library module defines, a function, a class or
+    an assigned name, is read somewhere in the library: as a name, an attribute or
+    an import.  A helper whose last caller goes goes with it."""
+    defined, read = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, top.name))
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                defined |= {(path.stem, target.id) for target in targets
+                            if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    private = {(module, name) for module, name in defined
+               if name.startswith("_") and not name.startswith("__")}
+    assert len(private) >= 10
+    assert {(module, name) for module, name in private if name not in read} == set()
 
 
 @pytest.mark.parametrize("module", LIBRARY_MODULES)

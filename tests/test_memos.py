@@ -11,12 +11,11 @@ from itertools import combinations, islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowergraphs import (
     FlowerSpec,
-    Lift,
     complete_graph,
     cycle_graph,
     flower_kemeny_exact,
@@ -25,17 +24,18 @@ from flowergraphs import (
     kemeny_bounds,
     kirchhoff_bounds,
     numeric_indices,
+    path_graph,
     read_edge_list,
     resistance_matrix,
 )
 from flowergraphs import flower, graphs, oracle
 
 from conftest import connected_graphs
-from rotations import build_flower, format_edge_list, graph_lift
+from rotations import build_flower, certified_lift, format_edge_list, graph_lift
 
 # Every memo of work that does not depend on the petal count.
-MEMOS = (graphs._graph_of, graphs._graph_of_text, graphs._certificate, flower._petal_arcs,
-         flower._moments, flower.base_kirchhoff, flower.base_kemeny, oracle._pattern)
+MEMOS = (graphs._graph_of, graphs._graph_of_text, flower._petal_arcs, flower._moments,
+         flower.base_kirchhoff, flower.base_kemeny, oracle._pattern)
 
 
 def _observed(base, x, y, ns, path):
@@ -51,11 +51,24 @@ def _observed(base, x, y, ns, path):
     return values
 
 
+@st.composite
+def marked_bases(draw):
+    """``(base, x, y, ns)``: a connected base, two distinct marked vertices and a
+    few petal counts."""
+    base = draw(connected_graphs(max_vertices=7))
+    x, y = draw(st.permutations(range(base.vertex_count)))[:2]
+    return base, x, y, draw(st.lists(st.integers(3, 12), min_size=1, max_size=4))
+
+
 @settings(max_examples=40, deadline=None)
-@given(connected_graphs(max_vertices=7), st.data())
-def test_every_memo_gives_the_same_values_cold_and_warm(tmp_path_factory, base, data):
-    x, y = data.draw(st.permutations(range(base.vertex_count)))[:2]
-    ns = data.draw(st.lists(st.integers(3, 12), min_size=1, max_size=4))
+@example((path_graph(2), 0, 1, [3, 4]))  # the single-edge base: the flower is C_n
+@example((complete_graph(4), 2, 0, [3]))  # n = 3, the least n with +-1 distinct; x-y an edge
+@example((cycle_graph(6), 0, 3, [3, 5]))  # no x-y edge
+@given(marked_bases())
+def test_every_memo_gives_the_same_values_cold_and_warm(tmp_path_factory, drawn):
+    """Every memo, cleared, gives what it gave warm; and every flower's lift is a
+    simple connected graph that gives its arcs back, as ``FlowerSpec.lift`` proves."""
+    base, x, y, ns = drawn
     path = tmp_path_factory.mktemp("base") / "base.edges"
     path.write_text(format_edge_list(base))
     warm = _observed(base, x, y, ns, path)
@@ -66,10 +79,9 @@ def test_every_memo_gives_the_same_values_cold_and_warm(tmp_path_factory, base, 
     for n in ns:
         spec = FlowerSpec(base, x, y, n)
         lift = spec.lift()
-        # The same rows certified cold from an array, and read back off the built
-        # graph, whose block 0 has the degrees the arcs count.
-        graphs._certificate.cache_clear()
-        cold = Lift(spec.block_size, n, np.asarray(lift.arcs.tolist()))
+        # The same rows certified, and read back off the built graph, whose block 0
+        # has the degrees the arcs count.
+        cold = certified_lift(spec.block_size, n, lift.arcs.tolist())
         assert cold.arcs.tolist() == lift.arcs.tolist()
         graph = build_flower(spec)
         read = graph_lift(graph, spec.block_size)

@@ -20,7 +20,6 @@ from flowergraphs import (
     CycleFlowerParams,
     FlowerSpec,
     Graph,
-    Lift,
     complete_flower_spec,
     complete_graph,
     cycle_flower_spec,
@@ -49,7 +48,7 @@ from conftest import (
     scalar_values_close,
 )
 from flower_reference import located_pairs
-from rotations import build_flower, graph_lift, lift_graph
+from rotations import build_flower, certified_lift, graph_lift, lift_graph
 
 
 def test_single_edge_resistance():
@@ -228,7 +227,7 @@ def test_fourier_oracle_equals_the_dense_reference_on_random_lifts(drawn):
     offset all occur, and so do lifts of one and two blocks, whose degrees
     differ between offsets.  A draw with a nonzero-step arc that avoids offset 0
     is refused, and its one-block form is compared instead."""
-    _assert_equals_dense(_oracle_form(Lift(*drawn)))
+    _assert_equals_dense(_oracle_form(certified_lift(*drawn)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,7 +324,7 @@ def star_lifts(draw):
                  (1, 2, 0), (2, 1, 0)]))  # a half-turn arc between offsets 0 and 2
 @given(star_lifts())
 def test_star_junction_lifts_equal_the_dense_reference(drawn):
-    lift = Lift(*drawn)
+    lift = certified_lift(*drawn)
     assert _oracle_form(lift) is lift
     _assert_equals_dense(lift)
 
@@ -334,15 +333,17 @@ def test_star_junction_lifts_equal_the_dense_reference(drawn):
     "lift,avoiding",
     [
         # Steps 1 and -1 join offsets 1 and 3 away from offset 0; 2 and 4 stay inside.
-        (Lift(5, 9, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (2, 3, 0), (3, 2, 0),
-                     (3, 1, 1), (1, 3, -1), (2, 4, 0), (4, 2, 0), (4, 0, 2), (0, 4, -2)]),
+        (certified_lift(5, 9, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (2, 3, 0),
+                               (3, 2, 0), (3, 1, 1), (1, 3, -1), (2, 4, 0), (4, 2, 0),
+                               (4, 0, 2), (0, 4, -2)]),
          (3, 1, 1)),
         # A half-turn loop at offset 2 (2d = n) and a half-turn arc to offset 0.
-        (Lift(3, 6, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (2, 2, 3), (0, 0, 1),
-                     (0, 0, -1), (2, 0, 3), (0, 2, 3)]),
+        (certified_lift(3, 6, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (2, 2, 3),
+                               (0, 0, 1), (0, 0, -1), (2, 0, 3), (0, 2, 3)]),
          (2, 2, 3)),
         # No offset but 0 is free of a nonzero-step arc that avoids offset 0.
-        (Lift(3, 5, [(0, 1, 0), (1, 0, 0), (1, 2, 1), (2, 1, -1), (2, 1, 2), (1, 2, -2)]),
+        (certified_lift(3, 5, [(0, 1, 0), (1, 0, 0), (1, 2, 1), (2, 1, -1), (2, 1, 2),
+                               (1, 2, -2)]),
          (1, 2, 1)),
         # One block of the 4 x 5 grid: only step 0, reduced as it is.
         (graph_lift(grid_graph(4, 5)), None),
@@ -364,7 +365,8 @@ def test_a_lift_with_an_arc_that_avoids_offset_0_is_refused_in_constant_memory(e
     """No entry point falls back to the one-block form of such a lift, an N x N
     symbol: at N = 1,200 that took 291 ms and a 33 MiB traced peak, and both grew
     about 4 x with each doubling of n."""
-    lift = Lift(3, 400, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (1, 2, 1), (2, 1, -1)])
+    lift = certified_lift(3, 400, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0), (1, 2, 1),
+                                   (2, 1, -1)])
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=re.escape(
