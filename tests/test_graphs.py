@@ -363,13 +363,29 @@ def test_non_integer_and_oversized_labels_rejected_not_truncated(edges, message)
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
 def test_numpy_integer_edge_arrays_are_accepted(dtype):
-    """Signed and unsigned arrays alike, and memoised as the list of the same pairs,
-    while labels of another type, equal in value to those of a memoised graph, are
-    still refused."""
+    """Signed and unsigned arrays alike, and memoised as the list of the same pairs."""
     edges = np.array([[0, 1], [1, 2], [2, 0]], dtype=dtype)
     assert Graph(3, edges) == graph_from_edge_list(edges) == cycle_graph(3)
     path = [(0, 1), (1, 2)]
     assert graph_from_edge_list(path) is graph_from_edge_list(np.array(path, dtype=dtype))
+
+
+def test_memo_hits_keep_the_faults_that_depend_on_n():
+    """Rows that make a simple connected lift at one n and not at another: the gcd
+    with the new n, and the half-turn arcs (``2d = n``, their own reverse only
+    there); and labels of another type, equal in value to those of a memoised
+    graph, which ``graph_from_edge_list`` still refuses."""
+    gcd = [(0, 0, 2), (0, 0, -2)]
+    assert certified_lift(1, 5, gcd).vertex_count == 5
+    with pytest.raises(ValueError, match="^graph is disconnected$"):
+        certified_lift(1, 6, gcd)
+    half_turn = [(0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 0, -1), (0, 1, 2), (1, 0, 2)]
+    assert certified_lift(2, 4, half_turn).vertex_count == 8
+    for n in (6, 5, 3):
+        with pytest.raises(ValueError, match=r"^arcs .* do not come back from their lift$"):
+            certified_lift(2, n, half_turn)
+    path = [(0, 1), (1, 2)]
+    assert graph_from_edge_list(path) is graph_from_edge_list(np.array(path))
     for labels, shown in (([(0, True), (True, 2)], "True"), ([(0.0, 1.0), (1.0, 2.0)], "0.0")):
         with pytest.raises(ValueError, match=f"^vertex label {shown} is not an integer$"):
             graph_from_edge_list(labels)
