@@ -6,8 +6,8 @@ arithmetic, and cross-check everything against a numeric Laplacian oracle that
 works on the Fourier blocks of the petal rotation.
 """
 
-from .complete import CompleteFlowerParams, complete_flower_spec
-from .cycle import CycleFlowerParams, cycle_flower_spec
+from .complete import complete_flower_spec
+from .cycle import cycle_flower_spec
 from .exact import format_rational
 from .flower import (
     FlowerLocator,
@@ -45,8 +45,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompleteFlowerParams",
-    "CycleFlowerParams",
     "FlowerLocator",
     "FlowerSpec",
     "Graph",

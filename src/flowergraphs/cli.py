@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import oracle
-from .complete import CompleteFlowerParams, complete_flower_spec
-from .cycle import CycleFlowerParams, cycle_flower_spec
+from .complete import complete_flower_spec
+from .cycle import cycle_flower_spec
 from .exact import format_rational
 from .flower import (
     FlowerSpec,
@@ -117,7 +117,7 @@ def _flowers(args: argparse.Namespace):
                 raise ValueError("-p is required for the cycle family")
             return [args.p]
         span = range(1, m) if args.p_range is None else _parse_range("--p-range", args.p_range)
-        if m < 3:  # no p fits, but it is the base that is wrong: let CycleFlowerParams say so
+        if m < 3:  # no p fits, but it is the base that is wrong: let cycle_flower_spec say so
             return [span.start]
         return range(span.start, min(span.stop, m // 2 + 1))
 
@@ -127,10 +127,10 @@ def _flowers(args: argparse.Namespace):
             raise ValueError(f"-m is required for the {args.family} family")
         for n in ns:
             if args.family == "complete":
-                yield None, complete_flower_spec(CompleteFlowerParams(m, n))
+                yield None, complete_flower_spec(m, n)
             else:
                 for p in distances(m):
-                    yield p, cycle_flower_spec(CycleFlowerParams(m, n, p))
+                    yield p, cycle_flower_spec(m, n, p)
                     empty = False
     if empty and args.family == "cycle":
         raise ValueError("the --m-range, --n-range and --p-range grid holds no flower")

@@ -215,18 +215,21 @@ def _graph_of_text(text: str) -> Graph:
 
 
 def path_graph(vertices: int) -> Graph:
+    vertices = integer("vertices", vertices)
     if vertices < 2:
         raise ValueError("a path needs at least two vertices")
     return graph_from_edge_list((i, i + 1) for i in range(vertices - 1))
 
 
 def cycle_graph(vertices: int) -> Graph:
+    vertices = integer("vertices", vertices)
     if vertices < 3:
         raise ValueError("a cycle needs at least three vertices")
     return graph_from_edge_list((i, (i + 1) % vertices) for i in range(vertices))
 
 
 def complete_graph(vertices: int) -> Graph:
+    vertices = integer("vertices", vertices)
     if vertices < 2:
         raise ValueError("a complete graph needs at least two vertices")
     return graph_from_edge_list(

@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from flowergraphs import (
-    CycleFlowerParams,
     FlowerLocator,
     FlowerSpec,
     Graph,
@@ -116,10 +115,9 @@ def complete_case(a: int, b: int, e: int, n: int) -> tuple[PairCase, int]:
     return PairCase.NEITHER, e + 1
 
 
-def cycle_position(params: CycleFlowerParams, a: int, b: int, e: int) -> CyclePairPosition:
+def cycle_position(m: int, p: int, a: int, b: int, e: int) -> CyclePairPosition:
     """The cycle-flower position of ``R_ab(e)``, with ``x = 0`` and ``y = p``; ``arc(w)``
     is an interior vertex's complementary arc length and its offset from ``x``."""
-    m, p = params.m, params.p
 
     def arc(w: int) -> tuple[int, int]:
         return (m - p, w) if 0 < w < p else (p, m - w)

@@ -2,11 +2,11 @@
 states them: the tests' transcription, which ``test_paper_forms`` proves equal to
 the library's general-base path for every parameter.
 
-``cf_*`` take a complete flower's ``CompleteFlowerParams`` and, per pair, its
-``PairCase`` and inclusive petal separation; ``gs_*`` take a cycle flower's
-``CycleFlowerParams`` and, per pair, its ``CyclePairPosition``.  Nothing here
-reads the library's formulas: the module imports only the two parameter classes,
-so the proof compares two independent derivations.
+``cf_*`` take a complete flower's base size ``m`` and petal count ``n`` and, per
+pair, its ``PairCase`` and inclusive petal separation; ``gs_*`` take a cycle
+flower's ``m``, ``n`` and marked distance ``p`` and, per pair, its
+``CyclePairPosition``.  Nothing here reads the library: the module imports only
+the standard library, so the proof compares two independent derivations.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-from flowergraphs import CompleteFlowerParams, CycleFlowerParams
 
 
 class PairCase(Enum):
@@ -26,13 +24,12 @@ class PairCase(Enum):
     NEITHER = "neither"
 
 
-def cf_resistance(params: CompleteFlowerParams, case: PairCase, d: int) -> Fraction:
+def cf_resistance(m: int, n: int, case: PairCase, d: int) -> Fraction:
     """Pairwise resistance in a complete flower for the given case and separation.
 
     ``d`` counts junction gaps for the both-associated case (``1..n-1``) and
     inclusive petals otherwise (``1..n``; ``d = 1`` covers same-petal pairs).
     """
-    m, n = params.m, params.n
     if case is PairCase.BOTH_ASSOCIATED:
         if not 1 <= d <= n - 1:
             raise ValueError(f"d={d} invalid for associated pairs (1..{n - 1})")
@@ -44,24 +41,21 @@ def cf_resistance(params: CompleteFlowerParams, case: PairCase, d: int) -> Fract
     return Fraction(2 * d, m) - Fraction(2 * (d - 1) ** 2, m * n)
 
 
-def cf_max_resistance(params: CompleteFlowerParams) -> Fraction:
+def cf_max_resistance(m: int, n: int) -> Fraction:
     """Maximum resistance over all vertex pairs of a complete flower."""
-    m, n = params.m, params.n
     if n % 2 == 0:
         return Fraction(n + 4, 2 * m)
     return Fraction(n * n + 4 * n - 1, 2 * m * n)
 
 
-def cf_kirchhoff(params: CompleteFlowerParams) -> Fraction:
-    m, n = params.m, params.n
+def cf_kirchhoff(m: int, n: int) -> Fraction:
     return Fraction(
         n * (5 + 12 * n + n * n + m * m * (-1 + 6 * n + n * n) - m * (1 + 18 * n + 2 * n * n)),
         6 * m,
     )
 
 
-def cf_kemeny(params: CompleteFlowerParams) -> Fraction:
-    m, n = params.m, params.n
+def cf_kemeny(m: int, n: int) -> Fraction:
     return Fraction((m - 1) * (-12 * n + m * (n * n + 6 * n - 1)), 6 * m)
 
 
@@ -84,8 +78,7 @@ class CyclePairPosition:
     same_arc: bool
 
 
-def _validate_position(params: CycleFlowerParams, pos: CyclePairPosition) -> None:
-    m, n, p = params.m, params.n, params.p
+def _validate_position(m: int, n: int, p: int, pos: CyclePairPosition) -> None:
     arcs = {p, m - p}
     if pos.p_u not in arcs or pos.p_v not in arcs:
         raise ValueError(f"arc lengths must lie in {sorted(arcs)}")
@@ -107,10 +100,9 @@ def _validate_position(params: CycleFlowerParams, pos: CyclePairPosition) -> Non
         raise ValueError(f"petal separation d={pos.d} out of range 2..{n}")
 
 
-def gs_resistance(params: CycleFlowerParams, pos: CyclePairPosition) -> Fraction:
+def gs_resistance(m: int, n: int, p: int, pos: CyclePairPosition) -> Fraction:
     """Pairwise resistance in a cycle flower from a validated pair position."""
-    _validate_position(params, pos)
-    m, n = params.m, params.n
+    _validate_position(m, n, p, pos)
     p_u, p_v, l, k, d = pos.p_u, pos.p_v, pos.l, pos.k, pos.d
     arc_product = p_u * (m - p_u)
     if not pos.same_petal:
@@ -126,8 +118,7 @@ def gs_resistance(params: CycleFlowerParams, pos: CyclePairPosition) -> Fraction
     )
 
 
-def gs_kirchhoff(params: CycleFlowerParams) -> Fraction:
-    m, n, p = params.m, params.n, params.p
+def gs_kirchhoff(m: int, n: int, p: int) -> Fraction:
     span = p * m - p * p
     first = Fraction(
         n * span * (n * n * (m - 1) ** 2 + m * m * (4 - 6 * n) + 6 * m * n - 1),
@@ -137,8 +128,7 @@ def gs_kirchhoff(params: CycleFlowerParams) -> Fraction:
     return first - second
 
 
-def gs_kemeny(params: CycleFlowerParams) -> Fraction:
-    m, n, p = params.m, params.n, params.p
+def gs_kemeny(m: int, n: int, p: int) -> Fraction:
     span = p * m - p * p
     return Fraction(
         (n * n - 6 * n + 4) * span + m * m * (2 * n - 1) - 2 * n - 1, 6

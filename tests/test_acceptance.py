@@ -11,8 +11,6 @@ import time
 from fractions import Fraction
 
 from flowergraphs import (
-    CompleteFlowerParams,
-    CycleFlowerParams,
     FlowerSpec,
     complete_flower_spec,
     complete_graph,
@@ -104,24 +102,23 @@ def test_criterion_3_complete_flower_closed_forms():
     cases_seen = set()
     for m in range(3, 7):
         for n in range(3, 9):
-            params = CompleteFlowerParams(m, n)
-            spec = complete_flower_spec(params)
+            spec = complete_flower_spec(m, n)
             lift = spec.lift()
             matrix = resistance_matrix(lift)
             for a, b, e, _, v in located_pairs(spec):
                 case, d = complete_case(a, b, e, n)
                 cases_seen.add(case)
-                value = cf_resistance(params, case, d)
+                value = cf_resistance(m, n, case, d)
                 observed = matrix[spec.label_of(1, a), spec.label_of(v.petal, b)]
                 worst = max(worst, abs(float(value) - observed))
             kf, kem = numeric_indices(lift)
-            worst = max(worst, abs(float(cf_kirchhoff(params)) - kf))
-            worst = max(worst, abs(float(cf_kemeny(params)) - kem))
+            worst = max(worst, abs(float(cf_kirchhoff(m, n)) - kf))
+            worst = max(worst, abs(float(cf_kemeny(m, n)) - kem))
     exact_ok = (
-        cf_kirchhoff(CompleteFlowerParams(3, 3)) == Fraction(65, 6)
-        and cf_kemeny(CompleteFlowerParams(3, 3)) == Fraction(14, 3)
+        cf_kirchhoff(3, 3) == Fraction(65, 6)
+        and cf_kemeny(3, 3) == Fraction(14, 3)
     )
-    kf, kem = numeric_indices(complete_flower_spec(CompleteFlowerParams(3, 3)).lift())
+    kf, kem = numeric_indices(complete_flower_spec(3, 3).lift())
     oracle_ok = (
         abs(kf - float(Fraction(65, 6))) <= TOL and abs(kem - float(Fraction(14, 3))) <= TOL
     )
@@ -133,16 +130,15 @@ def test_criterion_3_complete_flower_closed_forms():
 def test_criterion_4_sunflower_identities():
     ok = True
     for n in range(3, 13):
-        params = CompleteFlowerParams(3, n)
         for d in range(1, n + 1):
             both = Fraction(2 * d * (n - d), 3 * n)
             one = Fraction(4 * n * d - 4 * d * d + 4 * d - 1, 6 * n)
             neither = Fraction(2 * (n * d - (d - 1) ** 2), 3 * n)
-            ok = ok and (d == n or cf_resistance(params, PairCase.BOTH_ASSOCIATED, d) == both)
-            ok = ok and cf_resistance(params, PairCase.ONE_ASSOCIATED, d) == one
-            ok = ok and cf_resistance(params, PairCase.NEITHER, d) == neither
-        ok = ok and cf_kirchhoff(params) == Fraction(4 * n**3 + 12 * n * n - 7 * n, 18)
-        ok = ok and cf_kemeny(params) == Fraction(n * n + 2 * n - 1, 3)
+            ok = ok and (d == n or cf_resistance(3, n, PairCase.BOTH_ASSOCIATED, d) == both)
+            ok = ok and cf_resistance(3, n, PairCase.ONE_ASSOCIATED, d) == one
+            ok = ok and cf_resistance(3, n, PairCase.NEITHER, d) == neither
+        ok = ok and cf_kirchhoff(3, n) == Fraction(4 * n**3 + 12 * n * n - 7 * n, 18)
+        ok = ok and cf_kemeny(3, n) == Fraction(n * n + 2 * n - 1, 3)
     _report(4, ok, "m=3 complete forms equal the sunflower formulas exactly for n <= 12")
 
 
@@ -153,27 +149,26 @@ def test_criterion_5_cycle_flower_closed_forms():
     for m in range(3, 7):
         for p in range(1, m // 2 + 1):
             for n in range(3, 7):
-                params = CycleFlowerParams(m, n, p)
-                spec = cycle_flower_spec(params)
+                spec = cycle_flower_spec(m, n, p)
                 lift = spec.lift()
                 matrix = resistance_matrix(lift)
                 for a, b, e, _, v in located_pairs(spec):
-                    pos = cycle_position(params, a, b, e)
+                    pos = cycle_position(m, p, a, b, e)
                     kinds.add((pos.same_petal, pos.same_arc, pos.same_petal and pos.l == 0))
-                    value = gs_resistance(params, pos)
+                    value = gs_resistance(m, n, p, pos)
                     observed = matrix[spec.label_of(1, a), spec.label_of(v.petal, b)]
                     worst = max(worst, abs(float(value) - observed))
                 kf, kem = numeric_indices(lift)
-                worst = max(worst, abs(float(gs_kirchhoff(params)) - kf))
-                worst = max(worst, abs(float(gs_kemeny(params)) - kem))
+                worst = max(worst, abs(float(gs_kirchhoff(m, n, p)) - kf))
+                worst = max(worst, abs(float(gs_kemeny(m, n, p)) - kem))
     identity_ok = all(
-        gs_kirchhoff(CycleFlowerParams(3, n, 1)) == cf_kirchhoff(CompleteFlowerParams(3, n))
+        gs_kirchhoff(3, n, 1) == cf_kirchhoff(3, n)
         for n in range(3, 13)
     )
-    kf, kem = numeric_indices(cycle_flower_spec(CycleFlowerParams(4, 3, 2)).lift())
+    kf, kem = numeric_indices(cycle_flower_spec(4, 3, 2).lift())
     confirmed = (
-        gs_kirchhoff(CycleFlowerParams(4, 3, 2)) == 33
-        and gs_kemeny(CycleFlowerParams(4, 3, 2)) == Fraction(53, 6)
+        gs_kirchhoff(4, 3, 2) == 33
+        and gs_kemeny(4, 3, 2) == Fraction(53, 6)
         and abs(kf - 33.0) <= TOL
         and abs(kem - float(Fraction(53, 6))) <= TOL
     )
@@ -196,11 +191,10 @@ def test_criterion_6_max_resistance_window():
             print(f"criterion 6 note: {name} n={n} odd maximizer at d={result.d}")
     for m in range(3, 7):
         for n in range(3, 9):
-            params = CompleteFlowerParams(m, n)
-            exhaustive = max_resistance_search(complete_flower_spec(params)).value
-            if exhaustive != cf_max_resistance(params):
+            exhaustive = max_resistance_search(complete_flower_spec(m, n)).value
+            if exhaustive != cf_max_resistance(m, n):
                 ok = False
-                notes.append(f"complete m={m} n={n}: {exhaustive} != {cf_max_resistance(params)}")
+                notes.append(f"complete m={m} n={n}: {exhaustive} != {cf_max_resistance(m, n)}")
     detail = f" ({'; '.join(notes)})" if notes else ""
     _report(6, ok, "maximiser lies in the predicted petal window; complete-flower "
                    f"maxima match the closed form exactly{detail}")
@@ -226,11 +220,11 @@ def test_criterion_8_bounds():
     specs = []
     for m in range(3, 7):
         for n in range(3, 9):
-            specs.append(complete_flower_spec(CompleteFlowerParams(m, n)))
+            specs.append(complete_flower_spec(m, n))
     for m in range(3, 7):
         for p in range(1, m // 2 + 1):
             for n in range(3, 7):
-                specs.append(cycle_flower_spec(CycleFlowerParams(m, n, p)))
+                specs.append(cycle_flower_spec(m, n, p))
     for spec in specs:
         kf, kem = numeric_indices(spec.lift())
         kf_lo, kf_hi = kirchhoff_bounds(spec)
@@ -244,13 +238,12 @@ def test_criterion_8_bounds():
     lo, _ = kirchhoff_bounds(edge_spec)
     ok = ok and lo == 2 and abs(numeric_indices(edge_spec.lift())[0] - 2.0) <= TOL
     # Upper-bound to closed-form ratios at n = 400, m = 4.
-    params = CompleteFlowerParams(4, 400)
-    spec = complete_flower_spec(params)
+    spec = complete_flower_spec(4, 400)
     _, kf_hi = kirchhoff_bounds(spec)
     _, kem_hi = kemeny_bounds(spec)
     kf_target = 3 * 16 / 9
-    ok = ok and abs(float(kf_hi / cf_kirchhoff(params)) - kf_target) <= 0.02 * kf_target
-    ok = ok and abs(float(kem_hi / cf_kemeny(params)) - 12.0) <= 0.02 * 12.0
+    ok = ok and abs(float(kf_hi / cf_kirchhoff(4, 400)) - kf_target) <= 0.02 * kf_target
+    ok = ok and abs(float(kem_hi / cf_kemeny(4, 400)) - 12.0) <= 0.02 * 12.0
     _report(8, ok, f"bounds bracket the oracle on {len(specs)} flowers; single-edge "
                    "flower attains the lower bound; large-n ratios within 2%")
 

@@ -20,8 +20,6 @@ import pytest
 
 import flowergraphs
 from flowergraphs import (
-    CompleteFlowerParams,
-    CycleFlowerParams,
     FlowerSpec,
     complete_flower_spec,
     cycle_flower_spec,
@@ -61,8 +59,7 @@ def test_gen_round_trip(capsys):
     assert g.vertex_count == 16
     assert g.edge_count == 20
     # round trip reproduces the construction exactly, labels included
-    params = CycleFlowerParams(5, 4, 2)
-    assert g == build_flower(cycle_flower_spec(params))
+    assert g == build_flower(cycle_flower_spec(5, 4, 2))
 
 
 def test_gen_to_file(tmp_path, capsys):
@@ -224,7 +221,7 @@ def test_verify_checks_the_indices_the_oracle_reads_off_its_symbols(capsys, monk
     monkeypatch.setattr(oracle, "numeric_indices", shifted)
     code, out = run(capsys, "verify", "--family", "complete", "--m-range", "5",
                     "--n-range", "10")
-    spec = complete_flower_spec(CompleteFlowerParams(5, 10))
+    spec = complete_flower_spec(5, 10)
     observed = shifted(spec.lift())
     assert code == 1
     assert out.splitlines() == [
@@ -280,8 +277,8 @@ def test_verify_across_chunks_prints_what_the_pair_loop_prints(capsys):
     (N = 280, 39,060 pairs), each in three runs of rows for the vectorized
     compare, with float noise above the tolerance in each."""
     flowers = (
-        ("complete", complete_flower_spec(CompleteFlowerParams(6, 52)), None),
-        ("cycle", cycle_flower_spec(CycleFlowerParams(8, 40, 4)), 4),
+        ("complete", complete_flower_spec(6, 52), None),
+        ("cycle", cycle_flower_spec(8, 40, 4), 4),
     )
     for family, spec, p in flowers:
         m, n, count = spec.base.vertex_count, spec.n, spec.vertex_count
@@ -323,7 +320,7 @@ def test_resist_streams_the_matrix_a_row_block_at_a_time(tmp_path):
     """C8 (p = 4, n = 80), N = 560: ``resist`` prints each row block as
     ``oracle.resistance_rows`` yields it and holds no N x N array (8 N^2 is 2.5 MB;
     the whole matrix peaked at 2.6 MB); its lines are ``resistance_matrix``'s rows."""
-    spec = cycle_flower_spec(CycleFlowerParams(8, 80, 4))
+    spec = cycle_flower_spec(8, 80, 4)
     count = spec.vertex_count
     build_parser()
     path = tmp_path / "matrix.txt"
@@ -468,7 +465,7 @@ def test_gen_streams_the_flower(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak < 4 * 2**20
-    spec = complete_flower_spec(CompleteFlowerParams(10, 2000))
+    spec = complete_flower_spec(10, 2000)
     assert target.read_text() == format_edge_list(build_flower(spec))
 
 

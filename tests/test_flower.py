@@ -11,14 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 
 from flowergraphs import (
-    CompleteFlowerParams,
-    CycleFlowerParams,
     FlowerLocator,
     FlowerSpec,
     base_kemeny,
     base_kirchhoff,
     base_resistance_table,
+    complete_flower_spec,
     complete_graph,
+    cycle_flower_spec,
     cycle_graph,
     flower_kemeny_exact,
     flower_kirchhoff_exact,
@@ -167,16 +167,18 @@ def test_spec_rejects_non_integer_marked_vertices_and_petal_counts(x, y, n, mess
 @pytest.mark.parametrize(
     "make,message",
     [
-        (lambda: CompleteFlowerParams(3.0, 4), "m must be an integer, not 3.0"),
-        (lambda: CompleteFlowerParams(3, 4.5), "n must be an integer, not 4.5"),
-        (lambda: CycleFlowerParams(6.0, 4, 1), "m must be an integer, not 6.0"),
-        (lambda: CycleFlowerParams(6, "4", 1), "n must be an integer, not '4'"),
-        (lambda: CycleFlowerParams(6, 4, 1.0), "p must be an integer, not 1.0"),
+        (lambda: complete_flower_spec(3.0, 4), "m must be an integer, not 3.0"),
+        (lambda: complete_flower_spec(3, 4.5), "n must be an integer, not 4.5"),
+        (lambda: complete_flower_spec(2, 4.5), "n must be an integer, not 4.5"),
+        (lambda: cycle_flower_spec(6.0, 4, 1), "m must be an integer, not 6.0"),
+        (lambda: cycle_flower_spec(6, "4", 1), "n must be an integer, not '4'"),
+        (lambda: cycle_flower_spec(6, 4, 1.0), "p must be an integer, not 1.0"),
     ],
-    ids=["complete-m", "complete-n", "cycle-m", "cycle-n", "cycle-p"],
+    ids=["complete-m", "complete-n", "complete-n-before-m-range", "cycle-m", "cycle-n",
+         "cycle-p"],
 )
 def test_family_params_refuse_non_integers(make, message):
-    """The complete and cycle parameters name the field that is no integer, as
+    """The complete and cycle builders name the argument that is no integer, as
     ``FlowerSpec`` does, before any range check or base graph is built."""
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
@@ -203,19 +205,24 @@ C5_SPEC = FlowerSpec(cycle_graph(5), 0, 2, 4)
         (lambda: flower_resistance(C5_SPEC, FlowerLocator(1.5, 3), FlowerLocator(1, 4)),
          "petal must be an integer, not 1.5"),
         (lambda: FlowerSpec(complete_graph(4), True, 0, 3), "x must be an integer, not True"),
-        (lambda: CycleFlowerParams(6, 4, True), "p must be an integer, not True"),
+        (lambda: cycle_flower_spec(6, 4, True), "p must be an integer, not True"),
         (lambda: locator(C5_SPEC, True, 2), "petal must be an integer, not True"),
         (lambda: resistance(C5_SPEC.lift(), True, 0), "i must be an integer, not True"),
         (lambda: flower_resistance(C5_SPEC, FlowerLocator(1, False), FlowerLocator(1, 4)),
          "base_vertex must be an integer, not False"),
+        (lambda: complete_graph(3.5), "vertices must be an integer, not 3.5"),
+        (lambda: path_graph(2.5), "vertices must be an integer, not 2.5"),
+        (lambda: cycle_graph(4.0), "vertices must be an integer, not 4.0"),
+        (lambda: complete_graph(True), "vertices must be an integer, not True"),
     ],
     ids=["locator-petal", "locator-vertex", "label_of", "locator_of", "resistance-i",
          "resistance-j", "flower_resistance", "spec-bool", "cycle-params-bool",
-         "locator-bool", "resistance-bool", "flower_resistance-bool"],
+         "locator-bool", "resistance-bool", "flower_resistance-bool", "complete_graph",
+         "path_graph", "cycle_graph", "complete_graph-bool"],
 )
 def test_vertex_arguments_must_be_integers(call, message):
-    """A float, string or bool petal, base vertex, label or oracle vertex is refused
-    as ``FlowerSpec`` refuses a non-integer ``x``, ``y`` or ``n``, not located,
+    """A float, string or bool petal, base vertex, label, oracle vertex or graph size
+    is refused as ``FlowerSpec`` refuses a non-integer ``x``, ``y`` or ``n``, not located,
     looked up or indexed as it is, and a bool is not read as 0 or 1.
     ``flower_resistance`` passes a locator that misses its memo through
     ``locator``."""

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flowergraphs import (
-    CompleteFlowerParams,
     FlowerSpec,
     complete_graph,
     cycle_graph,
@@ -149,9 +148,8 @@ def test_general_path_specialises_to_complete_closed_forms():
     for m in range(3, 11):
         for n in range(3, 31):
             spec = FlowerSpec(complete_graph(m), 0, 1, n)
-            params = CompleteFlowerParams(m, n)
             search = max_resistance_search(spec)
-            assert search.value == cf_max_resistance(params)
+            assert search.value == cf_max_resistance(m, n)
             assert search == exhaustive_max_resistance(spec)
 
 

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowergraphs import (
-    CompleteFlowerParams,
     Graph,
     complete_flower_spec,
     complete_graph,
@@ -172,7 +171,7 @@ def test_csr_lists_each_row_ascending(g):
 
 
 def test_degree_degrees_and_neighbors_give_python_ints():
-    g = build_flower(complete_flower_spec(CompleteFlowerParams(4, 3)))
+    g = build_flower(complete_flower_spec(4, 3))
     assert type(g.degrees) is tuple and type(g.neighbors(0)) is tuple
     values = [*g.degrees, *g.neighbors(0), g.edge_count, g.vertex_count]
     assert {type(value) for value in values} == {int}

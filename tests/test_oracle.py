@@ -16,8 +16,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowergraphs import (
-    CompleteFlowerParams,
-    CycleFlowerParams,
     FlowerSpec,
     Graph,
     complete_flower_spec,
@@ -101,14 +99,14 @@ def test_resistance_matrix_path():
 def test_kirchhoff_examples():
     assert numeric_indices(graph_lift(complete_graph(3)))[0] == pytest.approx(2.0, abs=1e-12)
     assert numeric_indices(graph_lift(path_graph(2)))[0] == pytest.approx(1.0, abs=1e-12)
-    sunflower = complete_flower_spec(CompleteFlowerParams(3, 3)).lift()
+    sunflower = complete_flower_spec(3, 3).lift()
     assert numeric_indices(sunflower)[0] == pytest.approx(float(Fraction(65, 6)), abs=1e-9)
 
 
 def test_kemeny_examples():
     assert numeric_indices(graph_lift(complete_graph(3)))[1] == pytest.approx(4 / 3, abs=1e-12)
     assert numeric_indices(graph_lift(path_graph(2)))[1] == pytest.approx(0.5, abs=1e-12)
-    sunflower = complete_flower_spec(CompleteFlowerParams(3, 3)).lift()
+    sunflower = complete_flower_spec(3, 3).lift()
     assert numeric_indices(sunflower)[1] == pytest.approx(float(Fraction(14, 3)), abs=1e-9)
 
 
@@ -131,10 +129,10 @@ def test_numeric_indices_equal_the_matrix_sums(g):
 @pytest.mark.parametrize(
     "spec",
     [
-        complete_flower_spec(CompleteFlowerParams(3, 3)),
-        complete_flower_spec(CompleteFlowerParams(6, 40)),
-        cycle_flower_spec(CycleFlowerParams(5, 7, 2)),
-        cycle_flower_spec(CycleFlowerParams(8, 30, 4)),
+        complete_flower_spec(3, 3),
+        complete_flower_spec(6, 40),
+        cycle_flower_spec(5, 7, 2),
+        cycle_flower_spec(8, 30, 4),
         FlowerSpec(petersen_graph(), 0, 2, 12),
         FlowerSpec(path_graph(4), 0, 3, 25),
     ],
@@ -151,7 +149,7 @@ ENTRY_POINTS = {
     "resistance": lambda lift: resistance(lift, 1, lift.vertex_count - 1),
 }
 # N = 24 in blocks of 4.
-SHIFTED = cycle_flower_spec(CycleFlowerParams(5, 6, 2))
+SHIFTED = cycle_flower_spec(5, 6, 2)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -265,8 +263,8 @@ def test_every_multiple_of_the_shift_gives_the_same_values():
         # Stars and bowties centred at 0 ground to isolated vertices or components.
         graph_lift(graph_from_edge_list([(0, v) for v in range(1, 7)])),
         graph_lift(graph_from_edge_list([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (4, 5)])),
-        complete_flower_spec(CompleteFlowerParams(5, 20)).lift(),
-        cycle_flower_spec(CycleFlowerParams(8, 15, 3)).lift(),
+        complete_flower_spec(5, 20).lift(),
+        cycle_flower_spec(8, 15, 3).lift(),
         FlowerSpec(petersen_graph(), 0, 2, 12).lift(),
     ],
     ids=["edge", "path", "star", "bowtie", "K5-flower", "C8-flower",
@@ -279,10 +277,9 @@ def test_fourier_oracle_equals_the_dense_reference_on_examples(lift):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(
     flower_specs(max_vertices=7, max_petals=9),
-    st.builds(lambda m, n: complete_flower_spec(CompleteFlowerParams(m, n)),
-              st.integers(3, 9), st.integers(3, 40)),
+    st.builds(complete_flower_spec, st.integers(3, 9), st.integers(3, 40)),
     st.integers(3, 9).flatmap(lambda m: st.builds(
-        lambda n, p: cycle_flower_spec(CycleFlowerParams(m, n, p)),
+        lambda n, p: cycle_flower_spec(m, n, p),
         st.integers(3, 40), st.integers(1, m // 2))),
     connected_graphs().map(graph_lift),
 ))
@@ -383,7 +380,7 @@ def test_no_inverse_of_every_symbol(monkeypatch):
     inverts the 8 x 8 interior block once, for the lift pattern both share, and
     nothing per call or per frequency; each frequency's Schur complement is a
     scalar, divided."""
-    lifts = [complete_flower_spec(CompleteFlowerParams(10, n)).lift() for n in (200, 201)]
+    lifts = [complete_flower_spec(10, n).lift() for n in (200, 201)]
     shapes = []
 
     def record(matrix, *args, **kwargs):
@@ -403,7 +400,7 @@ def test_no_inverse_of_every_symbol(monkeypatch):
 @pytest.mark.parametrize("m,p,n", [(8, 4, 160), (8, 3, 200), (6, 3, 220)])
 def test_indices_within_rel_tol_on_large_cycle_flowers(m, p, n):
     # The dense oracle's relative error passed REL_TOL = 1e-12 first at these sizes.
-    spec = cycle_flower_spec(CycleFlowerParams(m, n, p))
+    spec = cycle_flower_spec(m, n, p)
     observed = numeric_indices(spec.lift())
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
         assert abs(value - float(exact)) <= oracle.REL_TOL * float(exact)
@@ -413,7 +410,7 @@ def test_the_default_shift_is_the_rotation_the_flower_was_built_with():
     """A flower's lift is its petal rotation, one block of ``m - 1`` labels, and the
     oracle works under it.  One block of this flower, the default before the oracle
     read the rotation, is off by 3.3e-13 relative (1.3e-10 in an orthonormal basis)."""
-    spec = cycle_flower_spec(CycleFlowerParams(8, 160, 4))
+    spec = cycle_flower_spec(8, 160, 4)
     lift = spec.lift()
     assert (lift.k, lift.n, lift.vertex_count) == (spec.block_size, 160, 1120)
     observed = numeric_indices(lift)
@@ -427,7 +424,7 @@ def test_one_block_lifts_stay_near_the_exact_and_dense_indices():
     3.5e-13 relative, a 20 x 20 grid off the dense reference by 1.2e-15; deflated in
     an orthonormal basis they were off by 1.3e-10 and 3.9e-14.  Both bounds are
     measured regression pins, not derived error bounds."""
-    spec = cycle_flower_spec(CycleFlowerParams(8, 160, 4))
+    spec = cycle_flower_spec(8, 160, 4)
     observed = numeric_indices(graph_lift(build_flower(spec)))
     for value, exact in zip(observed, (flower_kirchhoff_exact(spec), flower_kemeny_exact(spec))):
         assert abs(value - float(exact)) <= 1e-11 * float(exact)
@@ -437,7 +434,7 @@ def test_one_block_lifts_stay_near_the_exact_and_dense_indices():
 
 
 def test_resistance_matrix_within_1e_9_of_every_exact_pair_at_n_1960():
-    spec = cycle_flower_spec(CycleFlowerParams(8, 280, 4))
+    spec = cycle_flower_spec(8, 280, 4)
     # R depends on the base vertices a, b and the petal step e only: one value each.
     table = np.zeros((8, 8, spec.n))
     for a, b, e, u, v in located_pairs(spec):
@@ -456,8 +453,8 @@ def test_resistance_matrix_within_1e_9_of_every_exact_pair_at_n_1960():
 @pytest.mark.parametrize(
     "spec",
     [
-        complete_flower_spec(CompleteFlowerParams(10, 2000)),
-        cycle_flower_spec(CycleFlowerParams(8, 2572, 4)),
+        complete_flower_spec(10, 2000),
+        cycle_flower_spec(8, 2572, 4),
         FlowerSpec(petersen_graph(), 0, 2, 2000),
     ],
     ids=["K10", "C8-p4", "petersen"],
@@ -475,8 +472,8 @@ def test_indices_within_1e_12_relative_at_n_18000(spec):
 @pytest.mark.parametrize(
     "spec",
     [
-        complete_flower_spec(CompleteFlowerParams(10, 20_000)),
-        cycle_flower_spec(CycleFlowerParams(8, 20_000, 4)),
+        complete_flower_spec(10, 20_000),
+        cycle_flower_spec(8, 20_000, 4),
         FlowerSpec(petersen_graph(), 0, 2, 20_000),
     ],
     ids=["K10", "C8-p4", "petersen"],
@@ -492,7 +489,7 @@ def test_indices_within_1e_14_relative_at_n_20000(spec):
 
 
 def test_numeric_indices_memory_is_linear_in_n():
-    spec = complete_flower_spec(CompleteFlowerParams(10, 200))
+    spec = complete_flower_spec(10, 200)
     lift = spec.lift()
     tracemalloc.start()
     try:
@@ -509,7 +506,7 @@ def test_one_pair_holds_two_real_block_arrays():
     the blocks and the one array the resistances are summed into, 12.4 MiB each, with
     no reversed copy of the blocks and no complex symbols beside them (63.5 MiB,
     about five such arrays, before)."""
-    lift = complete_flower_spec(CompleteFlowerParams(10, 20_000)).lift()
+    lift = complete_flower_spec(10, 20_000).lift()
     resistance(lift, 0, 5)  # the lift pattern's memoised n-free part is not counted
     tracemalloc.start()
     try:
@@ -526,9 +523,9 @@ def test_resistance_matrix_memory_is_one_n_by_n_array():
     ``L^+`` or ``L^+ + L^+^T`` (2.0 x 8 N^2 before) and no ``(n, n)`` step index
     (2.0 x 8 N^2 at k = 1 and 1.27 at k = 2 with one)."""
     specs = [
-        complete_flower_spec(CompleteFlowerParams(8, 280)),
+        complete_flower_spec(8, 280),
         FlowerSpec(path_graph(2), 0, 1, 1200),
-        complete_flower_spec(CompleteFlowerParams(3, 600)),
+        complete_flower_spec(3, 600),
     ]
     for spec, (k, count) in zip(specs, [(7, 1960), (1, 1200), (2, 1200)]):
         lift = spec.lift()
@@ -595,7 +592,7 @@ def test_oracle_keeps_no_array_after_return():
         graph_lift(random_connected_graph(random.Random(seed), max_vertices=200, min_vertices=200))
         for seed in (11, 12, 13)
     ]
-    small, large = (complete_flower_spec(CompleteFlowerParams(5, n)).lift() for n in (20, 200))
+    small, large = (complete_flower_spec(5, n).lift() for n in (20, 200))
     for lift in [*lifts, small]:
         resistance_matrix(lift)
         numeric_indices(lift)

@@ -82,8 +82,6 @@ from itertools import product
 import pytest
 
 from flowergraphs import (
-    CompleteFlowerParams,
-    CycleFlowerParams,
     FlowerLocator,
     FlowerSpec,
     complete_graph,
@@ -107,10 +105,10 @@ def test_complete_index_forms():
     """``6m Kf``: degree 2 in ``m``, 3 in ``n``.  ``6m^2 Kemeny``: 3 in ``m``, 2 in ``n``."""
     for m, n in product(points(2, 3), points(3, 3)):
         spec = FlowerSpec(complete_graph(m), 0, 1, n)
-        assert flower_kirchhoff_exact(spec) == cf_kirchhoff(CompleteFlowerParams(m, n))
+        assert flower_kirchhoff_exact(spec) == cf_kirchhoff(m, n)
     for m, n in product(points(3, 3), points(2, 3)):
         spec = FlowerSpec(complete_graph(m), 0, 1, n)
-        assert flower_kemeny_exact(spec) == cf_kemeny(CompleteFlowerParams(m, n))
+        assert flower_kemeny_exact(spec) == cf_kemeny(m, n)
 
 
 def test_cycle_index_forms():
@@ -118,10 +116,10 @@ def test_cycle_index_forms():
     ``m``, 2 in ``n``, 2 in ``p``.  ``p <= 3 <= m // 2`` on the grid."""
     for m, n, p in product(points(4, 6), points(3, 3), points(2, 1)):
         spec = FlowerSpec(cycle_graph(m), 0, p, n)
-        assert flower_kirchhoff_exact(spec) == gs_kirchhoff(CycleFlowerParams(m, n, p))
+        assert flower_kirchhoff_exact(spec) == gs_kirchhoff(m, n, p)
     for m, n, p in product(points(4, 6), points(2, 3), points(2, 1)):
         spec = FlowerSpec(cycle_graph(m), 0, p, n)
-        assert flower_kemeny_exact(spec) == gs_kemeny(CycleFlowerParams(m, n, p))
+        assert flower_kemeny_exact(spec) == gs_kemeny(m, n, p)
 
 
 # One pair per case on K_m, as (a, b, e - d): vertices 2 and 3 are outer when m >= 4.
@@ -140,7 +138,7 @@ def test_complete_pair_forms(case):
         spec = FlowerSpec(complete_graph(m), 0, 1, n)
         # (1, b) is e = d + shift petals down the chain from (1 + e, a).
         u, v = FlowerLocator(1 + d + shift, a), FlowerLocator(1, b)
-        assert flower_resistance(spec, u, v) == cf_resistance(CompleteFlowerParams(m, n), case, d)
+        assert flower_resistance(spec, u, v) == cf_resistance(m, n, case, d)
 
 
 SHORT, LONG = "short", "long"
@@ -169,10 +167,9 @@ def test_cycle_pair_forms(arc_u, arc_v, same_petal):
     pair on one arc is labelled with ``k >= l``."""
     separations = [1] if same_petal else points(2, 2)
     for m, n, p in product(points(2, 20), points(1, 4), points(4, 6)):
-        params = CycleFlowerParams(m, n, p)
         spec = FlowerSpec(cycle_graph(m), 0, p, n)
         p_u, p_v = other_arc_length(m, p, arc_u), other_arc_length(m, p, arc_v)
         for l, k, d in product(points(2, 1), points(2, 3), separations):
             u, v = FlowerLocator(d, place(m, arc_u, l)), FlowerLocator(1, place(m, arc_v, k))
             pos = CyclePairPosition(d, p_u, p_v, l, k, same_petal, same_petal and arc_u == arc_v)
-            assert flower_resistance(spec, u, v) == gs_resistance(params, pos)
+            assert flower_resistance(spec, u, v) == gs_resistance(m, n, p, pos)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flowergraphs import (
-    CompleteFlowerParams,
     complete_flower_spec,
     graph_from_edge_list,
     path_graph,
@@ -116,7 +115,7 @@ def test_two_sep_reproduces_whole_graph_oracle():
 
 def test_two_sep_matches_flower_petal_split():
     # Peeling one petal off a three-petal triangle flower along its junctions.
-    spec = complete_flower_spec(CompleteFlowerParams(3, 3))
+    spec = complete_flower_spec(3, 3)
     g = build_flower(spec)
     i, j = spec.label_of(1, 0), spec.label_of(1, 1)
     petal = graph_from_edge_list([(0, 1), (1, 2), (0, 2)])
