@@ -31,7 +31,6 @@ from .flower import (
     flower_resistance,
     kemeny_bounds,
     kirchhoff_bounds,
-    locator,
     max_resistance_search,
 )
 from .graphs import read_edge_list
@@ -166,9 +165,7 @@ def cmd_resist(args: argparse.Namespace) -> int:
             for row in rows:
                 print(" ".join(_fmt_float(value) for value in row))
         return 0
-    (pu, bu), (pv, bv) = (_parse_locator(text) for text in args.pair)
-    u = locator(spec, pu, bu)
-    v = locator(spec, pv, bv)
+    u, v = map(_parse_locator, args.pair)
     if show_exact:
         print(format_rational(flower_resistance(spec, u, v)))
     if show_oracle:
@@ -381,11 +378,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
-        return 2
     except MemoryError as exc:  # numpy's message gives the size it could not allocate
         args.parser.error(f"out of memory: {str(exc) or 'an allocation failed'}; "
                           "--exact gives the closed form without the oracle's arrays")
-        return 2
 
 
 if __name__ == "__main__":

@@ -13,14 +13,13 @@ streams, and every closed form reads only the base graph.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, Lift, integer
+from .graphs import Arc, Graph, Lift, integer
 
 
 class FlowerLocator(NamedTuple):
@@ -103,23 +102,22 @@ class FlowerSpec:
 
 
 @lru_cache(maxsize=64)
-def _petal_arcs(base: Graph, block_order: tuple[int, ...], y: int) -> memoryview:
+def _petal_arcs(base: Graph, block_order: tuple[int, ...], y: int) -> tuple[Arc, ...]:
     """The arcs that leave block 0 of every flower on ``base`` with this
     ``block_order`` and ``y``, in O(|E_base|) whatever the petal count.
 
     A base vertex other than ``y`` sits in block 0 at its ``block_order`` offset;
     ``y`` is the junction ``x`` of block ``n - 1``, offset 0 one block back.  So
     the base edge ``(a, b)`` gives the arcs ``a -> b`` and ``b -> a`` with steps
-    0 or +-1 between the two places.  The rows are packed as the read-only
-    ``(rows, 3)`` memoryview of 64-bit ints over bytes that ``Lift`` holds.
+    0 or +-1 between the two places, as the tuple of int triples ``Lift`` holds.
     """
     place = {v: (offset, 0) for offset, v in enumerate(block_order)}
     place[y] = (0, -1)
-    arcs = array("q")
+    arcs = []
     for a, b in base.edges:
         (ra, pa), (rb, pb) = place[a], place[b]
-        arcs.extend((ra, rb, pb - pa, rb, ra, pa - pb))
-    return memoryview(arcs.tobytes()).cast("q", (len(arcs) // 3, 3))
+        arcs += (ra, rb, pb - pa), (rb, ra, pa - pb)
+    return tuple(arcs)
 
 
 def locator(spec: FlowerSpec, petal: int, base_vertex: int) -> FlowerLocator:

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
+Arc = tuple[int, int, int]  # (tail, head, step) of a Lift
 
 
 def integer(name: str, value) -> int:
@@ -143,18 +144,18 @@ class Lift:
     modulo ``N`` maps onto itself (Gross and Tucker, *Topological Graph Theory*,
     1987, ch. 2).
 
-    ``arcs`` lists the arcs that leave block 0 as a read-only ``(rows, 3)``
-    memoryview of 64-bit ``(tail, head, step)`` ints, every step centred in
-    ``(-n/2, n/2]``: the arc from ``(0, tail)`` to ``(step, head)`` stands for its
-    orbit, the arcs ``(q, tail) -> (q + step, head)`` of every block ``q``, so there
-    are |E| / n rows whatever ``n`` is.  A lift holds what it is given and checks
+    ``arcs`` lists the arcs that leave block 0 as a tuple of int triples
+    ``(tail, head, step)``, every step centred in ``(-n/2, n/2]``: the arc from
+    ``(0, tail)`` to ``(step, head)`` stands for its orbit, the arcs
+    ``(q, tail) -> (q + step, head)`` of every block ``q``, so there are |E| / n
+    triples whatever ``n`` is.  A lift holds what it is given and checks
     nothing: ``FlowerSpec.lift`` builds the library's lifts, and its docstring
     proves each of them a simple connected graph.
     """
 
     k: int
     n: int
-    arcs: memoryview
+    arcs: tuple[Arc, ...]
 
     @property
     def vertex_count(self) -> int:
@@ -167,7 +168,7 @@ class Lift:
         comes once, even from a half-turn arc, which meets it from both ends."""
         k, count = self.k, self.vertex_count
         # The arc (tail, head, step) from label start + tail ends at start + reach.
-        arcs = [(tail, step * k + head) for tail, head, step in self.arcs.tolist()]
+        arcs = [(tail, step * k + head) for tail, head, step in self.arcs]
         for start in range(0, count, k):
             yield from sorted((start + tail, end) for tail, reach in arcs
                               if start + tail < (end := (start + reach) % count))

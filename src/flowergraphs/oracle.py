@@ -40,9 +40,8 @@ is ``G``, ``M^-1`` bordered by zeros.
 The oracle stays independent of the closed forms: it reads only the lift's arcs,
 never a base resistance such as ``r_xy`` nor any formula of ``flower.py``, and it
 sums the frequencies numerically.  What does not depend on ``n`` (``M^-1``, the step
-columns and the index terms in ``M^-1``) is memoised on ``k`` and the bytes of
-the lift's arcs, its pattern, for the last 64 patterns; each call does only the
-frequencies.
+columns and the index terms in ``M^-1``) is memoised on ``k`` and the lift's arcs,
+its pattern, for the last 64 patterns; each call does only the frequencies.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .graphs import Lift, integer
+from .graphs import Arc, Lift, integer
 
 
 class _Pattern(NamedTuple):
@@ -69,14 +68,14 @@ class _Pattern(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _pattern(k: int, key: bytes) -> _Pattern:
-    """The ``n``-free part of the reduction of the lift on ``k`` offsets whose 64-bit
-    arcs have the bytes ``key``, for the last 64 such: ``M^-1`` and the step columns
+def _pattern(k: int, arcs: tuple[Arc, ...]) -> _Pattern:
+    """The ``n``-free part of the reduction of the lift on ``k`` offsets with the
+    ``arcs`` that leave block 0, for the last 64 such: ``M^-1`` and the step columns
     cost O(k^3) once, and each ``n`` reuses them.  ``ValueError`` names the first
     nonzero-step arc that avoids offset 0, with which ``M`` would depend on ``w``."""
     # Arc (r, r', d) stands for its orbit: from offset r to offset r' d blocks on,
     # with d centred in (-n/2, n/2].
-    rows = np.frombuffer(key, np.int64).reshape(-1, 3)
+    rows = np.array(arcs, np.int64).reshape(-1, 3)
     tails, heads, step = rows.T
     avoiding = rows[(step != 0) & (tails != 0) & (heads != 0)].tolist()
     if avoiding:
@@ -104,7 +103,7 @@ def _reduced(lift: Lift) -> tuple[_Pattern, np.ndarray, np.ndarray]:
     ``E M^-1 E^T + inverse[j] frame[:, j] frame[:, j]^H`` is ``L(w_j)^-1`` for
     ``j = 1 .. n // 2`` and ``G`` for ``j = 0``, ``E`` the columns ``1 .. k - 1`` of
     the identity, ``frame`` ``U`` and ``inverse`` ``1 / S``."""
-    pattern = _pattern(lift.k, lift.arcs.tobytes())
+    pattern = _pattern(lift.k, lift.arcs)
     n = lift.n
     freq = np.arange(n // 2 + 1)
     # e^{i phi} for phi = pi j d / n reduced exactly into [-pi, pi).
@@ -153,13 +152,12 @@ def resistance(lift: Lift, i: int, j: int) -> float:
 def resistance_rows(lift: Lift) -> Iterator[np.ndarray]:
     """Row blocks ``p = 0 .. n - 1`` of the resistance matrix, ``k x N`` each, in O(N k)
     memory: ``R[(p, r), (p', r')]`` is entry ``[r, r']`` of block ``p - p' mod n``, so
-    row block ``p`` is blocks ``p, p - 1, ..`` in a row, a read-only view of the blocks
-    transposed and doubled."""
-    n = lift.n
+    row block ``p`` is blocks ``p, p - 1, ..`` in a row, gathered from the blocks
+    transposed, as ``R[-d]`` is ``R[d]^T``: column block ``j`` is transposed block
+    ``j - p``, a negative index for ``j < p``."""
     blocks = _resistance_blocks(lift).transpose(2, 0, 1)
-    doubled = np.concatenate((blocks, blocks), axis=1)
-    doubled.flags.writeable = False
-    return (doubled[:, n - p : 2 * n - p].reshape(lift.k, -1) for p in range(n))
+    ahead = np.arange(lift.n)
+    return (blocks[:, ahead - p].reshape(lift.k, -1) for p in range(lift.n))
 
 
 def resistance_matrix(lift: Lift) -> np.ndarray:

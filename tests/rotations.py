@@ -7,7 +7,8 @@ count maps a graph's edges onto themselves; ``graph_lift`` then reads the arcs
 that leave block 0 off the graph's neighbour rows.  ``lift_graph`` moves every arc
 of a lift through every block, and ``build_flower`` is a flower spec's lift made a
 graph that way.  ``certified_lift`` takes arbitrary arcs, which ``Lift`` holds
-unchecked, only when their lift is a simple connected graph that gives them back.
+unchecked as a tuple of int triples, only when their lift is a simple connected
+graph that gives them back.
 ``format_edge_list`` writes a graph as edge-list text.  The library builds its
 lifts from flower specs and lists a lift's edges with ``Lift.edges``; the tests
 use these to run the oracle on arbitrary graphs and arcs, under one block or
@@ -16,9 +17,6 @@ graph, and to write the files the command line reads.
 """
 
 from __future__ import annotations
-
-from array import array
-from itertools import chain
 
 from flowergraphs import FlowerSpec, Graph
 from flowergraphs.graphs import Lift
@@ -55,12 +53,12 @@ def graph_lift(g: Graph, shift: int | None = None) -> Lift:
         for neighbour in g.neighbors(tail):
             step, head = divmod(neighbour, k)
             arcs.append((tail, head, step - n if 2 * step > n else step))
-    return Lift(k, n, _packed(arcs))
+    return Lift(k, n, tuple(arcs))
 
 
 def certified_lift(k: int, n: int, rows) -> Lift:
     """The lift on ``k`` offsets and ``n`` blocks whose arcs leaving block 0 are the
-    ``(tail, head, step)`` ``rows``, a numpy array read through ``tolist``.
+    ``(tail, head, step)`` ``rows``, held as a tuple of int triples.
 
     ``lift_graph`` makes it a ``Graph``, which certifies it simple and connected:
     a loop or an arc off the labels is refused there.  Reading that graph's block-0
@@ -68,18 +66,10 @@ def certified_lift(k: int, n: int, rows) -> Lift:
     an arc without its reverse, a repeated arc or an uncentred step would not, so a
     ``ValueError`` refuses those.
     """
-    lift = Lift(k, n, _packed(rows))
-    if sorted(graph_lift(lift_graph(lift), k).arcs.tolist()) != sorted(lift.arcs.tolist()):
-        raise ValueError(f"arcs {lift.arcs.tolist()} do not come back from their lift")
+    lift = Lift(k, n, tuple(map(tuple, rows)))
+    if sorted(graph_lift(lift_graph(lift), k).arcs) != sorted(lift.arcs):
+        raise ValueError(f"arcs {lift.arcs} do not come back from their lift")
     return lift
-
-
-def _packed(rows) -> memoryview:
-    """``rows`` of three integers as the read-only ``(rows, 3)`` memoryview of 64-bit
-    ints that ``Lift`` holds."""
-    rows = rows.tolist() if hasattr(rows, "tolist") else rows
-    flat = array("q", chain.from_iterable(rows))
-    return memoryview(flat.tobytes()).cast("q", (len(flat) // 3, 3))
 
 
 def lift_graph(lift: Lift) -> Graph:
@@ -87,7 +77,7 @@ def lift_graph(lift: Lift) -> Graph:
     k, n = lift.k, lift.n
     return Graph(lift.vertex_count, {
         tuple(sorted((q * k + tail, (q + step) % n * k + head)))
-        for tail, head, step in lift.arcs.tolist() for q in range(n)
+        for tail, head, step in lift.arcs for q in range(n)
     })
 
 

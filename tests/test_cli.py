@@ -717,15 +717,19 @@ def test_unknown_family_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
-def test_bad_locator_exits_2(capsys):
+@pytest.mark.parametrize("mode", [["--exact"], ["--oracle"], []], ids=["exact", "oracle", "both"])
+@pytest.mark.parametrize("pair,message", [
+    (["1", "2:0"], "locator must look like petal:basevertex, got '1'"),
+    (["4:1", "1:0"], "petal 4 out of range 1..3"),
+    (["1:1", "0:2"], "petal 0 out of range 1..3"),
+    (["1:3", "9:0"], "base vertex 3 out of range"),  # u is refused before v
+], ids=["malformed", "petal-u", "petal-v", "base-vertex-u"])
+def test_bad_locator_exits_2(capsys, pair, message, mode):
     with pytest.raises(SystemExit) as excinfo:
-        main(
-            [
-                "resist", "--family", "complete", "-m", "3", "-n", "3",
-                "--pair", "1", "2:0",
-            ]
-        )
-    assert excinfo.value.code == 2
+        main(["resist", "--family", "complete", "-m", "3", "-n", "3", "--pair", *pair, *mode])
+    captured = capsys.readouterr()
+    assert (excinfo.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1] == f"flowergraphs resist: error: {message}"
 
 
 def test_tol_help_states_the_oracle_tolerances(capsys):

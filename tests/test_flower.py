@@ -138,8 +138,9 @@ def test_a_lift_does_not_grow_with_the_petal_count(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (lift.k, lift.n, lift.arcs.shape) == (9, n, (30, 3))
-    assert {step for _, _, step in lift.arcs.tolist()} == {-1, 0, 1}
+    assert (lift.k, lift.n, len(lift.arcs)) == (9, n, 30)
+    assert {step for _, _, step in lift.arcs} == {-1, 0, 1}
+    assert type(lift.arcs) is tuple and {type(v) for arc in lift.arcs for v in arc} == {int}
     assert peak < 64 * 2**10
 
 

@@ -185,7 +185,7 @@ def _oracle_form(lift):
     reduces onto; otherwise every entry point refuses it, naming the first arc in
     row order that avoids offset 0, and its one-block form, which the oracle takes,
     is returned."""
-    avoiding = [tuple(arc) for arc in lift.arcs.tolist() if arc[0] and arc[1] and arc[2]]
+    avoiding = [arc for arc in lift.arcs if arc[0] and arc[1] and arc[2]]
     if not avoiding:
         return lift
     for entry in ENTRY_POINTS.values():
@@ -288,7 +288,7 @@ def test_flowers_and_one_block_lifts_reduce_onto_offset_0(subject):
     and a one-block lift has no nonzero step: the oracle reduces each onto offset
     0 as it is, and refuses neither."""
     lift = subject.lift() if isinstance(subject, FlowerSpec) else subject
-    assert isinstance(oracle._pattern(lift.k, lift.arcs.tobytes()), oracle._Pattern)
+    assert isinstance(oracle._pattern(lift.k, lift.arcs), oracle._Pattern)
     assert _oracle_form(lift) is lift
 
 
