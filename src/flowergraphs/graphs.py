@@ -4,7 +4,6 @@ lifts that hold flowers without their N-vertex graphs."""
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -27,10 +26,8 @@ def integer(name: str, value) -> int:
 
 
 def _label_pairs(pairs) -> tuple[Edge, ...]:
-    """``pairs`` as a nonempty tuple of pairs of ints, a numpy array read through
-    ``tolist``; ragged pairs and bool, float, string and oversized labels fail."""
-    if hasattr(pairs, "tolist"):
-        pairs = pairs.tolist()
+    """``pairs`` as a nonempty tuple of pairs of ints, every label that is not an int
+    read through ``integer``; ragged pairs and labels that ``integer`` refuses fail."""
     try:
         edges = tuple(map(tuple, pairs))
     except TypeError:  # a pair that is not a sequence
@@ -39,15 +36,8 @@ def _label_pairs(pairs) -> tuple[Edge, ...]:
         raise ValueError("edge list is empty")
     if edges is None or set(map(len, edges)) != {2}:
         raise ValueError("every edge must be a pair of vertex labels")
-    labels = list(chain.from_iterable(edges))
-    if set(map(type, labels)) != {int}:
-        bad = [v for v in labels if type(v) is bool or not hasattr(v, "__index__")]
-        if bad:
-            raise ValueError(f"vertex label {bad[0]!r} is not an integer")
-        edges = tuple((operator.index(u), operator.index(v)) for u, v in edges)
-        labels = list(chain.from_iterable(edges))
-    if min(labels) < -sys.maxsize - 1 or max(labels) > sys.maxsize:
-        raise ValueError(f"a vertex label is outside 0..{sys.maxsize}")
+    if set(map(type, chain.from_iterable(edges))) != {int}:
+        edges = tuple((integer("vertex label", u), integer("vertex label", v)) for u, v in edges)
     return edges
 
 
@@ -62,15 +52,16 @@ class Graph:
     once, here.  Negative or out-of-range labels, self-loops, duplicate edges,
     label gaps and disconnected graphs are rejected here, the one place edges are
     checked, so every instance can be fed to the resistance machinery without
-    further checks.  ``degrees`` and ``neighbors``, each vertex's neighbours in
-    ascending order, give Python ints, which the exact solves need.
+    further checks.  ``vertex_count`` and every label pass ``integer``, so each is
+    stored as a Python int, as the exact solves need, and so are ``degrees`` and
+    ``neighbors``, each vertex's neighbours in ascending order.
     """
 
     vertex_count: int
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        count = self.vertex_count
+        count = integer("vertex_count", self.vertex_count)
         edges = _label_pairs(self.edges)
         for u, v in edges:
             if u < 0 or v < 0:
@@ -103,6 +94,7 @@ class Graph:
                     reached.append(w)
         if len(reached) < count:
             raise ValueError("graph is disconnected")
+        object.__setattr__(self, "vertex_count", count)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "degrees", tuple(map(len, neighbours)))
         object.__setattr__(self, "_neighbours", tuple(map(tuple, neighbours)))

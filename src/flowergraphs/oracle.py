@@ -41,7 +41,8 @@ The oracle stays independent of the closed forms: it reads only the lift's arcs,
 never a base resistance such as ``r_xy`` nor any formula of ``flower.py``, and it
 sums the frequencies numerically.  What does not depend on ``n`` (``M^-1``, the step
 columns and the index terms in ``M^-1``) is memoised on ``k`` and the lift's arcs,
-its pattern, for the last 64 patterns; each call does only the frequencies.
+its pattern, for the last 64 patterns; each call does only the frequencies, and
+those are memoised on the last lift, so its matrix and its indices share them.
 """
 
 from __future__ import annotations
@@ -98,11 +99,13 @@ def _pattern(k: int, arcs: tuple[Arc, ...]) -> _Pattern:
     return pattern
 
 
+@lru_cache(maxsize=1)
 def _reduced(lift: Lift) -> tuple[_Pattern, np.ndarray, np.ndarray]:
     """``(pattern, frame, inverse)`` for ``lift``, with the frequency ``j`` last:
     ``E M^-1 E^T + inverse[j] frame[:, j] frame[:, j]^H`` is ``L(w_j)^-1`` for
     ``j = 1 .. n // 2`` and ``G`` for ``j = 0``, ``E`` the columns ``1 .. k - 1`` of
-    the identity, ``frame`` ``U`` and ``inverse`` ``1 / S``."""
+    the identity, ``frame`` ``U`` and ``inverse`` ``1 / S``, both read-only, as they
+    are memoised, about ``8 N`` bytes, on the last lift object (``Lift`` has eq=False)."""
     pattern = _pattern(lift.k, lift.arcs)
     n = lift.n
     freq = np.arange(n // 2 + 1)
@@ -118,7 +121,9 @@ def _reduced(lift: Lift) -> tuple[_Pattern, np.ndarray, np.ndarray]:
     inverse[0] = 0.0
     # U = 1 - E M^-1 b_I, in the place of b.
     column[0], column[1:] = 0.0, solved
-    return pattern, np.subtract(1.0, column, out=column), inverse
+    np.subtract(1.0, column, out=column)
+    column.flags.writeable = inverse.flags.writeable = False
+    return pattern, column, inverse
 
 
 def _resistance_blocks(lift: Lift) -> np.ndarray:
@@ -152,12 +157,13 @@ def resistance(lift: Lift, i: int, j: int) -> float:
 def resistance_rows(lift: Lift) -> Iterator[np.ndarray]:
     """Row blocks ``p = 0 .. n - 1`` of the resistance matrix, ``k x N`` each, in O(N k)
     memory: ``R[(p, r), (p', r')]`` is entry ``[r, r']`` of block ``p - p' mod n``, so
-    row block ``p`` is blocks ``p, p - 1, ..`` in a row, gathered from the blocks
-    transposed, as ``R[-d]`` is ``R[d]^T``: column block ``j`` is transposed block
-    ``j - p``, a negative index for ``j < p``."""
+    row block ``p`` is blocks ``p, p - 1, ..`` in a row, a read-only view of the blocks
+    transposed, as ``R[-d]`` is ``R[d]^T``, and laid out twice: column block ``j`` is
+    transposed block ``j - p``, at ``n + j - p`` in the doubled copy."""
     blocks = _resistance_blocks(lift).transpose(2, 0, 1)
-    ahead = np.arange(lift.n)
-    return (blocks[:, ahead - p].reshape(lift.k, -1) for p in range(lift.n))
+    twice = np.concatenate((blocks, blocks), axis=1)
+    twice.flags.writeable = False
+    return (twice[:, lift.n - p : 2 * lift.n - p].reshape(lift.k, -1) for p in range(lift.n))
 
 
 def resistance_matrix(lift: Lift) -> np.ndarray:

@@ -404,6 +404,23 @@ def test_the_oracle_memo_changes_no_output_byte(capsys, grid):
     assert run(capsys, *grid.split()) == cold
 
 
+def test_verify_reduces_each_flower_once(capsys, monkeypatch):
+    """``verify`` checks a flower's matrix and its indices from one frequency
+    reduction: ``oracle._pattern`` is read once per flower, not once per entry point."""
+    calls = []
+    pattern = oracle._pattern
+
+    def spy(k, arcs):
+        calls.append(k)
+        return pattern(k, arcs)
+
+    monkeypatch.setattr(oracle, "_pattern", spy)
+    code, out = run(capsys, "verify", "--family", "complete", "--m-range", "3:5",
+                    "--n-range", "3:6")
+    assert code == 0 and out.startswith("verify: ok (12 instances, ")
+    assert len(calls) == 12
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowergraphs import (
+    FlowerSpec,
     Graph,
     complete_flower_spec,
     complete_graph,
     cycle_graph,
     graph_from_edge_list,
+    kirchhoff_bounds,
     parse_edge_list,
     path_graph,
     petersen_graph,
@@ -197,12 +200,30 @@ def test_either_orientation_gives_the_same_graph(g):
     assert all(flipped.neighbors(v) == g.neighbors(v) for v in range(g.vertex_count))
 
 
+def _refused_by_both(edges, messages):
+    """``Graph(3, edges)`` and ``graph_from_edge_list(edges)`` raise ``ValueError``
+    matching ``messages``, one pattern for both or a pair, one for each."""
+    messages = messages if isinstance(messages, tuple) else (messages, messages)
+    for build, expected in zip((lambda: Graph(3, edges), lambda: graph_from_edge_list(edges)),
+                               messages):
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            build()
+
+
+def _oversized(edge, top, untouched, first):
+    """``Graph(3, ..)``'s refusal of ``edge``, and ``graph_from_edge_list``'s label
+    gap on the labels ``0 .. top``."""
+    return (rf"edge \({edge[0]}, {edge[1]}\) is out of range for 3 vertices",
+            rf"label gap: no edge touches {untouched} of the labels 0\.\.{top} "
+            rf"\(the first is {first}\)")
+
+
 @pytest.mark.parametrize(
     "edges,message",
     [
         ([(0, 1), (2, -1)], r"negative vertex label in edge \(2, -1\)"),
         ([(0, 1), (1, 1)], "self-loop at vertex 1"),
-        ([(0, 1), (1, 10**30)], rf"a vertex label is outside 0\.\.{np.iinfo(np.intp).max}"),
+        ([(0, 1), (1, 10**30)], _oversized((1, 10**30), 10**30, 10**30 - 2, 2)),
         ([(0, 1), (1, 2), (2, 0), (1, 0)], r"duplicate edge \(0, 1\)"),
         ([], "edge list is empty"),
         ([(0, 1), (1, 2, 3)], "every edge must be a pair of vertex labels"),
@@ -211,9 +232,10 @@ def test_either_orientation_gives_the_same_graph(g):
     ids=["negative", "self-loop", "out-of-range", "duplicate", "empty", "ragged", "scalar"],
 )
 def test_the_constructor_and_the_edge_list_builder_give_the_same_message(edges, message):
-    for build in (lambda: Graph(3, edges), lambda: graph_from_edge_list(edges)):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            build()
+    """Each refusal reads the same from both builders, except a label beyond the
+    vertex count: ``Graph(3, ..)`` finds it out of range, and ``graph_from_edge_list``,
+    whose vertex count the largest label sets, finds the labels below it untouched."""
+    _refused_by_both(edges, message)
 
 
 def _lift_edges(k, n, arcs):
@@ -326,38 +348,55 @@ def test_check_shift_certifies_exactly_the_automorphic_shifts():
 
 
 def test_label_beyond_the_index_range_rejected():
-    with pytest.raises(ValueError, match="vertex label is outside"):
+    """A label far beyond any array index is a label gap, found before anything of
+    the vertex count's length is made."""
+    with pytest.raises(ValueError, match="^label gap: no edge touches "):
         graph_from_edge_list([(0, 1), (1, 10**30)])
 
 
-OUTSIDE = rf"a vertex label is outside 0\.\.{np.iinfo(np.intp).max}"
-
-
-# numpy infers float64 for a list holding 2**63 beside small ints, uint64 for one
-# holding only labels in 2**63 .. 2**64 - 1 and object for 2**70; none of them may
-# reach the int cast that would truncate or wrap it.
+# Every label passes graphs.integer, which takes ints and numpy integers whole and
+# refuses floats, even integral ones, strings and bools; an oversized int stays
+# exact, so it is refused as out of range or as a label gap, never truncated.
 @pytest.mark.parametrize(
-    "edges,message",
+    "edges,messages",
     [
-        ([(0, 1.7), (1, 2)], r"vertex label 1\.7 is not an integer"),
-        ([(0, 1), (1.0, 2)], r"vertex label 1\.0 is not an integer"),
-        ([("0", "1"), ("1", "2")], "vertex label '0' is not an integer"),
-        (np.array([[0.0, 1.0], [1.0, 2.0]]), r"vertex label 0\.0 is not an integer"),
-        ([(0, 1), (1, 2**63)], OUTSIDE),
-        ([(0, 1), (1, 2**70)], OUTSIDE),
-        ([(2**63, 2**63 + 1)], OUTSIDE),
-        (np.array([[0, 1], [1, 2**64 - 1]], dtype=np.uint64), OUTSIDE),
-        ([(True, False)], "vertex label True is not an integer"),
-        ([(0, 1), (1, True)], "vertex label True is not an integer"),
-        (np.array([[0, 1], [1, 2]]) == 1, "vertex label False is not an integer"),
+        ([(0, 1.7), (1, 2)], r"vertex label must be an integer, not 1\.7"),
+        ([(0, 1), (1.0, 2)], r"vertex label must be an integer, not 1\.0"),
+        ([("0", "1"), ("1", "2")], "vertex label must be an integer, not '0'"),
+        (np.array([[0.0, 1.0], [1.0, 2.0]]),
+         r"vertex label must be an integer, not np\.float64\(0\.0\)"),
+        ([(0, 1), (1, 2**63)], _oversized((1, 2**63), 2**63, 2**63 - 2, 2)),
+        ([(0, 1), (1, 2**70)], _oversized((1, 2**70), 2**70, 2**70 - 2, 2)),
+        ([(2**63, 2**63 + 1)], _oversized((2**63, 2**63 + 1), 2**63 + 1, 2**63, 0)),
+        (np.array([[0, 1], [1, 2**64 - 1]], dtype=np.uint64),
+         _oversized((1, 2**64 - 1), 2**64 - 1, 2**64 - 3, 2)),
+        ([(True, False)], "vertex label must be an integer, not True"),
+        ([(0, 1), (1, True)], "vertex label must be an integer, not True"),
+        (np.array([[0, 1], [1, 2]]) == 1, r"vertex label must be an integer, not np\.False_"),
     ],
     ids=["float", "integral-float", "string", "float-array", "2^63", "2^70", "uint64",
          "uint64-array", "bool", "bool-beside-ints", "bool-array"],
 )
-def test_non_integer_and_oversized_labels_rejected_not_truncated(edges, message):
-    for build in (lambda: Graph(3, edges), lambda: graph_from_edge_list(edges)):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            build()
+def test_non_integer_and_oversized_labels_rejected_not_truncated(edges, messages):
+    _refused_by_both(edges, messages)
+
+
+@pytest.mark.parametrize("count", ["3", 3.0, 3.5, True])
+def test_the_vertex_count_must_be_an_integer(count):
+    shown = re.escape(repr(count))
+    with pytest.raises(ValueError, match=f"^vertex_count must be an integer, not {shown}$"):
+        Graph(count, [(0, 1), (1, 2), (2, 0)])
+
+
+def test_a_numpy_vertex_count_is_stored_as_an_int():
+    """An ``np.int64`` count is stored as an int, so the exact bounds of a flower on
+    the graph do not wrap at 64 bits."""
+    edges = complete_graph(4).edges
+    g = Graph(np.int64(4), edges)
+    assert type(g.vertex_count) is int and g == Graph(4, edges)
+    bounds = kirchhoff_bounds(FlowerSpec(g, 0, 1, 10**6))
+    assert bounds == kirchhoff_bounds(FlowerSpec(Graph(4, edges), 0, 1, 10**6))
+    assert bounds[1] == 2000009999991000000
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
@@ -386,5 +425,5 @@ def test_memo_hits_keep_the_faults_that_depend_on_n():
     path = [(0, 1), (1, 2)]
     assert graph_from_edge_list(path) is graph_from_edge_list(np.array(path))
     for labels, shown in (([(0, True), (True, 2)], "True"), ([(0.0, 1.0), (1.0, 2.0)], "0.0")):
-        with pytest.raises(ValueError, match=f"^vertex label {shown} is not an integer$"):
+        with pytest.raises(ValueError, match=f"^vertex label must be an integer, not {shown}$"):
             graph_from_edge_list(labels)

@@ -6,7 +6,8 @@ never a ``Graph``, only ``FlowerSpec`` knows the petal block size and builds the
 lift from it, only ``gen`` lists a flower's edges, only the one-pair paths
 evaluate the flower pair formula, only ``cli._flowers`` reads the family options,
 ``cli.build_parser`` alone builds argparse parsers and builds them once per
-process, every other memo is an ``lru_cache`` with an integer bound, the package
+process, every other memo is an ``lru_cache`` with an integer bound, only
+``graphs.integer`` calls ``operator.index``, the package
 exports what it imports and uses every private name it defines, graphs and flower
 specs compute their derived attributes at construction, and no source line is
 longer than 99 characters."""
@@ -224,6 +225,25 @@ def test_only_the_spec_builds_a_lift():
             if "Lift" in _called_names(function):
                 callers.add((path.stem, name))
     assert callers == {("flower", "FlowerSpec.lift")}
+
+
+def _operator_index_names(node: ast.AST) -> int:
+    return sum(isinstance(found, ast.Attribute) and found.attr == "index"
+               and getattr(found.value, "id", None) == "operator" for found in ast.walk(node))
+
+
+def test_only_integer_calls_operator_index():
+    """``graphs.integer`` is the package's one rule for reading an integer input: no
+    other function, and no module-level code, names ``operator.index``."""
+    users = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert "operator.index" not in imported_modules(ast.unparse(tree)), path.stem
+        inside = {(path.stem, name): _operator_index_names(function)
+                  for name, function in _functions(tree)}
+        assert sum(inside.values()) == _operator_index_names(tree), path.stem
+        users.update((key, count) for key, count in inside.items() if count)
+    assert users == {("graphs", "integer"): 1}
 
 
 def test_only_the_one_pair_paths_evaluate_the_pair_formula():

@@ -168,9 +168,20 @@ def test_a_bad_base_file_raises_on_every_read(tmp_path, text, message):
 
 def test_the_oracle_memo_hands_out_read_only_arrays():
     """A caller that wrote into a cached array would change every later result of
-    its lift pattern, so every array of ``oracle._pattern`` is read-only."""
+    its lift pattern, or of its lift, so every array of ``oracle._pattern`` and of
+    ``oracle._reduced`` is read-only, and so is every row block, a view of one
+    array shared by all of them."""
     lift = FlowerSpec(graph_from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3)]), 0, 3, 5).lift()
     pattern = oracle._pattern(lift.k, lift.arcs)
     assert not any(array.flags.writeable for array in pattern)
     with pytest.raises(ValueError, match="read-only"):
         pattern.green[0, 0] = 0.0
+    reduced_pattern, frame, inverse = oracle._reduced(lift)
+    assert reduced_pattern is pattern
+    assert not frame.flags.writeable and not inverse.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        frame[0, 0] = 0.0
+    rows = list(oracle.resistance_rows(lift))
+    assert len(rows) == lift.n and not any(row.flags.writeable for row in rows)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[1][0, 0] = 0.0
